@@ -11,9 +11,8 @@ use crate::ua::parse_user_agent;
 use crate::userstate::{GlobalState, UserState};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
-use yav_nurl::fields::PricePayload;
 use yav_nurl::urlref::decoded_len;
-use yav_nurl::{template, UrlRef, UrlScratch};
+use yav_nurl::{exchange_host, template, UrlRef, UrlScratch};
 use yav_types::{
     AdSlotSize, Adx, City, Cpm, DeviceType, IabCategory, InteractionType, Os, PriceVisibility,
     SimTime, UserId,
@@ -152,8 +151,8 @@ pub struct WeblogAnalyzer {
     host_lower: String,
     /// Reusable percent-decode scratch for notification parsing.
     url_scratch: UrlScratch,
-    /// Reusable DSP-domain render buffer (the quiet path keys bidder
-    /// aggregates without materialising a `String` per notification).
+    /// Reusable DSP-domain render buffer (bidder aggregates are keyed
+    /// without materialising a `String` per notification).
     dsp_buf: String,
     /// Reusable campaign-wire render buffer (same role as `dsp_buf`).
     wire_buf: String,
@@ -194,6 +193,28 @@ impl WeblogAnalyzer {
     /// feature snapshot) when the request was a winning-price
     /// notification.
     pub fn ingest(&mut self, req: &HttpRequest) -> Option<ImpressionRecord> {
+        self.ingest_with(req, true)
+    }
+
+    /// Ingests one HTTP request without building the per-detection
+    /// [`ImpressionRecord`]: both entry points run one body, so every
+    /// aggregate — class counts, user and global state, pairs, summary,
+    /// malformed counts — folds exactly as [`WeblogAnalyzer::ingest`]
+    /// folds it, but the enriched metadata and the 288-feature snapshot
+    /// are never built. This is the streaming window loop's path: after
+    /// warm-up it touches no heap at all (the detection keys are rendered
+    /// into reusable buffers and only first-sight map keys allocate).
+    ///
+    /// Retention is irrelevant here: a caller that wants
+    /// `report.detections` needs the metadata and must use
+    /// [`WeblogAnalyzer::ingest`].
+    pub fn ingest_quiet(&mut self, req: &HttpRequest) {
+        self.ingest_with(req, false);
+    }
+
+    /// The one ingest body; `want_record` asks for the enriched
+    /// [`ImpressionRecord`] of a detected notification.
+    fn ingest_with(&mut self, req: &HttpRequest, want_record: bool) -> Option<ImpressionRecord> {
         // Borrowed parse: components are subslices of the raw line, no
         // allocation. Validating the query up front keeps the owned
         // parser's accounting — a URL whose query cannot decode is an
@@ -242,7 +263,7 @@ impl WeblogAnalyzer {
                 }
                 None
             }
-            TrafficClass::Advertising => self.ingest_advertising(req, &url, fp, city),
+            TrafficClass::Advertising => self.ingest_advertising(req, &url, fp, city, want_record),
             _ => None,
         }
     }
@@ -255,11 +276,12 @@ impl WeblogAnalyzer {
         url: &UrlRef<'_>,
         fp: crate::ua::UaFingerprint,
         city: Option<City>,
+        want_record: bool,
     ) -> Option<ImpressionRecord> {
         let user = self
             .users
             .get_mut(&req.user)
-            .expect("state created in ingest");
+            .expect("state created in ingest_with");
         if url.path().ends_with("/b.gif") {
             user.record_beacon();
             return None;
@@ -269,198 +291,85 @@ impl WeblogAnalyzer {
             return None;
         }
 
-        let fields = match template::parse_borrowed(url, &mut self.url_scratch) {
+        // Only an exchange's notification host can carry a notification:
+        // other ad traffic leaves before any decode.
+        let adx = exchange_host(url.host_raw())?;
+        let fields = match template::parse_borrowed_screened(adx, url, &mut self.url_scratch) {
             Ok(Some(f)) => f,
             Ok(None) => return None, // ad request / other ad traffic
             Err(_) => {
-                // Decode errors cannot reach here (`ingest` validated
-                // the query), so this is a malformed payload.
+                // Decode errors cannot reach here (`ingest_with`
+                // validated the query), so this is a malformed payload.
                 self.report.malformed_nurls += 1;
                 yav_trace::trace_instant!("analyzer.malformed_nurl");
                 return None;
             }
         };
-        yav_trace::trace_instant!("analyzer.detect", fields.adx as u64);
-
-        // Build the enriched detection.
-        let visibility = fields.price.visibility();
-        let publisher = fields.publisher.clone();
-        let iab = publisher.as_deref().and_then(taxonomy::categorize);
-        let meta = DetectedImpression {
-            time: req.time,
-            user: req.user,
-            adx: fields.adx,
-            dsp_domain: Some(fields.dsp.domain()),
-            visibility,
-            cleartext_cpm: fields.price.cleartext(),
-            encrypted_token_wire: match &fields.price {
-                PricePayload::Encrypted(t) => Some(t.to_wire()),
-                PricePayload::Cleartext(_) => None,
-            },
-            slot: fields.slot,
-            publisher,
-            iab,
-            city,
-            os: fp.os,
-            device: fp.device,
-            interaction: fp.interaction,
-            campaign_wire: fields.campaign.map(|c| c.wire()),
-            latency_ms: fields.latency_ms,
-        };
-
-        // Feature snapshot BEFORE folding this impression: history "up to
-        // now" (Table 4's phrasing).
-        let transport = NurlTransport {
-            bytes: req.bytes,
-            duration_ms: req.duration_ms,
-            param_count: url.query_pairs().count() as u32,
-            https: url.is_https(),
-            // ASCII lowercasing preserves byte length, so the raw host's
-            // length is the normalized host's length.
-            host_len: url.host_raw().len() as u32,
-            path_depth: url.path().split('/').filter(|s| !s.is_empty()).count() as u32,
-            // Decoded lengths without materialising the decoded strings.
-            query_len: url
-                .query_pairs()
-                .map(|(k, v)| decoded_len(k) + decoded_len(v) + 1)
-                .sum::<usize>() as u32,
-            has_bid_price: fields.bid_price.is_some(),
-            has_size: fields.slot.is_some(),
-            has_publisher: meta.publisher.is_some(),
-            token_len: meta
-                .encrypted_token_wire
-                .as_ref()
-                .map(|t| t.len())
-                .unwrap_or(0) as u32,
-        };
-        let row = features::extract(&meta, &transport, user, &self.global);
-
-        // Fold the impression into every state store.
-        user.record_impression(meta.adx, meta.cleartext_cpm.map(|p| p.as_f64()));
-        self.report
-            .pairs
-            .record(req.time, meta.adx, meta.dsp_domain.as_deref(), visibility);
-        if let Some(slot) = meta.slot {
-            let m = GlobalState::month_bucket(req.time);
-            self.global.monthly_slots[m][features::slot_index(slot)] += 1;
-        }
-        if let Some(c) = &meta.campaign_wire {
-            bump_count(&mut self.global.campaigns, c);
-        }
-        if let Some(p) = &meta.publisher {
-            bump_count(&mut self.global.publisher_imps, p);
-        }
-        if let Some(d) = &meta.dsp_domain {
-            fold_dsp_stats(&mut self.global, d, req, visibility);
-        }
-
-        self.report
-            .summary
-            .record(meta.adx, visibility, meta.cleartext_cpm, meta.iab);
-        if self.retention == Retention::Full {
-            self.report.detections.push(meta.clone());
-        }
-        Some(ImpressionRecord {
-            meta,
-            features: row,
-        })
-    }
-
-    /// Ingests one HTTP request without materialising the per-detection
-    /// [`ImpressionRecord`]: every aggregate — class counts, user and
-    /// global state, pairs, summary, malformed counts — folds exactly as
-    /// [`ingest`] folds it (pinned by `quiet_ingest_folds_identically`),
-    /// but the enriched metadata and the 288-feature snapshot are never
-    /// built. This is the streaming window loop's path: after warm-up it
-    /// touches no heap at all (the detection keys are rendered into
-    /// reusable buffers and only first-sight map keys allocate).
-    ///
-    /// Retention is irrelevant here: a caller that wants
-    /// `report.detections` needs the metadata and must use [`ingest`].
-    pub fn ingest_quiet(&mut self, req: &HttpRequest) {
-        let url = match UrlRef::parse(&req.url) {
-            Ok(url) if url.validate_query().is_ok() => url,
-            _ => {
-                self.report.total_requests += 1;
-                return;
-            }
-        };
-
-        self.host_lower.clear();
-        self.host_lower.push_str(url.host_raw());
-        self.host_lower.make_ascii_lowercase();
-        let class = classify_domain_lower(&self.host_lower);
-        *self.report.class_counts.entry(class).or_insert(0) += 1;
-        self.report.total_requests += 1;
-
-        let fp = parse_user_agent(&req.user_agent);
-        let city = self.geo.city_of(req.client_ip);
-        let month = GlobalState::month_bucket(req.time);
-        self.report.monthly_os_requests[month][os_index(fp.os)] += 1;
-
-        let user = self.users.entry(req.user).or_default();
-        user.record_request(
-            req.time,
-            req.bytes,
-            req.duration_ms,
-            fp.interaction == InteractionType::MobileApp,
-            city,
-        );
-
-        match class {
-            TrafficClass::Rest => {
-                let host = normalize_publisher(&self.host_lower);
-                if let Some(iab) = taxonomy::categorize(host) {
-                    user.record_publisher(host, Some(iab));
-                    bump_count(&mut self.global.publisher_views, host);
-                } else {
-                    user.record_publisher(host, None);
-                }
-            }
-            TrafficClass::Advertising => self.ingest_advertising_quiet(req, &url),
-            _ => {}
-        }
-    }
-
-    /// The advertising arm of [`ingest_quiet`]: identical fold order to
-    /// [`ingest_advertising`], borrowed payload, no metadata or feature
-    /// construction.
-    fn ingest_advertising_quiet(&mut self, req: &HttpRequest, url: &UrlRef<'_>) {
-        let user = self
-            .users
-            .get_mut(&req.user)
-            .expect("state created in ingest_quiet");
-        if url.path().ends_with("/b.gif") {
-            user.record_beacon();
-            return;
-        }
-        if url.path().contains("getuid") || url.query_raw("redir").is_some() {
-            user.record_cookie_sync();
-            return;
-        }
-
-        let fields = match template::parse_borrowed_ref(url, &mut self.url_scratch) {
-            Ok(Some(f)) => f,
-            Ok(None) => return,
-            Err(_) => {
-                self.report.malformed_nurls += 1;
-                yav_trace::trace_instant!("analyzer.malformed_nurl");
-                return;
-            }
-        };
-        yav_trace::trace_instant!("analyzer.detect", fields.adx as u64);
+        yav_trace::trace_instant!("analyzer.detect", adx as u64);
 
         let visibility = fields.price.visibility();
         let cleartext = fields.price.cleartext();
         let iab = fields.publisher.and_then(taxonomy::categorize);
+        // The detection's keys render into reused buffers, so the folds
+        // below allocate only on a key's first sight.
         self.dsp_buf.clear();
         fields.dsp.write_domain(&mut self.dsp_buf);
 
-        // Fold the impression into every state store, in `ingest`'s order.
-        user.record_impression(fields.adx, cleartext.map(|p| p.as_f64()));
+        // The enriched detection, with its feature snapshot taken BEFORE
+        // folding this impression: history "up to now" (Table 4's
+        // phrasing).
+        let record = want_record.then(|| {
+            let meta = DetectedImpression {
+                time: req.time,
+                user: req.user,
+                adx,
+                dsp_domain: Some(self.dsp_buf.clone()),
+                visibility,
+                cleartext_cpm: cleartext,
+                encrypted_token_wire: fields.price.encrypted().map(|t| t.to_wire()),
+                slot: fields.slot,
+                publisher: fields.publisher.map(str::to_owned),
+                iab,
+                city,
+                os: fp.os,
+                device: fp.device,
+                interaction: fp.interaction,
+                campaign_wire: fields.campaign.map(|c| c.wire()),
+                latency_ms: fields.latency_ms,
+            };
+            let transport = NurlTransport {
+                bytes: req.bytes,
+                duration_ms: req.duration_ms,
+                param_count: url.query_pairs().count() as u32,
+                https: url.is_https(),
+                // ASCII lowercasing preserves byte length, so the raw
+                // host's length is the normalized host's length.
+                host_len: url.host_raw().len() as u32,
+                path_depth: url.path().split('/').filter(|s| !s.is_empty()).count() as u32,
+                // Decoded lengths without materialising the decoded
+                // strings.
+                query_len: url
+                    .query_pairs()
+                    .map(|(k, v)| decoded_len(k) + decoded_len(v) + 1)
+                    .sum::<usize>() as u32,
+                has_bid_price: fields.bid_price.is_some(),
+                has_size: fields.slot.is_some(),
+                has_publisher: fields.publisher.is_some(),
+                token_len: meta
+                    .encrypted_token_wire
+                    .as_ref()
+                    .map(|t| t.len())
+                    .unwrap_or(0) as u32,
+            };
+            let features = features::extract(&meta, &transport, user, &self.global);
+            ImpressionRecord { meta, features }
+        });
+
+        // Fold the impression into every state store.
+        user.record_impression(adx, cleartext.map(|p| p.as_f64()));
         self.report
             .pairs
-            .record(req.time, fields.adx, Some(&self.dsp_buf), visibility);
+            .record(req.time, adx, Some(&self.dsp_buf), visibility);
         if let Some(slot) = fields.slot {
             let m = GlobalState::month_bucket(req.time);
             self.global.monthly_slots[m][features::slot_index(slot)] += 1;
@@ -475,9 +384,13 @@ impl WeblogAnalyzer {
         }
         fold_dsp_stats(&mut self.global, &self.dsp_buf, req, visibility);
 
-        self.report
-            .summary
-            .record(fields.adx, visibility, cleartext, iab);
+        self.report.summary.record(adx, visibility, cleartext, iab);
+        if let Some(record) = &record {
+            if self.retention == Retention::Full {
+                self.report.detections.push(record.meta.clone());
+            }
+        }
+        record
     }
 
     /// Finishes the pass and returns the report.

@@ -157,8 +157,9 @@ mod tests {
     #[test]
     fn push_with_composes_without_format() {
         let mut arena = Bump::new();
+        let host = "pub.example";
         let span = arena.push_with(|out| {
-            let _ = write!(out, "api.{}/v2/feed?sess={}", "pub.example", 42u32);
+            let _ = write!(out, "api.{host}/v2/feed?sess={}", 42u32);
         });
         assert_eq!(arena.get(span), "api.pub.example/v2/feed?sess=42");
     }

@@ -31,7 +31,9 @@ pub mod valuation;
 
 pub use config::MarketConfig;
 pub use dsp::{DspProfile, DspStrategy};
-pub use market::{AuctionOutcome, AuctionResult, Market, MarketTemplate, ProbeBid, ProbeWin, SaleLite};
+pub use market::{
+    AuctionOutcome, AuctionResult, Market, MarketTemplate, ProbeBid, ProbeWin, SaleLite,
+};
 pub use profile::Dmp;
 pub use request::AdRequest;
 pub use valuation::ValuationModel;

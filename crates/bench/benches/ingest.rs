@@ -3,13 +3,11 @@
 //! The monitor and analyzer both sit on the device's full request
 //! stream, of which ~95% is ordinary traffic that must be rejected as
 //! cheaply as possible and ~5% is ad traffic worth parsing. This bench
-//! wall-clocks three ingestion strategies over the same streams:
+//! wall-clocks two ingestion strategies over the same streams:
 //!
 //! * `owned` — parse every request with the owning `Url` parser, then
 //!   template-parse exchange URLs (the analyzer's pre-zero-copy shape:
 //!   several heap allocations per request, notification or not);
-//! * `screened` — host-screen first, owning parse only for exchange
-//!   URLs (the monitor's pre-zero-copy shape);
 //! * `borrowed` — `UrlRef` + reusable `UrlScratch` end to end (the
 //!   current shape: no steady-state allocation anywhere).
 //!
@@ -112,23 +110,6 @@ fn ingest_owned(urls: &[String]) -> usize {
     matched
 }
 
-/// Screened owned ingestion: host screen first, owned parse on
-/// survivors. The screen's verdict (which exchange matched) carries
-/// into the parse, so the host roster is scanned once per URL.
-fn ingest_screened(urls: &[String]) -> usize {
-    let mut matched = 0;
-    for raw in urls {
-        let Ok(adx) = yav_nurl::screen_adx(raw) else {
-            continue;
-        };
-        let Ok(url) = Url::parse(raw) else { continue };
-        if let Ok(Some(_)) = template::parse_screened(adx, &url) {
-            matched += 1;
-        }
-    }
-    matched
-}
-
 /// Borrowed zero-copy ingestion with a reusable scratch — the monitor's
 /// sift shape: authority-only screen carrying its verdict into the
 /// borrowed parse, so survivors never re-scan the host roster.
@@ -190,9 +171,6 @@ fn bench_parsers(c: &mut Criterion) {
     g.bench_function("owned_mixed_20k", |b| {
         b.iter(|| ingest_owned(black_box(&stream)))
     });
-    g.bench_function("screened_mixed_20k", |b| {
-        b.iter(|| ingest_screened(black_box(&stream)))
-    });
     g.bench_function("borrowed_mixed_20k", |b| {
         b.iter(|| ingest_borrowed(black_box(&stream), &mut scratch))
     });
@@ -225,14 +203,13 @@ fn bench_baseline(_c: &mut Criterion) {
     let mut results = Vec::new();
     for (stream_name, urls) in [("mixed", &mixed), ("nurl", &nurls), ("hostile", &hostile)] {
         let owned = per_req(urls.len(), 10, &mut || ingest_owned(urls));
-        let screened = per_req(urls.len(), 10, &mut || ingest_screened(urls));
         let borrowed = per_req(urls.len(), 10, &mut || ingest_borrowed(urls, &mut scratch));
         println!(
-            "ingest/{stream_name}: per-req ns owned {owned:.0}, screened {screened:.0}, \
+            "ingest/{stream_name}: per-req ns owned {owned:.0}, \
              borrowed {borrowed:.0} ({:.1}x vs owned)",
             owned / borrowed
         );
-        results.push((stream_name, owned, screened, borrowed));
+        results.push((stream_name, owned, borrowed));
     }
 
     // SIMD dispatch smoke: the same borrowed ingest under every forced
@@ -330,10 +307,9 @@ fn bench_baseline(_c: &mut Criterion) {
 
     let mut json = String::from("[\n");
     json.push_str(&format!("  {},\n", yav_bench::machine_json()));
-    for (stream_name, owned, screened, borrowed) in &results {
+    for (stream_name, owned, borrowed) in &results {
         json.push_str(&format!(
             "  {{\"bench\":\"ingest_owned_{stream_name}\",\"ns_per_req\":{owned:.1}}},\n  \
-             {{\"bench\":\"ingest_screened_{stream_name}\",\"ns_per_req\":{screened:.1}}},\n  \
              {{\"bench\":\"ingest_borrowed_{stream_name}\",\"ns_per_req\":{borrowed:.1},\
              \"speedup_vs_owned\":{:.2}}},\n",
             owned / borrowed

@@ -67,32 +67,6 @@ fn main() {
              \"seconds\":{secs:.3}}}",
             rung.label, rung.users
         ));
-
-        // Instrumented twin run: same build, with per-event clock pairs
-        // around analyze/monitor and the market histogram delta. Kept
-        // separate so the ladder numbers above stay untimed. The untimed
-        // world must be gone first — VmHWM is monotone, and two live
-        // worlds (PME forest, campaign reports) would charge the ladder
-        // ~5 MiB it never uses at steady state.
-        drop(world);
-        let (timed_world, phases) = StreamWorld::build_with_users_timed(rung.users, &exec);
-        let per_event = |ns: u64| ns as f64 / timed_world.http_requests.max(1) as f64;
-        let (gen, market, analyze, monitor) = (
-            per_event(phases.generate()),
-            per_event(phases.market),
-            per_event(phases.analyze),
-            per_event(phases.monitor),
-        );
-        println!(
-            "  phases (ns/event): generate {gen:.0}, market {market:.0}, \
-             analyze {analyze:.0}, monitor {monitor:.0}"
-        );
-        entries.push(format!(
-            "{{\"bench\":\"world_stream_phases\",\"scale\":\"{}\",\"users\":{},\
-             \"generate_ns_per_event\":{gen:.0},\"market_ns_per_event\":{market:.0},\
-             \"analyze_ns_per_event\":{analyze:.0},\"monitor_ns_per_event\":{monitor:.0}}}",
-            rung.label, rung.users
-        ));
     }
 
     if quick {

@@ -20,7 +20,7 @@ pub mod world;
 #[cfg(test)]
 mod smoke_tests;
 
-pub use stream::{PhaseNanos, StreamWorld, TruthStats};
+pub use stream::{StreamWorld, TruthStats};
 pub use world::{Scale, World};
 
 /// The machine-metadata row every `BENCH_*.json` file opens with, so a

@@ -80,39 +80,6 @@ struct StreamPart {
     truth: TruthStats,
     tenants: TenantReport,
     http_requests: u64,
-    /// Analyzer / tenant-monitor wall time inside the shard closure —
-    /// zero unless the build was timed.
-    analyze_ns: u64,
-    monitor_ns: u64,
-}
-
-/// Per-phase wall time of one timed streaming build, behind the bench
-/// ladder's `world_stream_phases` rows.
-///
-/// `market`, `analyze` and `monitor` are summed across workers, so on a
-/// multi-threaded build they can together exceed `wall`; the breakdown
-/// is calibrated for the single-worker bench runs, and
-/// [`PhaseNanos::generate`] saturates rather than going negative.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PhaseNanos {
-    /// Wall time of the windowed stream loop (not campaigns/PME setup).
-    pub wall: u64,
-    /// Auction resolution time: the `auction.market.us` histogram-sum
-    /// delta over the loop.
-    pub market: u64,
-    /// [`WeblogAnalyzer::ingest_quiet`] time.
-    pub analyze: u64,
-    /// [`TenantStore::feed`] time.
-    pub monitor: u64,
-}
-
-impl PhaseNanos {
-    /// Everything not attributed to the other three phases: event
-    /// generation, plus scheduling and fold overhead (a few percent).
-    pub fn generate(&self) -> u64 {
-        self.wall
-            .saturating_sub(self.market + self.analyze + self.monitor)
-    }
 }
 
 /// The streaming world: every aggregate the materialised [`crate::World`]
@@ -161,7 +128,7 @@ impl StreamWorld {
             exec: *exec,
             ..scale.weblog()
         };
-        StreamWorld::build_from_config(scale, config, None)
+        StreamWorld::build_from_config(scale, config)
     }
 
     /// Streams the Huge profile (one simulated day, lazy panel) at a
@@ -173,30 +140,10 @@ impl StreamWorld {
             exec: *exec,
             ..WeblogConfig::huge()
         };
-        StreamWorld::build_from_config(Scale::Huge, config, None)
+        StreamWorld::build_from_config(Scale::Huge, config)
     }
 
-    /// [`StreamWorld::build_with_users`] with per-event `Instant` pairs
-    /// around the analyze and monitor calls plus the market-histogram
-    /// delta — the instrumented twin run behind the bench ladder's phase
-    /// breakdown. Results are identical to the untimed build; only wall
-    /// clocks are added.
-    pub fn build_with_users_timed(users: u32, exec: &ExecConfig) -> (StreamWorld, PhaseNanos) {
-        let config = WeblogConfig {
-            users,
-            exec: *exec,
-            ..WeblogConfig::huge()
-        };
-        let mut phases = PhaseNanos::default();
-        let world = StreamWorld::build_from_config(Scale::Huge, config, Some(&mut phases));
-        (world, phases)
-    }
-
-    fn build_from_config(
-        scale: Scale,
-        config: WeblogConfig,
-        timing: Option<&mut PhaseNanos>,
-    ) -> StreamWorld {
+    fn build_from_config(scale: Scale, config: WeblogConfig) -> StreamWorld {
         let _span = yav_telemetry::span!("bench.world.stream");
         let _trace = yav_trace::trace_span!("world.stream", config.users as u64);
         let exec = &config.exec;
@@ -230,15 +177,6 @@ impl StreamWorld {
         let mut truth = TruthStats::default();
         let mut tenants = TenantReport::default();
         let mut http_requests = 0u64;
-        let mut analyze_ns = 0u64;
-        let mut monitor_ns = 0u64;
-
-        // Phase baselines, taken after campaigns/PME so their auctions
-        // don't leak into the loop's market delta.
-        let timed = timing.is_some();
-        let market_hist = yav_telemetry::histogram("auction.market.us");
-        let market_us0 = market_hist.snapshot().sum;
-        let loop_start = std::time::Instant::now();
 
         for lo in (0..shards).step_by(window) {
             let n = window.min(shards - lo);
@@ -257,46 +195,21 @@ impl StreamWorld {
                 }
                 let mut http = 0u64;
                 let mut truth = TruthStats::default();
-                let mut analyze_ns = 0u64;
-                let mut monitor_ns = 0u64;
-                if timed {
-                    // The instrumented twin of the fused sink below:
-                    // three clock reads per event (~100 ns) against a
-                    // ~10 µs event, so the readings barely perturb what
-                    // they measure — and the results stay identical.
-                    generator.run_shard_with_users(
-                        &users,
-                        &mut market,
-                        |req| {
-                            http += 1;
-                            let start = std::time::Instant::now();
-                            analyzer.ingest_quiet(req);
-                            let mid = std::time::Instant::now();
-                            store.feed(model.as_ref(), req);
-                            analyze_ns += (mid - start).as_nanos() as u64;
-                            monitor_ns += mid.elapsed().as_nanos() as u64;
-                        },
-                        |t| truth.record(&t),
-                    );
-                } else {
-                    generator.run_shard_with_users(
-                        &users,
-                        &mut market,
-                        |req| {
-                            http += 1;
-                            analyzer.ingest_quiet(req);
-                            store.feed(model.as_ref(), req);
-                        },
-                        |t| truth.record(&t),
-                    );
-                }
+                generator.run_shard_with_users(
+                    &users,
+                    &mut market,
+                    |req| {
+                        http += 1;
+                        analyzer.ingest_quiet(req);
+                        store.feed(model.as_ref(), req);
+                    },
+                    |t| truth.record(&t),
+                );
                 StreamPart {
                     report: analyzer.finish_with_state().0,
                     truth,
                     tenants: store.finish(model.as_ref()),
                     http_requests: http,
-                    analyze_ns,
-                    monitor_ns,
                 }
             });
             // Sequential fold in shard-index order; every merged piece is
@@ -306,19 +219,9 @@ impl StreamWorld {
                 truth.merge(&part.truth);
                 tenants.merge(&part.tenants);
                 http_requests += part.http_requests;
-                analyze_ns += part.analyze_ns;
-                monitor_ns += part.monitor_ns;
                 events.add(part.http_requests);
             }
             windows_done.inc();
-        }
-
-        if let Some(phases) = timing {
-            phases.wall = loop_start.elapsed().as_nanos() as u64;
-            let market_us = market_hist.snapshot().sum - market_us0;
-            phases.market = (market_us * 1_000.0) as u64;
-            phases.analyze = analyze_ns;
-            phases.monitor = monitor_ns;
         }
 
         let shift = fit_shift_bounded(&report.summary, &a2);

@@ -168,7 +168,7 @@ mod tests {
         generator.run(
             &mut market,
             |req| {
-                analyzer.ingest(&req);
+                analyzer.ingest(req);
             },
             |t| truth.push(t),
         );
@@ -257,7 +257,7 @@ mod tests {
         generator.run(
             &mut market,
             |req| {
-                analyzer.ingest(&req);
+                analyzer.ingest(req);
             },
             |_| {},
         );

@@ -10,11 +10,11 @@
 use crate::ledger::{Ledger, PriceEvent};
 use yav_analyzer::taxonomy;
 use yav_analyzer::ua::{parse_user_agent, UaFingerprint};
-use yav_nurl::fields::{NurlFields, PricePayload};
-use yav_nurl::{template, TemplateTally, UrlRef, UrlScratch};
+use yav_nurl::fields::PricePayload;
+use yav_nurl::{template, UrlRef, UrlScratch};
 use yav_pme::engine::{ContributionBatch, Pme};
 use yav_pme::model::{self, ClientModel, CoreContext, EstimateScratch};
-use yav_types::{City, Cpm, PriceVisibility, SimTime};
+use yav_types::{Adx, City, Cpm, PriceVisibility, SimTime};
 use yav_weblog::HttpRequest;
 
 /// Pre-resolved telemetry handles for the ingestion path. Looking a
@@ -77,7 +77,7 @@ impl Default for MonitorMetrics {
 /// notifications into. Capacity grows to the high-water mark and stays.
 #[derive(Debug, Default)]
 pub struct ObserveScratch {
-    /// Per-request sift state (URL decode, template tally, UA memo).
+    /// Per-request sift state (URL decode, UA memo).
     sift: SiftScratch,
     /// Row-major encoded features, one row per staged encrypted event.
     rows: Vec<f64>,
@@ -89,34 +89,34 @@ pub struct ObserveScratch {
     staged: Vec<PriceEvent>,
 }
 
-/// Reusable state every sift path carries: URL decode scratch, the
-/// deferred `nurl.template.*` tally, and a one-entry user-agent
-/// fingerprint memo. A device sends the same UA string on essentially
-/// every request, so repeat fingerprinting collapses to one string
-/// compare; the memo lives with the scratch so serial, batch and
-/// multi-tenant ingestion all benefit without sharing monitor state.
-///
-/// Callers own the tally flush: serial paths flush after every request
-/// (counter totals indistinguishable from per-URL accounting), batch
-/// paths once per batch.
+/// Reusable state every sift path carries: the URL decode scratch and a
+/// user-agent memo. Serial, batch and multi-tenant ingestion each own
+/// one, so they share the sift without sharing monitor state.
 #[derive(Debug, Default)]
 pub(crate) struct SiftScratch {
     url: UrlScratch,
-    pub(crate) tally: TemplateTally,
-    ua_raw: String,
-    ua_fp: Option<UaFingerprint>,
+    ua: UaMemo,
 }
 
-impl SiftScratch {
+/// A one-entry user-agent fingerprint memo. A device sends the same UA
+/// string on essentially every request, so repeat fingerprinting
+/// collapses to one string compare.
+#[derive(Debug, Default)]
+struct UaMemo {
+    raw: String,
+    fp: Option<UaFingerprint>,
+}
+
+impl UaMemo {
     /// The memoized [`parse_user_agent`].
     fn fingerprint(&mut self, ua: &str) -> UaFingerprint {
-        match self.ua_fp {
-            Some(fp) if self.ua_raw == ua => fp,
+        match self.fp {
+            Some(fp) if self.raw == ua => fp,
             _ => {
                 let fp = parse_user_agent(ua);
-                self.ua_raw.clear();
-                self.ua_raw.push_str(ua);
-                self.ua_fp = Some(fp);
+                self.raw.clear();
+                self.raw.push_str(ua);
+                self.fp = Some(fp);
                 fp
             }
         }
@@ -124,8 +124,8 @@ impl SiftScratch {
 }
 
 /// Why [`sift_request`] discarded a URL. The caller owns the accounting:
-/// the serial path bumps counters per drop, the batch path tallies
-/// locally and flushes once per batch.
+/// the serial path bumps counters per drop, the batch paths tally
+/// locally and flush once per batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SiftDrop {
     /// Unparseable URL or malformed notification payload.
@@ -134,22 +134,29 @@ pub(crate) enum SiftDrop {
     NotNotification,
 }
 
-/// Screens one request down to its notification payload over the
-/// zero-copy parser. Pure with respect to the monitor: all accounting
-/// stays with the caller, which is what lets the multi-tenant store and
-/// both observe paths share one sift without sharing monitor state.
+/// Screens one request down to its notification's exchange and price —
+/// the one sift behind [`YourAdValue::observe`],
+/// [`YourAdValue::observe_batch`] and the multi-tenant store. Pure with
+/// respect to the monitor: all accounting stays with the caller.
+///
+/// The estimator's [`CoreContext`] is built only when `want_ctx` is
+/// set. It is the sift's one allocating piece (the owned publisher
+/// name), so a caller with no model to feed skips it and the whole sift
+/// stays heap-free — what keeps the multi-tenant feed path inside the
+/// steady-state zero-allocation contract (`no_alloc_gen.rs`).
 ///
 /// Non-nURL traffic — the overwhelming majority — leaves through one of
 /// the early rejects without touching the heap: [`yav_nurl::screen_adx`]
 /// inspects only the scheme prefix and authority, [`UrlRef::parse`]
 /// borrows subslices of the raw request, and the verdict carries the
-/// matched exchange into the full parse so true nURLs scan the host
-/// roster exactly once.
+/// matched exchange into the borrowed template parse, so true nURLs scan
+/// the host roster exactly once.
 pub(crate) fn sift_request(
     home_city: Option<City>,
     req: &HttpRequest,
     scratch: &mut SiftScratch,
-) -> Result<(NurlFields, CoreContext), SiftDrop> {
+    want_ctx: bool,
+) -> Result<(Adx, PricePayload, Option<CoreContext>), SiftDrop> {
     let adx = match yav_nurl::screen_adx(&req.url) {
         Ok(adx) => adx,
         // Scheme-less strings could never parse as URLs.
@@ -160,89 +167,26 @@ pub(crate) fn sift_request(
     // passed, so this is unreachable in practice, but the accounting
     // stays total.
     let url = UrlRef::parse(&req.url).map_err(|_| SiftDrop::ParseError)?;
-    let fields = match template::parse_borrowed_screened_tallied(
-        adx,
-        &url,
-        &mut scratch.url,
-        &mut scratch.tally,
-    ) {
+    let fields = match template::parse_borrowed_screened(adx, &url, &mut scratch.url) {
         Ok(Some(fields)) => fields,
         Ok(None) => return Err(SiftDrop::NotNotification),
         Err(_) => return Err(SiftDrop::ParseError),
-    };
-
-    let fp = scratch.fingerprint(&req.user_agent);
-    let ctx = CoreContext {
-        city: home_city,
-        time: req.time,
-        device: fp.device,
-        os: fp.os,
-        interaction: fp.interaction,
-        format: fields.slot,
-        adx: fields.adx,
-        iab: fields.publisher.as_deref().and_then(taxonomy::categorize),
-        publisher: fields.publisher.clone(),
-    };
-    Ok((fields, ctx))
-}
-
-/// [`sift_request`] for callers that only need the price: parses with
-/// the borrowed-payload template path (no owned field strings) and
-/// builds the estimator's [`CoreContext`] — the one allocating piece —
-/// only when `want_ctx` is set. With no model loaded, the whole sift is
-/// heap-free, which is what keeps the multi-tenant feed path inside the
-/// steady-state zero-allocation contract (`no_alloc_gen.rs`).
-pub(crate) fn sift_request_priced(
-    home_city: Option<City>,
-    req: &HttpRequest,
-    scratch: &mut SiftScratch,
-    want_ctx: bool,
-) -> Result<(PricePayload, Option<CoreContext>), SiftDrop> {
-    let adx = match yav_nurl::screen_adx(&req.url) {
-        Ok(adx) => adx,
-        Err(yav_nurl::FastReject::Scheme) => return Err(SiftDrop::ParseError),
-        Err(yav_nurl::FastReject::Host) => return Err(SiftDrop::NotNotification),
-    };
-    let url = UrlRef::parse(&req.url).map_err(|_| SiftDrop::ParseError)?;
-    let fields = match template::parse_borrowed_screened_tallied_ref(
-        adx,
-        &url,
-        &mut scratch.url,
-        &mut scratch.tally,
-    ) {
-        Ok(Some(fields)) => fields,
-        Ok(None) => return Err(SiftDrop::NotNotification),
-        Err(_) => return Err(SiftDrop::ParseError),
-    };
-
-    // Extract everything the context needs while the borrowed payload is
-    // live: it ties up the URL scratch, which the fingerprint memo does
-    // not touch, but the owned publisher copy must happen here anyway.
-    let price = fields.price.clone();
-    let (format, field_adx) = (fields.slot, fields.adx);
-    let (iab, publisher) = if want_ctx {
-        (
-            fields.publisher.and_then(taxonomy::categorize),
-            fields.publisher.map(str::to_owned),
-        )
-    } else {
-        (None, None)
     };
     let ctx = want_ctx.then(|| {
-        let fp = scratch.fingerprint(&req.user_agent);
+        let fp = scratch.ua.fingerprint(&req.user_agent);
         CoreContext {
             city: home_city,
             time: req.time,
             device: fp.device,
             os: fp.os,
             interaction: fp.interaction,
-            format,
-            adx: field_adx,
-            iab,
-            publisher,
+            format: fields.slot,
+            adx,
+            iab: fields.publisher.and_then(taxonomy::categorize),
+            publisher: fields.publisher.map(str::to_owned),
         }
     });
-    Ok((price, ctx))
+    Ok((adx, fields.price, ctx))
 }
 
 /// The client-side monitor.
@@ -322,17 +266,14 @@ impl YourAdValue {
         }
     }
 
-    /// [`sift_request`] plus this monitor's per-drop accounting. Shared
-    /// by [`YourAdValue::observe`] and (via the free function and a
-    /// batch-local tally) [`YourAdValue::observe_batch`], so the two
-    /// paths cannot drift.
-    fn sift(&mut self, req: &HttpRequest) -> Option<(NurlFields, CoreContext)> {
-        let result = sift_request(self.home_city, req, &mut self.obs.sift);
-        // Serial calls flush the template tally immediately: counter
-        // totals at return are exactly what per-URL accounting produces.
-        self.obs.sift.tally.flush();
-        match result {
-            Ok(found) => Some(found),
+    /// [`sift_request`] with the estimator context, plus this monitor's
+    /// per-drop accounting — [`YourAdValue::observe`]'s sift.
+    /// [`YourAdValue::observe_batch`] runs the same sift with a
+    /// batch-local drop tally.
+    fn sift(&mut self, req: &HttpRequest) -> Option<(Adx, PricePayload, CoreContext)> {
+        match sift_request(self.home_city, req, &mut self.obs.sift, true) {
+            // Asked for, so the context is always there.
+            Ok((adx, price, ctx)) => ctx.map(|ctx| (adx, price, ctx)),
             Err(SiftDrop::ParseError) => {
                 self.drops.parse_error += 1;
                 self.metrics.parse_error.inc();
@@ -367,15 +308,15 @@ impl YourAdValue {
     /// winning-price notification.
     pub fn observe(&mut self, req: &HttpRequest) -> Option<PriceEvent> {
         let _trace = yav_trace::trace_span!("ingest.observe");
-        let (fields, ctx) = self.sift(req)?;
-        let event = match &fields.price {
+        let (adx, price, ctx) = self.sift(req)?;
+        let event = match price {
             PricePayload::Cleartext(price) => {
-                self.pending.cleartext.push((ctx, *price));
+                self.pending.cleartext.push((ctx, price));
                 PriceEvent {
                     time: req.time,
-                    adx: fields.adx,
+                    adx,
                     visibility: PriceVisibility::Cleartext,
-                    amount: *price,
+                    amount: price,
                     estimated: false,
                 }
             }
@@ -392,7 +333,7 @@ impl YourAdValue {
                 self.pending.encrypted.push(ctx);
                 PriceEvent {
                     time: req.time,
-                    adx: fields.adx,
+                    adx,
                     visibility: PriceVisibility::Encrypted,
                     amount: estimate,
                     estimated: true,
@@ -448,27 +389,30 @@ impl YourAdValue {
             let _phase = yav_trace::trace_span!("ingest.sift", reqs.len());
             let _phase_us = self.metrics.sift_us.time_us();
             for req in reqs {
-                let (fields, ctx) = match sift_request(self.home_city, req, &mut self.obs.sift) {
-                    Ok(found) => found,
-                    Err(SiftDrop::ParseError) => {
-                        drop_parse_error += 1;
-                        yav_trace::trace_instant!("ingest.drop", DROP_PARSE_ERROR);
-                        continue;
-                    }
-                    Err(SiftDrop::NotNotification) => {
-                        drop_not_notification += 1;
-                        yav_trace::trace_instant!("ingest.drop", DROP_NOT_NOTIFICATION);
-                        continue;
-                    }
-                };
-                match &fields.price {
+                let (adx, price, ctx) =
+                    match sift_request(self.home_city, req, &mut self.obs.sift, true) {
+                        Ok(found) => found,
+                        Err(SiftDrop::ParseError) => {
+                            drop_parse_error += 1;
+                            yav_trace::trace_instant!("ingest.drop", DROP_PARSE_ERROR);
+                            continue;
+                        }
+                        Err(SiftDrop::NotNotification) => {
+                            drop_not_notification += 1;
+                            yav_trace::trace_instant!("ingest.drop", DROP_NOT_NOTIFICATION);
+                            continue;
+                        }
+                    };
+                // Asked for, so the context is always there.
+                let Some(ctx) = ctx else { continue };
+                match price {
                     PricePayload::Cleartext(price) => {
-                        self.pending.cleartext.push((ctx, *price));
+                        self.pending.cleartext.push((ctx, price));
                         staged.push(PriceEvent {
                             time: req.time,
-                            adx: fields.adx,
+                            adx,
                             visibility: PriceVisibility::Cleartext,
-                            amount: *price,
+                            amount: price,
                             estimated: false,
                         });
                     }
@@ -484,7 +428,7 @@ impl YourAdValue {
                         self.pending.encrypted.push(ctx);
                         staged.push(PriceEvent {
                             time: req.time,
-                            adx: fields.adx,
+                            adx,
                             visibility: PriceVisibility::Encrypted,
                             amount: Cpm::ZERO,
                             estimated: true,
@@ -500,7 +444,6 @@ impl YourAdValue {
         self.metrics
             .rejected_total
             .add(drop_parse_error + drop_not_notification);
-        self.obs.sift.tally.flush();
 
         // Pass 2: one batched forest traversal values every staged
         // encrypted event.

@@ -11,14 +11,14 @@
 //! monitors would spend on ledgers alone.
 //!
 //! The pipeline reuses the exact pieces the single-user paths use —
-//! [`crate::monitor::sift_request_priced`] for the zero-copy screen-first sift
+//! [`crate::monitor::sift_request`] for the zero-copy screen-first sift
 //! and `CompiledForest::predict_batch` for valuing encrypted
 //! notifications — so a tenant's totals are bit-identical to what a
 //! dedicated [`crate::YourAdValue`] fed only that tenant's requests would
 //! report (the tenant-equivalence test pins this).
 
 use crate::ledger::CostSummary;
-use crate::monitor::{sift_request_priced, DropStats, SiftDrop};
+use crate::monitor::{sift_request, DropStats, SiftDrop};
 use yav_nurl::fields::PricePayload;
 
 use yav_pme::model::{self, ClientModel};
@@ -310,7 +310,7 @@ impl TenantStore {
         let want_ctx = model.is_some();
         for req in reqs {
             let home = self.tenant(req.user).and_then(|t| t.home);
-            let (price, ctx) = match sift_request_priced(home, req, &mut self.sift, want_ctx) {
+            let (_, price, ctx) = match sift_request(home, req, &mut self.sift, want_ctx) {
                 Ok(found) => found,
                 Err(SiftDrop::ParseError) => {
                     drop_parse_error += 1;
@@ -346,7 +346,6 @@ impl TenantStore {
         self.metrics
             .rejected
             .add(drop_parse_error + drop_not_notification);
-        self.sift.tally.flush();
 
         // Pass 2: one batched forest traversal values every staged row.
         if !staged.is_empty() {

@@ -1,16 +1,20 @@
-//! Hostile-input regression suite for the monitor's nURL path.
+//! Hostile-input regression suite for the nURL sift's consumers.
 //!
 //! The paper's client (§6) runs against whatever the network hands it:
 //! truncated responses, middlebox-mangled URLs, plain garbage. The
 //! monitor must never panic on such input, and every fed URL must land
 //! in exactly one accounting bucket — a stored event, an unvalued
-//! encrypted sighting, or a counted drop.
+//! encrypted sighting, or a counted drop. The multi-tenant store and
+//! the analyzer's two ingest entry points see the same corpus and must
+//! agree with the monitor and with each other.
 
-use yav_core::YourAdValue;
+use yav_analyzer::WeblogAnalyzer;
+use yav_core::{TenantStore, YourAdValue};
 use yav_crypto::{PriceCrypter, PriceKeys};
 use yav_nurl::fields::PricePayload;
 use yav_nurl::NurlFields;
 use yav_types::{Adx, AuctionId, Cpm, DspId, ImpressionId, SimTime};
+use yav_weblog::HttpRequest;
 
 fn t() -> SimTime {
     SimTime::from_ymd_hm(2015, 6, 15, 12, 0)
@@ -40,11 +44,15 @@ fn valid_emissions() -> Vec<String> {
 
 /// Feeds `urls` through a fresh monitor and asserts the accounting
 /// identity: nothing vanishes, nothing double-counts, nothing panics.
+/// Then feeds them through the tenant store's push path, which must drop
+/// exactly what the monitor dropped, and through both analyzer entry
+/// points, whose reports must agree.
 fn feed_and_check(urls: &[String]) {
+    let requests: Vec<HttpRequest> = urls.iter().map(|u| HttpRequest::bare(t(), u)).collect();
     let mut yav = YourAdValue::new(None);
     let mut events = 0u64;
-    for url in urls {
-        if yav.observe_url(t(), url).is_some() {
+    for req in &requests {
+        if yav.observe(req).is_some() {
             events += 1;
         }
     }
@@ -54,6 +62,28 @@ fn feed_and_check(urls: &[String]) {
         urls.len() as u64,
         "every fed URL must land in exactly one bucket"
     );
+
+    let mut store = TenantStore::new();
+    for req in &requests {
+        store.feed(None, req);
+    }
+    let fleet = store.finish(None);
+    assert_eq!(fleet.drops, drops, "tenant store drops vs serial monitor");
+    assert_eq!(fleet.events, events);
+    assert_eq!(fleet.skipped_no_model, yav.skipped_no_model());
+
+    let mut full = WeblogAnalyzer::new();
+    let mut quiet = WeblogAnalyzer::new();
+    for req in &requests {
+        full.ingest(req);
+        quiet.ingest_quiet(req);
+    }
+    let (full, quiet) = (full.finish(), quiet.finish());
+    assert_eq!(full.total_requests, urls.len() as u64);
+    assert_eq!(full.total_requests, quiet.total_requests);
+    assert_eq!(full.malformed_nurls, quiet.malformed_nurls);
+    assert_eq!(full.class_counts, quiet.class_counts);
+    assert_eq!(full.summary, quiet.summary);
 }
 
 #[test]

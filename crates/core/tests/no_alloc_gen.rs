@@ -119,12 +119,7 @@ fn steady_state_window_loop_never_allocates_per_event() {
     // event volume allocated nothing.
     let mut sink_events = 0u64;
     let small = allocations(|| {
-        generator.run_shard_with_users(
-            &users[..16],
-            &mut market,
-            |_| sink_events += 1,
-            |_| {},
-        );
+        generator.run_shard_with_users(&users[..16], &mut market, |_| sink_events += 1, |_| {});
     });
     let small_events = sink_events;
     sink_events = 0;

@@ -8,10 +8,8 @@
 //! observation is cleartext or encrypted, and echoed bid prices are
 //! ignored per §4.1.
 
-use crate::scratch::UrlScratch;
 use crate::template;
 use crate::url::Url;
-use crate::urlref::UrlRef;
 use yav_crypto::EncryptedPrice;
 use yav_types::{Adx, Cpm};
 
@@ -52,7 +50,7 @@ pub struct Detection {
     pub bidder_domain: Option<String>,
 }
 
-/// Outcome of [`screen`]'s cheap rejection of a raw URL string.
+/// Outcome of [`screen_adx`]'s cheap rejection of a raw URL string.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FastReject {
     /// No `http://`/`https://` prefix — [`Url::parse`] could never
@@ -63,24 +61,17 @@ pub enum FastReject {
     Host,
 }
 
-/// Allocation-free pre-screen over a raw URL string: `Ok(())` only when
+/// Allocation-free pre-screen over a raw URL string: `Ok(adx)` only when
 /// the URL could still be a winning-price notification (supported scheme
-/// and a known exchange notification host). Most monitored traffic is
-/// *not* an nURL, and the full [`Url::parse`] allocates host/path/query
-/// strings per call — callers on the hot path screen first and only
-/// parse survivors.
+/// and a known exchange notification host), carrying the matched
+/// exchange. Most monitored traffic is *not* an nURL, so callers on the
+/// hot path screen first, parse only survivors, and hand the `Adx` to
+/// [`template::parse_borrowed_screened`] — true nURLs scan the host
+/// roster once, not twice.
 ///
 /// Mirrors [`Url::parse`]'s authority handling (authority ends at the
 /// first `/`, host at the first `:`), so a candidate's subsequent full
 /// parse sees the same host.
-pub fn screen(raw: &str) -> Result<(), FastReject> {
-    screen_adx(raw).map(|_| ())
-}
-
-/// [`screen`], but the verdict carries the matched exchange: a caller
-/// that goes on to fully parse a surviving URL hands the `Adx` to
-/// [`template::parse_borrowed_screened`] and skips the second
-/// host-roster scan — true nURLs pay the screen once, not twice.
 pub fn screen_adx(raw: &str) -> Result<Adx, FastReject> {
     let rest = if let Some(r) = raw.strip_prefix("https://") {
         r
@@ -141,7 +132,7 @@ const HOST_LEN_MASK: u64 = {
 };
 
 /// The exchange whose notification domain equals `host`, matched
-/// case-insensitively (raw hosts from [`UrlRef`] keep their original
+/// case-insensitively (raw hosts from [`crate::UrlRef`] keep their original
 /// case; the owned parser lowercases). Exact-match only — subdomains of
 /// an exchange domain are *not* notification hosts.
 ///
@@ -161,11 +152,6 @@ pub fn exchange_host(host: &str) -> Option<Adx> {
                 && yav_simd::scan::eq_ignore_ascii_case(host.as_bytes(), e.domain.as_bytes())
         })
         .map(|e| e.adx)
-}
-
-/// True when [`screen`] accepts `raw` — the one-word form.
-pub fn is_candidate(raw: &str) -> bool {
-    screen(raw).is_ok()
 }
 
 /// Stateless detector around the built-in macro list.
@@ -195,40 +181,6 @@ impl NurlDetector {
             price,
             bidder_domain: url.query("bidder").map(str::to_owned),
         })
-    }
-
-    /// Classifies a borrowed URL, decoding its query into `scratch` only
-    /// after host and path both match a notification template — the
-    /// zero-copy twin of [`NurlDetector::detect`]. Ordinary traffic is
-    /// rejected without touching the scratch (or the heap).
-    pub fn detect_ref(&self, url: &UrlRef<'_>, scratch: &mut UrlScratch) -> Option<Detection> {
-        let adx = exchange_host(url.host_raw())?;
-        if url.path() != template::notification_path(adx) {
-            return None;
-        }
-        let pairs = scratch.decode(url).ok()?;
-        let raw = pairs.get(template::price_param(adx))?;
-        let price = Self::classify_price(raw);
-        Some(Detection {
-            adx,
-            price,
-            bidder_domain: pairs.get("bidder").map(str::to_owned),
-        })
-    }
-
-    /// Classifies a raw URL string on the borrowed pipeline. Returns
-    /// `None` for ordinary traffic and for URLs that do not parse.
-    /// Allocates a transient scratch; hot loops should hold their own
-    /// and call [`NurlDetector::detect_str_with`].
-    pub fn detect_str(&self, raw: &str) -> Option<Detection> {
-        let mut scratch = UrlScratch::new();
-        self.detect_str_with(raw, &mut scratch)
-    }
-
-    /// [`NurlDetector::detect_str`] with a caller-owned scratch — the
-    /// steady-state zero-allocation form for rejected URLs.
-    pub fn detect_str_with(&self, raw: &str, scratch: &mut UrlScratch) -> Option<Detection> {
-        self.detect_ref(&UrlRef::parse(raw).ok()?, scratch)
     }
 
     /// Shape-classifies a raw price value: decimal ⇒ cleartext; 28-byte
@@ -298,29 +250,32 @@ mod tests {
     fn screen_admits_every_exchange_and_rejects_the_rest() {
         for adx in Adx::ALL {
             let url = format!("http://{}/x", adx.domain());
-            assert_eq!(screen(&url), Ok(()), "{url}");
+            assert_eq!(screen_adx(&url), Ok(adx), "{url}");
             // Case-insensitive, port-tolerant, path-less — all shapes the
             // full parser would accept with the same host.
             let shouty = format!("https://{}:8080", adx.domain().to_ascii_uppercase());
-            assert_eq!(screen(&shouty), Ok(()), "{shouty}");
+            assert_eq!(screen_adx(&shouty), Ok(adx), "{shouty}");
         }
-        assert_eq!(screen("definitely not a url"), Err(FastReject::Scheme));
-        assert_eq!(screen("ftp://rtb.openx.net/x"), Err(FastReject::Scheme));
+        assert_eq!(screen_adx("definitely not a url"), Err(FastReject::Scheme));
+        assert_eq!(screen_adx("ftp://rtb.openx.net/x"), Err(FastReject::Scheme));
         assert_eq!(
-            screen("http://www.elmundo.es/index.html"),
+            screen_adx("http://www.elmundo.es/index.html"),
             Err(FastReject::Host)
         );
         // A subdomain of an exchange domain is NOT the notification host;
         // the full detector matches hosts exactly, and so must the screen.
-        assert_eq!(screen("http://evil.rtb.openx.net/x"), Err(FastReject::Host));
+        assert_eq!(
+            screen_adx("http://evil.rtb.openx.net/x"),
+            Err(FastReject::Host)
+        );
     }
 
     #[test]
     fn screen_agrees_with_the_full_detector() {
         // The screen may only reject URLs the detector would also reject:
-        // every detectable emission must survive it.
+        // every detectable emission must survive it, naming the same
+        // exchange.
         let d = NurlDetector::new();
-        let mut raw = String::new();
         for adx in [Adx::MoPub, Adx::DoubleClick, Adx::Rubicon] {
             let fields = NurlFields::minimal(
                 adx,
@@ -329,41 +284,10 @@ mod tests {
                 ImpressionId(9),
                 AuctionId(9),
             );
-            crate::template::emit_into(&fields, &mut raw);
-            assert!(is_candidate(&raw), "{raw}");
-            assert_eq!(d.detect_str(&raw), d.detect(&Url::parse(&raw).unwrap()));
-            assert!(d.detect_str(&raw).is_some());
-        }
-        assert_eq!(d.detect_str("http://cdn.example.com/lib.js"), None);
-        assert_eq!(d.detect_str("nonsense"), None);
-    }
-
-    #[test]
-    fn borrowed_detection_agrees_with_owned() {
-        let d = NurlDetector::new();
-        let mut scratch = UrlScratch::new();
-        let mut raw = String::new();
-        for adx in Adx::ALL {
-            for price in [
-                PricePayload::Cleartext(Cpm::from_f64(0.42)),
-                PricePayload::Encrypted(token()),
-            ] {
-                let fields =
-                    NurlFields::minimal(adx, DspId(1), price, ImpressionId(7), AuctionId(7));
-                crate::template::emit_into(&fields, &mut raw);
-                let owned = d.detect(&Url::parse(&raw).unwrap());
-                let borrowed = d.detect_str_with(&raw, &mut scratch);
-                assert_eq!(owned, borrowed, "{raw}");
-            }
-        }
-        // Ordinary and hostile inputs reject identically.
-        for s in [
-            "http://www.elmundo.es/index.html",
-            "http://cpp.imp.mpx.mopub.com/robots.txt",
-            "http://cpp.imp.mpx.mopub.com/imp?charge_price=%zz",
-            "nonsense",
-        ] {
-            assert_eq!(d.detect_str_with(s, &mut scratch), None, "{s}");
+            let raw = emit(&fields).to_string();
+            assert_eq!(screen_adx(&raw), Ok(adx), "{raw}");
+            let det = d.detect(&Url::parse(&raw).unwrap()).expect("detects");
+            assert_eq!(det.adx, adx);
         }
     }
 

@@ -36,15 +36,11 @@ pub mod template;
 pub mod url;
 pub mod urlref;
 
-pub use detect::{
-    exchange_host, is_candidate, screen, screen_adx, DetectedPrice, FastReject, NurlDetector,
-};
+pub use detect::{exchange_host, screen_adx, DetectedPrice, FastReject, NurlDetector};
 pub use fields::{NurlFields, NurlFieldsRef, PricePayload};
 pub use scratch::{DecodedPairs, UrlScratch};
 pub use template::{
-    emit, emit_into, parse, parse_borrowed, parse_borrowed_ref, parse_borrowed_screened,
-    parse_borrowed_screened_tallied, parse_borrowed_screened_tallied_ref, parse_screened, render_into, NurlParseError, NurlRefError,
-    TemplateTally,
+    emit, parse, parse_borrowed_screened, render_into, NurlParseError, NurlRefError,
 };
 pub use url::{Url, UrlParseError};
 pub use urlref::{QueryIter, UrlRef};

@@ -51,9 +51,9 @@ impl fmt::Display for NurlParseError {
 
 impl std::error::Error for NurlParseError {}
 
-/// Errors from [`parse_borrowed`]: either the deferred percent-decoding
-/// failed (what `Url::parse` would have rejected up front) or the
-/// notification payload was malformed.
+/// Errors from [`parse_borrowed_screened`]: either the deferred
+/// percent-decoding failed (what `Url::parse` would have rejected up
+/// front) or the notification payload was malformed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NurlRefError {
     /// A query component failed percent-decoding — the borrowed
@@ -316,15 +316,6 @@ pub fn emit(fields: &NurlFields) -> Url {
     b.finish()
 }
 
-/// Renders a notification URL into a caller-owned buffer, reusing its
-/// allocation — the hot-loop form of `emit(fields).to_string()`. The
-/// buffer is cleared first.
-pub fn emit_into(fields: &NurlFields, out: &mut String) {
-    out.clear();
-    // Writing into a `String` cannot fail.
-    let _ = write!(out, "{}", emit(fields));
-}
-
 /// Renders the notification URL for a borrowed payload straight into a
 /// caller-owned buffer — byte-identical to `emit(&f.to_owned_fields())
 /// .to_string()` (pinned by `render_into_matches_emit`) with zero heap
@@ -405,7 +396,10 @@ pub fn render_into(fields: &NurlFieldsRef<'_>, out: &mut String) {
     }
 }
 
-/// Attempts to parse a URL as a winning-price notification.
+/// Attempts to parse a URL as a winning-price notification — the owned
+/// wrapper over the field extraction [`parse_borrowed_screened`] runs,
+/// kept for callers that hold a [`Url`] and as the reference the parity
+/// suite checks the borrowed parse against.
 ///
 /// * `Ok(None)` — not a notification URL (unknown host or path): ordinary
 ///   traffic.
@@ -413,38 +407,44 @@ pub fn render_into(fields: &NurlFieldsRef<'_>, out: &mut String) {
 /// * `Err(_)` — hosted on a known exchange's notification endpoint but the
 ///   payload is malformed; the analyzer counts these separately.
 pub fn parse(url: &Url) -> Result<Option<NurlFields>, NurlParseError> {
-    let c = template_counters();
-    c.urls_seen.inc();
-    let result = parse_inner(url);
-    match &result {
-        Ok(Some(_)) => c.matched.inc(),
-        Ok(None) => c.not_notification.inc(),
-        Err(_) => c.malformed_dropped.inc(),
-    }
+    let result = match Adx::from_domain(url.host()) {
+        Some(adx) if url.path() == template_for(adx).path => {
+            fields_ref_from_query(adx, url).map(|f| Some(f.to_owned_fields()))
+        }
+        _ => Ok(None),
+    };
+    count(&result);
     result
 }
 
-/// [`parse`] for a URL whose raw text already passed
-/// [`crate::detect::screen_adx`]: the caller supplies the matched
-/// exchange, so the host roster is scanned exactly once per URL.
-/// Result semantics and `nurl.template.*` accounting are identical to
-/// [`parse`] — the only difference is the skipped re-lookup.
+/// Parses a borrowed URL whose host already matched `adx` — via
+/// [`crate::detect::screen_adx`] on the raw string or
+/// [`crate::detect::exchange_host`] on the parsed host — as a
+/// winning-price notification. This is the one parse the analyzer and
+/// the monitor run. Result semantics and `nurl.template.*` accounting
+/// match [`parse`]; the host is not re-checked here.
 ///
-/// The contract is that `adx` came from screening *this* raw URL; the
-/// host is not re-checked here.
-pub fn parse_screened(adx: Adx, url: &Url) -> Result<Option<NurlFields>, NurlParseError> {
-    let c = template_counters();
-    c.urls_seen.inc();
-    let result = if url.path() != template_for(adx).path {
-        Ok(None)
-    } else {
-        fields_from_query(adx, url).map(Some)
+/// The query is decoded into `scratch` before the path check, so a
+/// notification-host URL with an undecodable query reports the same
+/// escape error the owned pipeline reports from `Url::parse`. The
+/// returned [`NurlFieldsRef`] borrows its free-form metadata from the
+/// scratch, so callers extract what they fold before the next decode;
+/// `to_owned_fields()` reproduces [`parse`]'s output exactly (pinned by
+/// `crates/nurl/tests/parity.rs`).
+pub fn parse_borrowed_screened<'s, 'a: 's>(
+    adx: Adx,
+    url: &UrlRef<'a>,
+    scratch: &'s mut UrlScratch,
+) -> Result<Option<NurlFieldsRef<'s>>, NurlRefError> {
+    let _trace = yav_trace::trace_span!("nurl.parse_borrowed");
+    let result = match scratch.decode(url) {
+        Err(e) => Err(NurlRefError::Url(e)),
+        Ok(_) if url.path() != template_for(adx).path => Ok(None),
+        Ok(pairs) => fields_ref_from_query(adx, &pairs)
+            .map(Some)
+            .map_err(NurlRefError::Payload),
     };
-    match &result {
-        Ok(Some(_)) => c.matched.inc(),
-        Ok(None) => c.not_notification.inc(),
-        Err(_) => c.malformed_dropped.inc(),
-    }
+    count(&result);
     result
 }
 
@@ -459,244 +459,29 @@ struct TemplateCounters {
     malformed_dropped: yav_telemetry::Counter,
 }
 
-fn template_counters() -> &'static TemplateCounters {
+/// Counts one parse: `urls_seen` plus the counter for its outcome.
+fn count<T, E>(result: &Result<Option<T>, E>) {
     static COUNTERS: std::sync::OnceLock<TemplateCounters> = std::sync::OnceLock::new();
-    COUNTERS.get_or_init(|| TemplateCounters {
+    let c = COUNTERS.get_or_init(|| TemplateCounters {
         urls_seen: yav_telemetry::counter("nurl.template.urls_seen"),
         matched: yav_telemetry::counter("nurl.template.matched"),
         not_notification: yav_telemetry::counter("nurl.template.not_notification"),
         malformed_dropped: yav_telemetry::counter("nurl.template.malformed_dropped"),
-    })
-}
-
-fn parse_inner(url: &Url) -> Result<Option<NurlFields>, NurlParseError> {
-    let Some(adx) = Adx::from_domain(url.host()) else {
-        return Ok(None);
-    };
-    if url.path() != template_for(adx).path {
-        return Ok(None);
-    }
-    fields_from_query(adx, url).map(Some)
-}
-
-/// Attempts to parse a *borrowed* URL as a winning-price notification —
-/// the zero-copy twin of [`parse`], with identical result semantics and
-/// identical `nurl.template.*` accounting. Stage order is deliberate:
-/// host screen first (ordinary traffic returns `Ok(None)` without
-/// touching the scratch), then query decode into `scratch` (so a
-/// notification-host URL with an undecodable query reports the same
-/// escape error the owned pipeline reports from `Url::parse`), then the
-/// path check and field extraction.
-///
-/// The exchange-host match is case-insensitive, mirroring the owned
-/// pipeline where the host was lowercased at parse time.
-pub fn parse_borrowed(
-    url: &UrlRef<'_>,
-    scratch: &mut UrlScratch,
-) -> Result<Option<NurlFields>, NurlRefError> {
-    let _trace = yav_trace::trace_span!("nurl.parse_borrowed");
-    let c = template_counters();
+    });
     c.urls_seen.inc();
-    let result = parse_borrowed_inner(url, scratch);
-    match &result {
+    match result {
         Ok(Some(_)) => c.matched.inc(),
         Ok(None) => c.not_notification.inc(),
         Err(_) => c.malformed_dropped.inc(),
     }
-    result
-}
-
-/// [`parse_borrowed`] for a URL that already passed
-/// [`crate::detect::screen_adx`]: the caller supplies the matched
-/// exchange, so the host roster is scanned exactly once per URL.
-/// Result semantics and `nurl.template.*` accounting are identical to
-/// [`parse_borrowed`] — the only difference is the skipped re-lookup.
-///
-/// The contract is that `adx` came from screening *this* raw URL; the
-/// host is not re-checked here.
-pub fn parse_borrowed_screened(
-    adx: Adx,
-    url: &UrlRef<'_>,
-    scratch: &mut UrlScratch,
-) -> Result<Option<NurlFields>, NurlRefError> {
-    let _trace = yav_trace::trace_span!("nurl.parse_borrowed");
-    let c = template_counters();
-    c.urls_seen.inc();
-    let result = parse_screened_inner(adx, url, scratch);
-    match &result {
-        Ok(Some(_)) => c.matched.inc(),
-        Ok(None) => c.not_notification.inc(),
-        Err(_) => c.malformed_dropped.inc(),
-    }
-    result
-}
-
-/// [`parse_borrowed_screened`] with the `nurl.template.*` accounting
-/// deferred into a caller-held [`TemplateTally`]. Batch ingestion sifts
-/// thousands of URLs per call; with per-URL counters the dominant cost
-/// of accounting is two atomic RMWs per URL, where a register tally
-/// flushed once per batch produces the exact same totals. Callers own
-/// the flush: totals lag until [`TemplateTally::flush`] runs.
-pub fn parse_borrowed_screened_tallied(
-    adx: Adx,
-    url: &UrlRef<'_>,
-    scratch: &mut UrlScratch,
-    tally: &mut TemplateTally,
-) -> Result<Option<NurlFields>, NurlRefError> {
-    let _trace = yav_trace::trace_span!("nurl.parse_borrowed");
-    tally.urls_seen += 1;
-    let result = parse_screened_inner(adx, url, scratch);
-    match &result {
-        Ok(Some(_)) => tally.matched += 1,
-        Ok(None) => tally.not_notification += 1,
-        Err(_) => tally.malformed_dropped += 1,
-    }
-    result
-}
-
-/// Deferred `nurl.template.*` accounting for batch parsing: plain
-/// integer fields the tallied parse entry points bump, flushed to the
-/// real counters in one step. Dropping an unflushed tally loses its
-/// counts, so batch loops should flush on every exit path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TemplateTally {
-    /// URLs handed to template parsing.
-    pub urls_seen: u64,
-    /// Well-formed notifications.
-    pub matched: u64,
-    /// Ordinary traffic (wrong host or path).
-    pub not_notification: u64,
-    /// Notification endpoints with malformed payloads.
-    pub malformed_dropped: u64,
-}
-
-impl TemplateTally {
-    /// Adds the tallied counts to the `nurl.template.*` counters and
-    /// zeroes the tally. Counter totals after the flush are identical to
-    /// what per-URL accounting would have produced.
-    pub fn flush(&mut self) {
-        let c = template_counters();
-        if self.urls_seen > 0 {
-            c.urls_seen.add(self.urls_seen);
-        }
-        if self.matched > 0 {
-            c.matched.add(self.matched);
-        }
-        if self.not_notification > 0 {
-            c.not_notification.add(self.not_notification);
-        }
-        if self.malformed_dropped > 0 {
-            c.malformed_dropped.add(self.malformed_dropped);
-        }
-        *self = TemplateTally::default();
-    }
-}
-
-fn parse_borrowed_inner(
-    url: &UrlRef<'_>,
-    scratch: &mut UrlScratch,
-) -> Result<Option<NurlFields>, NurlRefError> {
-    let Some(adx) = crate::detect::exchange_host(url.host_raw()) else {
-        return Ok(None);
-    };
-    parse_screened_inner(adx, url, scratch)
-}
-
-/// [`parse_borrowed`] returning a [`NurlFieldsRef`] whose free-form
-/// metadata borrows the scratch's decoded bytes instead of being copied
-/// out — the analyzer hot path's parser. Result semantics, stage order
-/// and `nurl.template.*` accounting are identical to [`parse_borrowed`];
-/// `to_owned_fields()` on the returned payload reproduces its output
-/// exactly (pinned by `borrowed_ref_parse_matches_owned_parse`). The
-/// borrow ties the payload to the scratch, so callers extract what they
-/// fold before the next decode.
-pub fn parse_borrowed_ref<'s, 'a: 's>(
-    url: &UrlRef<'a>,
-    scratch: &'s mut UrlScratch,
-) -> Result<Option<NurlFieldsRef<'s>>, NurlRefError> {
-    let _trace = yav_trace::trace_span!("nurl.parse_borrowed");
-    let c = template_counters();
-    c.urls_seen.inc();
-    let result = parse_borrowed_ref_inner(url, scratch);
-    match &result {
-        Ok(Some(_)) => c.matched.inc(),
-        Ok(None) => c.not_notification.inc(),
-        Err(_) => c.malformed_dropped.inc(),
-    }
-    result
-}
-
-/// [`parse_borrowed_screened_tallied`] returning a [`NurlFieldsRef`]:
-/// pre-screened exchange, deferred accounting, borrowed payload — the
-/// batch sift path's parser. Same stage order and outcomes as the owned
-/// form; `to_owned_fields()` reproduces its output exactly.
-pub fn parse_borrowed_screened_tallied_ref<'s, 'a: 's>(
-    adx: Adx,
-    url: &UrlRef<'a>,
-    scratch: &'s mut UrlScratch,
-    tally: &mut TemplateTally,
-) -> Result<Option<NurlFieldsRef<'s>>, NurlRefError> {
-    let _trace = yav_trace::trace_span!("nurl.parse_borrowed");
-    tally.urls_seen += 1;
-    let result = parse_screened_ref_inner(adx, url, scratch);
-    match &result {
-        Ok(Some(_)) => tally.matched += 1,
-        Ok(None) => tally.not_notification += 1,
-        Err(_) => tally.malformed_dropped += 1,
-    }
-    result
-}
-
-fn parse_screened_ref_inner<'s, 'a: 's>(
-    adx: Adx,
-    url: &UrlRef<'a>,
-    scratch: &'s mut UrlScratch,
-) -> Result<Option<NurlFieldsRef<'s>>, NurlRefError> {
-    let pairs = scratch.decode(url).map_err(NurlRefError::Url)?;
-    if url.path() != template_for(adx).path {
-        return Ok(None);
-    }
-    fields_ref_from_query(adx, &pairs)
-        .map(Some)
-        .map_err(NurlRefError::Payload)
-}
-
-fn parse_borrowed_ref_inner<'s, 'a: 's>(
-    url: &UrlRef<'a>,
-    scratch: &'s mut UrlScratch,
-) -> Result<Option<NurlFieldsRef<'s>>, NurlRefError> {
-    let Some(adx) = crate::detect::exchange_host(url.host_raw()) else {
-        return Ok(None);
-    };
-    let pairs = scratch.decode(url).map_err(NurlRefError::Url)?;
-    if url.path() != template_for(adx).path {
-        return Ok(None);
-    }
-    fields_ref_from_query(adx, &pairs)
-        .map(Some)
-        .map_err(NurlRefError::Payload)
-}
-
-fn parse_screened_inner(
-    adx: Adx,
-    url: &UrlRef<'_>,
-    scratch: &mut UrlScratch,
-) -> Result<Option<NurlFields>, NurlRefError> {
-    let pairs = scratch.decode(url).map_err(NurlRefError::Url)?;
-    if url.path() != template_for(adx).path {
-        return Ok(None);
-    }
-    fields_from_query(adx, &pairs)
-        .map(Some)
-        .map_err(NurlRefError::Payload)
 }
 
 /// The one query surface both pipelines share: in-order decoded pairs.
 /// Implemented by the owned [`Url`] and by scratch-decoded
 /// [`DecodedPairs`], so field extraction is a single function and the
 /// owned/borrowed parsers agree by construction. The lifetime is the
-/// pairs' own, which lets [`fields_from_query`] hold values across the
-/// walk — one pass over the pairs instead of one scan per field.
+/// pairs' own, which lets [`fields_ref_from_query`] hold values across
+/// the walk — one pass over the pairs instead of one scan per field.
 trait QueryLookup<'q> {
     fn for_each_pair(&self, f: &mut dyn FnMut(&'q str, &'q str));
 }
@@ -715,14 +500,6 @@ impl<'q> QueryLookup<'q> for &DecodedPairs<'q> {
             f(k, v);
         }
     }
-}
-
-/// Extracts the typed payload once host and path have matched `adx`'s
-/// template — the owning wrapper over [`fields_ref_from_query`], shared
-/// by the owned and borrowed parsers. Materialising through the borrowed
-/// extraction keeps the two pipelines a single code path.
-fn fields_from_query<'q>(adx: Adx, q: impl QueryLookup<'q>) -> Result<NurlFields, NurlParseError> {
-    fields_ref_from_query(adx, q).map(|f| f.to_owned_fields())
 }
 
 /// Extracts the typed payload as a [`NurlFieldsRef`] borrowing the query
@@ -855,168 +632,6 @@ mod tests {
     }
 
     #[test]
-    fn screened_parse_agrees_with_borrowed() {
-        // The screened fast path must be observably identical to the
-        // full borrowed parse whenever its precondition (adx came from
-        // screening this URL) holds.
-        let mut scratch = UrlScratch::new();
-        let mut scratch2 = UrlScratch::new();
-        let mut raw = String::new();
-        for adx in Adx::ALL {
-            for price in [
-                PricePayload::Cleartext(Cpm::from_f64(0.42)),
-                PricePayload::Encrypted(sample_token(9)),
-            ] {
-                let fields =
-                    NurlFields::minimal(adx, DspId(1), price, ImpressionId(7), AuctionId(7));
-                emit_into(&fields, &mut raw);
-                let screened_adx = crate::detect::screen_adx(&raw).expect("emitted nURL screens");
-                assert_eq!(screened_adx, adx);
-                let url = UrlRef::parse(&raw).expect("emitted nURL parses");
-                let full = parse_borrowed(&url, &mut scratch);
-                let fast = parse_borrowed_screened(screened_adx, &url, &mut scratch2);
-                assert_eq!(full, fast, "{raw}");
-            }
-        }
-        // Malformed payload on a screened host: same error either way.
-        let bad = "http://cpp.imp.mpx.mopub.com/imp?currency=USD";
-        let adx = crate::detect::screen_adx(bad).expect("host screens");
-        let url = UrlRef::parse(bad).expect("parses structurally");
-        assert_eq!(
-            parse_borrowed(&url, &mut scratch),
-            parse_borrowed_screened(adx, &url, &mut scratch2),
-        );
-        // Screened host with a non-notification path: ordinary traffic.
-        let robots = "http://cpp.imp.mpx.mopub.com/robots.txt";
-        let adx = crate::detect::screen_adx(robots).expect("host screens");
-        let url = UrlRef::parse(robots).expect("parses structurally");
-        assert_eq!(parse_borrowed_screened(adx, &url, &mut scratch2), Ok(None));
-    }
-
-    #[test]
-    fn borrowed_ref_parse_matches_owned_parse() {
-        // The ref-returning parser must reproduce `parse_borrowed`'s
-        // output exactly once materialised — every exchange, both price
-        // visibilities, both metadata shapes, plus the malformed and
-        // ordinary-traffic outcomes.
-        let mut scratch = UrlScratch::new();
-        let mut scratch2 = UrlScratch::new();
-        let mut raw = String::new();
-        for adx in Adx::ALL {
-            for price in [
-                PricePayload::Cleartext(Cpm::from_f64(0.42)),
-                PricePayload::Encrypted(sample_token(9)),
-            ] {
-                for fields in [
-                    rich_fields(adx, price.clone()),
-                    NurlFields::minimal(adx, DspId(1), price, ImpressionId(7), AuctionId(7)),
-                ] {
-                    emit_into(&fields, &mut raw);
-                    let url = UrlRef::parse(&raw).expect("emitted nURL parses");
-                    let owned = parse_borrowed(&url, &mut scratch);
-                    let reffed = parse_borrowed_ref(&url, &mut scratch2)
-                        .map(|o| o.map(|f| f.to_owned_fields()));
-                    assert_eq!(owned, reffed, "{raw}");
-                }
-            }
-        }
-        for raw in [
-            "http://cpp.imp.mpx.mopub.com/imp?currency=USD", // malformed payload
-            "http://cpp.imp.mpx.mopub.com/robots.txt",       // ordinary traffic
-            "http://www.elpais.es/articles/page.html?id=5",  // unknown host
-        ] {
-            let url = UrlRef::parse(raw).expect("parses structurally");
-            let owned = parse_borrowed(&url, &mut scratch);
-            let reffed =
-                parse_borrowed_ref(&url, &mut scratch2).map(|o| o.map(|f| f.to_owned_fields()));
-            assert_eq!(owned, reffed, "{raw}");
-        }
-    }
-
-    #[test]
-    fn tallied_parse_matches_counted_parse() {
-        // The tallied entry point must return the same results as the
-        // counting one, and one flush must land the same totals the
-        // per-URL counters would have accumulated.
-        let mut scratch = UrlScratch::new();
-        let mut scratch2 = UrlScratch::new();
-        let mut tally = TemplateTally::default();
-        let inputs = [
-            // matched, ordinary path, malformed payload.
-            "http://cpp.imp.mpx.mopub.com/imp?charge_price=0.50&imp=0000000000000007\
-             &auc=0000000000000008&bidder=dsp1.bid.example.com",
-            "http://cpp.imp.mpx.mopub.com/robots.txt",
-            "http://cpp.imp.mpx.mopub.com/imp?currency=USD",
-        ];
-        let counted = template_counters();
-        let before = [
-            counted.urls_seen.get(),
-            counted.matched.get(),
-            counted.not_notification.get(),
-            counted.malformed_dropped.get(),
-        ];
-        for raw in inputs {
-            let adx = crate::detect::screen_adx(raw).expect("host screens");
-            let url = UrlRef::parse(raw).expect("parses structurally");
-            let direct = parse_borrowed_screened(adx, &url, &mut scratch);
-            let tallied = parse_borrowed_screened_tallied(adx, &url, &mut scratch2, &mut tally);
-            assert_eq!(direct, tallied, "{raw}");
-        }
-        assert_eq!(
-            tally,
-            TemplateTally {
-                urls_seen: 3,
-                matched: 1,
-                not_notification: 1,
-                malformed_dropped: 1,
-            }
-        );
-        tally.flush();
-        assert_eq!(tally, TemplateTally::default());
-        // The direct calls above bumped each counter once; the flush
-        // added the tally — so every counter moved by exactly twice the
-        // per-outcome count.
-        let after = [
-            counted.urls_seen.get(),
-            counted.matched.get(),
-            counted.not_notification.get(),
-            counted.malformed_dropped.get(),
-        ];
-        assert_eq!(after[0] - before[0], 6);
-        assert_eq!(after[1] - before[1], 2);
-        assert_eq!(after[2] - before[2], 2);
-        assert_eq!(after[3] - before[3], 2);
-    }
-
-    #[test]
-    fn screened_parse_agrees_with_owned() {
-        // Same contract for the owned pipeline: carrying the screen
-        // verdict must not change any parse outcome.
-        let mut raw = String::new();
-        for adx in Adx::ALL {
-            for price in [
-                PricePayload::Cleartext(Cpm::from_f64(0.42)),
-                PricePayload::Encrypted(sample_token(9)),
-            ] {
-                let fields =
-                    NurlFields::minimal(adx, DspId(1), price, ImpressionId(7), AuctionId(7));
-                emit_into(&fields, &mut raw);
-                let screened_adx = crate::detect::screen_adx(&raw).expect("emitted nURL screens");
-                let url = Url::parse(&raw).expect("emitted nURL parses");
-                assert_eq!(parse(&url), parse_screened(screened_adx, &url), "{raw}");
-            }
-        }
-        for raw in [
-            "http://cpp.imp.mpx.mopub.com/imp?currency=USD", // malformed payload
-            "http://cpp.imp.mpx.mopub.com/robots.txt",       // ordinary traffic
-        ] {
-            let adx = crate::detect::screen_adx(raw).expect("host screens");
-            let url = Url::parse(raw).expect("parses structurally");
-            assert_eq!(parse(&url), parse_screened(adx, &url), "{raw}");
-        }
-    }
-
-    #[test]
     fn render_into_matches_emit() {
         // The allocation-free renderer must be byte-identical to the
         // builder pipeline for every exchange, both price visibilities
@@ -1032,7 +647,13 @@ mod tests {
             ] {
                 for fields in [
                     rich_fields(adx, price.clone()),
-                    NurlFields::minimal(adx, DspId(1), price.clone(), ImpressionId(5), AuctionId(6)),
+                    NurlFields::minimal(
+                        adx,
+                        DspId(1),
+                        price.clone(),
+                        ImpressionId(5),
+                        AuctionId(6),
+                    ),
                 ] {
                     render_into(&fields.as_ref_fields(), &mut buf);
                     assert_eq!(buf, emit(&fields).to_string(), "{adx} {price:?}");
@@ -1061,7 +682,7 @@ mod tests {
 
     #[test]
     fn vocabulary_is_collision_free() {
-        // `fields_from_query` routes fixed keys before the per-template
+        // `fields_ref_from_query` routes fixed keys before the per-template
         // price/bid params, which is only sound while no template names
         // its price or bid param after a fixed-vocabulary key.
         const FIXED: [&str; 9] = [

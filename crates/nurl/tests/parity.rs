@@ -10,11 +10,19 @@
 use proptest::prelude::*;
 use yav_crypto::{PriceCrypter, PriceKeys};
 use yav_nurl::fields::PricePayload;
-use yav_nurl::{template, NurlFields, Url, UrlParseError, UrlRef, UrlScratch};
-use yav_types::{Adx, AuctionId, Cpm, DspId, ImpressionId};
+use yav_nurl::{
+    exchange_host, screen_adx, template, NurlFields, NurlRefError, Url, UrlParseError, UrlRef,
+    UrlScratch,
+};
+use yav_types::{AdSlotSize, Adx, AuctionId, CampaignId, Cpm, DspId, ImpressionId};
 
-/// One valid emission per exchange and price visibility — the same
-/// seeds `core/tests/malformed_nurls.rs` mutates.
+/// Two valid emissions per exchange and price visibility: the minimal
+/// payload `core/tests/malformed_nurls.rs` mutates, and a rich one
+/// carrying every optional field — bid price, campaign, slot size,
+/// latency and free-form publisher/country/ad-domain text, the
+/// publisher with bytes that must percent-encode. Only rich-metadata
+/// templates emit the optional block, so the rich seeds reach the
+/// metadata fields on those exchanges and the id/price core on the rest.
 fn valid_emissions() -> Vec<String> {
     let crypter = PriceCrypter::new(PriceKeys::derive("malformed-nurls"));
     let mut out = Vec::new();
@@ -23,14 +31,25 @@ fn valid_emissions() -> Vec<String> {
         let token = crypter.encrypt(1_000_000 + i as u64, [i as u8; 16]);
         let enc = PricePayload::Encrypted(token);
         for price in [clear, enc] {
-            let fields = NurlFields::minimal(
+            let minimal = NurlFields::minimal(
                 adx,
                 DspId(i as u32),
                 price,
                 ImpressionId(i as u64),
                 AuctionId(i as u64 + 1000),
             );
-            out.push(yav_nurl::emit(&fields).to_string());
+            let rich = NurlFields {
+                bid_price: Some(Cpm::from_f64(0.99)),
+                campaign: Some(CampaignId(9 + i as u32)),
+                slot: Some(AdSlotSize::S300x250),
+                publisher: Some("el país/ñ & co".to_owned()),
+                country: Some("ES".to_owned()),
+                latency_ms: Some(116 + i as u32),
+                ad_domain: Some("amazon.es".to_owned()),
+                ..minimal.clone()
+            };
+            out.push(yav_nurl::emit(&minimal).to_string());
+            out.push(yav_nurl::emit(&rich).to_string());
         }
     }
     out
@@ -99,8 +118,23 @@ fn check_parity(input: &str) {
     }
 }
 
-/// Template parity: borrowed notification parsing must reach the same
-/// fields / non-notification / payload-error verdicts as the owned path.
+/// The hot paths' notification parse: exchange lookup on the borrowed
+/// host, then the screened borrowed parse, materialised for comparison.
+fn borrowed_parse(
+    url: &UrlRef<'_>,
+    scratch: &mut UrlScratch,
+) -> Result<Option<NurlFields>, NurlRefError> {
+    let Some(adx) = exchange_host(url.host_raw()) else {
+        return Ok(None);
+    };
+    template::parse_borrowed_screened(adx, url, scratch).map(|f| f.map(|f| f.to_owned_fields()))
+}
+
+/// Template parity: wherever both URL parsers accept, the owned
+/// `template::parse(&Url)` must equal `exchange_host` followed by
+/// `parse_borrowed_screened(..).to_owned_fields()` — same fields, same
+/// ordinary-traffic verdict, same payload error — and the raw-string
+/// screen must name the same exchange the parsed host does.
 fn check_template_parity(input: &str) {
     let mut scratch = UrlScratch::new();
     let borrowed = UrlRef::parse(input)
@@ -112,13 +146,19 @@ fn check_template_parity(input: &str) {
     let (Some(owned), Some(url)) = (owned, borrowed) else {
         return;
     };
-    let a = template::parse(&owned);
-    let b = template::parse_borrowed(&url, &mut scratch);
-    match (a, b) {
-        (Ok(a), Ok(b)) => assert_eq!(a, b, "{input:?}"),
-        (Err(_), Err(_)) => {}
-        (a, b) => panic!("template verdict mismatch on {input:?}: {a:?} vs {b:?}"),
-    }
+    assert_eq!(
+        screen_adx(input).ok(),
+        exchange_host(url.host_raw()),
+        "screen verdict mismatch: {input:?}"
+    );
+    // The query validated, so the borrowed decode cannot fail: its only
+    // errors are payload errors, which must be the owned parser's.
+    let want = template::parse(&owned).map_err(NurlRefError::Payload);
+    assert_eq!(
+        borrowed_parse(&url, &mut scratch),
+        want,
+        "template verdict mismatch: {input:?}"
+    );
 }
 
 fn check_both(input: &str) {
@@ -173,6 +213,9 @@ fn garbage_corpus_agrees() {
         "http://cpp.imp.mpx.mopub.com/imp?charge_price=%GG",
         "http://cpp.imp.mpx.mopub.com/imp?charge_price=NaN",
         "http://cpp.imp.mpx.mopub.com/imp?charge_price=-1e309",
+        "http://cpp.imp.mpx.mopub.com/imp?currency=USD",
+        "http://cpp.imp.mpx.mopub.com/robots.txt",
+        "http://CPP.IMP.MPX.MOPUB.COM:8080/imp?charge_price=0.5",
         "ftp://cpp.imp.mpx.mopub.com/imp?charge_price=0.5",
         "not a url at all",
         "héllo wörld 🦀",
@@ -220,7 +263,7 @@ fn borrowed_parsing_is_tier_independent() {
             .iter()
             .map(|input| match UrlRef::parse(input) {
                 Err(e) => format!("parse-err {e:?}"),
-                Ok(url) => match template::parse_borrowed(&url, &mut scratch) {
+                Ok(url) => match borrowed_parse(&url, &mut scratch) {
                     Ok(fields) => format!("fields {fields:?}"),
                     Err(e) => format!("template-err {e:?}"),
                 },

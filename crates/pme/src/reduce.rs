@@ -269,7 +269,7 @@ mod tests {
         generator.run(
             &mut market,
             |req| {
-                if let Some(rec) = analyzer.ingest(&req) {
+                if let Some(rec) = analyzer.ingest(req) {
                     if let Some(p) = rec.meta.cleartext_cpm {
                         rows.push(rec.features);
                         prices.push(p.as_f64());

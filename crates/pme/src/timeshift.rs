@@ -107,7 +107,7 @@ mod tests {
         generator.run(
             &mut market,
             |req| {
-                analyzer.ingest(&req);
+                analyzer.ingest(req);
             },
             |_| {},
         );

@@ -179,8 +179,7 @@ impl AdSlotSize {
     /// candidate strings need rendering.
     pub fn parse_wire(s: &str) -> Option<AdSlotSize> {
         fn dim(part: &str) -> Option<u32> {
-            let canonical =
-                !part.is_empty() && (part.len() == 1 || !part.starts_with('0'));
+            let canonical = !part.is_empty() && (part.len() == 1 || !part.starts_with('0'));
             if canonical && part.bytes().all(|b| b.is_ascii_digit()) {
                 part.parse().ok()
             } else {
@@ -189,7 +188,10 @@ impl AdSlotSize {
         }
         let (w, h) = s.split_once('x')?;
         let dims = (dim(w)?, dim(h)?);
-        AdSlotSize::EVERY.iter().find(|sz| sz.dimensions() == dims).copied()
+        AdSlotSize::EVERY
+            .iter()
+            .find(|sz| sz.dimensions() == dims)
+            .copied()
     }
 }
 

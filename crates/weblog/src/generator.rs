@@ -440,7 +440,11 @@ impl WeblogGenerator {
                 );
             } else if roll < 0.74 {
                 let host = domains::SOCIAL[rng.gen_range(0..domains::SOCIAL.len())];
-                let _ = write!(scratch.req.url, "http://{host}/widget.js?ref={}", publisher.name);
+                let _ = write!(
+                    scratch.req.url,
+                    "http://{host}/widget.js?ref={}",
+                    publisher.name
+                );
             } else if roll < 0.90 {
                 let host = domains::BEACON_HOSTS[rng.gen_range(0..domains::BEACON_HOSTS.len())];
                 let _ = write!(scratch.req.url, "http://{host}/b.gif?u=");

@@ -93,7 +93,11 @@ impl PanelUser {
                 );
             }
             Os::Ios => {
-                let _ = write!(buf, "App/{} CFNetwork/711.3 Darwin/14.0.0", 1 + self.id.0 % 9);
+                let _ = write!(
+                    buf,
+                    "App/{} CFNetwork/711.3 Darwin/14.0.0",
+                    1 + self.id.0 % 9
+                );
             }
             Os::WindowsMobile => buf.push_str("WindowsPhoneApp/8.1 NativeHost"),
             Os::Other => buf.push_str("GenericMobileApp/1.0"),
@@ -108,10 +112,7 @@ impl PanelUser {
     /// Interest categories into a fixed buffer (profiles carry at most
     /// four): the allocation-free twin of
     /// [`PanelUser::interest_categories`]. Returns the filled prefix.
-    pub fn interest_categories_into<'a>(
-        &self,
-        buf: &'a mut [IabCategory; 4],
-    ) -> &'a [IabCategory] {
+    pub fn interest_categories_into<'a>(&self, buf: &'a mut [IabCategory; 4]) -> &'a [IabCategory] {
         let n = self.interests.len().min(4);
         for (slot, &(c, _)) in buf.iter_mut().zip(self.interests.iter()) {
             *slot = c;
@@ -168,8 +169,7 @@ impl Panel {
     fn draw_user(rng: &mut StdRng, id: UserId) -> PanelUser {
         // Home city: population-weighted, O(1) via a shared alias table
         // (one uniform per draw, same budget as the old CDF walk).
-        static CITY_TABLE: std::sync::OnceLock<yav_stats::AliasTable> =
-            std::sync::OnceLock::new();
+        static CITY_TABLE: std::sync::OnceLock<yav_stats::AliasTable> = std::sync::OnceLock::new();
         let table = CITY_TABLE.get_or_init(|| {
             let pops: Vec<f64> = City::ALL.iter().map(|c| c.population() as f64).collect();
             yav_stats::AliasTable::new(&pops)

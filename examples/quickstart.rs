@@ -50,7 +50,7 @@ fn main() {
     generator.run(
         &mut market,
         |req| {
-            yav.observe(&req);
+            yav.observe(req);
         },
         |_| {},
     );

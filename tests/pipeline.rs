@@ -23,7 +23,7 @@ fn build_world() -> World {
     generator.run(
         &mut market,
         |req| {
-            analyzer.ingest(&req);
+            analyzer.ingest(req);
         },
         |t| truth.push(t),
     );
@@ -148,14 +148,14 @@ fn client_and_offline_methodology_agree() {
     generator.run(
         &mut market,
         |req| {
-            analyzer.ingest(&req);
+            analyzer.ingest(req);
             let home = panel.get(req.user.0 as usize).map(|u| u.home);
             let client = clients.entry(req.user).or_insert_with(|| {
                 let mut c = YourAdValue::new(home);
                 c.install_model(model.clone());
                 c
             });
-            client.observe(&req);
+            client.observe(req);
         },
         |_| {},
     );

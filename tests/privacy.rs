@@ -20,7 +20,7 @@ fn encrypted_tokens_are_opaque_to_observers() {
     generator.run(
         &mut market,
         |req| {
-            analyzer.ingest(&req);
+            analyzer.ingest(req);
         },
         |_| {},
     );
@@ -72,7 +72,7 @@ fn contributions_carry_no_user_identifier() {
     generator.run(
         &mut market,
         |req| {
-            yav.observe(&req);
+            yav.observe(req);
         },
         |_| {},
     );
@@ -111,7 +111,7 @@ fn estimation_happens_client_side() {
     generator.run(
         &mut market,
         |req| {
-            yav.observe(&req);
+            yav.observe(req);
         },
         |_| {},
     );
@@ -140,7 +140,7 @@ fn exports_carry_no_raw_urls_and_no_per_user_ledger_state() {
             if urls.len() < 128 {
                 urls.push(req.url.clone());
             }
-            yav.observe(&req);
+            yav.observe(req);
         },
         |_| {},
     );
