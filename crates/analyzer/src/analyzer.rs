@@ -398,9 +398,9 @@ impl WeblogAnalyzer {
         self.finish_with_state().0
     }
 
-    /// Finishes the pass, also handing back the global state so shard
-    /// analyzers can promote it to a merge step
-    /// ([`crate::userstate::GlobalState::merge`]).
+    /// Finishes the pass, also handing back the panel-wide global state
+    /// (advertiser, campaign and publisher aggregates) that
+    /// [`Self::finish`] drops.
     pub fn finish_with_state(mut self) -> (AnalyzerReport, GlobalState) {
         let _trace = yav_trace::trace_span!("analyzer.finish", self.report.total_requests);
         self.report.users_seen = self.users.len();
@@ -476,13 +476,12 @@ pub fn os_index(os: Os) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use yav_auction::{Market, MarketConfig};
+    use yav_auction::MarketConfig;
     use yav_weblog::{WeblogConfig, WeblogGenerator};
 
     fn run_tiny() -> (AnalyzerReport, Vec<ImpressionRecord>, yav_weblog::Weblog) {
         let generator = WeblogGenerator::new(WeblogConfig::tiny());
-        let mut market = Market::new(MarketConfig::default());
-        let log = generator.collect(&mut market);
+        let log = generator.collect(&MarketConfig::default());
         let mut analyzer = WeblogAnalyzer::new();
         let mut records = Vec::new();
         for r in &log.requests {
@@ -583,13 +582,20 @@ mod tests {
     }
 
     #[test]
+    fn merge_of_empty_reports_is_empty() {
+        let mut a = AnalyzerReport::default();
+        a.merge(AnalyzerReport::default());
+        assert_eq!(a.total_requests, 0);
+        assert!(a.detections.is_empty());
+    }
+
+    #[test]
     fn quiet_ingest_folds_identically() {
         // `ingest_quiet` must fold every aggregate exactly as `ingest`
         // does — it only skips building the per-detection record. Drive
         // both over the same log and compare everything observable.
         let generator = WeblogGenerator::new(WeblogConfig::tiny());
-        let mut market = Market::new(MarketConfig::default());
-        let log = generator.collect(&mut market);
+        let log = generator.collect(&MarketConfig::default());
         let mut full = WeblogAnalyzer::with_retention(Retention::Bounded);
         let mut quiet = WeblogAnalyzer::with_retention(Retention::Bounded);
         let mut detections = 0usize;

@@ -27,7 +27,6 @@ pub mod classify;
 pub mod features;
 pub mod geoip;
 pub mod pairs;
-pub mod parallel;
 pub mod summary;
 pub mod taxonomy;
 pub mod ua;
@@ -39,6 +38,5 @@ pub use analyzer::{
 pub use classify::{classify_domain, classify_domain_lower, TrafficClass};
 pub use features::{FeatureSchema, FEATURE_COUNT};
 pub use geoip::GeoDb;
-pub use parallel::{analyze_parallel, ParallelAnalysis};
 pub use summary::{DetectionSummary, PriceHist};
 pub use ua::{parse_user_agent, UaFingerprint};

@@ -154,9 +154,9 @@ impl UserState {
 /// historical but not per-user.
 #[derive(Debug, Clone, Default)]
 pub struct GlobalState {
-    /// Per-DSP-domain aggregates. Ordered maps throughout: shard merges
-    /// and any future serialization iterate in key order, so output is
-    /// structurally independent of insertion (and thread) order.
+    /// Per-DSP-domain aggregates. Ordered maps throughout: iteration
+    /// and any future serialization run in key order, so output is
+    /// structurally independent of insertion order.
     pub dsps: BTreeMap<String, DspStats>,
     /// Notifications seen per campaign wire-id.
     pub campaigns: BTreeMap<String, u64>,
@@ -184,42 +184,7 @@ pub struct DspStats {
     pub encrypted: u64,
 }
 
-impl DspStats {
-    /// Folds another bidder aggregate into this one (shard merge).
-    pub fn merge(&mut self, other: DspStats) {
-        self.requests += other.requests;
-        self.bytes += other.bytes;
-        self.duration_ms += other.duration_ms;
-        self.users.extend(other.users);
-        self.encrypted += other.encrypted;
-    }
-}
-
 impl GlobalState {
-    /// Folds another global state into this one. Every aggregate is a sum
-    /// or a set union, so merging per-shard states in any order yields
-    /// the state a serial pass over the union of their inputs would have
-    /// built.
-    pub fn merge(&mut self, other: GlobalState) {
-        for (domain, stats) in other.dsps {
-            self.dsps.entry(domain).or_default().merge(stats);
-        }
-        for (campaign, n) in other.campaigns {
-            *self.campaigns.entry(campaign).or_insert(0) += n;
-        }
-        for (host, n) in other.publisher_views {
-            *self.publisher_views.entry(host).or_insert(0) += n;
-        }
-        for (name, n) in other.publisher_imps {
-            *self.publisher_imps.entry(name).or_insert(0) += n;
-        }
-        for (mine, theirs) in self.monthly_slots.iter_mut().zip(other.monthly_slots) {
-            for (a, b) in mine.iter_mut().zip(theirs) {
-                *a += b;
-            }
-        }
-    }
-
     /// Month bucket (0–11) for the monthly slot table.
     pub fn month_bucket(time: yav_types::SimTime) -> usize {
         if time.year() <= 2015 {

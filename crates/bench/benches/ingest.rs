@@ -134,12 +134,12 @@ fn ingest_borrowed(urls: &[String], scratch: &mut UrlScratch) -> usize {
 /// single-tree client derived from the same run. Cross-validation is cut
 /// to one 2-fold pass — the bench needs the estimator, not the CV table.
 fn trained_models() -> (ClientModel, ClientModel) {
-    let mut market = yav_auction::Market::new(yav_auction::MarketConfig::default());
     let universe = yav_weblog::PublisherUniverse::build(0xD474, 300, 120);
-    let rows = yav_campaign::execute(
-        &mut market,
+    let rows = yav_campaign::execute_parallel(
+        &yav_auction::MarketConfig::default(),
         &universe,
         &yav_campaign::Campaign::a1().scaled(10),
+        &yav_exec::ExecConfig::serial(),
     )
     .rows;
     let pme = yav_pme::engine::Pme::new();

@@ -8,7 +8,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use yav_analyzer::features::{extract, extract_into, NurlTransport};
 use yav_analyzer::userstate::{GlobalState, UserState};
 use yav_analyzer::WeblogAnalyzer;
-use yav_auction::{Market, MarketConfig};
+use yav_auction::MarketConfig;
 use yav_core::YourAdValue;
 use yav_pme::model::TrainConfig;
 use yav_pme::Pme;
@@ -16,9 +16,9 @@ use yav_weblog::{HttpRequest, PublisherUniverse, WeblogConfig, WeblogGenerator};
 
 /// A deterministic mixed-traffic batch (content, trackers, nURLs).
 fn traffic() -> Vec<HttpRequest> {
-    let generator = WeblogGenerator::new(WeblogConfig::tiny());
-    let mut market = Market::new(MarketConfig::default());
-    generator.collect(&mut market).requests
+    WeblogGenerator::new(WeblogConfig::tiny())
+        .collect(&MarketConfig::default())
+        .requests
 }
 
 fn bench_analyzer(c: &mut Criterion) {
@@ -68,12 +68,12 @@ fn bench_features(c: &mut Criterion) {
 fn bench_client(c: &mut Criterion) {
     let reqs = traffic();
     // Train a model once so encrypted estimation is exercised.
-    let mut market = Market::new(MarketConfig::default());
     let universe = PublisherUniverse::build(0xD474, 300, 120);
-    let rows = yav_campaign::execute(
-        &mut market,
+    let rows = yav_campaign::execute_parallel(
+        &MarketConfig::default(),
         &universe,
         &yav_campaign::Campaign::a1().scaled(8),
+        &yav_exec::ExecConfig::serial(),
     )
     .rows;
     let pme = Pme::new();
@@ -99,9 +99,8 @@ fn bench_generator(c: &mut Criterion) {
     c.bench_function("weblog/generate_tiny", |b| {
         b.iter(|| {
             let generator = WeblogGenerator::new(WeblogConfig::tiny());
-            let mut market = Market::new(MarketConfig::default());
             let mut n = 0u64;
-            generator.run(&mut market, |_| n += 1, |_| {});
+            generator.run(&MarketConfig::default(), |_| n += 1, |_| {});
             n
         })
     });

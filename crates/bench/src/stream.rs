@@ -17,7 +17,7 @@
 //! is the shard order — never the thread schedule — the stream run is
 //! deterministic for any thread count and any window size, and its
 //! aggregates (`AnalyzerReport::summary`, class counts, pairs) are
-//! bit-identical to what the materialising builders compute at scales
+//! bit-identical to what [`crate::World::build_with`] computes at scales
 //! where both fit (the stream-equivalence suite pins this).
 //!
 //! Peak memory is `O(window × shard)` + the running aggregates: a
@@ -206,7 +206,7 @@ impl StreamWorld {
                     |t| truth.record(&t),
                 );
                 StreamPart {
-                    report: analyzer.finish_with_state().0,
+                    report: analyzer.finish(),
                     truth,
                     tenants: store.finish(model.as_ref()),
                     http_requests: http,
@@ -389,58 +389,4 @@ pub fn describe(world: &StreamWorld) -> String {
         .as_f64(),
         world.shift.coefficient,
     )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn stream_matches_materialized_aggregates_at_small() {
-        let exec = ExecConfig::with_threads(2);
-        let stream = StreamWorld::build_with(Scale::Small, &exec);
-        let world = crate::World::build_with(Scale::Small, &exec);
-
-        // Bounded retention drops the detection list but nothing else:
-        // every commutative aggregate agrees exactly with the
-        // materialising builder.
-        assert!(stream.report.detections.is_empty());
-        assert_eq!(stream.report.summary, world.report.summary);
-        assert_eq!(stream.report.class_counts, world.report.class_counts);
-        assert_eq!(stream.report.total_requests, world.report.total_requests);
-        assert_eq!(stream.report.users_seen, world.report.users_seen);
-        assert_eq!(stream.report.malformed_nurls, world.report.malformed_nurls);
-        assert_eq!(
-            stream.report.monthly_os_requests,
-            world.report.monthly_os_requests
-        );
-        assert_eq!(stream.http_requests, world.http_requests);
-        assert_eq!(
-            stream.report.summary.total as usize,
-            world.report.detections.len()
-        );
-        assert_eq!(stream.truth.impressions as usize, world.truth.len());
-
-        // The tenant fleet observed the same stream the analyzer did:
-        // every detection is a cleartext tally, a valued estimate, or a
-        // counted model-less skip.
-        assert_eq!(
-            stream.tenants.fleet.cleartext_count
-                + stream.tenants.fleet.encrypted_count
-                + stream.tenants.skipped_no_model,
-            stream.report.summary.total,
-        );
-    }
-
-    #[test]
-    fn stream_is_thread_and_window_invariant() {
-        let one = StreamWorld::build_with(Scale::Small, &ExecConfig::with_threads(1));
-        let four = StreamWorld::build_with(Scale::Small, &ExecConfig::with_threads(4));
-        assert_eq!(one.report.summary, four.report.summary);
-        assert_eq!(one.report.class_counts, four.report.class_counts);
-        assert_eq!(one.truth, four.truth);
-        assert_eq!(one.tenants, four.tenants);
-        assert_eq!(one.http_requests, four.http_requests);
-        assert_eq!(one.shift, four.shift);
-    }
 }

@@ -8,7 +8,7 @@ use yav_ml::RandomForestConfig;
 use yav_pme::model::TrainConfig;
 use yav_pme::{Pme, TimeShift};
 use yav_types::Adx;
-use yav_weblog::{GroundTruth, HttpRequest, Weblog, WeblogConfig, WeblogGenerator};
+use yav_weblog::{GroundTruth, HttpRequest, WeblogConfig, WeblogGenerator};
 
 /// Experiment scales. Every scale runs the same code; only sizes differ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,8 +25,8 @@ pub enum Scale {
     Paper,
     /// One million users over one simulated day (~11 M HTTP events).
     /// Only the constant-memory streaming builder
-    /// ([`crate::stream::StreamWorld`]) runs this scale — the
-    /// materialising builders would hold the whole weblog in RAM.
+    /// ([`crate::stream::StreamWorld`]) runs this scale — [`World`]
+    /// would hold every detection and truth record in RAM.
     Huge,
 }
 
@@ -129,18 +129,18 @@ pub struct World {
 /// What one weblog shard contributes to the world: its analyzer pass,
 /// its ground truth, and its cleartext feature rows (keyed for the
 /// canonical merge order).
-pub(crate) struct ShardPart {
-    pub(crate) report: AnalyzerReport,
-    pub(crate) truth: Vec<GroundTruth>,
-    pub(crate) http_requests: u64,
+struct ShardPart {
+    report: AnalyzerReport,
+    truth: Vec<GroundTruth>,
+    http_requests: u64,
     /// `(minutes, user, features, price)` per cleartext detection.
-    pub(crate) clear_rows: Vec<(i64, u32, Vec<f64>, f64)>,
+    clear_rows: Vec<(i64, u32, Vec<f64>, f64)>,
     /// Input-order detection keys for the canonical re-sort.
-    pub(crate) detection_keys: Vec<(i64, u32)>,
+    detection_keys: Vec<(i64, u32)>,
 }
 
 impl ShardPart {
-    pub(crate) fn new() -> ShardPart {
+    fn new() -> ShardPart {
         ShardPart {
             report: AnalyzerReport::default(),
             truth: Vec::new(),
@@ -151,11 +151,8 @@ impl ShardPart {
     }
 
     /// Feeds one HTTP request through `analyzer`, folding any detection
-    /// into this part. The single per-request step both builders (fused
-    /// streaming and materialise-then-analyze) share — which is *why*
-    /// their outputs are bit-identical: same requests in the same order
-    /// through the same code.
-    pub(crate) fn ingest(&mut self, analyzer: &mut WeblogAnalyzer, req: &HttpRequest) {
+    /// into this part with its canonical-order key.
+    fn ingest(&mut self, analyzer: &mut WeblogAnalyzer, req: &HttpRequest) {
         self.http_requests += 1;
         if let Some(rec) = analyzer.ingest(req) {
             let key = (req.time.minutes(), req.user.0);
@@ -169,8 +166,8 @@ impl ShardPart {
 }
 
 /// Runs both Table-5 probe campaigns at `scale` and trains the PME on
-/// A1. Shared by the materialising and streaming builders (campaigns
-/// never depend on the weblog).
+/// A1. Shared by [`World`] and the streaming builder (campaigns never
+/// depend on the weblog).
 pub(crate) fn campaigns_and_pme(
     scale: Scale,
     exec: &ExecConfig,
@@ -224,9 +221,10 @@ impl World {
     /// [`yav_weblog::USERS_PER_SHARD`]-user block against its own shard
     /// market; campaigns run one shard per setup. Shard boundaries are
     /// structural, so **the result is identical for every thread count**
-    /// (the determinism test suite enforces this). The parallel stream is
-    /// a different — equally valid — random realisation than the legacy
-    /// serial `generator.run` stream, which stays available unchanged.
+    /// (the determinism test suite enforces this). The weblog is the
+    /// `generator.run` stream: the stream-equivalence suite checks every
+    /// report field, the truth and the request count against one serial
+    /// analyzer over `generator.collect`, re-sorted by (minute, user).
     pub fn build_with(scale: Scale, exec: &ExecConfig) -> World {
         let _span = yav_telemetry::span!("bench.world.build");
         let _trace = yav_trace::trace_span!("bench.world_build");
@@ -252,58 +250,7 @@ impl World {
                 |t| truth.push(t),
             );
             part.truth = truth;
-            let (report, _global) = analyzer.finish_with_state();
-            part.report = report;
-            part
-        });
-
-        World::assemble(scale, exec, &generator, &market_config, parts)
-    }
-
-    /// The legacy materialise-then-analyze reference: phase 1 collects
-    /// every shard's full weblog into memory, phase 2 analyzes the
-    /// collected logs. Same shard structure, same shard markets, same
-    /// per-request analyzer walk as [`World::build_with`] — so the output
-    /// is **bit-identical** to the fused builder (the stream-equivalence
-    /// suite pins this). Holds the entire weblog at its peak: use at test
-    /// scales only; the fused/streaming paths exist so nothing else has
-    /// to.
-    pub fn build_materialized(scale: Scale, exec: &ExecConfig) -> World {
-        let _span = yav_telemetry::span!("bench.world.build_materialized");
-        let config = WeblogConfig {
-            exec: *exec,
-            ..scale.weblog()
-        };
-        let generator = WeblogGenerator::new(config);
-        let market_config = MarketConfig::default();
-        let shards = generator.shard_count();
-
-        // Phase 1: materialise the full weblog, one log per shard, in
-        // per-shard emission order (the exact order the fused builder
-        // feeds its analyzer).
-        let market_template = MarketTemplate::new(market_config.clone());
-        let logs: Vec<Weblog> = yav_exec::par_map_indexed(exec, shards, |s| {
-            let mut market = market_template.shard(s as u64);
-            let mut log = Weblog::default();
-            generator.run_shard(
-                s,
-                &mut market,
-                |r| log.requests.push(r.clone()),
-                |t| log.truth.push(t),
-            );
-            log
-        });
-
-        // Phase 2: analyze the materialised logs.
-        let parts = yav_exec::par_map_indexed(exec, shards, |s| {
-            let mut analyzer = WeblogAnalyzer::new();
-            let mut part = ShardPart::new();
-            for req in &logs[s].requests {
-                part.ingest(&mut analyzer, req);
-            }
-            part.truth = logs[s].truth.clone();
-            let (report, _global) = analyzer.finish_with_state();
-            part.report = report;
+            part.report = analyzer.finish();
             part
         });
 
@@ -346,8 +293,7 @@ impl World {
         clear_rows.sort_by_key(|&(minutes, user, _, _)| (minutes, user));
 
         // Deterministic reservoir over the canonical cleartext stream:
-        // keep every k-th row once the cap fills (same walk the serial
-        // builder used).
+        // keep every k-th row once the cap fills.
         const SAMPLE_CAP: usize = 12_000;
         let mut feature_sample: Vec<(Vec<f64>, f64)> = Vec::new();
         for (seen_clear, (_, _, features, price)) in (1usize..).zip(clear_rows) {

@@ -4,36 +4,15 @@
 //! are a *scheduling* resource, never a *semantic* input. Every stage
 //! shards on structural boundaries (user blocks, campaign setups) and
 //! merges into a canonical order, so the same seed must produce the
-//! same bytes on 1, 2 or 8 threads.
+//! same bytes on 1, 2 or 8 threads. The weblog and analyzer stages are
+//! checked against a serial oracle in `stream_equivalence.rs`.
 
-use yav_analyzer::{analyze_parallel, AnalyzerReport, WeblogAnalyzer};
 use yav_auction::MarketConfig;
 use yav_bench::{Scale, World};
 use yav_campaign::Campaign;
 use yav_exec::ExecConfig;
-use yav_weblog::{WeblogConfig, WeblogGenerator};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-
-#[test]
-fn weblog_identical_across_thread_counts() {
-    let generator = WeblogGenerator::new(WeblogConfig::small());
-    let market_config = MarketConfig::default();
-    let mut logs = THREAD_COUNTS.iter().map(|&threads| {
-        let generator = WeblogGenerator::new(WeblogConfig {
-            exec: ExecConfig::with_threads(threads),
-            ..WeblogConfig::small()
-        });
-        generator.collect_parallel(&market_config)
-    });
-    let base = logs.next().unwrap();
-    assert!(base.requests.len() > 10_000, "small weblog too thin");
-    assert!(generator.shard_count() > 1, "need multiple shards to test");
-    for log in logs {
-        assert_eq!(log.requests, base.requests);
-        assert_eq!(log.truth, base.truth);
-    }
-}
 
 #[test]
 fn campaign_identical_across_thread_counts() {
@@ -58,38 +37,6 @@ fn campaign_identical_across_thread_counts() {
         assert_eq!(report.auctions_entered, base.auctions_entered);
         assert_eq!(report.setups_completed, base.setups_completed);
         assert_eq!(report.budget_exhausted, base.budget_exhausted);
-    }
-}
-
-fn assert_reports_equal(a: &AnalyzerReport, b: &AnalyzerReport) {
-    assert_eq!(a.detections, b.detections);
-    assert_eq!(a.malformed_nurls, b.malformed_nurls);
-    assert_eq!(a.class_counts, b.class_counts);
-    assert_eq!(a.monthly_os_requests, b.monthly_os_requests);
-    assert_eq!(a.total_requests, b.total_requests);
-    assert_eq!(a.users_seen, b.users_seen);
-    assert_eq!(a.pairs.figure2(), b.pairs.figure2());
-    assert_eq!(a.pairs.figure3(), b.pairs.figure3());
-}
-
-#[test]
-fn analyzer_identical_across_thread_counts_and_matches_serial() {
-    // One canonical parallel weblog; the analyzer invariant is stronger
-    // than the generator's: sharded analysis must equal the *serial*
-    // streaming pass exactly, not just itself across thread counts.
-    let generator = WeblogGenerator::new(WeblogConfig::small());
-    let log = generator.collect_parallel(&MarketConfig::default());
-
-    let mut serial_analyzer = WeblogAnalyzer::new();
-    for req in &log.requests {
-        serial_analyzer.ingest(req);
-    }
-    let serial = serial_analyzer.finish();
-    assert!(serial.detections.len() > 500, "small trace too thin");
-
-    for threads in THREAD_COUNTS {
-        let par = analyze_parallel(&log.requests, &ExecConfig::with_threads(threads));
-        assert_reports_equal(&par.report, &serial);
     }
 }
 

@@ -83,12 +83,17 @@ fn world_identical_with_tracing_off_on_and_across_rings_and_threads() {
 fn chrome_trace_export_matches_event_schema() {
     let _g = collector_lock();
     yav_trace::set_enabled(true);
-    let generator = yav_weblog::WeblogGenerator::new(yav_weblog::WeblogConfig::tiny());
-    let log = generator.collect_parallel(&yav_auction::MarketConfig::default());
-    let _ = yav_analyzer::analyze_parallel(&log.requests, &ExecConfig::with_threads(2));
+    // Two workers, so the export holds several trace streams.
+    let _ = yav_campaign::execute_parallel(
+        &yav_auction::MarketConfig::default(),
+        &yav_weblog::PublisherUniverse::build(0xD474, 300, 120),
+        &yav_campaign::Campaign::a2().scaled(2),
+        &ExecConfig::with_threads(2),
+    );
     yav_trace::set_enabled(false);
     let trace = yav_trace::drain();
     assert!(!trace.is_empty());
+    assert!(trace.streams.len() > 1, "one trace stream per setup shard");
 
     let json = yav_trace::chrome_trace_json(&trace);
     let doc: serde_json::Value = serde_json::from_str(&json).expect("exporter emits valid JSON");

@@ -165,77 +165,6 @@ impl CampaignReport {
     }
 }
 
-/// Executes a campaign: sweeps all 144 setups over the market.
-pub fn execute(
-    market: &mut Market,
-    universe: &PublisherUniverse,
-    campaign: &Campaign,
-) -> CampaignReport {
-    let _span = yav_telemetry::span!("campaign.executor.execute");
-    let setups_counter = yav_telemetry::counter("campaign.executor.setups_completed");
-    let auctions_counter = yav_telemetry::counter("campaign.executor.auctions_entered");
-    let bought_counter = yav_telemetry::counter("campaign.executor.impressions_bought");
-    let setups = crate::setups::table5(&campaign.adxs);
-    let mut rng = StdRng::seed_from_u64(campaign.seed ^ 0xCA4B_0000_0000_0007);
-    let mut report = CampaignReport {
-        name: campaign.name.clone(),
-        rows: Vec::new(),
-        spent: MicroUsd::ZERO,
-        setups_completed: 0,
-        budget_exhausted: false,
-        auctions_entered: 0,
-    };
-
-    let eligible = eligible_publishers(universe, campaign);
-
-    'sweep: for setup in &setups {
-        let mut bought = 0u32;
-        let mut attempts = 0u32;
-        // Attempt cap: a probe with a sane cap wins nearly always, so the
-        // cap only guards against pathological configurations.
-        let max_attempts = campaign.impressions_per_setup.saturating_mul(4).max(16);
-        while bought < campaign.impressions_per_setup && attempts < max_attempts {
-            attempts += 1;
-            report.auctions_entered += 1;
-            auctions_counter.inc();
-            let req = synthesize_request(&mut rng, setup, campaign, &eligible);
-            let probe = ProbeBid {
-                dsp: campaign.dsp,
-                max_bid: campaign.max_bid,
-                campaign: campaign.id,
-            };
-            let (_result, win) = market.run_auction_with_probe(&req, &probe);
-            let Some(win) = win else { continue };
-            bought += 1;
-            bought_counter.inc();
-            report.spent = report.spent.saturating_add(win.charge.per_impression());
-            report.rows.push(ProbeImpression {
-                setup_id: setup.id,
-                time: req.time,
-                city: setup.city,
-                os: setup.os,
-                device: setup.device,
-                interaction: setup.interaction,
-                format: setup.format,
-                adx: setup.adx,
-                iab: req.iab,
-                publisher: req.publisher_name.clone(),
-                charge: win.charge,
-                visibility: win.visibility,
-            });
-            if report.spent > campaign.budget {
-                report.budget_exhausted = true;
-                break 'sweep;
-            }
-        }
-        if bought == campaign.impressions_per_setup {
-            report.setups_completed += 1;
-            setups_counter.inc();
-        }
-    }
-    report
-}
-
 /// Audience publishers: category-eligible inventory, capped to the
 /// campaign's publisher list (most popular first — that is where a DSP
 /// finds volume).
@@ -258,7 +187,7 @@ fn eligible_publishers<'u>(
 }
 
 /// One setup's worth of buying, executed without budget knowledge.
-/// The merge step replays the serial budget walk over these.
+/// The merge step replays the setup-order budget walk over these.
 struct SetupRun {
     rows: Vec<ProbeImpression>,
     /// Auctions entered within this setup up to and including the one
@@ -325,17 +254,16 @@ fn campaign_shard(campaign: &Campaign, setup_id: u32) -> u64 {
     0x10_0000 + campaign.id.0 as u64 * 0x1000 + setup_id as u64
 }
 
-/// Executes a campaign on `exec`'s worker pool, one logical shard per
-/// Table-5 setup (so the result never depends on the worker count).
+/// Executes a campaign: sweeps all 144 Table-5 setups, one logical shard
+/// per setup, on `exec`'s worker pool. `ExecConfig::serial()` runs them
+/// in order on the calling thread; the result never depends on the
+/// worker count.
 ///
 /// Each setup buys against its own deterministic shard market — see
-/// [`Market::new_shard`] — which makes the realised prices a different
-/// (equally valid) draw than the serial [`execute`] stream. Budget-stop
-/// semantics are preserved exactly: workers buy without budget
-/// knowledge, and the merge replays the serial sweep — accumulating
-/// spend in setup order and truncating at the first row that pushes
-/// spend past the budget, discarding everything a stopped serial sweep
-/// would never have executed.
+/// [`Market::new_shard`]. Workers buy without budget knowledge, and the
+/// merge walks the setups in order — accumulating spend and truncating
+/// at the first row that pushes spend past the budget, discarding every
+/// later row and setup.
 pub fn execute_parallel(
     market_config: &MarketConfig,
     universe: &PublisherUniverse,
@@ -361,7 +289,7 @@ pub fn execute_parallel(
         run_setup(&mut market, &mut rng, setup, campaign, &eligible)
     });
 
-    // Budget replay: the serial sweep's walk over the per-setup streams.
+    // Budget replay: the setup-order walk over the per-setup streams.
     let mut report = CampaignReport {
         name: campaign.name.clone(),
         rows: Vec::new(),
@@ -455,48 +383,19 @@ mod tests {
     use super::*;
     use yav_auction::MarketConfig;
 
-    fn small_market() -> (Market, PublisherUniverse) {
-        (
-            Market::new(MarketConfig::default()),
-            PublisherUniverse::build(0xD474, 300, 120),
-        )
+    fn universe() -> PublisherUniverse {
+        PublisherUniverse::build(0xD474, 300, 120)
     }
 
-    #[test]
-    fn a1_buys_encrypted_ground_truth() {
-        let (mut market, universe) = small_market();
-        let report = execute(&mut market, &universe, &Campaign::a1().scaled(4));
-        assert_eq!(report.setups_completed, 144);
-        assert_eq!(report.rows.len(), 144 * 4);
-        assert!(!report.budget_exhausted);
-        // Every A1 exchange encrypts: browser-side the prices are opaque,
-        // yet the report knows every charge.
-        for row in &report.rows {
-            assert_eq!(row.visibility, PriceVisibility::Encrypted);
-            assert!(row.charge.is_positive());
-            assert!(row.charge <= Campaign::a1().max_bid);
-        }
-        assert!(report.spent > MicroUsd::ZERO);
-    }
-
-    #[test]
-    fn a2_is_cleartext_mopub() {
-        let (mut market, universe) = small_market();
-        let report = execute(&mut market, &universe, &Campaign::a2().scaled(4));
-        for row in &report.rows {
-            assert_eq!(row.adx, Adx::MoPub);
-            assert_eq!(row.visibility, PriceVisibility::Cleartext);
-        }
-        assert!(report.distinct_iabs() <= 7);
-        assert!(report.distinct_publishers() > 10);
+    fn run(campaign: &Campaign, exec: &ExecConfig) -> CampaignReport {
+        execute_parallel(&MarketConfig::default(), &universe(), campaign, exec)
     }
 
     #[test]
     fn encrypted_campaign_prices_run_higher() {
         // The §6.1 headline must be visible in the raw campaign data.
-        let (mut market, universe) = small_market();
-        let a1 = execute(&mut market, &universe, &Campaign::a1().scaled(30));
-        let a2 = execute(&mut market, &universe, &Campaign::a2().scaled(30));
+        let a1 = run(&Campaign::a1().scaled(30), &ExecConfig::serial());
+        let a2 = run(&Campaign::a2().scaled(30), &ExecConfig::serial());
         let median = |mut v: Vec<f64>| {
             v.sort_by(|a, b| a.total_cmp(b));
             v[v.len() / 2]
@@ -509,62 +408,22 @@ mod tests {
     }
 
     #[test]
-    fn setups_respect_filters_in_rows() {
-        let (mut market, universe) = small_market();
-        let report = execute(&mut market, &universe, &Campaign::a2().scaled(3));
-        let setups = crate::setups::table5(&[Adx::MoPub]);
-        for row in &report.rows {
-            let s = &setups[row.setup_id as usize];
-            assert_eq!(row.city, s.city);
-            assert_eq!(row.os, s.os);
-            assert_eq!(row.device, s.device);
-            assert_eq!(row.format, s.format);
-            assert_eq!(
-                CampaignShift::from_hour(row.time.hour()),
-                s.shift,
-                "delivery inside the shift"
-            );
-            assert!(s.day_type.matches(row.time.is_weekend()));
-        }
-    }
-
-    #[test]
-    fn budget_stop_works() {
-        let (mut market, universe) = small_market();
-        let mut tiny = Campaign::a1().scaled(50);
-        tiny.budget = MicroUsd(3_000); // three tenths of a cent
-        let report = execute(&mut market, &universe, &tiny);
-        assert!(report.budget_exhausted);
-        assert!(report.rows.len() < 144 * 50);
-        assert!(report.spent >= tiny.budget);
-    }
-
-    #[test]
-    fn deterministic() {
-        let (mut m1, u1) = small_market();
-        let (mut m2, u2) = small_market();
-        let a = execute(&mut m1, &u1, &Campaign::a2().scaled(3));
-        let b = execute(&mut m2, &u2, &Campaign::a2().scaled(3));
-        assert_eq!(a.rows, b.rows);
-        assert_eq!(a.spent, b.spent);
-    }
-
-    #[test]
     fn parallel_is_thread_count_invariant() {
-        let universe = PublisherUniverse::build(0xD474, 300, 120);
         let campaign = Campaign::a1().scaled(4);
-        let config = MarketConfig::default();
-        let base = execute_parallel(&config, &universe, &campaign, &ExecConfig::serial());
+        let base = run(&campaign, &ExecConfig::serial());
         assert_eq!(base.setups_completed, 144);
         assert_eq!(base.rows.len(), 144 * 4);
         assert!(!base.budget_exhausted);
+        assert!(base.spent > MicroUsd::ZERO);
+        // Every A1 exchange encrypts: browser-side the prices are opaque,
+        // yet the report knows every charge.
+        for row in &base.rows {
+            assert_eq!(row.visibility, PriceVisibility::Encrypted);
+            assert!(row.charge.is_positive());
+            assert!(row.charge <= campaign.max_bid);
+        }
         for threads in [2usize, 8] {
-            let par = execute_parallel(
-                &config,
-                &universe,
-                &campaign,
-                &ExecConfig::with_threads(threads),
-            );
+            let par = run(&campaign, &ExecConfig::with_threads(threads));
             assert_eq!(par.rows, base.rows, "threads={threads}");
             assert_eq!(par.spent, base.spent);
             assert_eq!(par.setups_completed, base.setups_completed);
@@ -575,35 +434,37 @@ mod tests {
 
     #[test]
     fn parallel_rows_respect_setup_filters() {
-        let universe = PublisherUniverse::build(0xD474, 300, 120);
-        let report = execute_parallel(
-            &MarketConfig::default(),
-            &universe,
-            &Campaign::a2().scaled(3),
-            &ExecConfig::with_threads(4),
-        );
+        let report = run(&Campaign::a2().scaled(3), &ExecConfig::with_threads(4));
         let setups = crate::setups::table5(&[Adx::MoPub]);
-        // Setup-major order, like the serial sweep.
+        // Setup-major order: the setups are walked in index order.
         let mut last_setup = 0u32;
         for row in &report.rows {
             assert!(row.setup_id >= last_setup);
             last_setup = row.setup_id;
             let s = &setups[row.setup_id as usize];
             assert_eq!(row.city, s.city);
+            assert_eq!(row.os, s.os);
+            assert_eq!(row.device, s.device);
+            assert_eq!(row.format, s.format);
             assert_eq!(row.adx, Adx::MoPub);
             assert_eq!(row.visibility, PriceVisibility::Cleartext);
+            assert_eq!(
+                CampaignShift::from_hour(row.time.hour()),
+                s.shift,
+                "delivery inside the shift"
+            );
             assert!(s.day_type.matches(row.time.is_weekend()));
         }
+        assert!(report.distinct_iabs() <= 7);
+        assert!(report.distinct_publishers() > 10);
     }
 
     #[test]
     fn parallel_budget_stop_matches_serial_semantics() {
-        let universe = PublisherUniverse::build(0xD474, 300, 120);
         let mut tiny = Campaign::a1().scaled(50);
         tiny.budget = MicroUsd(3_000); // three tenths of a cent
-        let config = MarketConfig::default();
-        let serial = execute_parallel(&config, &universe, &tiny, &ExecConfig::serial());
-        let par = execute_parallel(&config, &universe, &tiny, &ExecConfig::with_threads(8));
+        let serial = run(&tiny, &ExecConfig::serial());
+        let par = run(&tiny, &ExecConfig::with_threads(8));
         for report in [&serial, &par] {
             assert!(report.budget_exhausted);
             assert!(report.rows.len() < 144 * 50);

@@ -15,9 +15,10 @@
 //!   144-setup design;
 //! * [`plan`] — the §5.2 sample-size mathematics;
 //! * [`executor`] — buys impressions setup by setup through
-//!   [`yav_auction::Market::run_auction_with_probe`], respecting the
-//!   bid cap and the campaign budget, and collects the performance
-//!   report rows that later train the Price Modeling Engine.
+//!   [`yav_auction::Market::run_auction_with_probe`], one shard market
+//!   per setup ([`execute_parallel`]), respecting the bid cap and the
+//!   campaign budget, and collects the performance report rows that
+//!   later train the Price Modeling Engine.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -26,6 +27,6 @@ pub mod executor;
 pub mod plan;
 pub mod setups;
 
-pub use executor::{execute, execute_parallel, Campaign, CampaignReport, ProbeImpression};
+pub use executor::{execute_parallel, Campaign, CampaignReport, ProbeImpression};
 pub use plan::CampaignPlan;
 pub use setups::{DayType, Setup};

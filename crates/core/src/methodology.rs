@@ -149,7 +149,7 @@ impl PopulationSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use yav_auction::{Market, MarketConfig};
+    use yav_auction::MarketConfig;
     use yav_campaign::Campaign;
     use yav_pme::engine::Pme;
     use yav_pme::model::TrainConfig;
@@ -162,11 +162,10 @@ mod tests {
 
     fn fixture() -> Fixture {
         let generator = WeblogGenerator::new(WeblogConfig::tiny());
-        let mut market = Market::new(MarketConfig::default());
         let mut analyzer = yav_analyzer::WeblogAnalyzer::new();
         let mut truth = Vec::new();
         generator.run(
-            &mut market,
+            &MarketConfig::default(),
             |req| {
                 analyzer.ingest(req);
             },
@@ -175,7 +174,14 @@ mod tests {
         let report = analyzer.finish();
 
         let universe = PublisherUniverse::build(0xD474, 300, 120);
-        let rows = yav_campaign::execute(&mut market, &universe, &Campaign::a1().scaled(15)).rows;
+        // The default pool: campaign rows never depend on the thread count.
+        let rows = yav_campaign::execute_parallel(
+            &MarketConfig::default(),
+            &universe,
+            &Campaign::a1().scaled(15),
+            &Default::default(),
+        )
+        .rows;
         let pme = Pme::new();
         pme.train_from_campaign(&rows, &TrainConfig::quick());
         let model = pme.current_model().unwrap();
@@ -252,10 +258,9 @@ mod tests {
         let fx = fixture();
         // Re-run with a 1.3× shift and compare.
         let generator = WeblogGenerator::new(WeblogConfig::tiny());
-        let mut market = Market::new(MarketConfig::default());
         let mut analyzer = yav_analyzer::WeblogAnalyzer::new();
         generator.run(
-            &mut market,
+            &MarketConfig::default(),
             |req| {
                 analyzer.ingest(req);
             },
@@ -263,7 +268,14 @@ mod tests {
         );
         let report = analyzer.finish();
         let universe = PublisherUniverse::build(0xD474, 300, 120);
-        let rows = yav_campaign::execute(&mut market, &universe, &Campaign::a1().scaled(15)).rows;
+        // The default pool: campaign rows never depend on the thread count.
+        let rows = yav_campaign::execute_parallel(
+            &MarketConfig::default(),
+            &universe,
+            &Campaign::a1().scaled(15),
+            &Default::default(),
+        )
+        .rows;
         let pme = Pme::new();
         pme.train_from_campaign(&rows, &TrainConfig::quick());
         let model = pme.current_model().unwrap();

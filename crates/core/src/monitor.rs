@@ -523,24 +523,30 @@ impl YourAdValue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use yav_auction::{Market, MarketConfig};
+    use yav_auction::MarketConfig;
     use yav_campaign::Campaign;
     use yav_pme::model::TrainConfig;
     use yav_weblog::{PublisherUniverse, WeblogConfig, WeblogGenerator};
 
     fn trained_pme() -> Pme {
-        let mut market = Market::new(MarketConfig::default());
         let universe = PublisherUniverse::build(0xD474, 300, 120);
-        let rows = yav_campaign::execute(&mut market, &universe, &Campaign::a1().scaled(10)).rows;
+        // The default pool: campaign rows never depend on the thread count.
+        let rows = yav_campaign::execute_parallel(
+            &MarketConfig::default(),
+            &universe,
+            &Campaign::a1().scaled(10),
+            &Default::default(),
+        )
+        .rows;
         let pme = Pme::new();
         pme.train_from_campaign(&rows, &TrainConfig::quick());
         pme
     }
 
     fn traffic() -> Vec<HttpRequest> {
-        let generator = WeblogGenerator::new(WeblogConfig::tiny());
-        let mut market = Market::new(MarketConfig::default());
-        generator.collect(&mut market).requests
+        WeblogGenerator::new(WeblogConfig::tiny())
+            .collect(&MarketConfig::default())
+            .requests
     }
 
     #[test]

@@ -413,16 +413,22 @@ impl TenantStore {
 mod tests {
     use super::*;
     use crate::YourAdValue;
-    use yav_auction::{Market, MarketConfig};
+    use yav_auction::MarketConfig;
     use yav_campaign::Campaign;
     use yav_pme::engine::Pme;
     use yav_pme::model::TrainConfig;
     use yav_weblog::{PublisherUniverse, WeblogConfig, WeblogGenerator};
 
     fn client_model() -> ClientModel {
-        let mut market = Market::new(MarketConfig::default());
         let universe = PublisherUniverse::build(0xD474, 300, 120);
-        let rows = yav_campaign::execute(&mut market, &universe, &Campaign::a1().scaled(10)).rows;
+        // The default pool: campaign rows never depend on the thread count.
+        let rows = yav_campaign::execute_parallel(
+            &MarketConfig::default(),
+            &universe,
+            &Campaign::a1().scaled(10),
+            &Default::default(),
+        )
+        .rows;
         let pme = Pme::new();
         pme.train_from_campaign(&rows, &TrainConfig::quick());
         pme.current_model().expect("trained")
@@ -430,8 +436,7 @@ mod tests {
 
     fn world() -> (yav_weblog::Weblog, WeblogGenerator) {
         let generator = WeblogGenerator::new(WeblogConfig::tiny());
-        let mut market = Market::new(MarketConfig::default());
-        let log = generator.collect(&mut market);
+        let log = generator.collect(&MarketConfig::default());
         (log, generator)
     }
 

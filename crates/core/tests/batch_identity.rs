@@ -14,12 +14,13 @@ use yav_types::{City, SimTime};
 use yav_weblog::{HttpRequest, PublisherUniverse, WeblogConfig, WeblogGenerator};
 
 fn trained_pme() -> Pme {
-    let mut market = yav_auction::Market::new(yav_auction::MarketConfig::default());
     let universe = PublisherUniverse::build(0xD474, 300, 120);
-    let rows = yav_campaign::execute(
-        &mut market,
+    // The default pool: campaign rows never depend on the thread count.
+    let rows = yav_campaign::execute_parallel(
+        &yav_auction::MarketConfig::default(),
         &universe,
         &yav_campaign::Campaign::a1().scaled(10),
+        &Default::default(),
     )
     .rows;
     let pme = Pme::new();
@@ -28,9 +29,9 @@ fn trained_pme() -> Pme {
 }
 
 fn traffic() -> Vec<HttpRequest> {
-    let generator = WeblogGenerator::new(WeblogConfig::tiny());
-    let mut market = yav_auction::Market::new(yav_auction::MarketConfig::default());
-    generator.collect(&mut market).requests
+    WeblogGenerator::new(WeblogConfig::tiny())
+        .collect(&yav_auction::MarketConfig::default())
+        .requests
 }
 
 /// Runs the same requests serially through one monitor and batched

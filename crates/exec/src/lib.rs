@@ -1,10 +1,11 @@
 //! Deterministic parallel execution for world building.
 //!
-//! Every hot path in the pipeline (weblog generation, campaign sweeps,
-//! analyzer ingestion, forest training) parallelises the same way: the
-//! work is cut into **fixed logical shards** whose randomness derives
-//! from `(base seed, shard index)`, the shards run on a scoped worker
-//! pool, and the results are merged in shard (or other canonical) order.
+//! Every hot path in the pipeline (the world builders' fused weblog
+//! generation and analysis, campaign sweeps, forest training)
+//! parallelises the same way: the work is cut into **fixed logical
+//! shards** whose randomness derives from `(base seed, shard index)`,
+//! the shards run on a scoped worker pool, and the results are merged
+//! in shard (or other canonical) order.
 //! Because the shard structure never depends on the worker count, the
 //! output is identical whether the pool has 1 thread or 64 — the same
 //! invariant `RandomForest::fit` has always honoured.

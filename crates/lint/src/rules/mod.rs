@@ -139,9 +139,9 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     RuleDoc {
         name: "stream-materialize",
         kind: "token",
-        invariant: "No population-sized collections, `collect_parallel` or \
-                    `Retention::Full` in the streaming modules: the constant-memory \
-                    contract of DESIGN.md §15.",
+        invariant: "No population-sized collections, whole-weblog `collect(…)` \
+                    calls or `Retention::Full` in the streaming modules: the \
+                    constant-memory contract of DESIGN.md §15.",
         example: "`Vec<… HttpRequest …>` materialises population-sized state in a \
                   streaming module",
     },

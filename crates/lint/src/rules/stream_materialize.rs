@@ -10,7 +10,9 @@
 //!
 //! * collections parameterised over per-event/per-user record types
 //!   (`Vec<HttpRequest>`, `VecDeque<GroundTruth>`, …);
-//! * `collect_parallel(` — the materialise-the-whole-weblog entry point;
+//! * `collect(` with an argument — `WeblogGenerator::collect(market)`,
+//!   the materialise-the-whole-weblog entry point (`Iterator::collect()`
+//!   takes none and is not flagged);
 //! * `Retention::Full` — unbounded detection retention.
 //!
 //! Bounded uses (a 32-user shard block, a batch buffer flushed at a
@@ -94,10 +96,13 @@ impl Rule for StreamMaterialize {
                     }
                 }
             }
-            // `collect_parallel(`: collects the full weblog into memory.
-            if tok.is_ident("collect_parallel") && toks.get(i + 1).is_some_and(|t| t.is_punct('('))
+            // `collect(market)`: collects the full weblog into memory.
+            // `Iterator::collect()` takes no argument, so it never matches.
+            if tok.is_ident("collect")
+                && toks.get(i + 1).is_some_and(|t| t.is_punct('('))
+                && toks.get(i + 2).is_some_and(|t| !t.is_punct(')'))
             {
-                report(tok, "`collect_parallel(`".to_owned(), out);
+                report(tok, "`collect(…)`".to_owned(), out);
             }
             // `Retention::Full`: unbounded detection retention.
             if tok.is_ident("Retention")

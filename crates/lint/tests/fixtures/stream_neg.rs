@@ -27,5 +27,7 @@ fn build_bounded(generator: &WeblogGenerator, market: &MarketConfig) -> BoundedS
         },
         |t| out.charge_micros += t.charge.micros(),
     );
+    // `Iterator::collect()` takes no argument: not a weblog materialiser.
+    out.rows = out.cost_hist.iter().map(|&n| n as f64).collect();
     out
 }

@@ -12,7 +12,7 @@ struct LeakyStream {
 
 fn build_leaky(generator: &WeblogGenerator, market: &MarketConfig) -> LeakyStream {
     // Materialises the full weblog before "streaming" it.
-    let log = generator.collect_parallel(market);
+    let log = generator.collect(market);
     let panel: Vec<PanelUser> = generator.panel().users().to_vec();
     let mut analyzer = WeblogAnalyzer::with_retention(Retention::Full);
     for req in &log.requests {

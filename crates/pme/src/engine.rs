@@ -258,15 +258,21 @@ impl Pme {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use yav_auction::{Market, MarketConfig};
+    use yav_auction::MarketConfig;
     use yav_campaign::Campaign;
     use yav_types::SimTime;
     use yav_weblog::PublisherUniverse;
 
     fn ground_truth() -> Vec<ProbeImpression> {
-        let mut market = Market::new(MarketConfig::default());
         let universe = PublisherUniverse::build(0xD474, 300, 120);
-        yav_campaign::execute(&mut market, &universe, &Campaign::a1().scaled(8)).rows
+        // The default pool: campaign rows never depend on the thread count.
+        yav_campaign::execute_parallel(
+            &MarketConfig::default(),
+            &universe,
+            &Campaign::a1().scaled(8),
+            &Default::default(),
+        )
+        .rows
     }
 
     fn ctx() -> CoreContext {
@@ -344,15 +350,21 @@ mod tests {
 mod extension_tests {
     use super::*;
     use crate::model::TrainConfig;
-    use yav_auction::{Market, MarketConfig};
+    use yav_auction::MarketConfig;
     use yav_campaign::Campaign;
     use yav_types::{Cpm, SimTime};
     use yav_weblog::PublisherUniverse;
 
     fn rows() -> Vec<ProbeImpression> {
-        let mut market = Market::new(MarketConfig::default());
         let universe = PublisherUniverse::build(0xD474, 300, 120);
-        yav_campaign::execute(&mut market, &universe, &Campaign::a1().scaled(8)).rows
+        // The default pool: campaign rows never depend on the thread count.
+        yav_campaign::execute_parallel(
+            &MarketConfig::default(),
+            &universe,
+            &Campaign::a1().scaled(8),
+            &Default::default(),
+        )
+        .rows
     }
 
     fn ctx() -> CoreContext {

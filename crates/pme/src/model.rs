@@ -467,14 +467,20 @@ pub fn train_pairs(pairs: &[(CoreContext, f64)], config: &TrainConfig) -> Traine
 #[cfg(test)]
 mod tests {
     use super::*;
-    use yav_auction::{Market, MarketConfig};
+    use yav_auction::MarketConfig;
     use yav_campaign::Campaign;
     use yav_weblog::PublisherUniverse;
 
     fn ground_truth(per_setup: u32) -> Vec<ProbeImpression> {
-        let mut market = Market::new(MarketConfig::default());
         let universe = PublisherUniverse::build(0xD474, 300, 120);
-        yav_campaign::execute(&mut market, &universe, &Campaign::a1().scaled(per_setup)).rows
+        // The default pool: campaign rows never depend on the thread count.
+        yav_campaign::execute_parallel(
+            &MarketConfig::default(),
+            &universe,
+            &Campaign::a1().scaled(per_setup),
+            &Default::default(),
+        )
+        .rows
     }
 
     #[test]

@@ -256,18 +256,17 @@ pub fn correlation_filter(rows: &[Vec<f64>], threshold: f64) -> Vec<usize> {
 mod tests {
     use super::*;
     use yav_analyzer::WeblogAnalyzer;
-    use yav_auction::{Market, MarketConfig};
+    use yav_auction::MarketConfig;
     use yav_weblog::{WeblogConfig, WeblogGenerator};
 
     /// Analyzer feature rows + cleartext prices from a tiny dataset D.
     fn analyzer_data() -> (Vec<Vec<f64>>, Vec<f64>) {
         let generator = WeblogGenerator::new(WeblogConfig::tiny());
-        let mut market = Market::new(MarketConfig::default());
         let mut analyzer = WeblogAnalyzer::new();
         let mut rows = Vec::new();
         let mut prices = Vec::new();
         generator.run(
-            &mut market,
+            &MarketConfig::default(),
             |req| {
                 if let Some(rec) = analyzer.ingest(req) {
                     if let Some(p) = rec.meta.cleartext_cpm {

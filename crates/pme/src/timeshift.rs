@@ -97,15 +97,14 @@ mod tests {
     fn simulated_drift_is_upward() {
         // The market's yearly drift must surface as a >1 coefficient when
         // comparing 2015 dataset prices with 2016 campaign prices.
-        use yav_auction::{Market, MarketConfig};
+        use yav_auction::MarketConfig;
         use yav_campaign::Campaign;
         use yav_weblog::{PublisherUniverse, WeblogConfig, WeblogGenerator};
 
         let generator = WeblogGenerator::new(WeblogConfig::tiny());
-        let mut market = Market::new(MarketConfig::default());
         let mut analyzer = yav_analyzer::WeblogAnalyzer::new();
         generator.run(
-            &mut market,
+            &MarketConfig::default(),
             |req| {
                 analyzer.ingest(req);
             },
@@ -120,7 +119,13 @@ mod tests {
             .collect();
 
         let universe = PublisherUniverse::build(0xD474, 300, 120);
-        let a2 = yav_campaign::execute(&mut market, &universe, &Campaign::a2().scaled(20));
+        // The default pool: campaign rows never depend on the thread count.
+        let a2 = yav_campaign::execute_parallel(
+            &MarketConfig::default(),
+            &universe,
+            &Campaign::a2().scaled(20),
+            &Default::default(),
+        );
         let recent: Vec<f64> = a2.prices_cpm();
 
         let ts = TimeShift::fit(&historical, &recent);

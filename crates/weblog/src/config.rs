@@ -29,9 +29,11 @@ pub struct WeblogConfig {
     pub web_publishers: u32,
     /// Number of app publishers in the universe.
     pub app_publishers: u32,
-    /// Worker pool for the parallel generation path
-    /// ([`crate::WeblogGenerator::collect_parallel`]). Scheduling only —
-    /// the generated stream is identical for every thread count.
+    /// Worker pool for builders that run shards side by side (the
+    /// streaming world builder reads it from here). Generation itself is
+    /// not pooled: [`crate::WeblogGenerator::run`] and `collect` play the
+    /// shards in order on the calling thread. Scheduling only — no
+    /// output depends on the thread count.
     pub exec: ExecConfig,
     /// Materialise panel users per shard block instead of up front.
     /// Lazy panels draw each user independently from `(seed, id)` (a

@@ -22,7 +22,7 @@ use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::sync::OnceLock;
 use yav_arena::{Bump, Span};
-use yav_auction::{AdRequest, Market, MarketConfig};
+use yav_auction::{AdRequest, Market, MarketConfig, MarketTemplate};
 use yav_stats::AliasTable;
 use yav_types::{
     AdSlotSize, Adx, City, DeviceType, IabCategory, InteractionType, Os, PublisherId, SimTime,
@@ -30,10 +30,10 @@ use yav_types::{
 };
 
 /// Users per logical generation shard. This is a **structural** constant:
-/// the canonical parallel stream depends on the shard cut (each shard
-/// auctions against its own derived market), so it must never be derived
-/// from the worker count. 32 users keeps shards coarse enough to amortise
-/// market setup yet fine enough to balance a 16-wide pool at Mid scale.
+/// the stream depends on the shard cut (each shard auctions against its
+/// own derived market), so it must never be derived from the worker
+/// count. 32 users keeps shards coarse enough to amortise market setup
+/// yet fine enough to balance a 16-wide pool at Mid scale.
 pub const USERS_PER_SHARD: usize = 32;
 
 /// One standard-normal draw (Box–Muller). Shared with the population
@@ -66,7 +66,7 @@ pub struct Weblog {
 impl Weblog {
     /// Sorts both streams into the canonical global order: minute, then
     /// user id, ties keeping their per-user emission order (the sort is
-    /// stable). This is the merge order of the parallel pipeline; shard
+    /// stable). This is the merge order of the world builders; shard
     /// boundaries can never show through it.
     pub fn sort_canonical(&mut self) {
         self.requests.sort_by_key(|r| (r.time.minutes(), r.user.0));
@@ -198,26 +198,33 @@ impl WeblogGenerator {
     /// Runs the full simulation, streaming every HTTP request to `on_req`
     /// and every ground-truth impression record to `on_truth`.
     ///
+    /// Shard `s` auctions against `MarketTemplate::shard(s)`, and the
+    /// shards play in index order on the calling thread. The stream is
+    /// therefore exactly what the world builders feed their analyzers,
+    /// shard by shard; a single-shard config plays only shard 0, which
+    /// is the `Market::new(config)` market.
+    ///
     /// The request is lent, not given: it lives in a per-shard scratch
     /// buffer that the next event overwrites. Sinks that need to keep an
     /// event clone it; sinks that only read (the analyzer, the monitor)
     /// touch no heap at all.
     pub fn run(
         &self,
-        market: &mut Market,
+        market_config: &MarketConfig,
         mut on_req: impl FnMut(&HttpRequest),
         mut on_truth: impl FnMut(GroundTruth),
     ) {
         let _span = yav_telemetry::span!("weblog.generator.run");
+        let template = MarketTemplate::new(market_config.clone());
         for shard in 0..self.shard_count() {
-            self.run_shard(shard, market, &mut on_req, &mut on_truth);
+            let mut market = template.shard(shard as u64);
+            self.run_shard(shard, &mut market, &mut on_req, &mut on_truth);
         }
     }
 
-    /// Runs one user shard against `market`. The serial [`Self::run`] is
-    /// exactly the shards played in order against one market; the
-    /// parallel builders give each shard its own
-    /// [`Market::new_shard`]-derived market and merge downstream.
+    /// Runs one user shard against `market`. [`Self::run`] plays every
+    /// shard in order against its `MarketTemplate::shard(s)` market; the
+    /// world builders do the same on a worker pool and merge downstream.
     pub fn run_shard(
         &self,
         shard: usize,
@@ -288,47 +295,17 @@ impl WeblogGenerator {
         }
     }
 
-    /// Convenience: collect everything into memory (test scales only).
-    pub fn collect(&self, market: &mut Market) -> Weblog {
+    /// Convenience: collect [`Self::run`]'s stream into memory, in shard
+    /// order (test scales only). [`Weblog::sort_canonical`] puts it in
+    /// the global (minute, user) order.
+    pub fn collect(&self, market_config: &MarketConfig) -> Weblog {
         let mut log = Weblog::default();
         self.run(
-            market,
+            market_config,
             |r| log.requests.push(r.clone()),
             |t| log.truth.push(t),
         );
         log
-    }
-
-    /// Generates the weblog on `self.config.exec`'s worker pool: each
-    /// user shard auctions against its own market derived from
-    /// `(market_config.seed, shard)`, and the shard streams are merged
-    /// into canonical (time, user) order. The result depends only on the
-    /// configs — never on the thread count — but, because each shard owns
-    /// an independent auction RNG stream, it is a *different* (equally
-    /// valid) realisation than the serial [`Self::collect`] stream.
-    pub fn collect_parallel(&self, market_config: &MarketConfig) -> Weblog {
-        let _span = yav_telemetry::span!("exec.weblog.collect_parallel");
-        let shards = self.shard_count();
-        yav_telemetry::gauge("exec.weblog.shards").set(shards as f64);
-        let template = yav_auction::MarketTemplate::new(market_config.clone());
-        let parts = yav_exec::par_map_indexed(&self.config.exec, shards, |s| {
-            let mut market = template.shard(s as u64);
-            let mut log = Weblog::default();
-            self.run_shard(
-                s,
-                &mut market,
-                |r| log.requests.push(r.clone()),
-                |t| log.truth.push(t),
-            );
-            log
-        });
-        let mut merged = Weblog::default();
-        for part in parts {
-            merged.requests.extend(part.requests);
-            merged.truth.extend(part.truth);
-        }
-        merged.sort_canonical();
-        merged
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -603,9 +580,7 @@ mod tests {
     use yav_types::UserId;
 
     fn generate() -> Weblog {
-        let gen = WeblogGenerator::new(WeblogConfig::tiny());
-        let mut market = Market::new(MarketConfig::default());
-        gen.collect(&mut market)
+        WeblogGenerator::new(WeblogConfig::tiny()).collect(&MarketConfig::default())
     }
 
     #[test]
@@ -652,29 +627,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_is_thread_count_invariant() {
-        let parallel = |threads: usize| {
-            let mut config = WeblogConfig::small();
-            config.users = 70; // three shards, one ragged
-            config.days = 10;
-            config.exec = yav_exec::ExecConfig::with_threads(threads);
-            WeblogGenerator::new(config).collect_parallel(&MarketConfig::default())
-        };
-        let one = parallel(1);
-        let two = parallel(2);
-        let eight = parallel(8);
-        assert!(one.truth.len() > 50);
-        assert_eq!(one.requests, two.requests);
-        assert_eq!(one.truth, two.truth);
-        assert_eq!(one.requests, eight.requests);
-        assert_eq!(one.truth, eight.truth);
-    }
-
-    #[test]
-    fn parallel_stream_is_time_ordered() {
-        let mut config = WeblogConfig::tiny();
-        config.exec = yav_exec::ExecConfig::with_threads(4);
-        let log = WeblogGenerator::new(config).collect_parallel(&MarketConfig::default());
+    fn multi_shard_stream_sorts_into_canonical_order() {
+        let mut config = WeblogConfig::small();
+        config.users = 70; // three shards, one ragged
+        config.days = 10;
+        let gen = WeblogGenerator::new(config);
+        assert_eq!(gen.shard_count(), 3);
+        let mut log = gen.collect(&MarketConfig::default());
+        assert!(log.truth.len() > 50);
+        log.sort_canonical();
         for w in log.requests.windows(2) {
             assert!(
                 (w[0].time.minutes(), w[0].user.0) <= (w[1].time.minutes(), w[1].user.0),
@@ -693,22 +654,6 @@ mod tests {
             })
             .count();
         assert_eq!(nurls, log.truth.len());
-    }
-
-    #[test]
-    fn single_shard_parallel_matches_serial_modulo_order() {
-        // Tiny fits in one shard, and shard 0 is the legacy market, so
-        // the parallel stream is the serial stream re-sorted.
-        let gen = WeblogGenerator::new(WeblogConfig::tiny());
-        assert_eq!(gen.shard_count(), 1);
-        let mut serial = {
-            let mut market = Market::new(MarketConfig::default());
-            gen.collect(&mut market)
-        };
-        serial.sort_canonical();
-        let parallel = gen.collect_parallel(&MarketConfig::default());
-        assert_eq!(serial.requests, parallel.requests);
-        assert_eq!(serial.truth, parallel.truth);
     }
 
     #[test]

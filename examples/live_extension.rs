@@ -14,9 +14,13 @@ use your_ad_value::weblog::PublisherUniverse;
 
 fn main() {
     // Back-end: market + PME bootstrapped from a probing campaign.
-    let mut market = Market::new(MarketConfig::default());
     let universe = PublisherUniverse::build(0xD474, 600, 240);
-    let a1 = campaign::execute(&mut market, &universe, &Campaign::a1().scaled(25));
+    let a1 = campaign::execute_parallel(
+        &MarketConfig::default(),
+        &universe,
+        &Campaign::a1().scaled(25),
+        &ExecConfig::serial(),
+    );
     let pme = Pme::new();
     pme.train_from_campaign(&a1.rows, &TrainConfig::quick());
 
@@ -28,9 +32,8 @@ fn main() {
     // One panel user's traffic, streamed as a "session".
     let generator = WeblogGenerator::new(WeblogConfig::tiny());
     let mut session: Vec<_> = Vec::new();
-    let mut sink_market = Market::new(MarketConfig::default());
     generator.run(
-        &mut sink_market,
+        &MarketConfig::default(),
         |req| {
             if req.user == UserId(3) {
                 session.push(req.clone());

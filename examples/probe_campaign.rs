@@ -8,7 +8,7 @@
 //! the paper's campaigns (scaled), and reports the headline contrast:
 //! encrypted charge prices run ≈1.7× above cleartext ones.
 
-use your_ad_value::campaign::{execute, Campaign, CampaignPlan};
+use your_ad_value::campaign::{execute_parallel, Campaign, CampaignPlan};
 use your_ad_value::prelude::*;
 use your_ad_value::stats::summary::median;
 use your_ad_value::weblog::PublisherUniverse;
@@ -23,12 +23,16 @@ fn main() {
     println!("  imps per campaign : ≥{}", plan.impressions_per_setup);
 
     // --- Execute both campaigns (scaled for a laptop run) -------------
-    let mut market = Market::new(MarketConfig::default());
     let universe = PublisherUniverse::build(0xD474, 1800, 700);
 
     let scale = 60; // impressions per setup (paper: 4 394 / 2 215)
     println!("\nexecuting A1 (4 encrypting exchanges, May 2016) …");
-    let a1 = execute(&mut market, &universe, &Campaign::a1().scaled(scale));
+    let a1 = execute_parallel(
+        &MarketConfig::default(),
+        &universe,
+        &Campaign::a1().scaled(scale),
+        &ExecConfig::serial(),
+    );
     println!(
         "  {} impressions | {} publishers | {} IABs | spend {}",
         a1.rows.len(),
@@ -38,7 +42,12 @@ fn main() {
     );
 
     println!("executing A2 (MoPub cleartext, June 2016) …");
-    let a2 = execute(&mut market, &universe, &Campaign::a2().scaled(scale));
+    let a2 = execute_parallel(
+        &MarketConfig::default(),
+        &universe,
+        &Campaign::a2().scaled(scale),
+        &ExecConfig::serial(),
+    );
     println!(
         "  {} impressions | {} publishers | {} IABs | spend {}",
         a2.rows.len(),

@@ -15,14 +15,18 @@ use your_ad_value::prelude::*;
 
 fn main() {
     // 1. The world: a simulated RTB market and a browsing panel.
-    let mut market = Market::new(MarketConfig::default());
     let generator = WeblogGenerator::new(WeblogConfig::small());
     let universe = generator.universe().clone();
 
     // 2. Ground truth for encrypted prices: a probing ad-campaign on the
     //    four price-encrypting exchanges (the paper's campaign A1).
     println!("running probing ad-campaign A1 (scaled) …");
-    let a1 = campaign::execute(&mut market, &universe, &Campaign::a1().scaled(40));
+    let a1 = campaign::execute_parallel(
+        &MarketConfig::default(),
+        &universe,
+        &Campaign::a1().scaled(40),
+        &ExecConfig::serial(),
+    );
     println!(
         "  bought {} impressions on {} publishers for {}",
         a1.rows.len(),
@@ -48,7 +52,7 @@ fn main() {
     // 5. Stream the panel's browsing year through the client.
     println!("streaming panel traffic through YourAdValue …");
     generator.run(
-        &mut market,
+        &MarketConfig::default(),
         |req| {
             yav.observe(req);
         },

@@ -19,12 +19,16 @@ fn main() {
     // The world stays bit-identical either way — spans only observe.
     trace::set_enabled(true);
 
-    let mut market = Market::new(MarketConfig::default());
     let generator = WeblogGenerator::new(WeblogConfig::small());
     let universe = generator.universe().clone();
 
     println!("probing campaign + training (traced) …");
-    let a1 = campaign::execute(&mut market, &universe, &Campaign::a1().scaled(40));
+    let a1 = campaign::execute_parallel(
+        &MarketConfig::default(),
+        &universe,
+        &Campaign::a1().scaled(40),
+        &ExecConfig::serial(),
+    );
     let pme = Pme::new();
     pme.train_from_campaign(&a1.rows, &TrainConfig::quick());
 
@@ -39,7 +43,7 @@ fn main() {
     let mut health = trace::HealthEngine::with_defaults();
     let mut batch: Vec<_> = Vec::with_capacity(512);
     generator.run(
-        &mut market,
+        &MarketConfig::default(),
         |req| {
             batch.push(req.clone());
             if batch.len() == batch.capacity() {

@@ -9,12 +9,11 @@
 //! time-shift correction and prints the per-user cost distribution —
 //! the data behind Figures 17–19.
 //!
-//! The whole pipeline runs on the `yav-exec` worker pool — generation,
-//! analysis and campaigns shard across every core, and the end-of-run
+//! Generation and analysis run on the calling thread; the probing
+//! campaigns shard across the `yav-exec` worker pool, and the end-of-run
 //! telemetry report shows the `exec.*` pool metrics. The printed numbers
 //! are identical for any thread count.
 
-use your_ad_value::analyzer::analyze_parallel;
 use your_ad_value::core::methodology::PopulationSummary;
 use your_ad_value::prelude::*;
 use your_ad_value::stats::summary::median;
@@ -22,18 +21,17 @@ use your_ad_value::stats::summary::median;
 fn main() {
     // --- Dataset D (scaled): generate and analyse ----------------------
     let exec = ExecConfig::default();
-    let generator = WeblogGenerator::new(WeblogConfig {
-        exec,
-        ..WeblogConfig::small()
-    });
+    let generator = WeblogGenerator::new(WeblogConfig::small());
     let market_config = MarketConfig::default();
-    println!(
-        "generating and analysing the panel trace on {} thread(s) …",
-        exec.threads()
-    );
-    let log = generator.collect_parallel(&market_config);
+    println!("generating and analysing the panel trace …");
+    let mut log = generator.collect(&market_config);
+    log.sort_canonical();
     let requests = log.requests.len();
-    let report = analyze_parallel(&log.requests, &exec).report;
+    let mut analyzer = WeblogAnalyzer::new();
+    for req in &log.requests {
+        analyzer.ingest(req);
+    }
+    let report = analyzer.finish();
     println!(
         "  {requests} HTTP requests | {} users | {} RTB impressions detected",
         report.users_seen,

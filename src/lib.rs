@@ -32,12 +32,13 @@
 //! use your_ad_value::prelude::*;
 //!
 //! // A miniature world: market + user panel.
-//! let mut market = Market::new(MarketConfig::default());
+//! let market = MarketConfig::default();
 //! let generator = WeblogGenerator::new(WeblogConfig::tiny());
 //!
 //! // Ground truth for encrypted prices comes from a probing campaign.
 //! let universe = generator.universe().clone();
-//! let report = campaign::execute(&mut market, &universe, &Campaign::a1().scaled(6));
+//! let a1 = Campaign::a1().scaled(6);
+//! let report = campaign::execute_parallel(&market, &universe, &a1, &ExecConfig::serial());
 //!
 //! // The PME trains the estimator; the client downloads it.
 //! let pme = Pme::new();
@@ -46,7 +47,7 @@
 //! assert!(yav.refresh_model(&pme));
 //!
 //! // Stream browsing traffic through the client.
-//! generator.run(&mut market, |req| { yav.observe(&req); }, |_| {});
+//! generator.run(&market, |req| { yav.observe(&req); }, |_| {});
 //! let summary = yav.ledger().summary();
 //! assert!(summary.total().is_positive());
 //! println!("advertisers paid ≈ {} CPM for this panel", summary.total());

@@ -121,8 +121,7 @@ fn analyzer_is_total_over_mutated_real_traffic() {
     // Take genuine traffic and byte-flip the URLs; the pipeline must
     // survive every mutation.
     let generator = WeblogGenerator::new(your_ad_value::weblog::WeblogConfig::tiny());
-    let mut market = Market::new(MarketConfig::default());
-    let log = generator.collect(&mut market);
+    let log = generator.collect(&MarketConfig::default());
     let mut analyzer = WeblogAnalyzer::new();
     for (i, r) in log.requests.iter().take(2000).enumerate() {
         let mut mutated = r.clone();

@@ -17,11 +17,10 @@ struct World {
 
 fn build_world() -> World {
     let generator = WeblogGenerator::new(WeblogConfig::tiny());
-    let mut market = Market::new(MarketConfig::default());
     let mut analyzer = WeblogAnalyzer::new();
     let mut truth = Vec::new();
     generator.run(
-        &mut market,
+        &MarketConfig::default(),
         |req| {
             analyzer.ingest(req);
         },
@@ -30,8 +29,18 @@ fn build_world() -> World {
     let report = analyzer.finish();
 
     let universe = generator.universe().clone();
-    let a1 = campaign::execute(&mut market, &universe, &Campaign::a1().scaled(15));
-    let a2 = campaign::execute(&mut market, &universe, &Campaign::a2().scaled(10));
+    let a1 = campaign::execute_parallel(
+        &MarketConfig::default(),
+        &universe,
+        &Campaign::a1().scaled(15),
+        &ExecConfig::serial(),
+    );
+    let a2 = campaign::execute_parallel(
+        &MarketConfig::default(),
+        &universe,
+        &Campaign::a2().scaled(10),
+        &ExecConfig::serial(),
+    );
 
     let pme = Pme::new();
     pme.train_from_campaign(&a1.rows, &TrainConfig::quick());
@@ -132,21 +141,24 @@ fn client_and_offline_methodology_agree() {
     // city feature mattering: compare cleartext exactly, encrypted counts
     // exactly).
     let generator = WeblogGenerator::new(WeblogConfig::tiny());
-    let mut market = Market::new(MarketConfig::default());
     let mut analyzer = WeblogAnalyzer::new();
     let mut clients: std::collections::HashMap<UserId, YourAdValue> =
         std::collections::HashMap::new();
 
     let universe = generator.universe().clone();
-    let mut campaign_market = Market::new(MarketConfig::default());
-    let a1 = campaign::execute(&mut campaign_market, &universe, &Campaign::a1().scaled(10));
+    let a1 = campaign::execute_parallel(
+        &MarketConfig::default(),
+        &universe,
+        &Campaign::a1().scaled(10),
+        &ExecConfig::serial(),
+    );
     let pme = Pme::new();
     pme.train_from_campaign(&a1.rows, &TrainConfig::quick());
     let model = pme.current_model().unwrap();
 
     let panel = generator.panel().users().to_vec();
     generator.run(
-        &mut market,
+        &MarketConfig::default(),
         |req| {
             analyzer.ingest(req);
             let home = panel.get(req.user.0 as usize).map(|u| u.home);

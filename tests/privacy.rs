@@ -15,10 +15,9 @@ fn encrypted_tokens_are_opaque_to_observers() {
     // token's wire form; decoding it without the integration keys fails
     // closed.
     let generator = WeblogGenerator::new(WeblogConfig::tiny());
-    let mut market = Market::new(MarketConfig::default());
     let mut analyzer = WeblogAnalyzer::new();
     generator.run(
-        &mut market,
+        &MarketConfig::default(),
         |req| {
             analyzer.ingest(req);
         },
@@ -66,11 +65,10 @@ fn identical_prices_produce_unlinkable_tokens() {
 fn contributions_carry_no_user_identifier() {
     // Serialise a contribution batch and assert no user-id field exists
     // in the payload (the anonymity property of §3.3).
-    let mut market = Market::new(MarketConfig::default());
     let generator = WeblogGenerator::new(WeblogConfig::tiny());
     let mut yav = YourAdValue::new(Some(City::Madrid));
     generator.run(
-        &mut market,
+        &MarketConfig::default(),
         |req| {
             yav.observe(req);
         },
@@ -94,10 +92,14 @@ fn contributions_carry_no_user_identifier() {
 fn estimation_happens_client_side() {
     // With a model installed, estimating requires no further PME calls:
     // the engine can be dropped before any traffic is observed.
-    let mut market = Market::new(MarketConfig::default());
     let generator = WeblogGenerator::new(WeblogConfig::tiny());
     let universe = generator.universe().clone();
-    let a1 = campaign::execute(&mut market, &universe, &Campaign::a1().scaled(8));
+    let a1 = campaign::execute_parallel(
+        &MarketConfig::default(),
+        &universe,
+        &Campaign::a1().scaled(8),
+        &ExecConfig::serial(),
+    );
 
     let model = {
         let pme = Pme::new();
@@ -109,7 +111,7 @@ fn estimation_happens_client_side() {
     let mut yav = YourAdValue::new(None);
     yav.install_model(model);
     generator.run(
-        &mut market,
+        &MarketConfig::default(),
         |req| {
             yav.observe(req);
         },
@@ -130,12 +132,11 @@ fn exports_carry_no_raw_urls_and_no_per_user_ledger_state() {
     use your_ad_value::trace;
 
     let generator = WeblogGenerator::new(WeblogConfig::small());
-    let mut market = Market::new(MarketConfig::default());
     let mut yav = YourAdValue::new(Some(City::Madrid));
     let mut urls: Vec<String> = Vec::new();
     trace::set_enabled(true);
     generator.run(
-        &mut market,
+        &MarketConfig::default(),
         |req| {
             if urls.len() < 128 {
                 urls.push(req.url.clone());

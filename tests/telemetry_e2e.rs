@@ -8,17 +8,26 @@ use your_ad_value::prelude::*;
 fn pipeline_run_produces_a_full_snapshot() {
     // --- Drive every stage at test scale.
     let generator = WeblogGenerator::new(WeblogConfig::tiny());
-    let mut market = Market::new(MarketConfig::default());
     let mut analyzer = WeblogAnalyzer::new();
     let mut yav = YourAdValue::new(Some(City::Madrid));
     let mut requests = Vec::new();
-    generator.run(&mut market, |req| requests.push(req.clone()), |_| {});
+    generator.run(
+        &MarketConfig::default(),
+        |req| requests.push(req.clone()),
+        |_| {},
+    );
     for req in &requests {
         analyzer.ingest(req);
         yav.observe(req);
     }
     let universe = your_ad_value::weblog::PublisherUniverse::build(0xD474, 300, 120);
-    let rows = campaign::execute(&mut market, &universe, &Campaign::a1().scaled(2)).rows;
+    let rows = campaign::execute_parallel(
+        &MarketConfig::default(),
+        &universe,
+        &Campaign::a1().scaled(2),
+        &ExecConfig::serial(),
+    )
+    .rows;
     let pme = Pme::new();
     pme.train_from_campaign(&rows, &TrainConfig::quick());
     yav.refresh_model(&pme);
