@@ -371,7 +371,7 @@ impl Market {
             nurl,
         });
 
-        // yav-lint: allow(alloc-in-gen-path) — owned emitter for the materialising builder; the streamed sink uses run_auction_into
+        // yav-lint: allow(alloc-in-gen-path) — owned emitter for run_auction_with_probe, the campaign ground-truth path; the streamed sink uses run_auction_into
         (AuctionResult::Sale(Box::new(outcome)), probe_win)
     }
 

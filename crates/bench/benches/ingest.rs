@@ -129,11 +129,10 @@ fn ingest_borrowed(urls: &[String], scratch: &mut UrlScratch) -> usize {
     matched
 }
 
-/// One training run, both client artifacts: the paper-default 40-tree
-/// forest shipped whole (`ClientArtifact::Forest`) plus the §3.2
-/// single-tree client derived from the same run. Cross-validation is cut
-/// to one 2-fold pass — the bench needs the estimator, not the CV table.
-fn trained_models() -> (ClientModel, ClientModel) {
+/// The §3.2 single-tree client from one paper-default 40-tree training
+/// run. Cross-validation is cut to one 2-fold pass — the bench needs the
+/// estimator, not the CV table.
+fn trained_model() -> ClientModel {
     let universe = yav_weblog::PublisherUniverse::build(0xD474, 300, 120);
     let rows = yav_campaign::execute_parallel(
         &yav_auction::MarketConfig::default(),
@@ -146,20 +145,13 @@ fn trained_models() -> (ClientModel, ClientModel) {
     pme.train_from_campaign(
         &rows,
         &TrainConfig {
-            artifact: yav_pme::ClientArtifact::Forest,
             cv_folds: 2,
             cv_runs: 1,
             max_rows: 6_000,
             ..TrainConfig::default()
         },
     );
-    let forest = pme.current_model().expect("model just trained");
-    let tree = ClientModel {
-        artifact: yav_pme::ClientArtifact::Tree,
-        compiled: yav_ml::CompiledForest::from_tree(&forest.tree),
-        ..forest.clone()
-    };
-    (tree, forest)
+    pme.current_model().expect("model just trained")
 }
 
 fn bench_parsers(c: &mut Criterion) {
@@ -237,22 +229,14 @@ fn bench_baseline(_c: &mut Criterion) {
     }
     yav_simd::force_level(None);
 
-    // End-to-end monitor, serial vs batch, under both client artifacts.
-    // On the mixed stream the sift dominates (and is identical in both
-    // paths), so batch ≈ serial regardless of artifact; the
-    // all-notification stream is measured twice: the §3.2 single-tree
-    // client (prediction is a rounding error there) and the full-forest
-    // client, where `predict_batch`'s level-synchronous traversal is the
-    // whole story.
+    // End-to-end monitor, serial vs batch, under the §3.2 single-tree
+    // client. On the mixed stream the sift dominates (and is identical in
+    // both paths), so batch ≈ serial; on the all-notification stream
+    // prediction is still a rounding error next to the sift.
     let t = SimTime::from_ymd_hm(2015, 10, 1, 12, 0);
-    let (tree_model, forest_model) = trained_models();
+    let model = trained_model();
     let mut observe_rows = Vec::new();
-    for (stream_name, urls, model) in [
-        ("mixed", &mixed, &tree_model),
-        ("nurl", &nurls, &tree_model),
-        ("nurl", &nurls, &forest_model),
-    ] {
-        let client = model.artifact.name();
+    for (stream_name, urls) in [("mixed", &mixed), ("nurl", &nurls)] {
         let requests: Vec<HttpRequest> = urls.iter().map(|u| HttpRequest::bare(t, u)).collect();
 
         let mut serial = YourAdValue::new(None);
@@ -295,14 +279,14 @@ fn bench_baseline(_c: &mut Criterion) {
             .map(|(h, before)| (h.snapshot().sum - before) * 1e3 / total_reqs)
             .collect();
         println!(
-            "ingest/observe_{stream_name}[{client}]: per-req ns serial {observe_serial:.0}, \
+            "ingest/observe_{stream_name}[tree]: per-req ns serial {observe_serial:.0}, \
              batch {observe_batch:.0} ({:.2}x; sift {:.0} + predict {:.0} + commit {:.0})",
             observe_serial / observe_batch,
             phase_ns[0],
             phase_ns[1],
             phase_ns[2]
         );
-        observe_rows.push((stream_name, client, observe_serial, observe_batch, phase_ns));
+        observe_rows.push((stream_name, observe_serial, observe_batch, phase_ns));
     }
 
     let mut json = String::from("[\n");
@@ -323,25 +307,20 @@ fn bench_baseline(_c: &mut Criterion) {
              \"ns_per_req\":{nurl_ns:.1}}},\n"
         ));
     }
-    // Every observe row names the client artifact it ran under. The
-    // unsuffixed nurl rows are the full-forest client (the artifact the
-    // batch path exists for); the `_tree` twins keep the §3.2 default
-    // client comparable across recordings.
-    for (i, (stream_name, client, serial, batch, phase_ns)) in observe_rows.iter().enumerate() {
+    // The nurl rows keep their `_tree` suffix and every row its `client`
+    // field, so they stay comparable with earlier recordings, whose
+    // unsuffixed nurl rows were a full-forest client.
+    for (i, (stream_name, serial, batch, phase_ns)) in observe_rows.iter().enumerate() {
         let tail = if i + 1 == observe_rows.len() {
             "\n]\n"
         } else {
             ",\n"
         };
-        let suffix = if *stream_name == "nurl" && *client == "tree" {
-            "_tree"
-        } else {
-            ""
-        };
+        let suffix = if *stream_name == "nurl" { "_tree" } else { "" };
         json.push_str(&format!(
-            "  {{\"bench\":\"observe_serial_{stream_name}{suffix}\",\"client\":\"{client}\",\
+            "  {{\"bench\":\"observe_serial_{stream_name}{suffix}\",\"client\":\"tree\",\
              \"ns_per_req\":{serial:.1}}},\n  \
-             {{\"bench\":\"observe_batch_{stream_name}{suffix}\",\"client\":\"{client}\",\
+             {{\"bench\":\"observe_batch_{stream_name}{suffix}\",\"client\":\"tree\",\
              \"ns_per_req\":{batch:.1},\
              \"speedup_vs_serial\":{:.2},\"sift_ns\":{:.1},\"predict_ns\":{:.1},\
              \"commit_ns\":{:.1}}}{tail}",

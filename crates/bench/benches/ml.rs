@@ -5,6 +5,7 @@
 //! must stay in the microsecond range.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use yav_ml::tree::argmax;
 use yav_ml::{CompiledForest, Dataset, Discretizer, RandomForest, RandomForestConfig, TreeConfig};
 
 /// A deterministic 3-class dataset shaped like campaign ground truth:
@@ -75,13 +76,16 @@ fn bench_forest(c: &mut Criterion) {
     let row = data.row(17).to_vec();
     let mut g = c.benchmark_group("ml_predict");
     g.throughput(Throughput::Elements(1));
+    let mut probs = vec![0.0f64; 3];
     g.bench_function("forest_predict", |b| {
-        b.iter(|| forest.predict(black_box(&row)))
+        b.iter(|| {
+            forest.predict_proba_into(black_box(&row), &mut probs);
+            argmax(&probs)
+        })
     });
     let tree = forest.representative_tree(&data);
     g.bench_function("tree_predict", |b| b.iter(|| tree.predict(black_box(&row))));
     let compiled = CompiledForest::compile(&forest);
-    let mut probs = vec![0.0f64; 3];
     g.bench_function("compiled_predict_into", |b| {
         b.iter(|| {
             compiled.predict_into(black_box(&row), &mut probs);
@@ -138,10 +142,15 @@ fn bench_compiled(_c: &mut Criterion) {
         best / n as f64
     };
 
-    let arena = time_per_row(30, &mut || {
-        (0..n).map(|r| forest.predict(data.row(r))).sum()
-    });
     let mut probs = vec![0.0f64; data.n_classes()];
+    let arena = time_per_row(30, &mut || {
+        (0..n)
+            .map(|r| {
+                forest.predict_proba_into(data.row(r), &mut probs);
+                argmax(&probs)
+            })
+            .sum()
+    });
     let single = time_per_row(30, &mut || {
         (0..n)
             .map(|r| compiled.predict_with(data.row(r), &mut probs))

@@ -9,7 +9,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use yav_analyzer::DetectedImpression;
-use yav_pme::model::{ClientModel, CoreContext};
+use yav_pme::model::{ClientModel, CoreContext, EstimateScratch};
 use yav_pme::timeshift::TimeShift;
 use yav_types::{Cpm, PriceVisibility, UserId};
 
@@ -71,6 +71,7 @@ pub fn per_user_costs(
     shift: &TimeShift,
 ) -> Vec<UserCost> {
     let mut accounts: BTreeMap<UserId, UserCost> = BTreeMap::new();
+    let mut scratch = EstimateScratch::new();
     for det in detections {
         let account = accounts.entry(det.user).or_insert(UserCost {
             user: det.user,
@@ -90,7 +91,7 @@ pub fn per_user_costs(
                 account.cleartext_count += 1;
             }
             PriceVisibility::Encrypted => {
-                let estimate = model.estimate(&CoreContext::from(det));
+                let estimate = model.estimate_into(&CoreContext::from(det), &mut scratch);
                 account.encrypted_estimated = account.encrypted_estimated.saturating_add(estimate);
                 account.encrypted_count += 1;
             }

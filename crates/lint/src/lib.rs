@@ -16,7 +16,7 @@
 //!
 //! | rule | kind | invariant |
 //! |---|---|---|
-//! | `nondet-iteration` | token | no `HashMap`/`HashSet` on parallel merge/report paths |
+//! | `nondet-iteration` | token | no `HashMap`/`HashSet` in crates whose maps reports iterate |
 //! | `wall-clock-in-sim` | token | `Instant::now`/`SystemTime::now` only in `telemetry`/`bench`/`lint` |
 //! | `panic-policy` | token | no `unwrap`/`expect`/`panic!` in `nurl`, `pme::engine`, `core::monitor` |
 //! | `forbid-unsafe-coverage` | token | every crate root carries `#![forbid(unsafe_code)]` |

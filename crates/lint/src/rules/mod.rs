@@ -60,11 +60,11 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     RuleDoc {
         name: "nondet-iteration",
         kind: "token",
-        invariant: "No `HashMap`/`HashSet` in the crates on the parallel merge/report \
-                    paths (`analyzer`, `campaign`, `weblog`, `pme`, `core`): hash \
-                    iteration order would break thread-count-invariant output.",
-        example: "HashMap iteration order is nondeterministic; crate `analyzer` is on \
-                  the parallel merge/report path — use BTreeMap",
+        invariant: "No `HashMap`/`HashSet` in the crates whose maps reports and \
+                    figures iterate (`analyzer`, `campaign`, `weblog`, `pme`, `core`): \
+                    hash iteration order would reach output order.",
+        example: "HashMap iteration order is nondeterministic; reports and figures \
+                  iterate crate `analyzer`'s maps — use BTreeMap",
     },
     RuleDoc {
         name: "wall-clock-in-sim",

@@ -1,17 +1,17 @@
-//! `nondet-iteration`: no `HashMap`/`HashSet` in crates on the parallel
-//! merge/report paths.
+//! `nondet-iteration`: no `HashMap`/`HashSet` in the crates whose maps
+//! reports and figures iterate.
 //!
-//! PR 2's guarantee — thread count never changes output — holds only
-//! when nothing on a merge or report path iterates a randomised-order
-//! container. The scoped crates must use `BTreeMap`/`BTreeSet` (ordered
-//! by construction) or carry a reasoned suppression for keyed-lookup-only
+//! Output order — and so every byte the identity suites compare — is
+//! fixed only when none of those maps iterates in a randomised order.
+//! The scoped crates must use `BTreeMap`/`BTreeSet` (ordered by
+//! construction) or carry a reasoned suppression for keyed-lookup-only
 //! maps that are provably never iterated.
 
 use crate::engine::{Diagnostic, Rule};
 use crate::source::SourceFile;
 
-/// Crates whose shard-merge or report output could be reordered by hash
-/// iteration.
+/// Crates whose maps reports and figures iterate, so hash iteration
+/// would reorder their output.
 const SCOPED_CRATES: &[&str] = &["analyzer", "campaign", "weblog", "pme", "core"];
 
 const BANNED: &[(&str, &str)] = &[("HashMap", "BTreeMap"), ("HashSet", "BTreeSet")];
@@ -47,8 +47,8 @@ impl Rule for NondetIteration {
                     line: tok.line,
                     col: tok.col,
                     message: format!(
-                        "{banned} iteration order is nondeterministic; crate `{}` is on the \
-                         parallel merge/report path — use {replacement}, or suppress with a \
+                        "{banned} iteration order is nondeterministic; reports and figures \
+                         iterate crate `{}`'s maps — use {replacement}, or suppress with a \
                          reason if the map is never iterated",
                         file.crate_name
                     ),

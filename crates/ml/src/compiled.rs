@@ -2,9 +2,8 @@
 //! [`RandomForest`] (or single [`DecisionTree`]).
 //!
 //! The arena walker in [`crate::tree`] pointer-chases enum-tagged nodes
-//! and [`RandomForest::predict_proba`] allocates a fresh `Vec<f64>` per
-//! call — fine for training-time use, too slow for the client hot path
-//! where every encrypted impression triggers a prediction inside an RTB
+//! — fine for training-time use, too slow for the client hot path where
+//! every encrypted impression triggers a prediction inside an RTB
 //! ~100 ms budget. [`CompiledForest`] lowers every tree of a forest into
 //! flat arrays:
 //!
@@ -116,7 +115,7 @@ impl CompiledForest {
     /// # Panics
     /// Panics on an empty slice, on disagreeing shapes, or if the
     /// ensemble exceeds the u16 feature / 31-bit node index budget.
-    pub fn from_trees(trees: &[DecisionTree]) -> CompiledForest {
+    fn from_trees(trees: &[DecisionTree]) -> CompiledForest {
         assert!(!trees.is_empty(), "cannot compile an empty ensemble");
         let n_classes = trees[0].n_classes();
         let n_features = trees[0].n_features();
@@ -257,7 +256,7 @@ impl CompiledForest {
 
     /// Averaged class probabilities for one row, written into `out` —
     /// the zero-allocation hot path. Bit-identical to
-    /// [`RandomForest::predict_proba`].
+    /// [`RandomForest::predict_proba_into`].
     ///
     /// # Panics
     /// Panics if `row` or `out` have the wrong length.
@@ -284,23 +283,8 @@ impl CompiledForest {
         }
     }
 
-    /// Averaged class probabilities for one row (allocating convenience;
-    /// prefer [`CompiledForest::predict_into`] on hot paths).
-    pub fn predict_proba(&self, row: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.n_classes];
-        self.predict_into(row, &mut out);
-        out
-    }
-
-    /// Majority-vote class for one row (allocates a probability buffer;
-    /// prefer [`CompiledForest::predict_with`] on hot paths).
-    pub fn predict(&self, row: &[f64]) -> usize {
-        argmax(&self.predict_proba(row))
-    }
-
     /// Majority-vote class for one row, using the caller's probability
-    /// buffer — the zero-allocation form of [`CompiledForest::predict`].
-    /// On return `probs` holds the averaged class probabilities.
+    /// buffer. On return `probs` holds the averaged class probabilities.
     ///
     /// # Panics
     /// Panics if `row` or `probs` have the wrong length.
@@ -311,7 +295,7 @@ impl CompiledForest {
 
     /// Majority-vote classes for a flat row-major batch (`rows.len()`
     /// must be a multiple of `n_features`). Results are bit-identical to
-    /// calling [`CompiledForest::predict`] per row.
+    /// calling [`CompiledForest::predict_with`] per row.
     ///
     /// Rows are processed in cache-sized blocks of [`BLOCK`]. Each block
     /// is first transposed to column-major, then each tree is traversed
@@ -520,18 +504,6 @@ impl CompiledForest {
     }
 }
 
-impl From<&RandomForest> for CompiledForest {
-    fn from(forest: &RandomForest) -> CompiledForest {
-        CompiledForest::compile(forest)
-    }
-}
-
-impl From<&DecisionTree> for CompiledForest {
-    fn from(tree: &DecisionTree) -> CompiledForest {
-        CompiledForest::from_tree(tree)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -560,6 +532,14 @@ mod tests {
         )
     }
 
+    /// The arena forest's averaged probabilities and vote for one row.
+    fn arena(forest: &RandomForest, row: &[f64], n_classes: usize) -> (Vec<f64>, usize) {
+        let mut probs = vec![0.0; n_classes];
+        forest.predict_proba_into(row, &mut probs);
+        let class = argmax(&probs);
+        (probs, class)
+    }
+
     #[test]
     fn single_leaf_tree_compiles() {
         let data = Dataset::new(vec![vec![1.0], vec![2.0]], vec![1, 1], 2, vec!["x".into()]);
@@ -569,8 +549,9 @@ mod tests {
         let compiled = CompiledForest::from_tree(&tree);
         assert_eq!(compiled.n_nodes(), 1);
         assert_eq!(compiled.n_leaves(), 1);
-        assert_eq!(compiled.predict(&[9.0]), 1);
-        assert_eq!(compiled.predict_proba(&[9.0]), vec![0.0, 1.0]);
+        let mut probs = vec![0.0; 2];
+        assert_eq!(compiled.predict_with(&[9.0], &mut probs), 1);
+        assert_eq!(probs, vec![0.0, 1.0]);
     }
 
     #[test]
@@ -589,9 +570,9 @@ mod tests {
         let mut buf = vec![0.0; 3];
         for i in 0..data.len() {
             let row = data.row(i);
-            compiled.predict_into(row, &mut buf);
-            assert_eq!(buf, forest.predict_proba(row), "row {i}");
-            assert_eq!(compiled.predict(row), forest.predict(row), "row {i}");
+            let (probs, class) = arena(&forest, row, 3);
+            assert_eq!(compiled.predict_with(row, &mut buf), class, "row {i}");
+            assert_eq!(buf, probs, "row {i}");
         }
     }
 
@@ -621,14 +602,13 @@ mod tests {
         let compiled = CompiledForest::compile(&forest);
         let flat: Vec<f64> = (0..data.len()).flat_map(|i| data.row(i).to_vec()).collect();
         let batch = compiled.predict_batch(&flat, n_features);
+        let mut buf = vec![0.0; 3];
         for (i, &class) in batch.iter().enumerate() {
             let row = data.row(i);
-            assert_eq!(
-                compiled.predict_proba(row),
-                forest.predict_proba(row),
-                "row {i}"
-            );
-            assert_eq!(class, forest.predict(row), "row {i}");
+            let (probs, vote) = arena(&forest, row, 3);
+            compiled.predict_into(row, &mut buf);
+            assert_eq!(buf, probs, "row {i}");
+            assert_eq!(class, vote, "row {i}");
         }
     }
 
@@ -648,7 +628,7 @@ mod tests {
         let batch = compiled.predict_batch(&flat, data.n_features());
         assert_eq!(batch.len(), data.len());
         for (i, &class) in batch.iter().enumerate() {
-            assert_eq!(class, forest.predict(data.row(i)), "row {i}");
+            assert_eq!(class, arena(&forest, data.row(i), 4).1, "row {i}");
         }
     }
 
@@ -667,7 +647,11 @@ mod tests {
         let json = serde_json::to_string(&compiled).unwrap();
         let back: CompiledForest = serde_json::from_str(&json).unwrap();
         assert_eq!(back, compiled);
-        assert_eq!(back.predict(data.row(7)), compiled.predict(data.row(7)));
+        let mut probs = vec![0.0; 2];
+        assert_eq!(
+            back.predict_with(data.row(7), &mut probs),
+            compiled.predict_with(data.row(7), &mut probs)
+        );
     }
 
     #[test]
@@ -681,6 +665,6 @@ mod tests {
                 ..RandomForestConfig::default()
             },
         );
-        CompiledForest::compile(&forest).predict(&[1.0]);
+        CompiledForest::compile(&forest).predict_with(&[1.0], &mut [0.0; 2]);
     }
 }

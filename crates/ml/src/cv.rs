@@ -100,7 +100,8 @@ pub fn cross_validate(
             let mut predicted = Vec::with_capacity(test.len());
             let mut probs = Vec::with_capacity(test.len());
             for &i in &test {
-                let p = forest.predict_proba(data.row(i));
+                let mut p = vec![0.0f64; data.n_classes()];
+                forest.predict_proba_into(data.row(i), &mut p);
                 predicted.push(crate::tree::argmax(&p));
                 probs.push(p);
                 actual.push(data.label(i));

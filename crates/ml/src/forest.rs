@@ -179,21 +179,10 @@ impl RandomForest {
         }
     }
 
-    /// Averaged class probabilities for one row.
-    ///
-    /// Allocates a fresh `Vec` per call — fine for training-time and
-    /// evaluation use, but on hot paths prefer
-    /// [`RandomForest::predict_proba_into`] or the flat
-    /// [`crate::CompiledForest`], which are allocation-free.
-    pub fn predict_proba(&self, row: &[f64]) -> Vec<f64> {
-        let mut probs = vec![0.0f64; self.n_classes];
-        self.predict_proba_into(row, &mut probs);
-        probs
-    }
-
     /// Averaged class probabilities for one row, written into `out` —
-    /// the allocation-free arena-walker path. Results are identical to
-    /// [`RandomForest::predict_proba`].
+    /// the allocation-free arena-walker path. Training-time code (CV, the
+    /// representative tree) votes through it, and it is the oracle the
+    /// flat [`crate::CompiledForest`] is pinned bit-identical to.
     ///
     /// # Panics
     /// Panics if `out.len() != n_classes`.
@@ -207,20 +196,6 @@ impl RandomForest {
         }
         let n = self.trees.len() as f64;
         out.iter_mut().for_each(|p| *p /= n);
-    }
-
-    /// Majority-vote class for one row.
-    ///
-    /// Allocates per call (see [`RandomForest::predict_proba`]); hot
-    /// paths should compile the forest and use
-    /// [`crate::CompiledForest::predict_into`].
-    pub fn predict(&self, row: &[f64]) -> usize {
-        argmax(&self.predict_proba(row))
-    }
-
-    /// Lowers this forest into its flat struct-of-arrays inference form.
-    pub fn compile(&self) -> crate::CompiledForest {
-        crate::CompiledForest::compile(self)
     }
 
     /// The trained trees, for lowering.
@@ -244,17 +219,28 @@ impl RandomForest {
     }
 
     /// The single most representative tree — the one whose lone
-    /// predictions agree most often with the full forest over `data`.
-    /// This is the compact model the PME ships to YourAdValue clients
-    /// ("apply the model M in the form of a decision tree", §3.2).
+    /// predictions agree most often with the full forest over `data`
+    /// (the first such tree on ties). This is the compact model the PME
+    /// ships to YourAdValue clients ("apply the model M in the form of a
+    /// decision tree", §3.2).
     pub fn representative_tree(&self, data: &Dataset) -> &DecisionTree {
-        let mut best = (0usize, -1.0f64);
+        // One forest vote per row, shared by every tree's agreement count.
+        let mut probs = vec![0.0f64; self.n_classes];
+        let votes: Vec<usize> = (0..data.len())
+            .map(|i| {
+                self.predict_proba_into(data.row(i), &mut probs);
+                argmax(&probs)
+            })
+            .collect();
+        let mut best = (0usize, None);
         for (t, tree) in self.trees.iter().enumerate() {
-            let agree = (0..data.len())
-                .filter(|&i| tree.predict(data.row(i)) == self.predict(data.row(i)))
-                .count() as f64;
-            if agree > best.1 {
-                best = (t, agree);
+            let agree = votes
+                .iter()
+                .enumerate()
+                .filter(|&(i, &vote)| tree.predict(data.row(i)) == vote)
+                .count();
+            if Some(agree) > best.1 {
+                best = (t, Some(agree));
             }
         }
         &self.trees[best.0]
@@ -292,12 +278,19 @@ mod tests {
         )
     }
 
+    /// The forest's majority-vote class for one row.
+    fn vote(forest: &RandomForest, row: &[f64]) -> usize {
+        let mut probs = vec![0.0f64; forest.n_classes];
+        forest.predict_proba_into(row, &mut probs);
+        argmax(&probs)
+    }
+
     #[test]
     fn learns_and_reports_low_oob() {
         let data = dataset(600);
         let forest = RandomForest::fit(&data, &RandomForestConfig::default());
         let correct = (0..data.len())
-            .filter(|&i| forest.predict(data.row(i)) == data.label(i))
+            .filter(|&i| vote(&forest, data.row(i)) == data.label(i))
             .count();
         assert!(correct as f64 / data.len() as f64 > 0.97);
         assert!(forest.oob_error() < 0.1, "oob {}", forest.oob_error());
@@ -341,8 +334,9 @@ mod tests {
     fn probabilities_sum_to_one() {
         let data = dataset(300);
         let forest = RandomForest::fit(&data, &RandomForestConfig::default());
+        let mut p = vec![0.0f64; 3];
         for i in (0..data.len()).step_by(37) {
-            let p = forest.predict_proba(data.row(i));
+            forest.predict_proba_into(data.row(i), &mut p);
             assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
             assert!(p.iter().all(|&x| (0.0..=1.0).contains(&x)));
         }
@@ -350,17 +344,51 @@ mod tests {
 
     #[test]
     fn representative_tree_agrees_with_forest() {
-        let data = dataset(400);
-        let forest = RandomForest::fit(&data, &RandomForestConfig::default());
-        let tree = forest.representative_tree(&data);
-        let agree = (0..data.len())
-            .filter(|&i| tree.predict(data.row(i)) == forest.predict(data.row(i)))
-            .count();
-        assert!(
-            agree as f64 / data.len() as f64 > 0.9,
-            "agreement {agree}/{}",
-            data.len()
+        // On the clean set every tree agrees with the forest on every
+        // row, so the tie rule decides. Flipping every seventh label,
+        // independently of the features, makes the trees overfit
+        // differently, so the agreement counts differ.
+        let clean = dataset(400);
+        let noisy = Dataset::new(
+            (0..clean.len()).map(|i| clean.row(i).to_vec()).collect(),
+            (0..clean.len())
+                .map(|i| (clean.label(i) + usize::from(i % 7 == 0)) % 3)
+                .collect(),
+            3,
+            vec!["x".into(), "y".into(), "noise".into()],
         );
+        for data in [clean, noisy] {
+            let forest = RandomForest::fit(&data, &RandomForestConfig::default());
+            let tree = forest.representative_tree(&data);
+            // Oracle: the per-tree formulation, re-voting the forest on
+            // every row for every tree.
+            let agreement: Vec<usize> = forest
+                .trees()
+                .iter()
+                .map(|t| {
+                    (0..data.len())
+                        .filter(|&i| t.predict(data.row(i)) == vote(&forest, data.row(i)))
+                        .count()
+                })
+                .collect();
+            let picked = forest
+                .trees()
+                .iter()
+                .position(|t| std::ptr::eq(t, tree))
+                .expect("the representative is one of the forest's trees");
+            let max = *agreement.iter().max().unwrap();
+            assert_eq!(agreement[picked], max, "agreement {agreement:?}");
+            // The first tree wins ties.
+            assert!(
+                agreement[..picked].iter().all(|&a| a < max),
+                "agreement {agreement:?}, picked {picked}"
+            );
+            assert!(
+                max as f64 / data.len() as f64 > 0.9,
+                "agreement {max}/{}",
+                data.len()
+            );
+        }
     }
 
     #[test]

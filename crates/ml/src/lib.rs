@@ -13,13 +13,13 @@
 //! * [`dataset`] — row-major feature matrices with named columns;
 //! * [`discretize`] — the §5.1 price-class construction (log transform +
 //!   balanced entropy splits with a leave-one-out entropy estimate);
-//! * [`tree`] — CART decision trees (the model YourAdValue ships to the
-//!   client, so it is fully serde-serialisable);
+//! * [`tree`] — CART decision trees, the arena form training grows and
+//!   forests vote with;
 //! * [`forest`] — bagged random forests with OOB error and impurity
 //!   importances, trained in parallel with crossbeam scoped threads;
 //! * [`compiled`] — the flat struct-of-arrays inference form a trained
-//!   forest is lowered into for allocation-free, cache-blocked
-//!   prediction on the client hot path;
+//!   forest or tree is lowered into for allocation-free, cache-blocked
+//!   prediction; YourAdValue ships one compiled tree to the client;
 //! * [`metrics`] — confusion-matrix statistics and AUCROC;
 //! * [`cv`] — stratified k-fold cross-validation;
 //! * [`linreg`] — the OLS baseline the paper discarded.

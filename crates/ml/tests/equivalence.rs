@@ -8,6 +8,7 @@
 //! bit-identical to the seed implementation — lives next to the private
 //! reference implementation in `tree::tests`.)
 
+use yav_ml::tree::argmax;
 use yav_ml::{CompiledForest, Dataset, RandomForest, RandomForestConfig, TreeConfig};
 
 /// A deterministic multi-modal dataset: mixed integer-ish and fractional
@@ -40,6 +41,13 @@ fn dataset(n: usize, n_features: usize, n_classes: usize, salt: u64) -> Dataset 
         .collect();
     let names = (0..n_features).map(|f| format!("f{f}")).collect();
     Dataset::new(rows, labels, n_classes, names)
+}
+
+/// The arena forest's majority-vote class for one row.
+fn arena_class(forest: &RandomForest, row: &[f64], n_classes: usize) -> usize {
+    let mut probs = vec![0.0f64; n_classes];
+    forest.predict_proba_into(row, &mut probs);
+    argmax(&probs)
 }
 
 /// The grid of model shapes under test.
@@ -90,10 +98,9 @@ fn compiled_probabilities_are_bit_identical_to_arena() {
             let fast_bits: Vec<u64> = fast.iter().map(|p| p.to_bits()).collect();
             let slow_bits: Vec<u64> = slow.iter().map(|p| p.to_bits()).collect();
             assert_eq!(fast_bits, slow_bits, "config {i}, row {r}");
-            assert_eq!(slow, forest.predict_proba(row), "config {i}, row {r}");
             assert_eq!(
-                compiled.predict(row),
-                forest.predict(row),
+                compiled.predict_with(row, &mut fast),
+                argmax(&slow),
                 "config {i}, row {r}"
             );
         }
@@ -106,11 +113,15 @@ fn batch_prediction_matches_per_row_everywhere() {
         // 193 rows: exercises the ragged final block of the 64-row tiling.
         let data = dataset(193, 5, n_classes, 0xBA7C + i as u64);
         let forest = RandomForest::fit(&data, &config);
-        let compiled = forest.compile();
+        let compiled = CompiledForest::compile(&forest);
         let flat: Vec<f64> = (0..data.len()).flat_map(|r| data.row(r).to_vec()).collect();
         let batch = compiled.predict_batch(&flat, data.n_features());
         for (r, &class) in batch.iter().enumerate() {
-            assert_eq!(class, forest.predict(data.row(r)), "config {i}, row {r}");
+            assert_eq!(
+                class,
+                arena_class(&forest, data.row(r), n_classes),
+                "config {i}, row {r}"
+            );
         }
     }
 }
@@ -123,7 +134,7 @@ fn batch_prediction_is_tier_independent() {
     let (n_classes, config) = configs().into_iter().nth(1).unwrap();
     let data = dataset(500, 5, n_classes, 0x51D);
     let forest = RandomForest::fit(&data, &config);
-    let compiled = forest.compile();
+    let compiled = CompiledForest::compile(&forest);
     let flat: Vec<f64> = (0..data.len()).flat_map(|r| data.row(r).to_vec()).collect();
     yav_simd::force_level(Some(yav_simd::Level::Scalar));
     let want = compiled.predict_batch(&flat, data.n_features());
@@ -153,19 +164,20 @@ fn compiled_form_survives_serialization_next_to_the_arena_form() {
             ..RandomForestConfig::default()
         },
     );
-    let compiled = forest.compile();
-    // Both forms ship in one artifact; deserialising must reproduce the
-    // exact prediction surface without re-lowering.
-    let artifact = serde_json::to_string(&(&forest, &compiled)).unwrap();
+    let compiled = CompiledForest::compile(&forest);
+    // The PME keeps the arena forest server-side and clients receive only
+    // the compiled form; each must deserialise to the exact prediction
+    // surface, the compiled one without re-lowering.
+    let json = serde_json::to_string(&(&forest, &compiled)).unwrap();
     let (back_forest, back_compiled): (RandomForest, CompiledForest) =
-        serde_json::from_str(&artifact).unwrap();
+        serde_json::from_str(&json).unwrap();
     assert_eq!(back_compiled, compiled);
+    let mut fast = vec![0.0f64; 4];
+    let mut slow = vec![0.0f64; 4];
     for r in 0..data.len() {
         let row = data.row(r);
-        assert_eq!(
-            back_compiled.predict_proba(row),
-            back_forest.predict_proba(row),
-            "row {r}"
-        );
+        back_compiled.predict_into(row, &mut fast);
+        back_forest.predict_proba_into(row, &mut slow);
+        assert_eq!(fast, slow, "row {r}");
     }
 }

@@ -79,21 +79,16 @@ impl Pme {
     pub fn train_from_campaign(&self, rows: &[ProbeImpression], config: &TrainConfig) -> u32 {
         let _span = yav_telemetry::span!("pme.engine.train");
         let _trace = yav_trace::trace_span!("pme.train", rows.len());
-        let trained = model::train(rows, config);
-        Self::record_training_metrics(&trained);
-        let mut state = self.state.write();
-        state.version += 1;
-        let mut client = trained.client.clone();
-        client.version = state.version;
-        state.model = Some(TrainedModel { client, ..trained });
-        state.version
+        self.install(model::train(rows, config))
     }
 
-    /// Telemetry common to both training entry points: rows used and the
+    /// Installs a freshly trained model under the next version, stamped
+    /// on its client in place, and returns that version. Records the
+    /// telemetry common to both training entry points: rows used and the
     /// drift of the tree estimator against the §5.4 regression baseline
     /// (class-median RMSE would be a modeling question; the gauge tracks
     /// the readily available CV accuracy instead of re-deriving it).
-    fn record_training_metrics(trained: &TrainedModel) {
+    fn install(&self, mut trained: TrainedModel) -> u32 {
         yav_telemetry::counter("pme.engine.trainings").inc();
         yav_telemetry::counter("pme.engine.rows_trained").add(trained.trained_rows as u64);
         yav_telemetry::gauge("pme.engine.cv_accuracy").set(trained.cv.accuracy);
@@ -102,6 +97,11 @@ impl Pme {
         // positive = the model is earning its keep).
         yav_telemetry::gauge("pme.engine.estimate_vs_baseline_drift")
             .set(trained.cv.accuracy - trained.regression_baseline.1.max(0.0));
+        let mut state = self.state.write();
+        state.version += 1;
+        trained.client.version = state.version;
+        state.model = Some(trained);
+        state.version
     }
 
     /// Fits the §6.2 time-shift correction from historical vs recent
@@ -139,35 +139,6 @@ impl Pme {
     /// Current model version (0 = none yet).
     pub fn version(&self) -> u32 {
         self.state.read().version
-    }
-
-    /// Server-side batch estimation over the full compiled forest:
-    /// encodes every context into one flat row-major matrix and runs the
-    /// cache-blocked [`yav_ml::CompiledForest::predict_batch`]. Returns
-    /// one CPM estimate per context, or `None` when no model is trained.
-    /// Feeds the same `pme.predictions_total` counter as the client path.
-    pub fn estimate_batch(&self, contexts: &[CoreContext]) -> Option<Vec<Cpm>> {
-        let state = self.state.read();
-        let model = state.model.as_ref()?;
-        let _span = yav_telemetry::span!("pme.engine.estimate_batch");
-        let _trace = yav_trace::trace_span!("pme.estimate_batch", contexts.len());
-        let with_publisher = model.client.with_publisher;
-        let n_features = model.compiled.n_features();
-        let mut flat = Vec::with_capacity(contexts.len() * n_features);
-        let mut row = Vec::with_capacity(n_features);
-        for ctx in contexts {
-            model::encode_into(ctx, with_publisher, &mut row);
-            flat.extend_from_slice(&row);
-        }
-        let classes = model.compiled.predict_batch(&flat, n_features);
-        yav_telemetry::counter("pme.predictions_total").add(classes.len() as u64);
-        let prices = &model.client.class_prices;
-        Some(
-            classes
-                .into_iter()
-                .map(|c| Cpm::from_f64(prices[c]))
-                .collect(),
-        )
     }
 
     /// Accepts an anonymous contribution batch.
@@ -244,14 +215,7 @@ impl Pme {
         }
         let _span = yav_telemetry::span!("pme.engine.train");
         let _trace = yav_trace::trace_span!("pme.train", pairs.len());
-        let trained = model::train_pairs(&pairs, config);
-        Self::record_training_metrics(&trained);
-        let mut state = self.state.write();
-        state.version += 1;
-        let mut client = trained.client.clone();
-        client.version = state.version;
-        state.model = Some(TrainedModel { client, ..trained });
-        state.version
+        self.install(model::train_pairs(&pairs, config))
     }
 }
 
@@ -337,7 +301,10 @@ mod tests {
                 let pme = pme.clone();
                 std::thread::spawn(move || {
                     let model = pme.current_model().unwrap();
-                    model.estimate(&super::tests::ctx()).micros()
+                    let mut scratch = crate::model::EstimateScratch::new();
+                    model
+                        .estimate_into(&super::tests::ctx(), &mut scratch)
+                        .micros()
                 })
             })
             .collect();
@@ -403,28 +370,13 @@ mod extension_tests {
     }
 
     #[test]
-    fn batch_estimation_runs_compiled_forest() {
-        let pme = Pme::new();
-        assert!(pme.estimate_batch(&[ctx()]).is_none());
-        pme.train_from_campaign(&rows(), &TrainConfig::quick());
-        let contexts: Vec<CoreContext> = (0..150).map(|_| ctx()).collect();
-        let est = pme.estimate_batch(&contexts).unwrap();
-        assert_eq!(est.len(), 150);
-        assert!(est.iter().all(|e| e.is_positive()));
-        // Identical contexts must estimate identically.
-        assert!(est.windows(2).all(|w| w[0] == w[1]));
-    }
-
-    #[test]
     fn prediction_telemetry_is_exported() {
         let pme = Pme::new();
         pme.train_from_campaign(&rows(), &TrainConfig::quick());
         let model = pme.current_model().unwrap();
         let mut scratch = crate::model::EstimateScratch::new();
         let before = yav_telemetry::counter("pme.predictions_total").get();
-        let est = model.estimate_into(&ctx(), &mut scratch);
-        // The scratch path and the allocating path agree.
-        assert_eq!(est, model.estimate(&ctx()));
+        model.estimate_into(&ctx(), &mut scratch);
         assert!(yav_telemetry::counter("pme.predictions_total").get() > before);
         assert!(yav_telemetry::histogram("pme.predict.us").count() > 0);
         let prom = yav_telemetry::prometheus_text();
@@ -450,7 +402,7 @@ mod extension_tests {
         assert_eq!(model.version, v2);
         // The retrained model still estimates sanely on the contributed
         // context.
-        let est = model.estimate(&ctx());
+        let est = model.estimate_into(&ctx(), &mut crate::model::EstimateScratch::new());
         assert!(est.is_positive());
     }
 }

@@ -21,8 +21,6 @@ pub mod reduce;
 pub mod timeshift;
 
 pub use engine::{ContributionBatch, Pme};
-pub use model::{
-    ClientArtifact, ClientModel, CoreContext, EstimateScratch, TrainConfig, TrainedModel,
-};
+pub use model::{ClientModel, CoreContext, EstimateScratch, TrainConfig, TrainedModel};
 pub use reduce::{correlation_filter, reduce, Reduction, ReductionConfig};
 pub use timeshift::TimeShift;

@@ -2,9 +2,9 @@
 //!
 //! Campaign ground truth (features → true charge price) trains a Random
 //! Forest over four entropy-balanced price classes. The shipped client
-//! artifact is a single representative decision tree plus the
-//! discretiser — small enough for a browser extension, exactly the form
-//! §3.2 describes.
+//! artifact is a single representative decision tree, compiled to its
+//! flat form, plus one price per class — small enough for a browser
+//! extension, exactly the form §3.2 describes.
 //!
 //! The feature set is the §5.4 core set `S`: city, day of week, time of
 //! day, ad format, mobile OS, publisher IAB category, exchange and device
@@ -17,8 +17,8 @@ use serde::{Deserialize, Serialize};
 use yav_analyzer::DetectedImpression;
 use yav_campaign::ProbeImpression;
 use yav_ml::{
-    cross_validate, CompiledForest, CvReport, Dataset, DecisionTree, Discretizer, LinearRegression,
-    RandomForest, RandomForestConfig,
+    cross_validate, CompiledForest, CvReport, Dataset, Discretizer, LinearRegression, RandomForest,
+    RandomForestConfig,
 };
 use yav_types::{
     AdSlotSize, Adx, City, Cpm, DeviceType, IabCategory, InteractionType, Os, SimTime,
@@ -87,18 +87,12 @@ const PUBLISHER_BUCKETS: u64 = 256;
 /// the client model tiny; trees carve the categorical ranges themselves.
 pub fn encode(ctx: &CoreContext, with_publisher: bool) -> Vec<f64> {
     let mut row = Vec::with_capacity(13);
-    encode_into(ctx, with_publisher, &mut row);
+    encode_append(ctx, with_publisher, &mut row);
     row
 }
 
-/// Encodes a context into `out`, reusing its allocation — the hot-path
-/// form of [`encode`] (same row, same order).
-pub fn encode_into(ctx: &CoreContext, with_publisher: bool, out: &mut Vec<f64>) {
-    out.clear();
-    encode_append(ctx, with_publisher, out);
-}
-
 /// Appends one encoded row to `out` without clearing it first — the
+/// allocation-free form of [`encode`] (same row, same order), and the
 /// building block for flat row-major feature matrices in batch
 /// prediction (`rows.len() == n * n_features`).
 pub fn encode_append(ctx: &CoreContext, with_publisher: bool, out: &mut Vec<f64>) {
@@ -185,8 +179,6 @@ pub struct TrainConfig {
     pub max_rows: usize,
     /// Seed for subsampling and CV.
     pub seed: u64,
-    /// What to package for clients (§3.2 tree by default).
-    pub artifact: ClientArtifact,
 }
 
 impl Default for TrainConfig {
@@ -206,7 +198,6 @@ impl Default for TrainConfig {
             cv_runs: 10,
             max_rows: 36_000,
             seed: 0x9E1,
-            artifact: ClientArtifact::Tree,
         }
     }
 }
@@ -234,9 +225,6 @@ pub struct TrainedModel {
     pub discretizer: Discretizer,
     /// The forest (server-side estimator).
     pub forest: RandomForest,
-    /// The forest lowered to its flat inference form — what
-    /// [`crate::Pme`]'s batch estimation runs on.
-    pub compiled: CompiledForest,
     /// Cross-validation metrics (the §5.4 table).
     pub cv: CvReport,
     /// The shipped client artifact.
@@ -248,52 +236,18 @@ pub struct TrainedModel {
     pub regression_baseline: (f64, f64),
 }
 
-/// Which estimator the PME packages into the [`ClientModel`].
-///
-/// The paper ships "the model M in the form of a decision tree" (§3.2)
-/// — small enough for a browser extension, and the default here. The
-/// `Forest` variant ships the full compiled forest instead: a larger
-/// download and a heavier per-impression walk, but forest-accurate
-/// estimates, and the shape `CompiledForest::predict_batch`'s
-/// level-synchronous traversal was built to amortize in batch ingestion.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ClientArtifact {
-    /// The representative decision tree (paper-faithful default).
-    #[default]
-    Tree,
-    /// The full compiled forest.
-    Forest,
-}
-
-impl ClientArtifact {
-    /// Lowercase label, used by bench output and JSON rows.
-    pub fn name(self) -> &'static str {
-        match self {
-            ClientArtifact::Tree => "tree",
-            ClientArtifact::Forest => "forest",
-        }
-    }
-}
-
-/// The compact artifact YourAdValue downloads: one decision tree (or,
-/// opt-in, the whole forest), the discretiser, and the encoding recipe.
+/// The compact artifact YourAdValue downloads: the representative
+/// decision tree in compiled form, one price per class, and the encoding
+/// recipe.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClientModel {
     /// Model version (assigned by the serving engine).
     pub version: u32,
     /// Whether rows must be encoded with the publisher bucket.
     pub with_publisher: bool,
-    /// Which estimator `compiled` holds.
-    pub artifact: ClientArtifact,
-    /// The representative decision tree (arena form, kept for
-    /// inspection/serde clients even when the forest is shipped).
-    pub tree: DecisionTree,
-    /// The shipped estimator lowered to flat form — what the client
-    /// walks. The representative tree by default; the full forest under
-    /// [`ClientArtifact::Forest`].
+    /// The representative decision tree lowered to flat form — what the
+    /// client walks.
     pub compiled: CompiledForest,
-    /// The price discretiser.
-    pub discretizer: Discretizer,
     /// Representative CPM per class, precomputed for the client.
     pub class_prices: Vec<f64>,
 }
@@ -331,22 +285,14 @@ impl Default for EstimateScratch {
 
 impl ClientModel {
     /// Estimates a charge price for one auction context — the
-    /// `ESe(S_i)` of the paper's Equation 3. Allocating convenience;
-    /// per-impression callers should hold an [`EstimateScratch`] and use
-    /// [`ClientModel::estimate_into`].
-    pub fn estimate(&self, ctx: &CoreContext) -> Cpm {
-        let row = encode(ctx, self.with_publisher);
-        let class = self.compiled.predict(&row);
-        Cpm::from_f64(self.class_prices[class])
-    }
-
-    /// [`ClientModel::estimate`] without per-call allocation: encodes
-    /// into the scratch row, walks the compiled tree, and records the
-    /// `pme.predict.us` latency histogram and `pme.predictions_total`
-    /// counter. Returns the identical estimate.
+    /// `ESe(S_i)` of the paper's Equation 3. Encodes into the scratch
+    /// row, walks the compiled tree, and records the `pme.predict.us`
+    /// latency histogram and `pme.predictions_total` counter; nothing is
+    /// allocated per call.
     pub fn estimate_into(&self, ctx: &CoreContext, scratch: &mut EstimateScratch) -> Cpm {
         let _timer = scratch.latency_us.time_us();
-        encode_into(ctx, self.with_publisher, &mut scratch.row);
+        scratch.row.clear();
+        encode_append(ctx, self.with_publisher, &mut scratch.row);
         scratch.probs.resize(self.compiled.n_classes(), 0.0);
         let class = self.compiled.predict_with(&scratch.row, &mut scratch.probs);
         scratch.predictions.inc();
@@ -408,12 +354,7 @@ pub fn train_pairs(pairs: &[(CoreContext, f64)], config: &TrainConfig) -> Traine
         config.seed,
     );
     let forest = RandomForest::fit(&data, &config.forest);
-    let compiled = forest.compile();
-    let tree = forest.representative_tree(&data).clone();
-    let client_compiled = match config.artifact {
-        ClientArtifact::Tree => CompiledForest::from_tree(&tree),
-        ClientArtifact::Forest => compiled.clone(),
-    };
+    let compiled = CompiledForest::from_tree(forest.representative_tree(&data));
 
     // The §5.4 regression baseline: OLS on the same features, evaluated
     // in-sample (its failure is evident even there).
@@ -449,15 +390,11 @@ pub fn train_pairs(pairs: &[(CoreContext, f64)], config: &TrainConfig) -> Traine
         client: ClientModel {
             version: 0,
             with_publisher: config.with_publisher,
-            artifact: config.artifact,
-            tree,
-            compiled: client_compiled,
-            discretizer: discretizer.clone(),
+            compiled,
             class_prices,
         },
         discretizer,
         forest,
-        compiled,
         cv,
         trained_rows: take.len(),
         regression_baseline,
@@ -496,31 +433,11 @@ mod tests {
         );
         assert!(model.cv.auc_roc > 0.80, "auc {}", model.cv.auc_roc);
         assert!(model.forest.oob_error() < 0.45);
-        assert_eq!(model.client.class_prices.len(), 4);
-    }
-
-    #[test]
-    fn forest_artifact_ships_the_full_forest() {
-        let rows = ground_truth(25);
-        let tree = train(&rows, &TrainConfig::quick());
-        let forest = train(
-            &rows,
-            &TrainConfig {
-                artifact: ClientArtifact::Forest,
-                ..TrainConfig::quick()
-            },
-        );
-        assert_eq!(tree.client.artifact, ClientArtifact::Tree);
-        assert_eq!(forest.client.artifact, ClientArtifact::Forest);
-        // The forest client IS the server-side estimator: identical
-        // class predictions to the PME's own compiled forest, and a
-        // strictly larger artifact than the single tree.
-        assert_eq!(forest.client.compiled, forest.compiled);
-        assert!(forest.client.compiled.n_nodes() > tree.client.compiled.n_nodes());
-        // Same training run either way: the representative tree and the
-        // discretiser don't depend on the shipped artifact.
-        assert_eq!(tree.client.tree, forest.client.tree);
-        assert_eq!(tree.client.class_prices, forest.client.class_prices);
+        // The shipped artifact is the one compiled representative tree.
+        let client = &model.client;
+        assert_eq!(client.compiled.n_trees(), 1);
+        assert_eq!(client.class_prices.len(), 4);
+        assert_eq!(client.class_prices.len(), client.compiled.n_classes());
     }
 
     #[test]
@@ -539,7 +456,9 @@ mod tests {
         let rows = ground_truth(25);
         let model = train(&rows, &TrainConfig::quick());
         let ctx = CoreContext::from(&rows[0]);
-        let est = model.client.estimate(&ctx);
+        let est = model
+            .client
+            .estimate_into(&ctx, &mut EstimateScratch::new());
         assert!(est.is_positive());
         // The estimate lands within the observed price range.
         let min = rows.iter().map(|r| r.charge).min().unwrap();
@@ -555,9 +474,15 @@ mod tests {
         let rows = ground_truth(30);
         let model = train(&rows, &TrainConfig::quick());
         let truth_sum: f64 = rows.iter().map(|r| r.charge.as_f64()).sum();
+        let mut scratch = EstimateScratch::new();
         let est_sum: f64 = rows
             .iter()
-            .map(|r| model.client.estimate(&CoreContext::from(r)).as_f64())
+            .map(|r| {
+                model
+                    .client
+                    .estimate_into(&CoreContext::from(r), &mut scratch)
+                    .as_f64()
+            })
             .sum();
         let ratio = est_sum / truth_sum;
         assert!(
@@ -618,7 +543,11 @@ mod tests {
         let back: ClientModel = serde_json::from_str(&json).unwrap();
         assert_eq!(back, model.client);
         let ctx = CoreContext::from(&rows[3]);
-        assert_eq!(back.estimate(&ctx), model.client.estimate(&ctx));
+        let mut scratch = EstimateScratch::new();
+        assert_eq!(
+            back.estimate_into(&ctx, &mut scratch),
+            model.client.estimate_into(&ctx, &mut scratch)
+        );
     }
 
     #[test]
