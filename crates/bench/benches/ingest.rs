@@ -11,7 +11,7 @@
 //! * `borrowed` — `UrlRef` + reusable `UrlScratch` end to end (the
 //!   current shape: no steady-state allocation anywhere).
 //!
-//! plus the end-to-end monitor: serial `observe` vs `observe_batch`.
+//! plus the end-to-end monitor's `observe`.
 //! Results land in `BENCH_ingest.json`; the acceptance bar is borrowed
 //! ≥ 3× owned on the mixed stream.
 
@@ -171,8 +171,8 @@ fn bench_parsers(c: &mut Criterion) {
 
 fn bench_baseline(_c: &mut Criterion) {
     // The BENCH_ingest.json baseline: per-request ns for each ingestion
-    // strategy on each stream, plus the end-to-end monitor serial vs
-    // batch — manual best-of wall clock so rows are directly comparable.
+    // strategy on each stream, plus the end-to-end monitor — manual
+    // best-of wall clock so rows are directly comparable.
     let crypter = PriceCrypter::new(PriceKeys::derive("ingest-bench"));
     let n = 200_000;
     let mixed = mixed_stream(n, &crypter);
@@ -229,10 +229,9 @@ fn bench_baseline(_c: &mut Criterion) {
     }
     yav_simd::force_level(None);
 
-    // End-to-end monitor, serial vs batch, under the §3.2 single-tree
-    // client. On the mixed stream the sift dominates (and is identical in
-    // both paths), so batch ≈ serial; on the all-notification stream
-    // prediction is still a rounding error next to the sift.
+    // End-to-end monitor under the §3.2 single-tree client. On both
+    // streams the sift dominates; prediction is a rounding error next
+    // to it.
     let t = SimTime::from_ymd_hm(2015, 10, 1, 12, 0);
     let model = trained_model();
     let mut observe_rows = Vec::new();
@@ -251,42 +250,8 @@ fn bench_baseline(_c: &mut Criterion) {
             drop(serial.take_contributions());
             events
         });
-
-        let mut batched = YourAdValue::new(None);
-        batched.install_model(model.clone());
-        // The staged batch path times each pass into
-        // `ingest.batch.{sift,predict,commit}.us`; delta the exact sums
-        // around the run for a per-request phase breakdown.
-        let phases = [
-            yav_telemetry::histogram("ingest.batch.sift.us"),
-            yav_telemetry::histogram("ingest.batch.predict.us"),
-            yav_telemetry::histogram("ingest.batch.commit.us"),
-        ];
-        let sums_before: Vec<f64> = phases.iter().map(|h| h.snapshot().sum).collect();
-        let passes = 5;
-        let observe_batch = per_req(requests.len(), passes, &mut || {
-            let mut events = 0;
-            for chunk in requests.chunks(4096) {
-                events += batched.observe_batch(chunk).len();
-            }
-            drop(batched.take_contributions());
-            events
-        });
-        let total_reqs = (requests.len() * passes) as f64;
-        let phase_ns: Vec<f64> = phases
-            .iter()
-            .zip(&sums_before)
-            .map(|(h, before)| (h.snapshot().sum - before) * 1e3 / total_reqs)
-            .collect();
-        println!(
-            "ingest/observe_{stream_name}[tree]: per-req ns serial {observe_serial:.0}, \
-             batch {observe_batch:.0} ({:.2}x; sift {:.0} + predict {:.0} + commit {:.0})",
-            observe_serial / observe_batch,
-            phase_ns[0],
-            phase_ns[1],
-            phase_ns[2]
-        );
-        observe_rows.push((stream_name, observe_serial, observe_batch, phase_ns));
+        println!("ingest/observe_{stream_name}[tree]: per-req ns {observe_serial:.0}");
+        observe_rows.push((stream_name, observe_serial));
     }
 
     let mut json = String::from("[\n");
@@ -310,7 +275,7 @@ fn bench_baseline(_c: &mut Criterion) {
     // The nurl rows keep their `_tree` suffix and every row its `client`
     // field, so they stay comparable with earlier recordings, whose
     // unsuffixed nurl rows were a full-forest client.
-    for (i, (stream_name, serial, batch, phase_ns)) in observe_rows.iter().enumerate() {
+    for (i, (stream_name, serial)) in observe_rows.iter().enumerate() {
         let tail = if i + 1 == observe_rows.len() {
             "\n]\n"
         } else {
@@ -319,15 +284,7 @@ fn bench_baseline(_c: &mut Criterion) {
         let suffix = if *stream_name == "nurl" { "_tree" } else { "" };
         json.push_str(&format!(
             "  {{\"bench\":\"observe_serial_{stream_name}{suffix}\",\"client\":\"tree\",\
-             \"ns_per_req\":{serial:.1}}},\n  \
-             {{\"bench\":\"observe_batch_{stream_name}{suffix}\",\"client\":\"tree\",\
-             \"ns_per_req\":{batch:.1},\
-             \"speedup_vs_serial\":{:.2},\"sift_ns\":{:.1},\"predict_ns\":{:.1},\
-             \"commit_ns\":{:.1}}}{tail}",
-            serial / batch,
-            phase_ns[0],
-            phase_ns[1],
-            phase_ns[2]
+             \"ns_per_req\":{serial:.1}}}{tail}"
         ));
     }
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ingest.json");

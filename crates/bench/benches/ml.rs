@@ -96,11 +96,10 @@ fn bench_forest(c: &mut Criterion) {
 }
 
 fn bench_compiled(_c: &mut Criterion) {
-    // The BENCH_ml.json baseline: training cost plus the three prediction
-    // paths — the seed per-row arena walker, the compiled single-row
-    // walker, and the cache-blocked compiled batch — wall-clocked
-    // manually over the whole dataset so the numbers are directly
-    // comparable per row (the acceptance bar is batch ≥ 3× arena).
+    // The BENCH_ml.json baseline: training cost plus the two prediction
+    // paths — the seed per-row arena walker and the compiled single-row
+    // walker — wall-clocked manually over the whole dataset so the
+    // numbers are directly comparable per row.
     //
     // Production-shaped forest: sklearn-default 100 trees over a
     // campaign-sized report (the PME trains on tens of thousands of
@@ -126,7 +125,6 @@ fn bench_compiled(_c: &mut Criterion) {
     }
     let compiled = CompiledForest::compile(&forest);
     let n = data.len();
-    let flat: Vec<f64> = (0..n).flat_map(|r| data.row(r).to_vec()).collect();
 
     // Per-path timing: whole-dataset passes, best-of to shed scheduler
     // noise; a checksum sink keeps the work observable.
@@ -156,31 +154,22 @@ fn bench_compiled(_c: &mut Criterion) {
             .map(|r| compiled.predict_with(data.row(r), &mut probs))
             .sum()
     });
-    let batch = time_per_row(30, &mut || {
-        compiled
-            .predict_batch(&flat, data.n_features())
-            .iter()
-            .sum()
-    });
 
-    let speedup = arena / batch;
+    let speedup = arena / single;
     println!(
-        "ml/train_20k_rows: {train_secs:.3} s; per-row ns: arena {:.0}, compiled single {:.0}, \
-         compiled batch {:.0} ({speedup:.1}x vs arena)",
+        "ml/train_20k_rows: {train_secs:.3} s; per-row ns: arena {:.0}, compiled single {:.0} \
+         ({speedup:.1}x vs arena)",
         arena * 1e9,
         single * 1e9,
-        batch * 1e9,
     );
     let json = format!(
         "[\n  {machine},\n  {{\"bench\":\"ml_train\",\"rows\":{n},\"trees\":{trees},\"seconds\":{train_secs:.3}}},\n  \
          {{\"bench\":\"ml_predict_arena_per_row\",\"ns_per_row\":{arena:.1}}},\n  \
-         {{\"bench\":\"ml_predict_compiled_single\",\"ns_per_row\":{single:.1}}},\n  \
-         {{\"bench\":\"ml_predict_compiled_batch\",\"ns_per_row\":{batch:.1},\"speedup_vs_arena\":{speedup:.2}}}\n]\n",
+         {{\"bench\":\"ml_predict_compiled_single\",\"ns_per_row\":{single:.1},\"speedup_vs_arena\":{speedup:.2}}}\n]\n",
         machine = yav_bench::machine_json(),
         trees = cfg.n_trees,
         arena = arena * 1e9,
         single = single * 1e9,
-        batch = batch * 1e9,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ml.json");
     if let Err(e) = std::fs::write(path, json) {

@@ -34,6 +34,6 @@ pub mod validation;
 
 pub use ledger::{CostSummary, Ledger, PriceEvent};
 pub use methodology::{per_user_costs, UserCost};
-pub use monitor::{DropStats, ObserveScratch, YourAdValue};
+pub use monitor::{DropStats, YourAdValue};
 pub use tenant::{TenantReport, TenantState, TenantStore};
 pub use validation::{ArpuEstimate, MarketFactors};

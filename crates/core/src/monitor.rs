@@ -13,8 +13,8 @@ use yav_analyzer::ua::{parse_user_agent, UaFingerprint};
 use yav_nurl::fields::PricePayload;
 use yav_nurl::{template, UrlRef, UrlScratch};
 use yav_pme::engine::{ContributionBatch, Pme};
-use yav_pme::model::{self, ClientModel, CoreContext, EstimateScratch};
-use yav_types::{Adx, City, Cpm, PriceVisibility, SimTime};
+use yav_pme::model::{ClientModel, CoreContext, EstimateScratch};
+use yav_types::{Adx, City, PriceVisibility, SimTime};
 use yav_weblog::HttpRequest;
 
 /// Pre-resolved telemetry handles for the ingestion path. Looking a
@@ -31,15 +31,6 @@ struct MonitorMetrics {
     ledger_cleartext_cpm: yav_telemetry::Gauge,
     ledger_estimated_cpm: yav_telemetry::Gauge,
     observe_us: yav_telemetry::Histogram,
-    /// Per-phase wall time of [`YourAdValue::observe_batch`]'s three
-    /// passes — the breakdown that explains where a batch's
-    /// `ingest.observe.us` actually goes.
-    sift_us: yav_telemetry::Histogram,
-    predict_us: yav_telemetry::Histogram,
-    commit_us: yav_telemetry::Histogram,
-    /// Mirror of the counter [`EstimateScratch`] bumps per serial
-    /// estimate; the batch path adds its whole count at once.
-    predictions: yav_telemetry::Counter,
     /// The SIMD dispatch tier the ingest hot path resolved to, as
     /// [`yav_simd::Level`]'s numeric value (0 scalar … 4 neon). A gauge
     /// so dashboards can tell a portable-fallback deployment from a
@@ -58,10 +49,6 @@ impl Default for MonitorMetrics {
             ledger_cleartext_cpm: yav_telemetry::gauge("core.monitor.ledger_cleartext_cpm"),
             ledger_estimated_cpm: yav_telemetry::gauge("core.monitor.ledger_estimated_cpm"),
             observe_us: yav_telemetry::histogram("ingest.observe.us"),
-            sift_us: yav_telemetry::histogram("ingest.batch.sift.us"),
-            predict_us: yav_telemetry::histogram("ingest.batch.predict.us"),
-            commit_us: yav_telemetry::histogram("ingest.batch.commit.us"),
-            predictions: yav_telemetry::counter("pme.predictions_total"),
             simd_level: {
                 let g = yav_telemetry::gauge("ingest.simd_level");
                 g.set(yav_simd::level() as u8 as f64);
@@ -71,27 +58,9 @@ impl Default for MonitorMetrics {
     }
 }
 
-/// Reusable buffers for the zero-copy ingestion path: URL decode
-/// scratch shared by every observed request, plus the flat feature
-/// matrix and slot map [`YourAdValue::observe_batch`] stages encrypted
-/// notifications into. Capacity grows to the high-water mark and stays.
-#[derive(Debug, Default)]
-pub struct ObserveScratch {
-    /// Per-request sift state (URL decode, UA memo).
-    sift: SiftScratch,
-    /// Row-major encoded features, one row per staged encrypted event.
-    rows: Vec<f64>,
-    /// For each feature row, the index of its staged event.
-    slots: Vec<usize>,
-    /// Events staged by pass 1 of [`YourAdValue::observe_batch`], reused
-    /// across batches (the old per-call `Vec::new` was one of the batch
-    /// path's losses to serial on reject-heavy streams).
-    staged: Vec<PriceEvent>,
-}
-
 /// Reusable state every sift path carries: the URL decode scratch and a
-/// user-agent memo. Serial, batch and multi-tenant ingestion each own
-/// one, so they share the sift without sharing monitor state.
+/// user-agent memo. The monitor and the multi-tenant store each own one,
+/// so they share the sift without sharing monitor state.
 #[derive(Debug, Default)]
 pub(crate) struct SiftScratch {
     url: UrlScratch,
@@ -124,8 +93,8 @@ impl UaMemo {
 }
 
 /// Why [`sift_request`] discarded a URL. The caller owns the accounting:
-/// the serial path bumps counters per drop, the batch paths tally
-/// locally and flush once per batch.
+/// the monitor bumps counters per drop, the multi-tenant store tallies
+/// its drops and publishes them once when it finishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SiftDrop {
     /// Unparseable URL or malformed notification payload.
@@ -135,9 +104,9 @@ pub(crate) enum SiftDrop {
 }
 
 /// Screens one request down to its notification's exchange and price —
-/// the one sift behind [`YourAdValue::observe`],
-/// [`YourAdValue::observe_batch`] and the multi-tenant store. Pure with
-/// respect to the monitor: all accounting stays with the caller.
+/// the one sift behind [`YourAdValue::observe`] and the multi-tenant
+/// store. Pure with respect to the monitor: all accounting stays with
+/// the caller.
 ///
 /// The estimator's [`CoreContext`] is built only when `want_ctx` is
 /// set. It is the sift's one allocating piece (the owned publisher
@@ -209,8 +178,8 @@ pub struct YourAdValue {
     /// estimation (the extension values every encrypted notification, so
     /// the estimate path must not allocate).
     scratch: EstimateScratch,
-    /// Reusable ingestion buffers (URL decoding, batch staging).
-    obs: ObserveScratch,
+    /// Reusable sift state (URL decoding, UA memo).
+    sift: SiftScratch,
     /// Pre-resolved telemetry handles.
     metrics: MonitorMetrics,
 }
@@ -268,10 +237,8 @@ impl YourAdValue {
 
     /// [`sift_request`] with the estimator context, plus this monitor's
     /// per-drop accounting — [`YourAdValue::observe`]'s sift.
-    /// [`YourAdValue::observe_batch`] runs the same sift with a
-    /// batch-local drop tally.
     fn sift(&mut self, req: &HttpRequest) -> Option<(Adx, PricePayload, CoreContext)> {
-        match sift_request(self.home_city, req, &mut self.obs.sift, true) {
+        match sift_request(self.home_city, req, &mut self.sift, true) {
             // Asked for, so the context is always there.
             Ok((adx, price, ctx)) => ctx.map(|ctx| (adx, price, ctx)),
             Err(SiftDrop::ParseError) => {
@@ -344,18 +311,10 @@ impl YourAdValue {
     }
 
     /// Observes a batch of HTTP requests, returning the stored events in
-    /// request order. Bit-identical side effects to calling
-    /// [`YourAdValue::observe`] per request — same ledger, drop stats and
-    /// pending contributions — but encrypted notifications are valued
-    /// through `CompiledForest::predict_batch`'s level-synchronous
-    /// traversal instead of row-at-a-time tree walks,
-    /// and all scratch (URL decode buffers, the feature matrix) is
-    /// reused across the batch.
-    ///
-    /// Batches record one `ingest.observe.us` sample and add their
-    /// prediction count to `pme.predictions_total` in one step; the
-    /// per-prediction `pme.predict.us` histogram is a serial-path-only
-    /// metric.
+    /// request order: [`YourAdValue::observe`] per request, so every side
+    /// effect is the serial loop's. The whole call records one
+    /// `ingest.observe.us` sample, the latency the health engine's
+    /// `ingest` watch reads.
     pub fn observe_batch(&mut self, reqs: &[HttpRequest]) -> Vec<PriceEvent> {
         let _timer = self.metrics.observe_us.time_us();
         // Refresh the dispatch-tier gauge: `force_level` can retier the
@@ -363,122 +322,7 @@ impl YourAdValue {
         // atomic store per batch is free.
         self.metrics.simd_level.set(yav_simd::level() as u8 as f64);
         let _trace = yav_trace::trace_span!("ingest.observe_batch", reqs.len());
-        // The staging buffers move out of `self` for the duration of the
-        // borrow-heavy first pass and return before exit.
-        let mut rows = std::mem::take(&mut self.obs.rows);
-        let mut slots = std::mem::take(&mut self.obs.slots);
-        let mut staged = std::mem::take(&mut self.obs.staged);
-        rows.clear();
-        slots.clear();
-        staged.clear();
-
-        // Pass 1: sift every request in order, staging events and (for
-        // encrypted notifications under a model) one encoded feature row
-        // each, with a placeholder amount until pass 2 fills it in.
-        //
-        // Drops are tallied in two locals and flushed to the counters
-        // once per batch: the final `DropStats` and counter values are
-        // identical to the serial path's, but the dominant reject case
-        // pays one register increment instead of three atomic RMWs —
-        // without that, batch observe *lost* to serial on reject-heavy
-        // streams (BENCH_ingest.json had it at 0.95× on the mixed
-        // stream).
-        let mut drop_parse_error = 0u64;
-        let mut drop_not_notification = 0u64;
-        {
-            let _phase = yav_trace::trace_span!("ingest.sift", reqs.len());
-            let _phase_us = self.metrics.sift_us.time_us();
-            for req in reqs {
-                let (adx, price, ctx) =
-                    match sift_request(self.home_city, req, &mut self.obs.sift, true) {
-                        Ok(found) => found,
-                        Err(SiftDrop::ParseError) => {
-                            drop_parse_error += 1;
-                            yav_trace::trace_instant!("ingest.drop", DROP_PARSE_ERROR);
-                            continue;
-                        }
-                        Err(SiftDrop::NotNotification) => {
-                            drop_not_notification += 1;
-                            yav_trace::trace_instant!("ingest.drop", DROP_NOT_NOTIFICATION);
-                            continue;
-                        }
-                    };
-                // Asked for, so the context is always there.
-                let Some(ctx) = ctx else { continue };
-                match price {
-                    PricePayload::Cleartext(price) => {
-                        self.pending.cleartext.push((ctx, price));
-                        staged.push(PriceEvent {
-                            time: req.time,
-                            adx,
-                            visibility: PriceVisibility::Cleartext,
-                            amount: price,
-                            estimated: false,
-                        });
-                    }
-                    PricePayload::Encrypted(_) => {
-                        let Some(model) = &self.model else {
-                            self.skipped_no_model += 1;
-                            self.metrics.skipped_no_model.inc();
-                            self.pending.encrypted.push(ctx);
-                            continue;
-                        };
-                        model::encode_append(&ctx, model.with_publisher, &mut rows);
-                        slots.push(staged.len());
-                        self.pending.encrypted.push(ctx);
-                        staged.push(PriceEvent {
-                            time: req.time,
-                            adx,
-                            visibility: PriceVisibility::Encrypted,
-                            amount: Cpm::ZERO,
-                            estimated: true,
-                        });
-                    }
-                }
-            }
-        }
-        self.drops.parse_error += drop_parse_error;
-        self.drops.not_notification += drop_not_notification;
-        self.metrics.parse_error.add(drop_parse_error);
-        self.metrics.not_notification.add(drop_not_notification);
-        self.metrics
-            .rejected_total
-            .add(drop_parse_error + drop_not_notification);
-
-        // Pass 2: one batched forest traversal values every staged
-        // encrypted event.
-        if !slots.is_empty() {
-            let _phase = yav_trace::trace_span!("ingest.predict", slots.len());
-            let _phase_us = self.metrics.predict_us.time_us();
-            if let Some(model) = &self.model {
-                let classes = model
-                    .compiled
-                    .predict_batch(&rows, model.compiled.n_features());
-                for (&slot, &class) in slots.iter().zip(&classes) {
-                    if let (Some(event), Some(&price)) =
-                        (staged.get_mut(slot), model.class_prices.get(class))
-                    {
-                        event.amount = Cpm::from_f64(price);
-                    }
-                }
-                self.metrics.predictions.add(slots.len() as u64);
-            }
-        }
-
-        // Pass 3: commit in request order, so ledger contents, counters
-        // and the running gauge sums match the serial path exactly.
-        let mut out = Vec::with_capacity(staged.len());
-        {
-            let _phase = yav_trace::trace_span!("ingest.commit", staged.len());
-            let _phase_us = self.metrics.commit_us.time_us();
-            for event in staged.drain(..) {
-                out.push(self.commit(event));
-            }
-        }
-        self.obs.rows = rows;
-        self.obs.slots = slots;
-        self.obs.staged = staged;
-        out
+        reqs.iter().filter_map(|req| self.observe(req)).collect()
     }
 
     /// Convenience for URL-only observation (no headers available).

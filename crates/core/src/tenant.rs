@@ -10,18 +10,19 @@
 //! million concurrent tenants fit in memory that a thousand single-user
 //! monitors would spend on ledgers alone.
 //!
-//! The pipeline reuses the exact pieces the single-user paths use —
-//! [`crate::monitor::sift_request`] for the zero-copy screen-first sift
-//! and `CompiledForest::predict_batch` for valuing encrypted
-//! notifications — so a tenant's totals are bit-identical to what a
-//! dedicated [`crate::YourAdValue`] fed only that tenant's requests would
-//! report (the tenant-equivalence test pins this).
+//! Each request is priced the moment it arrives, with the exact pieces
+//! the single-user client uses — [`crate::monitor::sift_request`] for
+//! the zero-copy screen-first sift and [`ClientModel::estimate_into`] for
+//! valuing encrypted notifications — so a tenant's totals are
+//! bit-identical to what a dedicated [`crate::YourAdValue`] fed only that
+//! tenant's requests would report (the tenant-equivalence test pins
+//! this).
 
 use crate::ledger::CostSummary;
-use crate::monitor::{sift_request, DropStats, SiftDrop};
+use crate::monitor::{sift_request, DropStats, SiftDrop, SiftScratch};
 use yav_nurl::fields::PricePayload;
 
-use yav_pme::model::{self, ClientModel};
+use yav_pme::model::{ClientModel, EstimateScratch};
 use yav_types::{City, Cpm, UserId};
 use yav_weblog::HttpRequest;
 
@@ -29,11 +30,6 @@ use yav_weblog::HttpRequest;
 /// structural, so the shard a tenant lands in never depends on arrival
 /// order or thread count.
 pub const TENANT_SHARDS: usize = 64;
-
-/// Internal buffer size of the push-style [`TenantStore::feed`] path:
-/// requests accumulate to this many, then flush through one batched
-/// observe (sift + one `predict_batch` + fold).
-pub const TENANT_BATCH: usize = 4096;
 
 /// Per-tenant accumulated state: the running totals a single-user
 /// monitor's ledger summary would report, without the ledger.
@@ -168,55 +164,41 @@ fn cost_bucket(total: Cpm) -> usize {
     }
 }
 
-/// Pre-resolved `monitor.tenant.*` telemetry handles.
+/// Pre-resolved `monitor.tenant.*` telemetry handles, published once per
+/// store by [`TenantStore::finish`].
 #[derive(Debug, Clone)]
 struct TenantMetrics {
     events: yav_telemetry::Counter,
-    batches: yav_telemetry::Counter,
     rejected: yav_telemetry::Counter,
-    predictions: yav_telemetry::Counter,
     tenants: yav_telemetry::Gauge,
-}
-
-impl Default for TenantMetrics {
-    fn default() -> TenantMetrics {
-        TenantMetrics {
-            events: yav_telemetry::counter("monitor.tenant.events"),
-            batches: yav_telemetry::counter("monitor.tenant.batches"),
-            rejected: yav_telemetry::counter("monitor.tenant.rejected"),
-            predictions: yav_telemetry::counter("monitor.tenant.predictions"),
-            tenants: yav_telemetry::gauge("monitor.tenant.tenants"),
-        }
-    }
 }
 
 /// The multi-tenant monitor-state store.
 ///
-/// The store does **not** own the estimation model: every observe call
-/// borrows an optional [`ClientModel`]. A fleet shares one model, and at
-/// 31 250 weblog shards an owned ~100 kB model clone per store would be
-/// three gigabytes of copies.
-#[derive(Debug, Default)]
+/// The store does **not** own the estimation model: every
+/// [`TenantStore::feed`] borrows an optional [`ClientModel`]. A fleet
+/// shares one model, and at 31 250 weblog shards an owned ~100 kB model
+/// clone per store would be three gigabytes of copies.
+#[derive(Debug)]
 pub struct TenantStore {
     /// Per-user state, sharded by `user % TENANT_SHARDS`. BTreeMaps so
     /// every iteration (the [`TenantStore::report`] fold) is in user
     /// order — deterministic regardless of arrival order.
     shards: Vec<std::collections::BTreeMap<u32, TenantState>>,
-    /// Push-path staging slots, bounded by [`TENANT_BATCH`]. Slots are
-    /// pooled: a flush resets `buf_len`, not the vector, so steady-state
-    /// feeding copies into retained string capacity instead of cloning.
-    // yav-lint: allow(stream-materialize) — bounded: flushed at TENANT_BATCH requests, never grows with the population
-    buf: Vec<HttpRequest>,
-    /// Live prefix of `buf` (slots past it hold reusable stale records).
-    buf_len: usize,
     /// Stream-level drop accounting (drops are not attributable to a
     /// tenant: rejected URLs never reach user routing).
     drops: DropStats,
-    /// Reusable sift/staging scratch.
-    sift: crate::monitor::SiftScratch,
-    rows: Vec<f64>,
-    staged: Vec<(u32, Cpm)>,
+    /// Reusable sift scratch (URL decode, UA memo).
+    sift: SiftScratch,
+    /// Reusable row/probability buffers for valuing encrypted prices.
+    estimate: EstimateScratch,
     metrics: TenantMetrics,
+}
+
+impl Default for TenantStore {
+    fn default() -> TenantStore {
+        TenantStore::new()
+    }
 }
 
 impl TenantStore {
@@ -224,7 +206,14 @@ impl TenantStore {
     pub fn new() -> TenantStore {
         TenantStore {
             shards: vec![std::collections::BTreeMap::new(); TENANT_SHARDS],
-            ..TenantStore::default()
+            drops: DropStats::default(),
+            sift: SiftScratch::default(),
+            estimate: EstimateScratch::new(),
+            metrics: TenantMetrics {
+                events: yav_telemetry::counter("monitor.tenant.events"),
+                rejected: yav_telemetry::counter("monitor.tenant.rejected"),
+                tenants: yav_telemetry::gauge("monitor.tenant.tenants"),
+            },
         }
     }
 
@@ -251,126 +240,48 @@ impl TenantStore {
     }
 
     fn state_mut(&mut self, user: u32) -> &mut TenantState {
-        if self.shards.is_empty() {
-            self.shards = vec![std::collections::BTreeMap::new(); TENANT_SHARDS];
-        }
         self.shards[user as usize % TENANT_SHARDS]
             .entry(user)
             .or_default()
     }
 
-    /// Push-style ingestion: buffers the request and flushes through
-    /// [`TenantStore::observe_batch`] every [`TENANT_BATCH`] requests.
-    /// Call [`TenantStore::flush`] when the stream ends. Staging reuses
-    /// pooled slots, so once every slot exists and has grown to the
-    /// stream's line-length high-water mark, feeding allocates nothing.
+    /// Observes one request of a multiplexed stream, routed by
+    /// `req.user` — [`crate::YourAdValue::observe`]'s sift → estimate →
+    /// commit, into the tenant's totals instead of a ledger. A cleartext
+    /// price is added as read; an encrypted one is valued with `model`,
+    /// or counted as `skipped_no_model` when there is none.
     pub fn feed(&mut self, model: Option<&ClientModel>, req: &HttpRequest) {
-        if self.buf_len < self.buf.len() {
-            self.buf[self.buf_len].copy_from(req);
-        } else {
-            self.buf.push(req.clone());
-        }
-        self.buf_len += 1;
-        if self.buf_len >= TENANT_BATCH {
-            self.flush(model);
-        }
-    }
-
-    /// Processes any buffered [`TenantStore::feed`] requests.
-    pub fn flush(&mut self, model: Option<&ClientModel>) {
-        if self.buf_len == 0 {
-            return;
-        }
-        let buf = std::mem::take(&mut self.buf);
-        self.observe_batch(model, &buf[..self.buf_len]);
-        self.buf = buf;
-        self.buf_len = 0;
-    }
-
-    /// Observes a multiplexed batch: requests from any mix of tenants,
-    /// routed by `req.user`. Three passes, same shape as the single-user
-    /// batch path: sift + stage (cleartext folds immediately), one
-    /// `predict_batch` over every staged encrypted row, fold estimates.
-    pub fn observe_batch(&mut self, model: Option<&ClientModel>, reqs: &[HttpRequest]) {
-        let _trace = yav_trace::trace_span!("monitor.tenant_batch", reqs.len());
-        self.metrics.batches.inc();
-        let mut rows = std::mem::take(&mut self.rows);
-        let mut staged = std::mem::take(&mut self.staged);
-        rows.clear();
-        staged.clear();
-
-        // Pass 1: sift and route. Drops tally locally (same deferred-
-        // flush discipline as the single-user batch path).
-        let mut drop_parse_error = 0u64;
-        let mut drop_not_notification = 0u64;
-        let mut events = 0u64;
+        let home = self.tenant(req.user).and_then(|t| t.home);
         // The estimator context is the sift's only allocating piece
         // (owned publisher string); it is only built when a model will
         // actually encode it, so the model-free fleet stays heap-quiet.
-        let want_ctx = model.is_some();
-        for req in reqs {
-            let home = self.tenant(req.user).and_then(|t| t.home);
-            let (_, price, ctx) = match sift_request(home, req, &mut self.sift, want_ctx) {
-                Ok(found) => found,
-                Err(SiftDrop::ParseError) => {
-                    drop_parse_error += 1;
-                    continue;
-                }
-                Err(SiftDrop::NotNotification) => {
-                    drop_not_notification += 1;
-                    continue;
-                }
-            };
-            events += 1;
-            match price {
-                PricePayload::Cleartext(price) => {
-                    let t = self.state_mut(req.user.0);
-                    t.cleartext = t.cleartext.saturating_add(price);
-                    t.cleartext_count += 1;
-                }
-                PricePayload::Encrypted(_) => match model {
-                    Some(m) => {
-                        let ctx = ctx.expect("context built whenever a model is loaded");
-                        model::encode_append(&ctx, m.with_publisher, &mut rows);
-                        staged.push((req.user.0, Cpm::ZERO));
-                    }
-                    None => {
-                        self.state_mut(req.user.0).skipped_no_model += 1;
-                        events -= 1;
-                    }
-                },
+        let (_, price, ctx) = match sift_request(home, req, &mut self.sift, model.is_some()) {
+            Ok(found) => found,
+            Err(SiftDrop::ParseError) => {
+                self.drops.parse_error += 1;
+                return;
+            }
+            Err(SiftDrop::NotNotification) => {
+                self.drops.not_notification += 1;
+                return;
+            }
+        };
+        match (price, model.zip(ctx)) {
+            (PricePayload::Cleartext(price), _) => {
+                let t = self.state_mut(req.user.0);
+                t.cleartext = t.cleartext.saturating_add(price);
+                t.cleartext_count += 1;
+            }
+            (PricePayload::Encrypted(_), Some((m, ctx))) => {
+                let estimate = m.estimate_into(&ctx, &mut self.estimate);
+                let t = self.state_mut(req.user.0);
+                t.encrypted_estimated = t.encrypted_estimated.saturating_add(estimate);
+                t.encrypted_count += 1;
+            }
+            (PricePayload::Encrypted(_), None) => {
+                self.state_mut(req.user.0).skipped_no_model += 1;
             }
         }
-        self.drops.parse_error += drop_parse_error;
-        self.drops.not_notification += drop_not_notification;
-        self.metrics
-            .rejected
-            .add(drop_parse_error + drop_not_notification);
-
-        // Pass 2: one batched forest traversal values every staged row.
-        if !staged.is_empty() {
-            if let Some(m) = model {
-                let classes = m.compiled.predict_batch(&rows, m.compiled.n_features());
-                for (slot, &class) in staged.iter_mut().zip(&classes) {
-                    if let Some(&price) = m.class_prices.get(class) {
-                        slot.1 = Cpm::from_f64(price);
-                    }
-                }
-                self.metrics.predictions.add(staged.len() as u64);
-            }
-        }
-
-        // Pass 3: fold estimates into their tenants, in request order.
-        for &(user, amount) in &staged {
-            let t = self.state_mut(user);
-            t.encrypted_estimated = t.encrypted_estimated.saturating_add(amount);
-            t.encrypted_count += 1;
-        }
-        self.metrics.events.add(events);
-        self.metrics.tenants.set(self.tenant_count() as f64);
-
-        self.rows = rows;
-        self.staged = staged;
     }
 
     /// Summarises the fleet. Tenants are walked in user order (BTreeMap
@@ -401,11 +312,19 @@ impl TenantStore {
         report
     }
 
-    /// Finishes the store: flushes any buffered requests and returns the
-    /// fleet report, dropping all tenant state.
-    pub fn finish(mut self, model: Option<&ClientModel>) -> TenantReport {
-        self.flush(model);
-        self.report()
+    /// Finishes the store: publishes its event, drop and tenant tallies
+    /// to `monitor.tenant.{events, rejected, tenants}` and returns the
+    /// fleet report, dropping all tenant state. `model` is unused, as
+    /// `feed` prices every request when it arrives; the parameter stays
+    /// because the benchmark (`perfbench/`) calls `finish(model)`.
+    pub fn finish(self, _model: Option<&ClientModel>) -> TenantReport {
+        let report = self.report();
+        self.metrics.events.add(report.events);
+        self.metrics
+            .rejected
+            .add(report.drops.parse_error + report.drops.not_notification);
+        self.metrics.tenants.set(self.tenant_count() as f64);
+        report
     }
 }
 
@@ -449,7 +368,9 @@ mod tests {
         for user in generator.panel().users() {
             store.register(user.id, user.home);
         }
-        store.observe_batch(Some(&model), &log.requests);
+        for req in &log.requests {
+            store.feed(Some(&model), req);
+        }
         let report = store.report();
         assert!(report.users > 0);
         assert!(report.fleet.cleartext.is_positive());
@@ -476,34 +397,15 @@ mod tests {
     }
 
     #[test]
-    fn feed_chunking_is_invariant() {
-        let model = client_model();
-        let (log, generator) = world();
-        let registered: Vec<_> = generator.panel().users().to_vec();
-
-        let run = |chunk: usize| {
-            let mut store = TenantStore::new();
-            for u in &registered {
-                store.register(u.id, u.home);
+    fn default_store_is_a_new_store() {
+        let (log, _) = world();
+        let run = |mut store: TenantStore| {
+            for req in log.requests.iter().take(2_000) {
+                store.feed(None, req);
             }
-            for batch in log.requests.chunks(chunk) {
-                store.observe_batch(Some(&model), batch);
-            }
-            store.report()
+            store.finish(None)
         };
-        let whole = run(log.requests.len());
-        assert_eq!(run(1), whole);
-        assert_eq!(run(333), whole);
-
-        // The push path lands in the same place.
-        let mut fed = TenantStore::new();
-        for u in &registered {
-            fed.register(u.id, u.home);
-        }
-        for req in &log.requests {
-            fed.feed(Some(&model), req);
-        }
-        assert_eq!(fed.finish(Some(&model)), whole);
+        assert_eq!(run(TenantStore::default()), run(TenantStore::new()));
     }
 
     #[test]
@@ -511,18 +413,19 @@ mod tests {
         let (log, _) = world();
         let mid = log.requests.len() / 2;
 
-        let mut whole = TenantStore::new();
-        whole.observe_batch(None, &log.requests);
-        let whole = whole.report();
+        let fed = |reqs: &[HttpRequest]| {
+            let mut store = TenantStore::new();
+            for req in reqs {
+                store.feed(None, req);
+            }
+            store.report()
+        };
+        let whole = fed(&log.requests);
         assert!(whole.skipped_no_model > 0);
         assert_eq!(whole.fleet.encrypted_count, 0);
 
-        let mut a = TenantStore::new();
-        a.observe_batch(None, &log.requests[..mid]);
-        let mut b = TenantStore::new();
-        b.observe_batch(None, &log.requests[mid..]);
-        let mut merged = b.report();
-        merged.merge(&a.report());
+        let mut merged = fed(&log.requests[mid..]);
+        merged.merge(&fed(&log.requests[..mid]));
         // Fleet sums and drops are exact under any split; per-user
         // buckets are too when users do not straddle the split, which a
         // user-major tiny log satisfies for almost all users — compare

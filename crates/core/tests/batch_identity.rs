@@ -1,11 +1,10 @@
 //! `observe_batch` ⇄ serial `observe` bit-identity.
 //!
-//! The batch path restructures the work — shared URL scratch, a staged
-//! feature matrix, one level-synchronous forest traversal — but it is a
-//! pure throughput optimisation: every observable side effect must be
-//! byte-for-byte what the serial loop produces. This suite pins that
-//! over real generated traffic and the hostile corpus, with and without
-//! an installed model, across batch-boundary placements.
+//! `observe_batch` is a loop over `observe` that adds one latency
+//! sample and one trace span per call, so every observable side effect
+//! must be byte-for-byte what the serial loop produces. This suite pins
+//! that over real generated traffic and the hostile corpus, with and
+//! without an installed model, across batch-boundary placements.
 
 use yav_core::YourAdValue;
 use yav_pme::engine::Pme;
@@ -81,9 +80,8 @@ fn batch_matches_serial_without_model() {
 fn batch_matches_serial_with_model() {
     let pme = trained_pme();
     let requests = traffic();
-    // Batch boundaries must not matter: one request per batch degenerates
-    // to the serial path; odd sizes split prediction blocks unevenly; one
-    // giant batch exercises the block loop.
+    // Batch boundaries must not matter: one request per batch, odd
+    // sizes that split the stream unevenly, and one giant batch.
     for chunk in [1, 7, 333, usize::MAX] {
         assert_identical(&requests[..40_000.min(requests.len())], Some(&pme), chunk);
     }
@@ -115,8 +113,8 @@ fn batch_matches_serial_on_hostile_corpus() {
 
 #[test]
 fn world_output_is_simd_tier_independent() {
-    // The whole ingest path — scans, HMAC, forest partition — dispatches
-    // through yav-simd. Forcing each tier in turn must leave every
+    // The whole ingest path — byte scans and HMAC — dispatches through
+    // yav-simd. Forcing each tier in turn must leave every
     // externally visible piece of monitor state bit-identical; this is
     // the end-to-end form of the per-kernel cross_impl guarantees (and
     // what makes `YAV_SIMD=off` a pure performance switch).

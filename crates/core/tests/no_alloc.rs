@@ -118,7 +118,7 @@ fn reject_path_never_allocates() {
     });
     assert_eq!(observed, 0, "observe() reject path allocated");
 
-    // The batch path allocates only its returned event vector — which is
+    // The batch loop allocates only its returned event vector — which is
     // empty and therefore allocation-free for an all-reject batch.
     let batched = allocations(|| {
         for _ in 0..64 {

@@ -22,9 +22,9 @@
 //!    probe/scratch buffers to high water) a further replay is pure
 //!    fold work: exactly zero allocations.
 //! 3. **Tenant monitor** — the same replay through
-//!    [`TenantStore::feed`]/[`TenantStore::flush`] with no model. The
-//!    pooled staging slots are at high water after the warm pass:
-//!    exactly zero allocations.
+//!    [`TenantStore::feed`] with no model, which sifts every request as
+//!    it arrives. Once the warm pass has created every tenant and grown
+//!    the sift scratch to high water: exactly zero allocations.
 //!
 //! This file deliberately holds a single `#[test]` with a thread-local
 //! counter, for the reasons documented in `no_alloc.rs` (the harness's
@@ -159,23 +159,18 @@ fn steady_state_window_loop_never_allocates_per_event() {
     assert_eq!(analyzed, 0, "ingest_quiet() steady state allocated");
 
     // --- Stage 3: tenant monitor ------------------------------------
-    // The warm pass creates tenant states and pushes the staging
-    // vector to its high-water length; after a flush the pooled slots
-    // are reused via `HttpRequest::copy_from`, so the model-free feed
-    // path is allocation-free forever after.
+    // The warm pass creates tenant states and grows the URL decode
+    // scratch to its high-water length; every later request is sifted
+    // in place, so the model-free feed path is allocation-free forever
+    // after.
     let mut store = TenantStore::new();
     for req in &captured {
         store.feed(None, req);
     }
-    store.flush(None);
     let monitored = allocations(|| {
         for req in &captured {
             store.feed(None, req);
         }
-        store.flush(None);
     });
-    assert_eq!(
-        monitored, 0,
-        "TenantStore::feed()/flush() steady state allocated"
-    );
+    assert_eq!(monitored, 0, "TenantStore::feed() steady state allocated");
 }

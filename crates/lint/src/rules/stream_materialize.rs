@@ -15,8 +15,7 @@
 //!   takes none and is not flagged);
 //! * `Retention::Full` — unbounded detection retention.
 //!
-//! Bounded uses (a 32-user shard block, a batch buffer flushed at a
-//! fixed size) are legitimate; suppress with
+//! Bounded uses (a 32-user shard block) are legitimate; suppress with
 //! `// yav-lint: allow(stream-materialize) — <why it is bounded>`.
 
 use crate::engine::{Diagnostic, Rule};

@@ -51,12 +51,6 @@ const LEAF_BIT: u32 = 1 << 31;
 /// For impure leaves the low 30 bits index the probability arena.
 const PURE_BIT: u32 = 1 << 30;
 
-/// Rows swept together by [`CompiledForest::predict_batch`]: small enough
-/// that the block's rows, its vote accumulator and the row-index buffers
-/// co-reside in cache, large enough to amortise the per-node overhead of
-/// the partition sweep over many rows at each node.
-const BLOCK: usize = 32768;
-
 /// Width of the fixed row buffer the fast walk reads through. Feature
 /// indices are masked to `ROW_BUF - 1`, which lets the compiler drop the
 /// per-level row bounds check entirely (every compiled feature index is
@@ -293,191 +287,6 @@ impl CompiledForest {
         argmax(probs)
     }
 
-    /// Majority-vote classes for a flat row-major batch (`rows.len()`
-    /// must be a multiple of `n_features`). Results are bit-identical to
-    /// calling [`CompiledForest::predict_with`] per row.
-    ///
-    /// Rows are processed in cache-sized blocks of [`BLOCK`]. Each block
-    /// is first transposed to column-major, then each tree is traversed
-    /// **level-synchronously**: instead of walking rows down the tree one
-    /// at a time (a chain of dependent node loads ending in an
-    /// unpredictable loop-exit branch, per row, per tree), the whole
-    /// block's row-index set is *partitioned* down the tree. At each
-    /// split node the feature column and threshold are loaded once and
-    /// the node's surviving rows are split with [`yav_simd::partition`]'s
-    /// order-preserving compaction — 8 rows per step under AVX2
-    /// (vectorized compare + `vpermd` compaction), a branchless scalar
-    /// sweep elsewhere, bit-identical either way — so the inner loop has
-    /// no dependent loads and no data-driven branches and pipelines at
-    /// full width. Each row still receives each tree's leaf contribution
-    /// exactly once, in root order, preserving bit-identity.
-    ///
-    /// # Panics
-    /// Panics if `n_features` disagrees with the compiled shape or does
-    /// not divide `rows.len()`.
-    pub fn predict_batch(&self, rows: &[f64], n_features: usize) -> Vec<usize> {
-        assert_eq!(n_features, self.n_features, "row width mismatch");
-        assert_eq!(rows.len() % n_features, 0, "ragged batch");
-        let n_rows = rows.len() / n_features;
-        let k = self.n_classes;
-        let mut out = Vec::with_capacity(n_rows);
-        // Scratch is sized to the largest block this call will actually
-        // see, not to BLOCK: small batches (the monitor stages a few
-        // hundred encrypted rows per observe_batch chunk) must not pay
-        // for allocating and zeroing full-block buffers.
-        let cap = n_rows.min(BLOCK);
-        let mut votes = vec![0.0f64; cap * k];
-        let mut cols = vec![0.0f64; cap * n_features];
-        // Row-index buffers for the partition: a segment plus the two
-        // destinations its rows split into. The three rotate roles down
-        // the recursion (a consumed parent segment becomes free space
-        // for its grandchildren), so three block-sized buffers suffice
-        // for any tree shape.
-        let mut seg = vec![0u32; cap];
-        let mut buf_a = vec![0u32; cap];
-        let mut buf_b = vec![0u32; cap];
-        let n_trees = self.roots.len() as f64;
-        for block in rows.chunks(BLOCK * n_features) {
-            let block_rows = block.len() / n_features;
-            let votes = &mut votes[..block_rows * k];
-            votes.fill(0.0);
-            // Transpose once per block: the partition's inner loop then
-            // indexes one contiguous feature column per node instead of
-            // striding across row records.
-            let cols = &mut cols[..block_rows * n_features];
-            for (r, row) in block.chunks_exact(n_features).enumerate() {
-                for (f, &v) in row.iter().enumerate() {
-                    cols[f * block_rows + r] = v;
-                }
-            }
-            for &root in &self.roots {
-                // The root level partitions the implicit identity row
-                // set 0..block_rows directly — no per-tree index-buffer
-                // initialisation pass.
-                let node = self.nodes[root as usize];
-                if node.left & LEAF_BIT != 0 {
-                    for v in votes.chunks_exact_mut(k) {
-                        self.accumulate(node, v);
-                    }
-                    continue;
-                }
-                let col = &cols
-                    [node.feature as usize * block_rows..(node.feature as usize + 1) * block_rows];
-                let buf_a = &mut buf_a[..block_rows];
-                let buf_b = &mut buf_b[..block_rows];
-                let (lo, ro) =
-                    yav_simd::partition::partition_iota(col, node.threshold, buf_a, buf_b);
-                let (left_seg, a_rest) = buf_a.split_at_mut(lo);
-                let (right_seg, b_rest) = buf_b.split_at_mut(ro);
-                let (seg_l, seg_r) = seg[..block_rows].split_at_mut(lo);
-                self.partition(
-                    node.left as usize,
-                    left_seg,
-                    seg_l,
-                    b_rest,
-                    cols,
-                    block_rows,
-                    votes,
-                );
-                self.partition(
-                    node.left as usize + 1,
-                    right_seg,
-                    seg_r,
-                    a_rest,
-                    cols,
-                    block_rows,
-                    votes,
-                );
-            }
-            for votes in votes.chunks_exact_mut(k) {
-                // Same final division as the per-row walker so ties (and
-                // therefore argmax) resolve identically.
-                for v in votes.iter_mut() {
-                    *v /= n_trees;
-                }
-                out.push(argmax(votes));
-            }
-        }
-        out
-    }
-
-    /// Level-synchronous descent for [`CompiledForest::predict_batch`]:
-    /// routes the row indices in `seg` through the subtree at `idx`,
-    /// accumulating each row's leaf probabilities into `votes`.
-    ///
-    /// `buf_a` and `buf_b` are free buffers at least as long as `seg`; a
-    /// split writes its left-goers to `buf_a` and right-goers to `buf_b`
-    /// via [`yav_simd::partition::partition_seg`] (order-preserving
-    /// forward compaction — gather + mask + `vpermd` under AVX2, the
-    /// branchless scalar sweep elsewhere). The parent's `seg` is dead
-    /// after the sweep, so its two
-    /// halves become the free buffers of the recursion, alongside the
-    /// unused tails of `buf_a`/`buf_b` — a three-way rotation that needs
-    /// no allocation at any depth.
-    #[allow(clippy::too_many_arguments)]
-    fn partition(
-        &self,
-        idx: usize,
-        seg: &mut [u32],
-        buf_a: &mut [u32],
-        buf_b: &mut [u32],
-        cols: &[f64],
-        block_rows: usize,
-        votes: &mut [f64],
-    ) {
-        if seg.is_empty() {
-            return;
-        }
-        let node = self.nodes[idx];
-        if node.left & LEAF_BIT != 0 {
-            let k = self.n_classes;
-            if node.left & PURE_BIT != 0 {
-                // Pure leaf: one addition per row, no arena gather.
-                let class = node.feature as usize;
-                let p = node.threshold;
-                for &r in seg.iter() {
-                    votes[r as usize * k + class] += p;
-                }
-                return;
-            }
-            let slot = (node.left & !LEAF_BIT) as usize;
-            let probs = &self.leaf_probs[slot * k..(slot + 1) * k];
-            for &r in seg.iter() {
-                let r = r as usize;
-                let v = &mut votes[r * k..(r + 1) * k];
-                for (o, &p) in v.iter_mut().zip(probs) {
-                    *o += p;
-                }
-            }
-            return;
-        }
-        let col =
-            &cols[node.feature as usize * block_rows..(node.feature as usize + 1) * block_rows];
-        let (lo, ro) = yav_simd::partition::partition_seg(col, node.threshold, seg, buf_a, buf_b);
-        debug_assert_eq!(lo + ro, seg.len());
-        let (left_seg, a_rest) = buf_a.split_at_mut(lo);
-        let (right_seg, b_rest) = buf_b.split_at_mut(ro);
-        let (seg_l, seg_r) = seg.split_at_mut(lo);
-        self.partition(
-            node.left as usize,
-            left_seg,
-            seg_l,
-            b_rest,
-            cols,
-            block_rows,
-            votes,
-        );
-        self.partition(
-            node.left as usize + 1,
-            right_seg,
-            seg_r,
-            a_rest,
-            cols,
-            block_rows,
-            votes,
-        );
-    }
-
     /// Number of trees compiled in.
     pub fn n_trees(&self) -> usize {
         self.roots.len()
@@ -600,35 +409,13 @@ mod tests {
             },
         );
         let compiled = CompiledForest::compile(&forest);
-        let flat: Vec<f64> = (0..data.len()).flat_map(|i| data.row(i).to_vec()).collect();
-        let batch = compiled.predict_batch(&flat, n_features);
         let mut buf = vec![0.0; 3];
-        for (i, &class) in batch.iter().enumerate() {
+        for i in 0..data.len() {
             let row = data.row(i);
             let (probs, vote) = arena(&forest, row, 3);
-            compiled.predict_into(row, &mut buf);
+            let class = compiled.predict_with(row, &mut buf);
             assert_eq!(buf, probs, "row {i}");
             assert_eq!(class, vote, "row {i}");
-        }
-    }
-
-    #[test]
-    fn batch_matches_per_row() {
-        let data = dataset(333, 4); // not a multiple of BLOCK: ragged tail
-        let forest = RandomForest::fit(
-            &data,
-            &RandomForestConfig {
-                n_trees: 5,
-                seed: 11,
-                ..RandomForestConfig::default()
-            },
-        );
-        let compiled = CompiledForest::compile(&forest);
-        let flat: Vec<f64> = (0..data.len()).flat_map(|i| data.row(i).to_vec()).collect();
-        let batch = compiled.predict_batch(&flat, data.n_features());
-        assert_eq!(batch.len(), data.len());
-        for (i, &class) in batch.iter().enumerate() {
-            assert_eq!(class, arena(&forest, data.row(i), 4).1, "row {i}");
         }
     }
 

@@ -2,7 +2,7 @@
 //! pure re-layout of the trained model, never a re-approximation. Every
 //! probability and class it produces is asserted **bit-identical** to
 //! the arena walker across forests of varying depth, size and class
-//! count — the property the hot client/batch paths rely on.
+//! count — the property the client's hot path relies on.
 //!
 //! (The companion guarantee — presorted-column training produces trees
 //! bit-identical to the seed implementation — lives next to the private
@@ -41,13 +41,6 @@ fn dataset(n: usize, n_features: usize, n_classes: usize, salt: u64) -> Dataset 
         .collect();
     let names = (0..n_features).map(|f| format!("f{f}")).collect();
     Dataset::new(rows, labels, n_classes, names)
-}
-
-/// The arena forest's majority-vote class for one row.
-fn arena_class(forest: &RandomForest, row: &[f64], n_classes: usize) -> usize {
-    let mut probs = vec![0.0f64; n_classes];
-    forest.predict_proba_into(row, &mut probs);
-    argmax(&probs)
 }
 
 /// The grid of model shapes under test.
@@ -105,52 +98,6 @@ fn compiled_probabilities_are_bit_identical_to_arena() {
             );
         }
     }
-}
-
-#[test]
-fn batch_prediction_matches_per_row_everywhere() {
-    for (i, (n_classes, config)) in configs().into_iter().enumerate() {
-        // 193 rows: exercises the ragged final block of the 64-row tiling.
-        let data = dataset(193, 5, n_classes, 0xBA7C + i as u64);
-        let forest = RandomForest::fit(&data, &config);
-        let compiled = CompiledForest::compile(&forest);
-        let flat: Vec<f64> = (0..data.len()).flat_map(|r| data.row(r).to_vec()).collect();
-        let batch = compiled.predict_batch(&flat, data.n_features());
-        for (r, &class) in batch.iter().enumerate() {
-            assert_eq!(
-                class,
-                arena_class(&forest, data.row(r), n_classes),
-                "config {i}, row {r}"
-            );
-        }
-    }
-}
-
-#[test]
-fn batch_prediction_is_tier_independent() {
-    // The partition sweep inside predict_batch dispatches through
-    // yav-simd; every available tier must produce the identical class
-    // sequence (the scalar tier is the canonical semantics).
-    let (n_classes, config) = configs().into_iter().nth(1).unwrap();
-    let data = dataset(500, 5, n_classes, 0x51D);
-    let forest = RandomForest::fit(&data, &config);
-    let compiled = CompiledForest::compile(&forest);
-    let flat: Vec<f64> = (0..data.len()).flat_map(|r| data.row(r).to_vec()).collect();
-    yav_simd::force_level(Some(yav_simd::Level::Scalar));
-    let want = compiled.predict_batch(&flat, data.n_features());
-    for lvl in yav_simd::Level::all()
-        .iter()
-        .copied()
-        .filter(|l| l.available())
-    {
-        yav_simd::force_level(Some(lvl));
-        assert_eq!(
-            compiled.predict_batch(&flat, data.n_features()),
-            want,
-            "{lvl:?}"
-        );
-    }
-    yav_simd::force_level(None);
 }
 
 #[test]

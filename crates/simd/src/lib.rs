@@ -1,12 +1,11 @@
 //! Runtime-dispatched SIMD kernels for the workspace's hot paths.
 //!
-//! Three byte-bashing loops dominate the monitor's per-request cost
-//! (BENCH_ingest.json): percent-decode/validation scans in `yav-nurl`,
-//! SHA-256 compression behind the encrypted-price HMACs in `yav-crypto`,
-//! and the level-synchronous partition sweep in `yav-ml`'s
-//! `CompiledForest::predict_batch`. This crate owns the vector kernels
-//! for all three so that exactly one place in the workspace contains
-//! `unsafe` code and exactly one dispatch policy decides what runs.
+//! Two byte-bashing loops dominate the monitor's per-request cost
+//! (BENCH_ingest.json): percent-decode/validation scans in `yav-nurl`
+//! and SHA-256 compression behind the encrypted-price HMACs in
+//! `yav-crypto`. This crate owns the vector kernels for both so that
+//! exactly one place in the workspace contains `unsafe` code and
+//! exactly one dispatch policy decides what runs.
 //!
 //! # Tiers
 //!
@@ -27,11 +26,9 @@
 //!
 //! Bit-identity holds by construction: the scan kernels report the same
 //! first-match index and the same validity verdicts; the SHA-256 tiers
-//! perform the same wrapping 32-bit integer arithmetic lane-wise; the
-//! partition tiers are order-preserving compactions of the same
-//! comparison (`v <= t`, NaN routed right — `_CMP_LE_OQ` is false on
-//! NaN exactly like the scalar `<=`). The `cross_impl` test suite
-//! pins this on random and hostile inputs for every available tier.
+//! perform the same wrapping 32-bit integer arithmetic lane-wise. The
+//! `cross_impl` test suite pins this on random and hostile inputs for
+//! every available tier.
 //!
 //! # Dispatch
 //!
@@ -48,7 +45,6 @@
 // boundary carries its own SAFETY comment, enforced by the same lint rule.
 
 pub mod hex;
-pub mod partition;
 pub mod scan;
 pub mod sha256;
 

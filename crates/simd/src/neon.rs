@@ -1,8 +1,8 @@
 //! NEON byte-scan kernels (aarch64, `native` feature).
 //!
 //! Deliberately minimal: only the two first-match scans, using the
-//! standard `vshrn` 4-bit-per-lane mask narrowing. The charset, SHA-256
-//! and partition kernels fall back to SWAR/scalar on aarch64 — this
+//! standard `vshrn` 4-bit-per-lane mask narrowing. The charset and
+//! SHA-256 kernels fall back to SWAR/scalar on aarch64 — this
 //! workspace's builders are x86_64, so the aarch64 surface is kept to
 //! code simple enough to review by eye. Results are bit-identical to
 //! the scalar tier by the same argument as the x86 kernels: the mask's

@@ -7,13 +7,12 @@
 //! agreement is acceptable. The corpus stresses the places vector code
 //! goes wrong: lane boundaries (lengths 7/8/9, 15/16/17, 31/32/33),
 //! bytes with the high bit set (SWAR's 7-bit comparisons must pre-mask
-//! them), matches in the unaligned head/tail, and float poison values
-//! (NaN, ±inf, -0.0) in the partition columns.
+//! them), and matches in the unaligned head/tail.
 //!
 //! The suite runs identically under `--no-default-features` (only the
 //! Scalar and Swar tiers exist there) — CI runs both configurations.
 
-use yav_simd::{partition, scan, sha256, Level};
+use yav_simd::{scan, sha256, Level};
 
 /// Deterministic LCG over arbitrary bytes.
 struct Rng(u64);
@@ -146,53 +145,6 @@ fn multiway_sha256_compression_matches_sequential() {
             let mut got = init.clone();
             sha256::compress_many_with(lvl, &mut got, &blocks);
             assert_eq!(got, want, "{lvl:?} lanes={lanes}");
-        }
-    }
-}
-
-#[test]
-fn partition_tiers_agree_on_poisoned_columns() {
-    let mut rng = Rng(0xF10A7);
-    for &n in LENGTHS {
-        let col: Vec<f64> = (0..n)
-            .map(|i| match i % 7 {
-                0 => f64::NAN,
-                1 => f64::INFINITY,
-                2 => f64::NEG_INFINITY,
-                3 => -0.0,
-                4 => 0.0,
-                _ => ((rng.next() % 1000) as f64 - 500.0) / 8.0,
-            })
-            .collect();
-        for t in [0.0, -0.0, 12.5, f64::INFINITY, f64::NEG_INFINITY] {
-            let mut a0 = vec![0u32; n];
-            let mut b0 = vec![0u32; n];
-            let (lo0, ro0) =
-                partition::partition_iota_with(Level::Scalar, &col, t, &mut a0, &mut b0);
-            assert_eq!(lo0 + ro0, n);
-            // A shuffled segment with repeats for the gather tier.
-            let seg: Vec<u32> = (0..n as u32)
-                .map(|i| (i * 13 + 5) % n.max(1) as u32)
-                .collect();
-            let mut sa0 = vec![0u32; n];
-            let mut sb0 = vec![0u32; n];
-            let (slo0, sro0) =
-                partition::partition_seg_with(Level::Scalar, &col, t, &seg, &mut sa0, &mut sb0);
-            for &lvl in &available_levels() {
-                let mut a1 = vec![0u32; n];
-                let mut b1 = vec![0u32; n];
-                let (lo1, ro1) = partition::partition_iota_with(lvl, &col, t, &mut a1, &mut b1);
-                assert_eq!((lo0, ro0), (lo1, ro1), "{lvl:?} n={n} t={t}");
-                assert_eq!(a0[..lo0], a1[..lo1], "{lvl:?} n={n} t={t} left");
-                assert_eq!(b0[..ro0], b1[..ro1], "{lvl:?} n={n} t={t} right");
-                let mut sa1 = vec![0u32; n];
-                let mut sb1 = vec![0u32; n];
-                let (slo1, sro1) =
-                    partition::partition_seg_with(lvl, &col, t, &seg, &mut sa1, &mut sb1);
-                assert_eq!((slo0, sro0), (slo1, sro1), "{lvl:?} n={n} t={t} seg");
-                assert_eq!(sa0[..slo0], sa1[..slo1], "{lvl:?} n={n} t={t} seg left");
-                assert_eq!(sb0[..sro0], sb1[..sro1], "{lvl:?} n={n} t={t} seg right");
-            }
         }
     }
 }

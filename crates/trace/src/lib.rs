@@ -67,7 +67,7 @@ pub use ring::{StreamId, StreamTrace, Trace, TraceRing};
 pub use std::sync::OnceLock as __OnceName;
 
 /// Opens an RAII trace span: `let _t = trace_span!("ingest.observe");`
-/// (optionally with a payload: `trace_span!("ingest.sift", batch_len)`).
+/// (optionally with a payload: `trace_span!("ingest.observe_batch", batch_len)`).
 ///
 /// The name is resolved through the interner once per call site and
 /// cached in a hidden `static`; afterwards the enabled check is one

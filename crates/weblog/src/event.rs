@@ -44,22 +44,6 @@ impl HttpRequest {
             duration_ms: 0,
         }
     }
-
-    /// Overwrites this record with `src`'s contents, reusing the string
-    /// buffers already held — the pooled-slot form of `clone_from` that
-    /// staging buffers use to stay heap-quiet once their slots have
-    /// reached the stream's line-length high-water mark.
-    pub fn copy_from(&mut self, src: &HttpRequest) {
-        self.time = src.time;
-        self.user = src.user;
-        self.url.clear();
-        self.url.push_str(&src.url);
-        self.client_ip = src.client_ip;
-        self.user_agent.clear();
-        self.user_agent.push_str(&src.user_agent);
-        self.bytes = src.bytes;
-        self.duration_ms = src.duration_ms;
-    }
 }
 
 /// Simulator-side ground truth for one sold RTB impression.

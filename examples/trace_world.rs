@@ -35,9 +35,9 @@ fn main() {
     let mut yav = YourAdValue::new(Some(City::Madrid));
     assert!(yav.refresh_model(&pme));
 
-    // Stream the panel through the client in batches (the staged
-    // `observe_batch` path is what records `ingest.observe.us`), ticking
-    // the health engine once per batch so its rolling window sees a
+    // Stream the panel through the client in batches (`observe_batch`
+    // records one `ingest.observe.us` sample per call), ticking the
+    // health engine once per batch so its rolling window sees a
     // sequence of load snapshots rather than one cumulative blob.
     println!("streaming panel traffic, ticking health per batch …");
     let mut health = trace::HealthEngine::with_defaults();
