@@ -204,31 +204,6 @@ fn bench_baseline(_c: &mut Criterion) {
         results.push((stream_name, owned, borrowed));
     }
 
-    // SIMD dispatch smoke: the same borrowed ingest under every forced
-    // tier — scalar reference, SWAR portable fallback, and whatever
-    // native tiers the host offers. The cross_impl suite proves the
-    // tiers bit-identical, so any delta here is pure kernel speed.
-    let mut dispatch_rows = Vec::new();
-    for lvl in yav_simd::Level::all()
-        .iter()
-        .copied()
-        .filter(|l| l.available())
-    {
-        yav_simd::force_level(Some(lvl));
-        let mixed_ns = per_req(mixed.len(), 10, &mut || {
-            ingest_borrowed(&mixed, &mut scratch)
-        });
-        let nurl_ns = per_req(nurls.len(), 10, &mut || {
-            ingest_borrowed(&nurls, &mut scratch)
-        });
-        println!(
-            "ingest/simd_dispatch[{}]: per-req ns mixed {mixed_ns:.0}, nurl {nurl_ns:.0}",
-            lvl.name()
-        );
-        dispatch_rows.push((lvl.name(), mixed_ns, nurl_ns));
-    }
-    yav_simd::force_level(None);
-
     // End-to-end monitor under the §3.2 single-tree client. On both
     // streams the sift dominates; prediction is a rounding error next
     // to it.
@@ -262,14 +237,6 @@ fn bench_baseline(_c: &mut Criterion) {
              {{\"bench\":\"ingest_borrowed_{stream_name}\",\"ns_per_req\":{borrowed:.1},\
              \"speedup_vs_owned\":{:.2}}},\n",
             owned / borrowed
-        ));
-    }
-    for (level, mixed_ns, nurl_ns) in &dispatch_rows {
-        json.push_str(&format!(
-            "  {{\"bench\":\"simd_dispatch_mixed\",\"level\":\"{level}\",\
-             \"ns_per_req\":{mixed_ns:.1}}},\n  \
-             {{\"bench\":\"simd_dispatch_nurl\",\"level\":\"{level}\",\
-             \"ns_per_req\":{nurl_ns:.1}}},\n"
         ));
     }
     // The nurl rows keep their `_tree` suffix and every row its `client`

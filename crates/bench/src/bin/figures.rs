@@ -9,6 +9,8 @@
 //! `table3`, `fig5`–`fig14`, `table4`, `dimred`, `table5`, `samplesize`,
 //! `fig15`, `fig16`, `model`, `fig17`–`fig19`, `arpu`, `truth`.
 
+#![forbid(unsafe_code)]
+
 use yav_bench::{figs_dataset as fd, figs_model as fm, figs_user as fu, Scale, StreamWorld, World};
 use yav_exec::ExecConfig;
 

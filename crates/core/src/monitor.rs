@@ -31,11 +31,6 @@ struct MonitorMetrics {
     ledger_cleartext_cpm: yav_telemetry::Gauge,
     ledger_estimated_cpm: yav_telemetry::Gauge,
     observe_us: yav_telemetry::Histogram,
-    /// The SIMD dispatch tier the ingest hot path resolved to, as
-    /// [`yav_simd::Level`]'s numeric value (0 scalar … 4 neon). A gauge
-    /// so dashboards can tell a portable-fallback deployment from a
-    /// native one without parsing logs.
-    simd_level: yav_telemetry::Gauge,
 }
 
 impl Default for MonitorMetrics {
@@ -49,11 +44,6 @@ impl Default for MonitorMetrics {
             ledger_cleartext_cpm: yav_telemetry::gauge("core.monitor.ledger_cleartext_cpm"),
             ledger_estimated_cpm: yav_telemetry::gauge("core.monitor.ledger_estimated_cpm"),
             observe_us: yav_telemetry::histogram("ingest.observe.us"),
-            simd_level: {
-                let g = yav_telemetry::gauge("ingest.simd_level");
-                g.set(yav_simd::level() as u8 as f64);
-                g
-            },
         }
     }
 }
@@ -317,10 +307,6 @@ impl YourAdValue {
     /// `ingest` watch reads.
     pub fn observe_batch(&mut self, reqs: &[HttpRequest]) -> Vec<PriceEvent> {
         let _timer = self.metrics.observe_us.time_us();
-        // Refresh the dispatch-tier gauge: `force_level` can retier the
-        // kernels at any time (tests and the parity bench do), and one
-        // atomic store per batch is free.
-        self.metrics.simd_level.set(yav_simd::level() as u8 as f64);
         let _trace = yav_trace::trace_span!("ingest.observe_batch", reqs.len());
         reqs.iter().filter_map(|req| self.observe(req)).collect()
     }

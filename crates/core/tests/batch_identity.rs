@@ -112,48 +112,6 @@ fn batch_matches_serial_on_hostile_corpus() {
 }
 
 #[test]
-fn world_output_is_simd_tier_independent() {
-    // The whole ingest path — byte scans and HMAC — dispatches through
-    // yav-simd. Forcing each tier in turn must leave every
-    // externally visible piece of monitor state bit-identical; this is
-    // the end-to-end form of the per-kernel cross_impl guarantees (and
-    // what makes `YAV_SIMD=off` a pure performance switch).
-    let pme = trained_pme();
-    let requests = traffic();
-    let requests = &requests[..20_000.min(requests.len())];
-    let levels: Vec<yav_simd::Level> = yav_simd::Level::all()
-        .iter()
-        .copied()
-        .filter(|l| l.available())
-        .collect();
-    let mut monitors = Vec::new();
-    for &lvl in &levels {
-        yav_simd::force_level(Some(lvl));
-        let mut yav = YourAdValue::new(Some(City::Madrid));
-        assert!(yav.refresh_model(&pme));
-        let mut events = Vec::new();
-        for chunk in requests.chunks(2048) {
-            events.extend(yav.observe_batch(chunk));
-        }
-        monitors.push((lvl, yav, events));
-    }
-    yav_simd::force_level(None);
-    let mut tail = monitors.split_off(1);
-    let (_, base, base_events) = &mut monitors[0];
-    let base_contributions = base.take_contributions();
-    for (lvl, yav, events) in &mut tail {
-        assert_eq!(events, base_events, "{lvl:?} event stream");
-        assert_eq!(yav.ledger(), base.ledger(), "{lvl:?} ledger");
-        assert_eq!(yav.drop_stats(), base.drop_stats(), "{lvl:?} drops");
-        assert_eq!(
-            yav.take_contributions(),
-            base_contributions,
-            "{lvl:?} contributions"
-        );
-    }
-}
-
-#[test]
 fn empty_batch_is_a_no_op() {
     let mut yav = YourAdValue::new(None);
     assert!(yav.observe_batch(&[]).is_empty());

@@ -86,11 +86,6 @@ fn reject_path_never_allocates() {
     .map(|u| HttpRequest::bare(t, *u))
     .collect();
 
-    // Warm the SIMD dispatch before measuring: the one-time level probe
-    // reads the `YAV_SIMD` env var, and `std::env::var` allocates when
-    // the variable is set. The contract is about steady state.
-    let _ = yav_simd::level();
-
     // Parser layer: borrowed parse + host inspection is allocation-free
     // on every input, accepted or rejected.
     let parsed = allocations(|| {

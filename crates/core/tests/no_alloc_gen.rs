@@ -79,11 +79,6 @@ const USERS: u32 = 48;
 
 #[test]
 fn steady_state_window_loop_never_allocates_per_event() {
-    // Warm the SIMD dispatch before measuring: the one-time level probe
-    // reads the `YAV_SIMD` env var, and `std::env::var` allocates when
-    // the variable is set. The contract is about steady state.
-    let _ = yav_simd::level();
-
     let config = WeblogConfig {
         users: USERS,
         days: 30,

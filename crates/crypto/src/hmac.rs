@@ -2,23 +2,12 @@
 //!
 //! [`HmacKey`] absorbs the ipad/opad blocks once at construction, so every
 //! subsequent MAC over a short message costs two compressions instead of
-//! four. [`HmacKey::mac_many`] goes further: runs of single-block messages
-//! (≤ 55 bytes — every price-token pad and signature input qualifies) are
-//! fed lane-parallel through [`yav_simd::sha256::compress_many`], which
-//! dispatches to the widest compression kernel the CPU offers. All paths
-//! produce bit-identical RFC 2104 output.
+//! four.
 
 use crate::sha256::{sha256, Sha256};
-use yav_simd::sha256::{compress, compress_many, H0};
+use yav_simd::sha256::{compress, H0};
 
 const BLOCK: usize = 64;
-/// Longest message that still finishes in a single compression after the
-/// ipad block (64 - 1 pad byte - 8 length bytes); only such messages can
-/// share a batched round, because every lane runs the same block count.
-const SINGLE_BLOCK_MAX: usize = 55;
-/// Lane budget per batched round: two full AVX2 passes, a few KiB of
-/// stack for the staging blocks.
-const LANES: usize = 16;
 
 /// A reusable HMAC-SHA256 key: the ipad/opad chaining values, precomputed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,70 +50,6 @@ impl HmacKey {
         let mut outer = Sha256::from_midstate(self.outer, BLOCK as u64);
         outer.update(&inner_digest);
         outer.finalize()
-    }
-
-    /// MACs `messages[i]` into `out[i]`, batching runs of single-block
-    /// messages through the multiway compression kernel. Output is
-    /// identical to calling [`HmacKey::mac`] per message; longer messages
-    /// fall back to exactly that.
-    ///
-    /// # Panics
-    ///
-    /// If `messages` and `out` have different lengths.
-    pub fn mac_many(&self, messages: &[&[u8]], out: &mut [[u8; 32]]) {
-        assert_eq!(
-            messages.len(),
-            out.len(),
-            "mac_many: messages/out length mismatch"
-        );
-        let mut i = 0usize;
-        while i < messages.len() {
-            if messages[i].len() > SINGLE_BLOCK_MAX {
-                out[i] = self.mac(messages[i]);
-                i += 1;
-                continue;
-            }
-            let run = messages[i..]
-                .iter()
-                .take(LANES)
-                .take_while(|m| m.len() <= SINGLE_BLOCK_MAX)
-                .count();
-
-            // Inner hashes: one padded message block per lane on top of
-            // the ipad midstate. Length suffix counts the ipad block too.
-            let mut blocks = [[0u8; 64]; LANES];
-            let mut states = [[0u32; 8]; LANES];
-            for (j, m) in messages[i..i + run].iter().enumerate() {
-                blocks[j][..m.len()].copy_from_slice(m);
-                blocks[j][m.len()] = 0x80;
-                let bits = ((BLOCK + m.len()) as u64) * 8;
-                blocks[j][56..].copy_from_slice(&bits.to_be_bytes());
-                states[j] = self.inner;
-            }
-            compress_many(&mut states[..run], &blocks[..run]);
-
-            // Outer hashes: the 32-byte inner digest is again exactly one
-            // padded block on top of the opad midstate.
-            let mut oblocks = [[0u8; 64]; LANES];
-            let mut ostates = [[0u32; 8]; LANES];
-            for j in 0..run {
-                for (w, word) in states[j].iter().enumerate() {
-                    oblocks[j][w * 4..w * 4 + 4].copy_from_slice(&word.to_be_bytes());
-                }
-                oblocks[j][32] = 0x80;
-                let bits = ((BLOCK + 32) as u64) * 8;
-                oblocks[j][56..].copy_from_slice(&bits.to_be_bytes());
-                ostates[j] = self.outer;
-            }
-            compress_many(&mut ostates[..run], &oblocks[..run]);
-
-            for j in 0..run {
-                for (w, word) in ostates[j].iter().enumerate() {
-                    out[i + j][w * 4..w * 4 + 4].copy_from_slice(&word.to_be_bytes());
-                }
-            }
-            i += run;
-        }
     }
 }
 
@@ -236,39 +161,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn mac_many_matches_mac() {
-        let hk = HmacKey::new(b"batch-key");
-        // Mixed lengths: single-block lanes, fallback (> 55 bytes)
-        // interleaved to split runs, and more messages than one lane
-        // round to cover the run loop.
-        let msgs: Vec<Vec<u8>> = (0..40usize)
-            .map(|i| pattern(if i % 7 == 3 { 60 + i } else { i % 56 }, i as u8))
-            .collect();
-        let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
-        let mut out = vec![[0u8; 32]; refs.len()];
-        hk.mac_many(&refs, &mut out);
-        for (i, m) in refs.iter().enumerate() {
-            assert_eq!(out[i], hk.mac(m), "message {i} (len {})", m.len());
-        }
-    }
-
-    #[test]
-    fn mac_many_empty_and_single() {
-        let hk = HmacKey::new(b"k");
-        hk.mac_many(&[], &mut []);
-        let mut out = [[0u8; 32]; 1];
-        hk.mac_many(&[b"one".as_slice()], &mut out);
-        assert_eq!(out[0], hk.mac(b"one"));
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn mac_many_length_mismatch_panics() {
-        let hk = HmacKey::new(b"k");
-        let mut out = [[0u8; 32]; 2];
-        hk.mac_many(&[b"one".as_slice()], &mut out);
     }
 }

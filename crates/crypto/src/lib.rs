@@ -21,9 +21,8 @@
 //!
 //! No third-party crypto crates are used; determinism and auditability
 //! matter more here than raw speed. The SHA-256 compression itself comes
-//! from the workspace's [`yav_simd`] kernel crate, whose multiway variants
-//! back [`hmac::HmacKey::mac_many`] and the batch price APIs — every tier
-//! is bit-identical, so swapping kernels never changes a token.
+//! from the workspace's [`yav_simd`] kernel crate, its one safe
+//! implementation.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -197,12 +197,11 @@ impl EncryptedPrice {
 /// Encrypts and decrypts price tokens for one (exchange, buyer) key pair.
 ///
 /// Caches the two keys' [`HmacKey`] midstates, so each encrypt/decrypt
-/// costs four SHA-256 compressions instead of eight, and the batch
-/// methods drive those compressions through the multiway kernel. The
-/// midstates are computed on first use, not at construction: the market
-/// builds a crypter per (exchange, buyer) integration on every shard,
-/// and most integrations never seal a price — paying four compressions
-/// up front per crypter measurably slowed whole-world builds.
+/// costs four SHA-256 compressions instead of eight. The midstates are
+/// computed on first use, not at construction: the market builds a
+/// crypter per (exchange, buyer) integration on every shard, and most
+/// integrations never seal a price — paying four compressions up front
+/// per crypter measurably slowed whole-world builds.
 #[derive(Debug)]
 pub struct PriceCrypter {
     keys: PriceKeys,
@@ -253,33 +252,13 @@ impl PriceCrypter {
         sig_input[..PRICE_LEN].copy_from_slice(&price_bytes);
         sig_input[PRICE_LEN..].copy_from_slice(&iv);
         let sig = self.mids().1.mac(&sig_input);
-        EncryptedPrice {
-            bytes: assemble_token(&iv, &price_bytes, &pad, &sig),
+        let mut bytes = [0u8; TOKEN_LEN];
+        bytes[..IV_LEN].copy_from_slice(&iv);
+        for i in 0..PRICE_LEN {
+            bytes[IV_LEN + i] = price_bytes[i] ^ pad[i];
         }
-    }
-
-    /// Encrypts a batch of `(micro_cpm, iv)` pairs. Identical tokens to
-    /// calling [`PriceCrypter::encrypt`] per pair, but the pad and
-    /// signature MACs run lane-parallel across the batch.
-    pub fn encrypt_batch(&self, items: &[(u64, [u8; IV_LEN])]) -> Vec<EncryptedPrice> {
-        let mut sig_inputs = vec![[0u8; PRICE_LEN + IV_LEN]; items.len()];
-        for (s, (price, iv)) in sig_inputs.iter_mut().zip(items) {
-            s[..PRICE_LEN].copy_from_slice(&price.to_be_bytes());
-            s[PRICE_LEN..].copy_from_slice(iv);
-        }
-        let iv_refs: Vec<&[u8]> = items.iter().map(|(_, iv)| iv.as_slice()).collect();
-        let sig_refs: Vec<&[u8]> = sig_inputs.iter().map(|s| s.as_slice()).collect();
-        let mut pads = vec![[0u8; 32]; items.len()];
-        let mut sigs = vec![[0u8; 32]; items.len()];
-        self.mids().0.mac_many(&iv_refs, &mut pads);
-        self.mids().1.mac_many(&sig_refs, &mut sigs);
-        items
-            .iter()
-            .zip(pads.iter().zip(&sigs))
-            .map(|((price, iv), (pad, sig))| EncryptedPrice {
-                bytes: assemble_token(iv, &price.to_be_bytes(), pad, sig),
-            })
-            .collect()
+        bytes[IV_LEN + PRICE_LEN..].copy_from_slice(&sig[..SIG_LEN]);
+        EncryptedPrice { bytes }
     }
 
     /// Decrypts and verifies a token, returning the price in micro-CPM.
@@ -300,55 +279,6 @@ impl PriceCrypter {
         }
         Ok(u64::from_be_bytes(price_bytes))
     }
-
-    /// Decrypts and verifies a batch of tokens, with the same per-token
-    /// results as [`PriceCrypter::decrypt`].
-    pub fn decrypt_batch(&self, tokens: &[EncryptedPrice]) -> Vec<Result<u64, PriceTokenError>> {
-        let iv_refs: Vec<&[u8]> = tokens.iter().map(|t| &t.bytes[..IV_LEN]).collect();
-        let mut pads = vec![[0u8; 32]; tokens.len()];
-        self.mids().0.mac_many(&iv_refs, &mut pads);
-
-        let mut prices = vec![[0u8; PRICE_LEN]; tokens.len()];
-        let mut sig_inputs = vec![[0u8; PRICE_LEN + IV_LEN]; tokens.len()];
-        for (j, t) in tokens.iter().enumerate() {
-            for i in 0..PRICE_LEN {
-                prices[j][i] = t.bytes[IV_LEN + i] ^ pads[j][i];
-            }
-            sig_inputs[j][..PRICE_LEN].copy_from_slice(&prices[j]);
-            sig_inputs[j][PRICE_LEN..].copy_from_slice(&t.bytes[..IV_LEN]);
-        }
-        let sig_refs: Vec<&[u8]> = sig_inputs.iter().map(|s| s.as_slice()).collect();
-        let mut sigs = vec![[0u8; 32]; tokens.len()];
-        self.mids().1.mac_many(&sig_refs, &mut sigs);
-
-        tokens
-            .iter()
-            .zip(sigs.iter().zip(&prices))
-            .map(|(t, (sig, price))| {
-                if ct_eq(&sig[..SIG_LEN], &t.bytes[IV_LEN + PRICE_LEN..]) {
-                    Ok(u64::from_be_bytes(*price))
-                } else {
-                    Err(PriceTokenError::Integrity)
-                }
-            })
-            .collect()
-    }
-}
-
-/// Lays out `iv ‖ (price ⊕ pad) ‖ sig` into the 28-byte token.
-fn assemble_token(
-    iv: &[u8; IV_LEN],
-    price_bytes: &[u8; PRICE_LEN],
-    pad: &[u8; 32],
-    sig: &[u8; 32],
-) -> [u8; TOKEN_LEN] {
-    let mut token = [0u8; TOKEN_LEN];
-    token[..IV_LEN].copy_from_slice(iv);
-    for i in 0..PRICE_LEN {
-        token[IV_LEN + i] = price_bytes[i] ^ pad[i];
-    }
-    token[IV_LEN + PRICE_LEN..].copy_from_slice(&sig[..SIG_LEN]);
-    token
 }
 
 #[cfg(test)]
@@ -438,35 +368,6 @@ mod tests {
         }
         // 800 byte comparisons, expected ~3 matches by chance; allow slack.
         assert!(matches < 30, "pads look correlated: {matches} byte matches");
-    }
-
-    #[test]
-    fn batch_matches_serial() {
-        let c = crypter("batch");
-        let items: Vec<(u64, [u8; IV_LEN])> = (0..37u64)
-            .map(|i| (250_000 + i * 13_337, [(i as u8).wrapping_mul(7); IV_LEN]))
-            .collect();
-        let tokens = c.encrypt_batch(&items);
-        assert_eq!(tokens.len(), items.len());
-        for ((price, iv), token) in items.iter().zip(&tokens) {
-            assert_eq!(*token, c.encrypt(*price, *iv), "price {price}");
-        }
-        let decrypted = c.decrypt_batch(&tokens);
-        for ((price, _), got) in items.iter().zip(&decrypted) {
-            assert_eq!(got.as_ref(), Ok(price));
-        }
-    }
-
-    #[test]
-    fn batch_flags_tampered_tokens_individually() {
-        let c = crypter("batch-tamper");
-        let mut tokens = c.encrypt_batch(&[(100, [1; IV_LEN]), (200, [2; IV_LEN])]);
-        let mut bytes = *tokens[1].as_bytes();
-        bytes[IV_LEN] ^= 0x01;
-        tokens[1] = EncryptedPrice::from_bytes(bytes);
-        let got = c.decrypt_batch(&tokens);
-        assert_eq!(got[0], Ok(100));
-        assert_eq!(got[1], Err(PriceTokenError::Integrity));
     }
 
     #[test]

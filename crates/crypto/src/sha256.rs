@@ -2,10 +2,9 @@
 //!
 //! Streaming [`Sha256`] hasher plus the one-shot [`sha256`] convenience.
 //! Buffering and message padding live here; the 64-round compression
-//! itself is [`yav_simd::sha256::compress`], the same scalar kernel that
-//! backs the multiway batch paths in [`crate::hmac`] — so streaming and
-//! batched hashing are bit-identical by construction. Validated against
-//! the NIST test vectors in the unit tests below.
+//! itself is [`yav_simd::sha256::compress`], the kernel [`crate::hmac`]
+//! also uses to derive its key midstates. Validated against the NIST
+//! test vectors in the unit tests below.
 
 use yav_simd::sha256 as kernel;
 

@@ -1,43 +1,31 @@
 //! `forbid-unsafe-coverage`: every crate root must carry
-//! `#![forbid(unsafe_code)]`, and any crate that opts out must justify
-//! every single `unsafe` token it contains.
+//! `#![forbid(unsafe_code)]`.
 //!
 //! The workspace's crates are safe Rust; `forbid` (unlike `deny`)
 //! cannot be overridden further down the tree, so the attribute on the
-//! crate root is a structural guarantee. Shims are exempt by not being
-//! walked at all — they stand in for external crates.
-//!
-//! One crate is deliberately different: `yav-simd` holds the
-//! workspace's vector kernels, and intrinsics require `unsafe`. A crate
-//! root may therefore opt out of the forbid by carrying a reasoned
-//! `// yav-lint: allow(forbid-unsafe-coverage) — <reason>` comment.
-//! Opting out does not relax the rule — it *refocuses* it from the
-//! attribute to the tokens:
-//!
-//! * every `unsafe` occurrence (block, impl, trait) in production code
-//!   must have a `// SAFETY:` comment within the four lines above it
-//!   (or on its own line), or a reasoned allow;
-//! * an `unsafe fn` must additionally sit under a `#[target_feature]`
-//!   attribute — the one sanctioned reason for an unsafe *signature* in
-//!   this workspace is a CPU-feature precondition the caller must prove.
+//! crate root is a structural guarantee and rustc enforces the rest.
+//! Crate roots are the library root `src/lib.rs` and the binary roots
+//! `src/main.rs` and `src/bin/*.rs`, of the root package and of every
+//! crate under `crates/`. Shims are exempt by not being walked at all —
+//! they stand in for external crates.
 
 use crate::engine::{Diagnostic, Rule};
 use crate::source::SourceFile;
-
-/// How many lines above an `unsafe` token a `SAFETY` comment may start
-/// and still count as covering it.
-const SAFETY_WINDOW: u32 = 4;
-
-/// How many lines above an `unsafe fn` a `#[target_feature]` attribute
-/// may sit (room for `#[cfg]` attributes between them).
-const TARGET_FEATURE_WINDOW: u32 = 3;
 
 /// The rule object.
 pub struct ForbidUnsafeCoverage;
 
 fn is_crate_root(file: &SourceFile) -> bool {
-    file.rel == "src/lib.rs"
-        || (file.rel.starts_with("crates/") && file.rel.ends_with("/src/lib.rs"))
+    let rel = file.rel.as_str();
+    // Package-relative path: strip `crates/<name>/` for member crates.
+    let in_package = rel
+        .strip_prefix("crates/")
+        .and_then(|r| r.split_once('/'))
+        .map_or(rel, |(_, r)| r);
+    matches!(in_package, "src/lib.rs" | "src/main.rs")
+        || in_package
+            .strip_prefix("src/bin/")
+            .is_some_and(|bin| !bin.contains('/') && bin.ends_with(".rs"))
 }
 
 fn has_forbid_attr(file: &SourceFile) -> bool {
@@ -53,45 +41,6 @@ fn has_forbid_attr(file: &SourceFile) -> bool {
     })
 }
 
-/// The line of the crate root's reasoned file-level opt-out, if any.
-/// The attribute belongs at the top of the file where no comment can
-/// sit above it (the file opens with module docs), so the opt-out is
-/// accepted anywhere in the root file: the missing-forbid finding is
-/// reported *at* the opt-out's line so the engine's normal suppression
-/// machinery (and the stale-allow audit) see the site as live.
-fn designated_unsafe_optout_line(file: &SourceFile) -> Option<u32> {
-    file.suppressions
-        .iter()
-        .find(|s| s.rules.iter().any(|r| r == "forbid-unsafe-coverage"))
-        .map(|s| s.line)
-}
-
-/// True when a `SAFETY` comment covers `line`: a comment starting with
-/// the marker on the line itself or within [`SAFETY_WINDOW`] lines
-/// above it.
-fn has_safety_comment(file: &SourceFile, line: u32) -> bool {
-    let lo = line.saturating_sub(SAFETY_WINDOW);
-    file.comments.iter().any(|c| {
-        (lo..=line).contains(&c.line)
-            && c.text
-                .trim_start_matches(['/', '!'])
-                .trim_start()
-                .starts_with("SAFETY")
-    })
-}
-
-/// True when a `#[target_feature]` attribute sits within
-/// [`TARGET_FEATURE_WINDOW`] lines above `line` (or on it).
-fn has_target_feature_attr(file: &SourceFile, line: u32) -> bool {
-    let lo = line.saturating_sub(TARGET_FEATURE_WINDOW);
-    file.tokens.windows(3).any(|w| {
-        w[0].is_punct('#')
-            && w[1].is_punct('[')
-            && w[2].is_ident("target_feature")
-            && (lo..=line).contains(&w[2].line)
-    })
-}
-
 impl Rule for ForbidUnsafeCoverage {
     fn name(&self) -> &'static str {
         "forbid-unsafe-coverage"
@@ -99,57 +48,16 @@ impl Rule for ForbidUnsafeCoverage {
 
     fn check(&mut self, file: &SourceFile, out: &mut Vec<Diagnostic>) {
         if is_crate_root(file) && !has_forbid_attr(file) {
-            // Report at the opt-out suppression's line when one exists so
-            // the engine's ordinary line-adjacency suppression absorbs it
-            // and the stale-allow audit sees the site as live; otherwise
-            // at line 1 where the attribute belongs.
-            let line = designated_unsafe_optout_line(file).unwrap_or(1);
             out.push(Diagnostic {
                 rule: self.name(),
                 rel: file.rel.clone(),
-                line,
+                line: 1,
                 col: 1,
                 message: format!(
-                    "crate root of `{}` is missing `#![forbid(unsafe_code)]` (a designated \
-                     unsafe crate may opt out with a reasoned \
-                     `// yav-lint: allow(forbid-unsafe-coverage) — <reason>`)",
+                    "crate root of `{}` is missing `#![forbid(unsafe_code)]`",
                     file.crate_name
                 ),
             });
-        }
-        // Token-level coverage: in a forbid crate no `unsafe` compiles,
-        // so this only bites where the opt-out above is in play — but
-        // enforcing it unconditionally keeps the rule stateless across
-        // files.
-        for (i, tok) in file.tokens.iter().enumerate() {
-            if !tok.is_ident("unsafe") || file.in_test_code(tok.line) {
-                continue;
-            }
-            let is_fn = file.tokens.get(i + 1).is_some_and(|t| t.is_ident("fn"));
-            if is_fn && !has_target_feature_attr(file, tok.line) {
-                out.push(Diagnostic {
-                    rule: self.name(),
-                    rel: file.rel.clone(),
-                    line: tok.line,
-                    col: tok.col,
-                    message: "`unsafe fn` without a `#[target_feature]` gate; safe \
-                              `#[target_feature]` functions are the only sanctioned unsafe \
-                              signatures (or add a reasoned `// yav-lint: allow`)"
-                        .to_owned(),
-                });
-            }
-            if !has_safety_comment(file, tok.line) {
-                out.push(Diagnostic {
-                    rule: self.name(),
-                    rel: file.rel.clone(),
-                    line: tok.line,
-                    col: tok.col,
-                    message: "`unsafe` without a `// SAFETY:` comment in the four lines above; \
-                              state the proof obligation being discharged (or add a reasoned \
-                              `// yav-lint: allow`)"
-                        .to_owned(),
-                });
-            }
         }
     }
 }

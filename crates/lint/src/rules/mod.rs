@@ -87,10 +87,9 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     RuleDoc {
         name: "forbid-unsafe-coverage",
         kind: "token",
-        invariant: "Every crate root carries `#![forbid(unsafe_code)]`; inside the one \
-                    designated unsafe crate (`yav-simd`), each block needs a \
-                    `// SAFETY:` comment and `#[target_feature]` fns need a dispatch \
-                    guard.",
+        invariant: "Every crate root — `src/lib.rs`, `src/main.rs` and `src/bin/*.rs`, \
+                    at the root and under `crates/*/` — carries \
+                    `#![forbid(unsafe_code)]`, so the workspace holds no `unsafe` code.",
         example: "crate root missing `#![forbid(unsafe_code)]`",
     },
     RuleDoc {

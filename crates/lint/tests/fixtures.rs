@@ -54,11 +54,11 @@ const CASES: &[Case] = &[
     },
     Case {
         rule: "forbid-unsafe-coverage",
-        positive: "unsafe_cover_pos.rs",
-        negative: "unsafe_cover_neg.rs",
-        crate_name: "simd",
-        rel: "crates/simd/src/lib.rs",
-        min_findings: 4,
+        positive: "unsafe_pos.rs",
+        negative: "unsafe_neg.rs",
+        crate_name: "demo",
+        rel: "crates/demo/src/bin/tool.rs",
+        min_findings: 1,
     },
     Case {
         rule: "metric-name-hygiene",

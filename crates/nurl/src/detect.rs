@@ -147,9 +147,7 @@ pub fn exchange_host(host: &str) -> Option<Adx> {
     HOST_TABLE
         .iter()
         .find(|e| {
-            e.len as usize == host.len()
-                && e.first == first
-                && yav_simd::scan::eq_ignore_ascii_case(host.as_bytes(), e.domain.as_bytes())
+            e.len as usize == host.len() && e.first == first && host.eq_ignore_ascii_case(e.domain)
         })
         .map(|e| e.adx)
 }

@@ -43,7 +43,7 @@ impl UrlScratch {
         self.bytes.clear();
         self.spans.clear();
         let query = url.query_str();
-        if !yav_simd::scan::contains_either(query.as_bytes(), b'%', b'+') {
+        if !query.bytes().any(|c| c == b'%' || c == b'+') {
             // Whole-query fast path: with no escapes and no `+`, every
             // component's decoded bytes *are* its raw bytes, so the view
             // borrows the query itself and splits pairs lazily at
@@ -83,11 +83,11 @@ impl UrlScratch {
 fn decode_component(raw: &str, buf: &mut Vec<u8>) -> Result<(u32, u32), UrlParseError> {
     let start = buf.len();
     let bytes = raw.as_bytes();
-    if !yav_simd::scan::contains_byte(bytes, b'%') {
+    if !bytes.contains(&b'%') {
         // Escape-free fast path: the decoded bytes are the raw bytes
         // with `+` → space (ASCII to ASCII, so the component stays the
         // valid UTF-8 it already was — no validation pass needed).
-        if yav_simd::scan::contains_byte(bytes, b'+') {
+        if bytes.contains(&b'+') {
             buf.extend(bytes.iter().map(|&b| if b == b'+' { b' ' } else { b }));
         } else {
             buf.extend_from_slice(bytes);
@@ -99,7 +99,7 @@ fn decode_component(raw: &str, buf: &mut Vec<u8>) -> Result<(u32, u32), UrlParse
     let mut i = 0;
     while i < bytes.len() {
         let run = i;
-        i = match yav_simd::scan::find_either(&bytes[i..], b'%', b'+') {
+        i = match bytes[i..].iter().position(|&c| c == b'%' || c == b'+') {
             Some(off) => i + off,
             None => bytes.len(),
         };

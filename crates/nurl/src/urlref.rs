@@ -49,10 +49,9 @@ impl<'a> UrlRef<'a> {
             None => (rest, "/"),
         };
         // Strip an optional port; reject empty hosts and whitespace —
-        // byte-for-byte the owned parser's host rule (the vector scan
-        // checks exactly `is_ascii_alphanumeric || . || - || _`).
+        // byte-for-byte the owned parser's host rule.
         let host = authority.split(':').next().unwrap_or("");
-        if host.is_empty() || yav_simd::scan::host_invalid_at(host.as_bytes()).is_some() {
+        if host.is_empty() || !host.bytes().all(is_host_byte) {
             return Err(UrlParseError::Host);
         }
 
@@ -114,7 +113,7 @@ impl<'a> UrlRef<'a> {
         // Escape-free queries — the common case — cannot fail: they are
         // already valid UTF-8 subslices, and `+`-to-space substitution
         // maps ASCII to ASCII.
-        if !yav_simd::scan::contains_byte(self.query.as_bytes(), b'%') {
+        if !self.query.as_bytes().contains(&b'%') {
             return Ok(());
         }
         for (k, v) in self.query_pairs() {
@@ -167,6 +166,11 @@ impl<'a> Iterator for QueryIter<'a> {
     }
 }
 
+/// True when `b` may appear in a hostname: `A–Z a–z 0–9 . - _`.
+fn is_host_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'.' || b == b'-' || b == b'_'
+}
+
 /// Decodes the byte at raw position `i` of a component, advancing `i`
 /// past it. Mirrors the owned decoder's escape grammar: `%XX` hex pairs,
 /// `+` to space, everything else verbatim. Errors carry the raw position
@@ -206,7 +210,7 @@ pub(crate) fn decode_byte_at(bytes: &[u8], i: &mut usize) -> Result<u8, UrlParse
 fn validate_component(raw: &str) -> Result<(), UrlParseError> {
     // Only `%` escapes can produce errors: without them the decoded
     // bytes are the input (a valid `&str`) with `+` → ASCII space.
-    if !yav_simd::scan::contains_byte(raw.as_bytes(), b'%') {
+    if !raw.as_bytes().contains(&b'%') {
         return Ok(());
     }
     let bytes = raw.as_bytes();
@@ -224,7 +228,7 @@ fn validate_component(raw: &str) -> Result<(), UrlParseError> {
 /// decoded sizes (e.g. transport features) without a decode buffer.
 pub fn decoded_len(raw: &str) -> usize {
     // `+` → space is one-to-one; only `%XX` shrinks.
-    if !yav_simd::scan::contains_byte(raw.as_bytes(), b'%') {
+    if !raw.as_bytes().contains(&b'%') {
         return raw.len();
     }
     let bytes = raw.as_bytes();
@@ -245,7 +249,7 @@ pub fn decoded_len(raw: &str) -> usize {
 /// True when `raw` percent-decodes exactly to `target`, without
 /// allocating. Invalid escapes never match.
 fn decoded_eq(raw: &str, target: &str) -> bool {
-    if !yav_simd::scan::contains_either(raw.as_bytes(), b'%', b'+') {
+    if !raw.bytes().any(|c| c == b'%' || c == b'+') {
         return raw == target;
     }
     let bytes = raw.as_bytes();
@@ -375,6 +379,28 @@ mod tests {
             UrlRef::parse("http://ex ample.com/"),
             Err(UrlParseError::Host)
         );
+    }
+
+    #[test]
+    fn host_charset_is_exactly_alnum_dot_dash_underscore() {
+        use crate::url::Url;
+        for c in (0u8..0x80).map(char::from) {
+            // `/` and `:` end the host, so they never reach the charset check.
+            if matches!(c, '/' | ':') {
+                continue;
+            }
+            let raw = format!("http://a{c}z.example/");
+            let want = if c.is_ascii_alphanumeric() || matches!(c, '.' | '-' | '_') {
+                None
+            } else {
+                Some(UrlParseError::Host)
+            };
+            assert_eq!(UrlRef::parse(&raw).err(), want, "{c:?}");
+            assert_eq!(Url::parse(&raw).err(), want, "owned parser, {c:?}");
+        }
+        let raw = "http://é.example/";
+        assert_eq!(UrlRef::parse(raw).err(), Some(UrlParseError::Host));
+        assert_eq!(Url::parse(raw).err(), Some(UrlParseError::Host));
     }
 
     #[test]

@@ -237,52 +237,6 @@ fn garbage_corpus_agrees() {
     }
 }
 
-#[test]
-fn borrowed_parsing_is_tier_independent() {
-    // The borrowed pipeline's scans dispatch through yav-simd; the full
-    // detection outcome (fields, rejection, or error) must not depend on
-    // the tier. Snapshot everything at the scalar tier, then re-run at
-    // every available tier and demand identical output.
-    let mut corpus: Vec<String> = valid_emissions();
-    for url in valid_emissions() {
-        corpus.push(url[..url.len() / 2].to_owned());
-        corpus.push(url.replace("price", "pricé"));
-    }
-    corpus.extend(
-        [
-            "http://cpp.imp.mpx.mopub.com/imp?%zz=1",
-            "http://x.com/?a=%f0%9f%a6%80&b=a+b&c=%80",
-            "http://X.COM:8080/Mixed/Case?K=V",
-            "not a url at all",
-        ]
-        .map(str::to_owned),
-    );
-    let snapshot = |corpus: &[String]| -> Vec<String> {
-        let mut scratch = UrlScratch::new();
-        corpus
-            .iter()
-            .map(|input| match UrlRef::parse(input) {
-                Err(e) => format!("parse-err {e:?}"),
-                Ok(url) => match borrowed_parse(&url, &mut scratch) {
-                    Ok(fields) => format!("fields {fields:?}"),
-                    Err(e) => format!("template-err {e:?}"),
-                },
-            })
-            .collect()
-    };
-    yav_simd::force_level(Some(yav_simd::Level::Scalar));
-    let want = snapshot(&corpus);
-    for lvl in yav_simd::Level::all()
-        .iter()
-        .copied()
-        .filter(|l| l.available())
-    {
-        yav_simd::force_level(Some(lvl));
-        assert_eq!(snapshot(&corpus), want, "{lvl:?}");
-    }
-    yav_simd::force_level(None);
-}
-
 proptest! {
     /// Random printable inputs, biased toward URL-shaped strings.
     #[test]

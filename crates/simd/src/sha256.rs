@@ -1,22 +1,8 @@
-//! SHA-256 compression: the canonical scalar kernel plus 4-way (SSE2)
-//! and 8-way (AVX2) multi-block variants.
+//! SHA-256 compression: the one 64-round kernel in the workspace.
 //!
 //! `yav-crypto` owns padding, streaming and the HMAC construction; this
-//! module owns only the 64-round compression function, so there is
-//! exactly one scalar implementation in the workspace and the multiway
-//! tiers are trivially bit-identical: SHA-256 is pure wrapping 32-bit
-//! integer arithmetic, and the vector tiers run the same operations
-//! lane-wise with each lane holding one independent (state, block)
-//! pair. Lanes never interact, so an N-way compression of N pairs
-//! produces exactly the N scalar results.
-//!
-//! The multiway entry point is [`compress_many`]: N independent states,
-//! each advanced by its own block. HMAC batching in `yav-crypto` leans
-//! on this — same-key MACs share precomputed ipad/opad midstates and
-//! finish with one single-block compression per message, which is
-//! exactly the shape `compress_many` vectorises.
-
-use crate::Level;
+//! module owns only the compression function, so there is exactly one
+//! implementation of it.
 
 /// Initial hash state: the fractional parts of the square roots of the
 /// first eight primes (FIPS 180-4).
@@ -37,8 +23,7 @@ const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
-/// One 64-round compression of `state` by one 512-bit block — the
-/// canonical scalar kernel every other tier is measured against.
+/// One 64-round compression of `state` by one 512-bit block.
 /// Inlinable across crates: `yav-crypto` calls this per block on hot
 /// key-derivation paths, and the cross-crate call boundary alone costs
 /// a few percent per block without it.
@@ -92,348 +77,4 @@ pub fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     state[5] = state[5].wrapping_add(f);
     state[6] = state[6].wrapping_add(g);
     state[7] = state[7].wrapping_add(h);
-}
-
-/// Advances `states[i]` by `blocks[i]` for every `i` — N independent
-/// single-block compressions, vectorised 8 lanes (AVX2) or 4 lanes
-/// (SSE2) at a time with a scalar tail. Bit-identical to calling
-/// [`compress`] per pair.
-///
-/// # Panics
-/// Panics when the slice lengths differ.
-pub fn compress_many(states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
-    compress_many_with(crate::level(), states, blocks)
-}
-
-/// [`compress_many`] at an explicit tier.
-///
-/// # Panics
-/// Panics when the slice lengths differ.
-pub fn compress_many_with(level: Level, states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
-    assert_eq!(states.len(), blocks.len(), "lane count mismatch");
-    #[cfg_attr(
-        not(all(target_arch = "x86_64", feature = "native")),
-        allow(unused_mut)
-    )]
-    let mut i = 0usize;
-    #[cfg(all(target_arch = "x86_64", feature = "native"))]
-    {
-        if level >= Level::Avx2 && Level::Avx2.available() {
-            while states.len() - i >= 8 {
-                // SAFETY: Avx2 availability was just checked against
-                // runtime detection, satisfying the target-feature call
-                // contract.
-                unsafe { compress_x8_avx2(&mut states[i..i + 8], &blocks[i..i + 8]) };
-                i += 8;
-            }
-        }
-        if level >= Level::Sse2 && Level::Sse2.available() {
-            while states.len() - i >= 4 {
-                // SAFETY: Sse2 availability was just checked against
-                // runtime detection.
-                unsafe { compress_x4_sse2(&mut states[i..i + 4], &blocks[i..i + 4]) };
-                i += 4;
-            }
-        }
-    }
-    let _ = level;
-    for j in i..states.len() {
-        compress(&mut states[j], &blocks[j]);
-    }
-}
-
-/// Big-endian message word `t` of `block`.
-#[cfg(all(target_arch = "x86_64", feature = "native"))]
-#[inline]
-fn be_word(block: &[u8; 64], t: usize) -> u32 {
-    u32::from_be_bytes([
-        block[t * 4],
-        block[t * 4 + 1],
-        block[t * 4 + 2],
-        block[t * 4 + 3],
-    ])
-}
-
-/// 8 independent compressions, one per 32-bit AVX2 lane. Exactly 8
-/// (state, block) pairs.
-#[cfg(all(target_arch = "x86_64", feature = "native"))]
-#[target_feature(enable = "avx2")]
-fn compress_x8_avx2(states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
-    use std::arch::x86_64::*;
-    debug_assert!(states.len() == 8 && blocks.len() == 8);
-
-    // Transpose the 8 message schedules and 8 states to lane-major
-    // form, then lift into vectors. The scalar transpose is cheap next
-    // to 64 vector rounds.
-    let mut wt = [[0u32; 8]; 16];
-    for (t, row) in wt.iter_mut().enumerate() {
-        for (lane, slot) in row.iter_mut().enumerate() {
-            *slot = be_word(&blocks[lane], t);
-        }
-    }
-    let mut st = [[0u32; 8]; 8];
-    for (word, row) in st.iter_mut().enumerate() {
-        for (lane, slot) in row.iter_mut().enumerate() {
-            *slot = states[lane][word];
-        }
-    }
-    macro_rules! load {
-        ($arr:expr) => {
-            // SAFETY: the operand is a [u32; 8] = 32 bytes, exactly one
-            // unaligned 256-bit load.
-            unsafe { _mm256_loadu_si256($arr.as_ptr().cast()) }
-        };
-    }
-    let mut w = [
-        load!(wt[0]),
-        load!(wt[1]),
-        load!(wt[2]),
-        load!(wt[3]),
-        load!(wt[4]),
-        load!(wt[5]),
-        load!(wt[6]),
-        load!(wt[7]),
-        load!(wt[8]),
-        load!(wt[9]),
-        load!(wt[10]),
-        load!(wt[11]),
-        load!(wt[12]),
-        load!(wt[13]),
-        load!(wt[14]),
-        load!(wt[15]),
-    ];
-    let (mut a, mut b, mut c, mut d) = (load!(st[0]), load!(st[1]), load!(st[2]), load!(st[3]));
-    let (mut e, mut f, mut g, mut h) = (load!(st[4]), load!(st[5]), load!(st[6]), load!(st[7]));
-
-    macro_rules! ror {
-        ($x:expr, $n:literal) => {
-            _mm256_or_si256(
-                _mm256_srli_epi32::<$n>($x),
-                _mm256_slli_epi32::<{ 32 - $n }>($x),
-            )
-        };
-    }
-    macro_rules! add {
-        ($a:expr, $b:expr) => { _mm256_add_epi32($a, $b) };
-        ($a:expr, $b:expr, $($rest:expr),+) => { _mm256_add_epi32($a, add!($b, $($rest),+)) };
-    }
-    macro_rules! xor3 {
-        ($a:expr, $b:expr, $c:expr) => {
-            _mm256_xor_si256($a, _mm256_xor_si256($b, $c))
-        };
-    }
-
-    for t in 0..64 {
-        let wv = if t < 16 {
-            w[t]
-        } else {
-            let w15 = w[(t - 15) & 15];
-            let w2 = w[(t - 2) & 15];
-            let s0 = xor3!(ror!(w15, 7), ror!(w15, 18), _mm256_srli_epi32::<3>(w15));
-            let s1 = xor3!(ror!(w2, 17), ror!(w2, 19), _mm256_srli_epi32::<10>(w2));
-            let nw = add!(w[t & 15], s0, w[(t - 7) & 15], s1);
-            w[t & 15] = nw;
-            nw
-        };
-        let s1 = xor3!(ror!(e, 6), ror!(e, 11), ror!(e, 25));
-        // ch = (e & f) ^ (!e & g): andnot computes !x & y.
-        let ch = _mm256_xor_si256(_mm256_and_si256(e, f), _mm256_andnot_si256(e, g));
-        let temp1 = add!(h, s1, ch, _mm256_set1_epi32(K[t] as i32), wv);
-        let s0 = xor3!(ror!(a, 2), ror!(a, 13), ror!(a, 22));
-        let maj = xor3!(
-            _mm256_and_si256(a, b),
-            _mm256_and_si256(a, c),
-            _mm256_and_si256(b, c)
-        );
-        let temp2 = add!(s0, maj);
-        h = g;
-        g = f;
-        f = e;
-        e = add!(d, temp1);
-        d = c;
-        c = b;
-        b = a;
-        a = add!(temp1, temp2);
-    }
-
-    macro_rules! store_add {
-        ($vec:expr, $word:expr) => {{
-            let mut tmp = [0u32; 8];
-            // SAFETY: tmp is a [u32; 8] = 32 bytes, exactly one
-            // unaligned 256-bit store.
-            unsafe { _mm256_storeu_si256(tmp.as_mut_ptr().cast(), $vec) };
-            for lane in 0..8 {
-                states[lane][$word] = states[lane][$word].wrapping_add(tmp[lane]);
-            }
-        }};
-    }
-    store_add!(a, 0);
-    store_add!(b, 1);
-    store_add!(c, 2);
-    store_add!(d, 3);
-    store_add!(e, 4);
-    store_add!(f, 5);
-    store_add!(g, 6);
-    store_add!(h, 7);
-}
-
-/// 4 independent compressions, one per 32-bit SSE2 lane. Exactly 4
-/// (state, block) pairs. Mirrors [`compress_x8_avx2`] at half width.
-#[cfg(all(target_arch = "x86_64", feature = "native"))]
-#[target_feature(enable = "sse2")]
-fn compress_x4_sse2(states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
-    use std::arch::x86_64::*;
-    debug_assert!(states.len() == 4 && blocks.len() == 4);
-
-    let mut wt = [[0u32; 4]; 16];
-    for (t, row) in wt.iter_mut().enumerate() {
-        for (lane, slot) in row.iter_mut().enumerate() {
-            *slot = be_word(&blocks[lane], t);
-        }
-    }
-    let mut st = [[0u32; 4]; 8];
-    for (word, row) in st.iter_mut().enumerate() {
-        for (lane, slot) in row.iter_mut().enumerate() {
-            *slot = states[lane][word];
-        }
-    }
-    macro_rules! load {
-        ($arr:expr) => {
-            // SAFETY: the operand is a [u32; 4] = 16 bytes, exactly one
-            // unaligned 128-bit load.
-            unsafe { _mm_loadu_si128($arr.as_ptr().cast()) }
-        };
-    }
-    let mut w = [
-        load!(wt[0]),
-        load!(wt[1]),
-        load!(wt[2]),
-        load!(wt[3]),
-        load!(wt[4]),
-        load!(wt[5]),
-        load!(wt[6]),
-        load!(wt[7]),
-        load!(wt[8]),
-        load!(wt[9]),
-        load!(wt[10]),
-        load!(wt[11]),
-        load!(wt[12]),
-        load!(wt[13]),
-        load!(wt[14]),
-        load!(wt[15]),
-    ];
-    let (mut a, mut b, mut c, mut d) = (load!(st[0]), load!(st[1]), load!(st[2]), load!(st[3]));
-    let (mut e, mut f, mut g, mut h) = (load!(st[4]), load!(st[5]), load!(st[6]), load!(st[7]));
-
-    macro_rules! ror {
-        ($x:expr, $n:literal) => {
-            _mm_or_si128(_mm_srli_epi32::<$n>($x), _mm_slli_epi32::<{ 32 - $n }>($x))
-        };
-    }
-    macro_rules! add {
-        ($a:expr, $b:expr) => { _mm_add_epi32($a, $b) };
-        ($a:expr, $b:expr, $($rest:expr),+) => { _mm_add_epi32($a, add!($b, $($rest),+)) };
-    }
-    macro_rules! xor3 {
-        ($a:expr, $b:expr, $c:expr) => {
-            _mm_xor_si128($a, _mm_xor_si128($b, $c))
-        };
-    }
-
-    for t in 0..64 {
-        let wv = if t < 16 {
-            w[t]
-        } else {
-            let w15 = w[(t - 15) & 15];
-            let w2 = w[(t - 2) & 15];
-            let s0 = xor3!(ror!(w15, 7), ror!(w15, 18), _mm_srli_epi32::<3>(w15));
-            let s1 = xor3!(ror!(w2, 17), ror!(w2, 19), _mm_srli_epi32::<10>(w2));
-            let nw = add!(w[t & 15], s0, w[(t - 7) & 15], s1);
-            w[t & 15] = nw;
-            nw
-        };
-        let s1 = xor3!(ror!(e, 6), ror!(e, 11), ror!(e, 25));
-        let ch = _mm_xor_si128(_mm_and_si128(e, f), _mm_andnot_si128(e, g));
-        let temp1 = add!(h, s1, ch, _mm_set1_epi32(K[t] as i32), wv);
-        let s0 = xor3!(ror!(a, 2), ror!(a, 13), ror!(a, 22));
-        let maj = xor3!(
-            _mm_and_si128(a, b),
-            _mm_and_si128(a, c),
-            _mm_and_si128(b, c)
-        );
-        let temp2 = add!(s0, maj);
-        h = g;
-        g = f;
-        f = e;
-        e = add!(d, temp1);
-        d = c;
-        c = b;
-        b = a;
-        a = add!(temp1, temp2);
-    }
-
-    macro_rules! store_add {
-        ($vec:expr, $word:expr) => {{
-            let mut tmp = [0u32; 4];
-            // SAFETY: tmp is a [u32; 4] = 16 bytes, exactly one
-            // unaligned 128-bit store.
-            unsafe { _mm_storeu_si128(tmp.as_mut_ptr().cast(), $vec) };
-            for lane in 0..4 {
-                states[lane][$word] = states[lane][$word].wrapping_add(tmp[lane]);
-            }
-        }};
-    }
-    store_add!(a, 0);
-    store_add!(b, 1);
-    store_add!(c, 2);
-    store_add!(d, 3);
-    store_add!(e, 4);
-    store_add!(f, 5);
-    store_add!(g, 6);
-    store_add!(h, 7);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn block(seed: u8) -> [u8; 64] {
-        let mut b = [0u8; 64];
-        for (i, slot) in b.iter_mut().enumerate() {
-            *slot = seed
-                .wrapping_mul(31)
-                .wrapping_add(i as u8)
-                .wrapping_mul(167);
-        }
-        b
-    }
-
-    #[test]
-    fn compress_many_matches_scalar_at_every_tier_and_width() {
-        for lvl in Level::all().iter().copied().filter(|l| l.available()) {
-            for n in [0usize, 1, 3, 4, 5, 7, 8, 9, 12, 16, 17, 31] {
-                let blocks: Vec<[u8; 64]> = (0..n).map(|i| block(i as u8)).collect();
-                let mut states: Vec<[u32; 8]> = (0..n)
-                    .map(|i| {
-                        let mut s = H0;
-                        s[i % 8] = s[i % 8].wrapping_add(i as u32);
-                        s
-                    })
-                    .collect();
-                let mut expect = states.clone();
-                for (s, b) in expect.iter_mut().zip(&blocks) {
-                    compress(s, b);
-                }
-                compress_many_with(lvl, &mut states, &blocks);
-                assert_eq!(states, expect, "{lvl:?} n={n}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "lane count mismatch")]
-    fn mismatched_lane_counts_panic() {
-        let mut states = [H0; 2];
-        compress_many(&mut states, &[[0u8; 64]; 3]);
-    }
 }
