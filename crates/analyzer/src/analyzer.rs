@@ -7,7 +7,7 @@ use crate::geoip::GeoDb;
 use crate::pairs::PairTracker;
 use crate::summary::DetectionSummary;
 use crate::taxonomy;
-use crate::ua::parse_user_agent;
+use crate::ua::UaMemo;
 use crate::userstate::{GlobalState, UserState};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
@@ -111,11 +111,11 @@ pub struct AnalyzerReport {
 }
 
 impl AnalyzerReport {
-    /// Folds another report into this one (the parallel pipeline's shard
-    /// merge). Detections are *appended* in the other report's order;
+    /// Folds another report into this one (the world builders' per-shard
+    /// fold). Detections are *appended* in the other report's order;
     /// callers needing the canonical global order re-sort afterwards.
     /// `users_seen` sums, which is exact when shards partition users (the
-    /// only way the parallel pipeline shards).
+    /// only way the weblog stream shards).
     pub fn merge(&mut self, other: AnalyzerReport) {
         self.detections.extend(other.detections);
         self.summary.merge(&other.summary);
@@ -151,6 +151,8 @@ pub struct WeblogAnalyzer {
     host_lower: String,
     /// Reusable percent-decode scratch for notification parsing.
     url_scratch: UrlScratch,
+    /// One-entry UA memo: consecutive requests mostly repeat a UA.
+    ua: UaMemo,
     /// Reusable DSP-domain render buffer (bidder aggregates are keyed
     /// without materialising a `String` per notification).
     dsp_buf: String,
@@ -184,6 +186,7 @@ impl WeblogAnalyzer {
             retention,
             host_lower: String::new(),
             url_scratch: UrlScratch::new(),
+            ua: UaMemo::default(),
             dsp_buf: String::new(),
             wire_buf: String::new(),
         }
@@ -237,7 +240,7 @@ impl WeblogAnalyzer {
         *self.report.class_counts.entry(class).or_insert(0) += 1;
         self.report.total_requests += 1;
 
-        let fp = parse_user_agent(&req.user_agent);
+        let fp = self.ua.fingerprint(&req.user_agent);
         let city = self.geo.city_of(req.client_ip);
         let month = GlobalState::month_bucket(req.time);
         self.report.monthly_os_requests[month][os_index(fp.os)] += 1;

@@ -46,8 +46,9 @@ impl TrafficClass {
 }
 
 /// Advertising blacklist: the RTB exchanges' notification/bid domains plus
-/// standalone tracker hosts. Matching is suffix-based (any subdomain
-/// counts).
+/// standalone tracker hosts. A host matches an entry when it is the entry
+/// or one of its subdomains. Entries on all four lists are `label.tld`,
+/// which [`registrable`] relies on.
 const ADVERTISING: [&str; 23] = [
     // Exchange endpoints (kept in sync with the RTB macro list).
     "mopub.com",
@@ -103,31 +104,27 @@ const THIRD_PARTY: [&str; 7] = [
     "streamedge.example",
 ];
 
-/// True if `host` equals `entry` or is one of its subdomains.
-fn matches(host: &str, entry: &str) -> bool {
-    host == entry
-        || (host.len() > entry.len()
-            && host.ends_with(entry)
-            && host.as_bytes()[host.len() - entry.len() - 1] == b'.')
+/// The host's registrable domain: its last two labels, or the whole host
+/// when it has fewer. A host is an entry or one of its subdomains exactly
+/// when this equals the entry, since every entry is `label.tld`.
+fn registrable(host: &str) -> &str {
+    host.rmatch_indices('.')
+        .nth(1)
+        .map_or(host, |(dot, _)| &host[dot + 1..])
 }
 
-/// Classifies a host into its traffic group. Case-insensitive
-/// convenience over [`classify_domain_lower`] (allocates a lowercased
-/// copy; streaming callers lowercase into a reusable buffer instead).
-pub fn classify_domain(host: &str) -> TrafficClass {
-    classify_domain_lower(&host.to_ascii_lowercase())
-}
-
-/// Classifies an already-lowercased host into its traffic group — the
-/// allocation-free form of [`classify_domain`].
+/// Classifies an already-lowercased host into its traffic group. Streaming
+/// callers lowercase into a reusable buffer, so classification stays off
+/// the heap.
 pub fn classify_domain_lower(host: &str) -> TrafficClass {
-    if ADVERTISING.iter().any(|e| matches(host, e)) {
+    let domain = registrable(host);
+    if ADVERTISING.contains(&domain) {
         TrafficClass::Advertising
-    } else if ANALYTICS.iter().any(|e| matches(host, e)) {
+    } else if ANALYTICS.contains(&domain) {
         TrafficClass::Analytics
-    } else if SOCIAL.iter().any(|e| matches(host, e)) {
+    } else if SOCIAL.contains(&domain) {
         TrafficClass::Social
-    } else if THIRD_PARTY.iter().any(|e| matches(host, e)) {
+    } else if THIRD_PARTY.contains(&domain) {
         TrafficClass::ThirdPartyContent
     } else {
         TrafficClass::Rest
@@ -138,11 +135,94 @@ pub fn classify_domain_lower(host: &str) -> TrafficClass {
 mod tests {
     use super::*;
 
+    /// The linear suffix scan the registrable-domain lookup replaced,
+    /// kept as its oracle: the first list, in priority order, holding an
+    /// entry that `host` equals or is a subdomain of.
+    fn classify_by_suffix(host: &str) -> TrafficClass {
+        let matches = |entry: &&str| {
+            host == *entry
+                || (host.len() > entry.len()
+                    && host.ends_with(entry)
+                    && host.as_bytes()[host.len() - entry.len() - 1] == b'.')
+        };
+        if ADVERTISING.iter().any(matches) {
+            TrafficClass::Advertising
+        } else if ANALYTICS.iter().any(matches) {
+            TrafficClass::Analytics
+        } else if SOCIAL.iter().any(matches) {
+            TrafficClass::Social
+        } else if THIRD_PARTY.iter().any(matches) {
+            TrafficClass::ThirdPartyContent
+        } else {
+            TrafficClass::Rest
+        }
+    }
+
+    #[test]
+    fn registrable_lookup_matches_the_suffix_scan() {
+        use yav_weblog::domains;
+        let mut hosts: Vec<String> = domains::ANALYTICS
+            .iter()
+            .chain(&domains::SOCIAL)
+            .chain(&domains::THIRD_PARTY)
+            .chain(&domains::AD_TRACKERS)
+            .map(|d| d.to_string())
+            .collect();
+        hosts.extend(yav_types::Adx::ALL.iter().map(|a| a.domain().to_owned()));
+        for p in yav_weblog::PublisherUniverse::build(1, 400, 150).all() {
+            hosts.extend([
+                p.name.clone(),
+                format!("www.{}", p.name),
+                format!("api.{}", p.name),
+            ]);
+        }
+        let mut variants = Vec::new();
+        for h in &hosts {
+            variants.extend([
+                h.clone(),
+                format!(".{h}"),
+                format!("{h}."),
+                format!("x{h}"),
+                format!("a..{h}"),
+            ]);
+            if let Some((_, parent)) = h.split_once('.') {
+                variants.push(parent.to_owned());
+            }
+        }
+        variants
+            .extend(["", ".", "com", "notmopub.com", "mopub.com.evil.example"].map(String::from));
+        for h in &variants {
+            assert_eq!(classify_domain_lower(h), classify_by_suffix(h), "{h:?}");
+        }
+    }
+
+    #[test]
+    fn blacklist_entries_are_distinct_registrable_domains() {
+        // The registrable-domain lookup is exact only while every entry
+        // is `label.tld`: a three-label entry would never match.
+        let all: Vec<&str> = ADVERTISING
+            .iter()
+            .chain(&ANALYTICS)
+            .chain(&SOCIAL)
+            .chain(&THIRD_PARTY)
+            .copied()
+            .collect();
+        for e in &all {
+            let labels: Vec<&str> = e.split('.').collect();
+            assert!(
+                labels.len() == 2 && labels.iter().all(|l| !l.is_empty()),
+                "{e:?} is not label.tld"
+            );
+        }
+        let distinct: std::collections::BTreeSet<&str> = all.iter().copied().collect();
+        assert_eq!(distinct.len(), all.len(), "an entry is listed twice");
+    }
+
     #[test]
     fn exchanges_are_advertising() {
         for adx in yav_types::Adx::ALL {
             assert_eq!(
-                classify_domain(adx.domain()),
+                classify_domain_lower(adx.domain()),
                 TrafficClass::Advertising,
                 "{}",
                 adx.domain()
@@ -155,30 +235,37 @@ mod tests {
         // The analyzer's blacklist must cover the generator's tracker
         // universe — the Disconnect-freshness property.
         for d in yav_weblog::domains::ANALYTICS {
-            assert_eq!(classify_domain(d), TrafficClass::Analytics, "{d}");
+            assert_eq!(classify_domain_lower(d), TrafficClass::Analytics, "{d}");
         }
         for d in yav_weblog::domains::SOCIAL {
-            assert_eq!(classify_domain(d), TrafficClass::Social, "{d}");
+            assert_eq!(classify_domain_lower(d), TrafficClass::Social, "{d}");
         }
         for d in yav_weblog::domains::THIRD_PARTY {
-            assert_eq!(classify_domain(d), TrafficClass::ThirdPartyContent, "{d}");
+            assert_eq!(
+                classify_domain_lower(d),
+                TrafficClass::ThirdPartyContent,
+                "{d}"
+            );
         }
         for d in yav_weblog::domains::AD_TRACKERS {
-            assert_eq!(classify_domain(d), TrafficClass::Advertising, "{d}");
+            assert_eq!(classify_domain_lower(d), TrafficClass::Advertising, "{d}");
         }
     }
 
     #[test]
     fn suffix_matching_is_label_safe() {
         assert_eq!(
-            classify_domain("cpp.imp.mpx.mopub.com"),
+            classify_domain_lower("cpp.imp.mpx.mopub.com"),
             TrafficClass::Advertising
         );
-        assert_eq!(classify_domain("MOPUB.COM"), TrafficClass::Advertising);
-        // "notmopub.com" must NOT match "mopub.com".
-        assert_eq!(classify_domain("notmopub.com"), TrafficClass::Rest);
         assert_eq!(
-            classify_domain("mopub.com.evil.example"),
+            classify_domain_lower(&"MOPUB.COM".to_ascii_lowercase()),
+            TrafficClass::Advertising
+        );
+        // "notmopub.com" must NOT match "mopub.com".
+        assert_eq!(classify_domain_lower("notmopub.com"), TrafficClass::Rest);
+        assert_eq!(
+            classify_domain_lower("mopub.com.evil.example"),
             TrafficClass::Rest
         );
     }
@@ -186,11 +273,11 @@ mod tests {
     #[test]
     fn publishers_are_rest() {
         assert_eq!(
-            classify_domain("www.dailynoticias7.example"),
+            classify_domain_lower("www.dailynoticias7.example"),
             TrafficClass::Rest
         );
         assert_eq!(
-            classify_domain("api.com.superdeporte.app3"),
+            classify_domain_lower("api.com.superdeporte.app3"),
             TrafficClass::Rest
         );
     }

@@ -20,9 +20,9 @@ pub struct UaFingerprint {
 }
 
 /// ASCII case-insensitive substring probe. `needle` must already be
-/// lowercase. Scanning in place keeps [`parse_user_agent`] off the heap
-/// — it runs once per request in the analyzer's ingest loop, and a
-/// lowercased copy of the header would be the loop's only allocation.
+/// lowercase. Scanning in place keeps [`parse_user_agent`] off the heap:
+/// [`UaMemo`] calls it on every change of UA string, and a lowercased
+/// copy of the header would allocate on each.
 fn has(haystack: &str, needle: &str) -> bool {
     let h = haystack.as_bytes();
     let n = needle.as_bytes();
@@ -71,6 +71,33 @@ pub fn parse_user_agent(ua: &str) -> UaFingerprint {
         } else {
             InteractionType::MobileWeb
         },
+    }
+}
+
+/// A one-entry user-agent fingerprint memo. A device sends the same UA
+/// string on essentially every request, and a stream replays its users
+/// one after another, so repeat fingerprinting collapses to one string
+/// compare. The analyzer and the monitor's sift each own one.
+#[derive(Debug, Default)]
+pub struct UaMemo {
+    raw: String,
+    fp: Option<UaFingerprint>,
+}
+
+impl UaMemo {
+    /// The memoized [`parse_user_agent`]. Only a UA longer than every
+    /// earlier one grows the memo's buffer.
+    pub fn fingerprint(&mut self, ua: &str) -> UaFingerprint {
+        match self.fp {
+            Some(fp) if self.raw == ua => fp,
+            _ => {
+                let fp = parse_user_agent(ua);
+                self.raw.clear();
+                self.raw.push_str(ua);
+                self.fp = Some(fp);
+                fp
+            }
+        }
     }
 }
 
@@ -142,6 +169,38 @@ mod tests {
             if u.os == Os::Ios {
                 assert_eq!(web.device, u.device, "iOS web UA leaks device class");
             }
+        }
+    }
+
+    #[test]
+    fn memo_matches_the_parser_on_every_input() {
+        // One memo across alternating agents, repeats, prefixes, case
+        // changes and junk: it must never hand back a stale fingerprint.
+        let panel = yav_weblog::Panel::build(3, 300);
+        let mut seq = Vec::new();
+        for u in panel.users() {
+            let (web, app) = (u.web_user_agent(), u.app_user_agent());
+            let prefix = app[..app.len() / 2].to_owned();
+            let upper = app.to_ascii_uppercase();
+            seq.extend([web, app.clone(), app.clone(), prefix, app, upper]);
+        }
+        // Then empty and non-ASCII agents, and neighbours of equal length
+        // or sharing a prefix whose fingerprints differ.
+        seq.extend(
+            [
+                "",
+                "",
+                "ÿ Dalvik 日本",
+                "Android",
+                "iPhone!",
+                "Mozilla/5.0",
+                "Mozilla/5.0 (iPad)",
+            ]
+            .map(String::from),
+        );
+        let mut memo = UaMemo::default();
+        for ua in &seq {
+            assert_eq!(memo.fingerprint(ua), parse_user_agent(ua), "{ua:?}");
         }
     }
 }

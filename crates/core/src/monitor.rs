@@ -9,7 +9,7 @@
 
 use crate::ledger::{Ledger, PriceEvent};
 use yav_analyzer::taxonomy;
-use yav_analyzer::ua::{parse_user_agent, UaFingerprint};
+use yav_analyzer::ua::UaMemo;
 use yav_nurl::fields::PricePayload;
 use yav_nurl::{template, UrlRef, UrlScratch};
 use yav_pme::engine::{ContributionBatch, Pme};
@@ -48,38 +48,14 @@ impl Default for MonitorMetrics {
     }
 }
 
-/// Reusable state every sift path carries: the URL decode scratch and a
-/// user-agent memo. The monitor and the multi-tenant store each own one,
-/// so they share the sift without sharing monitor state.
+/// Reusable state [`sift_request`] carries: the URL decode scratch and
+/// the same [`UaMemo`] the analyzer owns. The monitor and the
+/// multi-tenant store each own one, so they share the sift without
+/// sharing monitor state.
 #[derive(Debug, Default)]
 pub(crate) struct SiftScratch {
     url: UrlScratch,
     ua: UaMemo,
-}
-
-/// A one-entry user-agent fingerprint memo. A device sends the same UA
-/// string on essentially every request, so repeat fingerprinting
-/// collapses to one string compare.
-#[derive(Debug, Default)]
-struct UaMemo {
-    raw: String,
-    fp: Option<UaFingerprint>,
-}
-
-impl UaMemo {
-    /// The memoized [`parse_user_agent`].
-    fn fingerprint(&mut self, ua: &str) -> UaFingerprint {
-        match self.fp {
-            Some(fp) if self.raw == ua => fp,
-            _ => {
-                let fp = parse_user_agent(ua);
-                self.raw.clear();
-                self.raw.push_str(ua);
-                self.fp = Some(fp);
-                fp
-            }
-        }
-    }
 }
 
 /// Why [`sift_request`] discarded a URL. The caller owns the accounting:

@@ -136,10 +136,11 @@ fn steady_state_window_loop_never_allocates_per_event() {
     // --- Stage 2: analyzer ------------------------------------------
     // Warm twice: the first pass creates every per-user state, publisher
     // set entry, DSP aggregate, campaign counter and (adx, dsp, month)
-    // pair this stream can produce; the second pushes the reusable
-    // probe-key and scratch buffers to their length high-water marks
-    // (a first-sight miss consumes the pooled probe key, so a capacity
-    // can still grow once on the pass after first sight).
+    // pair this stream can produce, and grows the UA memo to the longest
+    // user agent; the second pushes the reusable probe-key and scratch
+    // buffers to their length high-water marks (a first-sight miss
+    // consumes the pooled probe key, so a capacity can still grow once
+    // on the pass after first sight).
     let mut analyzer = WeblogAnalyzer::with_retention(Retention::Bounded);
     for _ in 0..2 {
         for req in &captured {
