@@ -108,9 +108,13 @@ const THIRD_PARTY: [&str; 7] = [
 /// when it has fewer. A host is an entry or one of its subdomains exactly
 /// when this equals the entry, since every entry is `label.tld`.
 fn registrable(host: &str) -> &str {
-    host.rmatch_indices('.')
-        .nth(1)
-        .map_or(host, |(dot, _)| &host[dot + 1..])
+    // One reverse scan: the second search resumes where the first stopped.
+    let b = host.as_bytes();
+    let dot = |end: usize| b[..end].iter().rposition(|&c| c == b'.');
+    match dot(b.len()).and_then(dot) {
+        Some(second_last) => &host[second_last + 1..],
+        None => host,
+    }
 }
 
 /// Classifies an already-lowercased host into its traffic group. Streaming

@@ -187,10 +187,9 @@ pub struct DspStats {
 impl GlobalState {
     /// Month bucket (0–11) for the monthly slot table.
     pub fn month_bucket(time: yav_types::SimTime) -> usize {
-        if time.year() <= 2015 {
-            time.month().index()
-        } else {
-            11
+        match time.ymd() {
+            (year, month, _) if year <= 2015 => month as usize - 1,
+            _ => 11,
         }
     }
 
@@ -235,6 +234,23 @@ mod tests {
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!((p[IabCategory::Sports.index()] - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(s.publishers.len(), 3);
+    }
+
+    #[test]
+    fn month_bucket_reads_the_calendar_once() {
+        // Oracle: the two-walk form it replaced, one calendar walk for
+        // the year and another for the month. Every day from before the
+        // epoch into 2018 (past the wrap ymd applies after 2016).
+        const DAY: i64 = 24 * 60;
+        for day in -2..4 * 366 {
+            let t = SimTime::from_minutes(day * DAY + 13 * 60);
+            let want = if t.year() <= 2015 {
+                t.month().index()
+            } else {
+                11
+            };
+            assert_eq!(GlobalState::month_bucket(t), want, "day {day}");
+        }
     }
 
     #[test]

@@ -78,7 +78,9 @@ pub(crate) enum SiftDrop {
 /// set. It is the sift's one allocating piece (the owned publisher
 /// name), so a caller with no model to feed skips it and the whole sift
 /// stays heap-free — what keeps the multi-tenant feed path inside the
-/// steady-state zero-allocation contract (`no_alloc_gen.rs`).
+/// steady-state zero-allocation contract (`no_alloc_gen.rs`). Its
+/// `city` is left unset: the home city is the caller's to look up, and
+/// only for a request that survives the sift.
 ///
 /// Non-nURL traffic — the overwhelming majority — leaves through one of
 /// the early rejects without touching the heap: [`yav_nurl::screen_adx`]
@@ -87,7 +89,6 @@ pub(crate) enum SiftDrop {
 /// matched exchange into the borrowed template parse, so true nURLs scan
 /// the host roster exactly once.
 pub(crate) fn sift_request(
-    home_city: Option<City>,
     req: &HttpRequest,
     scratch: &mut SiftScratch,
     want_ctx: bool,
@@ -110,7 +111,7 @@ pub(crate) fn sift_request(
     let ctx = want_ctx.then(|| {
         let fp = scratch.ua.fingerprint(&req.user_agent);
         CoreContext {
-            city: home_city,
+            city: None,
             time: req.time,
             device: fp.device,
             os: fp.os,
@@ -204,9 +205,12 @@ impl YourAdValue {
     /// [`sift_request`] with the estimator context, plus this monitor's
     /// per-drop accounting — [`YourAdValue::observe`]'s sift.
     fn sift(&mut self, req: &HttpRequest) -> Option<(Adx, PricePayload, CoreContext)> {
-        match sift_request(self.home_city, req, &mut self.sift, true) {
+        match sift_request(req, &mut self.sift, true) {
             // Asked for, so the context is always there.
-            Ok((adx, price, ctx)) => ctx.map(|ctx| (adx, price, ctx)),
+            Ok((adx, price, ctx)) => ctx.map(|mut ctx| {
+                ctx.city = self.home_city;
+                (adx, price, ctx)
+            }),
             Err(SiftDrop::ParseError) => {
                 self.drops.parse_error += 1;
                 self.metrics.parse_error.inc();

@@ -251,11 +251,10 @@ impl TenantStore {
     /// price is added as read; an encrypted one is valued with `model`,
     /// or counted as `skipped_no_model` when there is none.
     pub fn feed(&mut self, model: Option<&ClientModel>, req: &HttpRequest) {
-        let home = self.tenant(req.user).and_then(|t| t.home);
         // The estimator context is the sift's only allocating piece
         // (owned publisher string); it is only built when a model will
         // actually encode it, so the model-free fleet stays heap-quiet.
-        let (_, price, ctx) = match sift_request(home, req, &mut self.sift, model.is_some()) {
+        let (_, price, ctx) = match sift_request(req, &mut self.sift, model.is_some()) {
             Ok(found) => found,
             Err(SiftDrop::ParseError) => {
                 self.drops.parse_error += 1;
@@ -272,7 +271,10 @@ impl TenantStore {
                 t.cleartext = t.cleartext.saturating_add(price);
                 t.cleartext_count += 1;
             }
-            (PricePayload::Encrypted(_), Some((m, ctx))) => {
+            (PricePayload::Encrypted(_), Some((m, mut ctx))) => {
+                // Only the model reads the home city, so only a request it
+                // values looks the tenant up.
+                ctx.city = self.tenant(req.user).and_then(|t| t.home);
                 let estimate = m.estimate_into(&ctx, &mut self.estimate);
                 let t = self.state_mut(req.user.0);
                 t.encrypted_estimated = t.encrypted_estimated.saturating_add(estimate);

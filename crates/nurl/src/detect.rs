@@ -9,7 +9,8 @@
 //! ignored per §4.1.
 
 use crate::template;
-use crate::url::Url;
+use crate::url::{Url, UrlParseError};
+use crate::urlref;
 use yav_crypto::EncryptedPrice;
 use yav_types::{Adx, Cpm};
 
@@ -69,20 +70,16 @@ pub enum FastReject {
 /// [`template::parse_borrowed_screened`] — true nURLs scan the host
 /// roster once, not twice.
 ///
-/// Mirrors [`Url::parse`]'s authority handling (authority ends at the
-/// first `/`, host at the first `:`), so a candidate's subsequent full
-/// parse sees the same host.
+/// Runs [`Url::parse`]'s own scheme and host rule, so a candidate's
+/// subsequent full parse sees the same host and cannot fail on it.
 pub fn screen_adx(raw: &str) -> Result<Adx, FastReject> {
-    let rest = if let Some(r) = raw.strip_prefix("https://") {
-        r
-    } else if let Some(r) = raw.strip_prefix("http://") {
-        r
-    } else {
-        return Err(FastReject::Scheme);
-    };
-    let authority = rest.split('/').next().unwrap_or(rest);
-    let host = authority.split(':').next().unwrap_or("");
-    exchange_host(host).ok_or(FastReject::Host)
+    match urlref::split_host(raw) {
+        Ok((_, host, _)) => exchange_host(host).ok_or(FastReject::Host),
+        Err(UrlParseError::Scheme) => Err(FastReject::Scheme),
+        // An invalid host is no exchange's: every exchange domain is a
+        // valid one.
+        Err(_) => Err(FastReject::Host),
+    }
 }
 
 /// One entry of the precomputed host-dispatch table: the domain length

@@ -36,33 +36,23 @@ impl<'a> UrlRef<'a> {
     /// Unlike the owned parser the host keeps its original case; compare
     /// with `eq_ignore_ascii_case` or lowercase at the call site.
     pub fn parse(input: &'a str) -> Result<UrlRef<'a>, UrlParseError> {
-        let (https, rest) = if let Some(r) = input.strip_prefix("https://") {
-            (true, r)
-        } else if let Some(r) = input.strip_prefix("http://") {
-            (false, r)
-        } else {
-            return Err(UrlParseError::Scheme);
-        };
+        let (https, host, tail) = split_host(input)?;
+        // `tail` is empty or starts the path or a port, whose bytes up to
+        // the path are never checked.
+        let path_query = tail.find('/').map_or("/", |i| &tail[i..]);
 
-        let (authority, path_query) = match rest.find('/') {
-            Some(i) => (&rest[..i], &rest[i..]),
-            None => (rest, "/"),
-        };
-        // Strip an optional port; reject empty hosts and whitespace —
-        // byte-for-byte the owned parser's host rule.
-        let host = authority.split(':').next().unwrap_or("");
-        if host.is_empty() || !host.bytes().all(is_host_byte) {
-            return Err(UrlParseError::Host);
-        }
-
-        // Fragment first (never used, but must not pollute the query),
-        // then the query.
-        let path_query = match path_query.find('#') {
-            Some(i) => &path_query[..i],
-            None => path_query,
-        };
-        let (path, query) = match path_query.find('?') {
-            Some(i) => (&path_query[..i], &path_query[i + 1..]),
+        // The path ends at the first `?` or `#`. A `#` there starts the
+        // fragment (never used, and it must not pollute the query), so
+        // any `?` after it is fragment text; a `?` starts the query,
+        // which runs to the next `#`.
+        let pq = path_query.as_bytes();
+        let (path, query) = match pq.iter().position(|&b| b == b'?' || b == b'#') {
+            Some(i) if pq[i] == b'?' => {
+                let query = &path_query[i + 1..];
+                let end = query.find('#').unwrap_or(query.len());
+                (&path_query[..i], &query[..end])
+            }
+            Some(i) => (&path_query[..i], ""),
             None => (path_query, ""),
         };
 
@@ -166,10 +156,45 @@ impl<'a> Iterator for QueryIter<'a> {
     }
 }
 
-/// True when `b` may appear in a hostname: `A–Z a–z 0–9 . - _`.
-fn is_host_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'.' || b == b'-' || b == b'_'
+/// Splits a URL into its scheme (`true` for `https`), its host and the
+/// text after the host — the one authority rule [`UrlRef::parse`] and
+/// [`crate::screen_adx`] share. The host is the run of host bytes after
+/// the scheme. It must be non-empty and end the input or be followed by
+/// `/` (the path) or `:` (a port); any other byte ending it — whitespace,
+/// `@`, `?`, non-ASCII — makes the host invalid.
+pub(crate) fn split_host(input: &str) -> Result<(bool, &str, &str), UrlParseError> {
+    let (https, rest) = if let Some(r) = input.strip_prefix("https://") {
+        (true, r)
+    } else if let Some(r) = input.strip_prefix("http://") {
+        (false, r)
+    } else {
+        return Err(UrlParseError::Scheme);
+    };
+    let bytes = rest.as_bytes();
+    let host_len = bytes
+        .iter()
+        .position(|&b| !HOST_BYTE[b as usize])
+        .unwrap_or(bytes.len());
+    match bytes.get(host_len) {
+        None | Some(b'/' | b':') if host_len > 0 => {
+            let (host, tail) = rest.split_at(host_len);
+            Ok((https, host, tail))
+        }
+        _ => Err(UrlParseError::Host),
+    }
 }
+
+/// `true` at the bytes that may appear in a hostname: `A–Z a–z 0–9 . - _`.
+const HOST_BYTE: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 256 {
+        let c = b as u8;
+        table[b] = c.is_ascii_alphanumeric() || c == b'.' || c == b'-' || c == b'_';
+        b += 1;
+    }
+    table
+};
 
 /// Decodes the byte at raw position `i` of a component, advancing `i`
 /// past it. Mirrors the owned decoder's escape grammar: `%XX` hex pairs,

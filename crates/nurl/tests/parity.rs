@@ -6,13 +6,19 @@
 //! UTF-8 handling, so this suite fuzzes the seam: the hostile corpus of
 //! `core/tests/malformed_nurls.rs` (prefix truncations, single-byte
 //! corruptions, garbage strings) plus property-based random inputs.
+//!
+//! Because `Url::parse` wraps `UrlRef::parse`, parity cannot see a
+//! change to the structural grammar itself. That grammar and the
+//! raw-string screen are byte scans written for speed, so each is also
+//! checked against an independent oracle on every input: the split-based
+//! forms they replaced (`split_parse`, `split_screen`).
 
 use proptest::prelude::*;
 use yav_crypto::{PriceCrypter, PriceKeys};
 use yav_nurl::fields::PricePayload;
 use yav_nurl::{
-    exchange_host, screen_adx, template, NurlFields, NurlRefError, Url, UrlParseError, UrlRef,
-    UrlScratch,
+    exchange_host, screen_adx, template, FastReject, NurlFields, NurlRefError, Url, UrlParseError,
+    UrlRef, UrlScratch,
 };
 use yav_types::{AdSlotSize, Adx, AuctionId, CampaignId, Cpm, DspId, ImpressionId};
 
@@ -161,7 +167,64 @@ fn check_template_parity(input: &str) {
     );
 }
 
+/// The structural grammar written with splits, as `UrlRef::parse` once
+/// was: the authority runs to the first `/`, the host to the first `:`
+/// and must be non-empty host bytes; the fragment is cut at the first
+/// `#`, then the query split off at the first `?`. Returns
+/// `(https, host, path, query)`.
+fn split_parse(input: &str) -> Result<(bool, &str, &str, &str), UrlParseError> {
+    let (https, rest) = if let Some(r) = input.strip_prefix("https://") {
+        (true, r)
+    } else if let Some(r) = input.strip_prefix("http://") {
+        (false, r)
+    } else {
+        return Err(UrlParseError::Scheme);
+    };
+    let (authority, path_query) = match rest.find('/') {
+        Some(i) => (&rest[..i], &rest[i..]),
+        None => (rest, "/"),
+    };
+    let host = authority.split(':').next().unwrap_or("");
+    let host_byte = |b: u8| b.is_ascii_alphanumeric() || b == b'.' || b == b'-' || b == b'_';
+    if host.is_empty() || !host.bytes().all(host_byte) {
+        return Err(UrlParseError::Host);
+    }
+    let path_query = match path_query.find('#') {
+        Some(i) => &path_query[..i],
+        None => path_query,
+    };
+    let (path, query) = match path_query.find('?') {
+        Some(i) => (&path_query[..i], &path_query[i + 1..]),
+        None => (path_query, ""),
+    };
+    Ok((https, host, path, query))
+}
+
+/// `screen_adx` written with `Split` iterators, as it once was.
+fn split_screen(raw: &str) -> Result<Adx, FastReject> {
+    let rest = if let Some(r) = raw.strip_prefix("https://") {
+        r
+    } else if let Some(r) = raw.strip_prefix("http://") {
+        r
+    } else {
+        return Err(FastReject::Scheme);
+    };
+    let authority = rest.split('/').next().unwrap_or(rest);
+    let host = authority.split(':').next().unwrap_or("");
+    exchange_host(host).ok_or(FastReject::Host)
+}
+
+/// The byte scans against their oracles: same accepts, same error
+/// values, same subslices; same screen verdict.
+fn check_oracles(input: &str) {
+    let parsed =
+        UrlRef::parse(input).map(|u| (u.is_https(), u.host_raw(), u.path(), u.query_str()));
+    assert_eq!(parsed, split_parse(input), "structural parse: {input:?}");
+    assert_eq!(screen_adx(input), split_screen(input), "screen: {input:?}");
+}
+
 fn check_both(input: &str) {
+    check_oracles(input);
     check_parity(input);
     check_template_parity(input);
 }
@@ -237,6 +300,70 @@ fn garbage_corpus_agrees() {
     }
 }
 
+#[test]
+fn authority_and_fragment_edges_agree() {
+    // Each shape on an exchange notification host (so the screen admits
+    // it and the template parse runs) and on an ordinary one.
+    for host in ["cpp.imp.mpx.mopub.com", "www.elmundo.es"] {
+        let mut inputs = Vec::new();
+        for tail in [
+            // Ports: numeric, bare, empty before the path, junk, a second
+            // colon, and a port that ends the input.
+            ":8080/imp?charge_price=0.5",
+            ":/imp?charge_price=0.5",
+            ":",
+            ":8080",
+            ":x@y/imp",
+            "::1/imp?charge_price=0.5",
+            ":80#frag",
+            ":80?charge_price=0.5",
+            // `#` before `?`: the query is fragment text.
+            "/imp#frag?charge_price=0.5",
+            "#?charge_price=0.5",
+            "/imp#",
+            // `?` inside a fragment after a real query.
+            "/imp?charge_price=0.5#x?charge_price=9",
+            "/imp?charge_price=0.5#",
+            "?charge_price=0.5",
+            "?",
+            "#",
+            "",
+            "/",
+            // Bytes that end the host but are not `/`, `:` or the end.
+            "@evil.example/imp?charge_price=0.5",
+            " /imp",
+            "\t/imp",
+            "\0/imp",
+            "é/imp",
+            "\u{7f}/imp",
+            "%2e/imp",
+            "\\imp",
+        ] {
+            inputs.push(format!("http://{host}{tail}"));
+            inputs.push(format!("https://{}{tail}", host.to_ascii_uppercase()));
+        }
+        // The same bytes inside the host, and at its start.
+        for bad in ["@", " ", "\t", "\0", "é", "#", "?"] {
+            inputs.push(format!("http://{bad}{host}/imp?charge_price=0.5"));
+            inputs.push(format!("http://cpp{bad}{host}/imp?charge_price=0.5"));
+        }
+        for input in &inputs {
+            check_both(input);
+        }
+    }
+    // Empty hosts, with and without a port or path.
+    for input in [
+        "http://",
+        "http://:8080/",
+        "http://:",
+        "http:///",
+        "http://?a=1",
+        "http://#",
+    ] {
+        check_both(input);
+    }
+}
+
 proptest! {
     /// Random printable inputs, biased toward URL-shaped strings.
     #[test]
@@ -244,15 +371,23 @@ proptest! {
         check_both(&s);
     }
 
-    /// URL-shaped inputs with adversarial query bytes.
+    /// URL-shaped inputs with adversarial ports, query bytes and
+    /// fragments, the fragment sometimes before the query.
     #[test]
     fn prop_urlish_inputs_agree(
         https in any::<bool>(),
         host in "[A-Za-z0-9._-]{0,12}",
+        port in "[:]?[0-9:]{0,5}",
         path in "[/A-Za-z0-9._%+-]{0,16}",
         query in "[A-Za-z0-9=&%+ ._-]{0,40}",
+        fragment in "[#]?[A-Za-z0-9?#=&/]{0,10}",
+        fragment_first in any::<bool>(),
     ) {
         let scheme = if https { "https" } else { "http" };
-        check_both(&format!("{scheme}://{host}/{path}?{query}"));
+        check_both(&if fragment_first {
+            format!("{scheme}://{host}{port}/{path}{fragment}?{query}")
+        } else {
+            format!("{scheme}://{host}{port}/{path}?{query}{fragment}")
+        });
     }
 }
