@@ -74,11 +74,12 @@ pub(crate) enum SiftDrop {
 /// store. Pure with respect to the monitor: all accounting stays with
 /// the caller.
 ///
-/// The estimator's [`CoreContext`] is built only when `want_ctx` is
-/// set. It is the sift's one allocating piece (the owned publisher
-/// name), so a caller with no model to feed skips it and the whole sift
-/// stays heap-free — what keeps the multi-tenant feed path inside the
-/// steady-state zero-allocation contract (`no_alloc_gen.rs`). Its
+/// The estimator's [`CoreContext`] is built only when `want_ctx`
+/// accepts the notification's price. It is the sift's one allocating
+/// piece (the owned publisher name), so a caller that reads it only to
+/// value encrypted prices skips it for everything else and the sift
+/// stays heap-free there — what keeps the multi-tenant feed path inside
+/// the steady-state zero-allocation contract (`no_alloc_gen.rs`). Its
 /// `city` is left unset: the home city is the caller's to look up, and
 /// only for a request that survives the sift.
 ///
@@ -91,7 +92,7 @@ pub(crate) enum SiftDrop {
 pub(crate) fn sift_request(
     req: &HttpRequest,
     scratch: &mut SiftScratch,
-    want_ctx: bool,
+    want_ctx: impl FnOnce(&PricePayload) -> bool,
 ) -> Result<(Adx, PricePayload, Option<CoreContext>), SiftDrop> {
     let adx = match yav_nurl::screen_adx(&req.url) {
         Ok(adx) => adx,
@@ -108,7 +109,7 @@ pub(crate) fn sift_request(
         Ok(None) => return Err(SiftDrop::NotNotification),
         Err(_) => return Err(SiftDrop::ParseError),
     };
-    let ctx = want_ctx.then(|| {
+    let ctx = want_ctx(&fields.price).then(|| {
         let fp = scratch.ua.fingerprint(&req.user_agent);
         CoreContext {
             city: None,
@@ -205,7 +206,8 @@ impl YourAdValue {
     /// [`sift_request`] with the estimator context, plus this monitor's
     /// per-drop accounting — [`YourAdValue::observe`]'s sift.
     fn sift(&mut self, req: &HttpRequest) -> Option<(Adx, PricePayload, CoreContext)> {
-        match sift_request(req, &mut self.sift, true) {
+        // Contributions carry the context of cleartext prices too.
+        match sift_request(req, &mut self.sift, |_| true) {
             // Asked for, so the context is always there.
             Ok((adx, price, ctx)) => ctx.map(|mut ctx| {
                 ctx.city = self.home_city;

@@ -252,9 +252,11 @@ impl TenantStore {
     /// or counted as `skipped_no_model` when there is none.
     pub fn feed(&mut self, model: Option<&ClientModel>, req: &HttpRequest) {
         // The estimator context is the sift's only allocating piece
-        // (owned publisher string); it is only built when a model will
-        // actually encode it, so the model-free fleet stays heap-quiet.
-        let (_, price, ctx) = match sift_request(req, &mut self.sift, model.is_some()) {
+        // (owned publisher string); it is only built for an encrypted
+        // price a model will value, so everything else stays heap-quiet.
+        let want_ctx =
+            |price: &PricePayload| model.is_some() && matches!(price, PricePayload::Encrypted(_));
+        let (_, price, ctx) = match sift_request(req, &mut self.sift, want_ctx) {
             Ok(found) => found,
             Err(SiftDrop::ParseError) => {
                 self.drops.parse_error += 1;

@@ -24,7 +24,10 @@
 //! 3. **Tenant monitor** — the same replay through
 //!    [`TenantStore::feed`] with no model, which sifts every request as
 //!    it arrives. Once the warm pass has created every tenant and grown
-//!    the sift scratch to high water: exactly zero allocations.
+//!    the sift scratch to high water: exactly zero allocations. Replayed
+//!    again with a trained model, only an encrypted notification may
+//!    allocate (its estimator context owns the publisher name); every
+//!    other request allocates nothing.
 //!
 //! This file deliberately holds a single `#[test]` with a thread-local
 //! counter, for the reasons documented in `no_alloc.rs` (the harness's
@@ -37,8 +40,11 @@ use std::cell::Cell;
 
 use yav_analyzer::{Retention, WeblogAnalyzer};
 use yav_auction::{Market, MarketConfig};
+use yav_campaign::Campaign;
 use yav_core::TenantStore;
-use yav_weblog::{HttpRequest, Panel, WeblogConfig, WeblogGenerator};
+use yav_nurl::{PricePayload, Url};
+use yav_pme::{ClientModel, Pme, TrainConfig};
+use yav_weblog::{HttpRequest, Panel, PublisherUniverse, WeblogConfig, WeblogGenerator};
 
 /// Counts every allocation and reallocation made by the current
 /// thread, then delegates to the system allocator.
@@ -76,6 +82,30 @@ fn allocations(f: impl FnOnce()) -> u64 {
 }
 
 const USERS: u32 = 48;
+
+/// The engine's quick model, trained on a small A1 campaign.
+fn trained_model() -> ClientModel {
+    let universe = PublisherUniverse::build(0xD474, 300, 120);
+    let rows = yav_campaign::execute_parallel(
+        &MarketConfig::default(),
+        &universe,
+        &Campaign::a1().scaled(10),
+        &Default::default(),
+    )
+    .rows;
+    let pme = Pme::new();
+    pme.train_from_campaign(&rows, &TrainConfig::quick());
+    pme.current_model().expect("trained")
+}
+
+/// The price a request notifies, if it is a well-formed notification.
+fn notified_price(req: &HttpRequest) -> Option<PricePayload> {
+    let url = Url::parse(&req.url).ok()?;
+    yav_nurl::template::parse(&url)
+        .ok()
+        .flatten()
+        .map(|f| f.price)
+}
 
 #[test]
 fn steady_state_window_loop_never_allocates_per_event() {
@@ -169,4 +199,39 @@ fn steady_state_window_loop_never_allocates_per_event() {
         }
     });
     assert_eq!(monitored, 0, "TenantStore::feed() steady state allocated");
+
+    // With a model, the warm pass also grows the estimate scratch; after
+    // it, each request is measured alone.
+    let model = trained_model();
+    let mut store = TenantStore::new();
+    for req in &captured {
+        store.feed(Some(&model), req);
+    }
+    let (mut encrypted, mut cleartext) = (0usize, 0usize);
+    let mut allocating: Vec<(usize, u64)> = Vec::new();
+    for (i, req) in captured.iter().enumerate() {
+        let price = notified_price(req);
+        let allocs = allocations(|| store.feed(Some(&model), req));
+        match price {
+            Some(PricePayload::Encrypted(_)) => encrypted += 1,
+            price => {
+                cleartext += usize::from(price.is_some());
+                if allocs > 0 {
+                    allocating.push((i, allocs));
+                }
+            }
+        }
+    }
+    assert!(
+        encrypted > 0 && cleartext > 0,
+        "the replay must hold both price kinds ({encrypted} encrypted, {cleartext} cleartext)"
+    );
+    assert!(
+        allocating.is_empty(),
+        "TenantStore::feed(Some(model)) allocated on {} of {} requests that are not \
+         encrypted notifications ({cleartext} cleartext); (request, allocations): {:?}",
+        allocating.len(),
+        captured.len() - encrypted,
+        &allocating[..allocating.len().min(8)]
+    );
 }

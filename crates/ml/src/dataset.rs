@@ -21,8 +21,9 @@ impl Dataset {
     /// Creates a dataset.
     ///
     /// # Panics
-    /// Panics if row lengths disagree, labels and rows differ in count, or
-    /// a label is `>= n_classes`.
+    /// Panics if row lengths disagree, labels and rows differ in count, a
+    /// feature is NaN (tree training groups values by `==`, which NaN
+    /// breaks), or a label is `>= n_classes`.
     pub fn new(
         rows: Vec<Vec<f64>>,
         labels: Vec<usize>,
@@ -33,8 +34,15 @@ impl Dataset {
         let n_features = rows.first().map(|r| r.len()).unwrap_or(feature_names.len());
         assert_eq!(feature_names.len(), n_features, "one name per column");
         let mut data = Vec::with_capacity(rows.len() * n_features);
-        for r in &rows {
+        for (i, r) in rows.iter().enumerate() {
             assert_eq!(r.len(), n_features, "ragged rows");
+            for (f, v) in r.iter().enumerate() {
+                assert!(
+                    !v.is_nan(),
+                    "NaN feature at row {i}, column {f} ({})",
+                    feature_names[f]
+                );
+            }
             data.extend_from_slice(r);
         }
         for &l in &labels {
@@ -183,6 +191,17 @@ mod tests {
             vec![0, 0],
             1,
             vec!["a".into()],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN feature at row 1, column 1 (b)")]
+    fn nan_rejected() {
+        Dataset::new(
+            vec![vec![1.0, 2.0], vec![3.0, f64::NAN]],
+            vec![0, 0],
+            1,
+            vec!["a".into(), "b".into()],
         );
     }
 

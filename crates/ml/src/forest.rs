@@ -8,7 +8,7 @@
 //! affects the result.
 
 use crate::dataset::Dataset;
-use crate::tree::{argmax, DecisionTree, TreeConfig};
+use crate::tree::{argmax, Bins, DecisionTree, Frame, TreeConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -67,32 +67,22 @@ impl RandomForest {
     pub fn fit(data: &Dataset, config: &RandomForestConfig) -> RandomForest {
         assert!(!data.is_empty(), "cannot fit a forest on an empty dataset");
         assert!(config.n_trees > 0, "need at least one tree");
-        let n = data.len();
-        let d = data.n_features();
-        let tree_config = TreeConfig {
-            features_per_split: config
-                .tree
-                .features_per_split
-                .or(Some(((d as f64).sqrt().ceil() as usize).max(1))),
-            ..config.tree
+        let tree_config = tree_config(data.n_features(), config);
+        let (boots, seeds) = bootstraps(data.len(), config);
+
+        // Bin every feature once; each worker reuses one frame for all
+        // of its trees.
+        let bins = Bins::new(data);
+        let fit_tree = |frame: &mut Frame, t: usize| {
+            let mut trng = StdRng::seed_from_u64(seeds[t]);
+            DecisionTree::fit_binned(&bins, frame, &boots[t], &tree_config, &mut trng)
         };
-
-        // Draw every tree's bootstrap up front (serially, so thread count
-        // cannot change results), then train in parallel.
-        let mut boots: Vec<Vec<usize>> = Vec::with_capacity(config.n_trees);
-        let mut seeds: Vec<u64> = Vec::with_capacity(config.n_trees);
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        for _ in 0..config.n_trees {
-            boots.push((0..n).map(|_| rng.gen_range(0..n)).collect());
-            seeds.push(rng.gen());
-        }
-
         let threads = config.threads.max(1).min(config.n_trees);
         let mut trees: Vec<Option<DecisionTree>> = vec![None; config.n_trees];
         if threads == 1 {
+            let mut frame = Frame::new(&bins);
             for (t, slot) in trees.iter_mut().enumerate() {
-                let mut trng = StdRng::seed_from_u64(seeds[t]);
-                *slot = Some(DecisionTree::fit(data, &boots[t], &tree_config, &mut trng));
+                *slot = Some(fit_tree(&mut frame, t));
             }
         } else {
             let chunks: Vec<Vec<usize>> = (0..threads)
@@ -101,19 +91,12 @@ impl RandomForest {
             crossbeam::thread::scope(|scope| {
                 let mut handles = Vec::new();
                 for chunk in &chunks {
-                    let boots = &boots;
-                    let seeds = &seeds;
-                    let tree_config = &tree_config;
+                    let (bins, fit_tree) = (&bins, &fit_tree);
                     handles.push(scope.spawn(move |_| {
+                        let mut frame = Frame::new(bins);
                         chunk
                             .iter()
-                            .map(|&t| {
-                                let mut trng = StdRng::seed_from_u64(seeds[t]);
-                                (
-                                    t,
-                                    DecisionTree::fit(data, &boots[t], tree_config, &mut trng),
-                                )
-                            })
+                            .map(|&t| (t, fit_tree(&mut frame, t)))
                             .collect::<Vec<_>>()
                     }));
                 }
@@ -125,8 +108,14 @@ impl RandomForest {
             })
             .expect("training scope panicked");
         }
-        let trees: Vec<DecisionTree> = trees.into_iter().map(|t| t.expect("all trained")).collect();
+        let trees = trees.into_iter().map(|t| t.expect("all trained")).collect();
+        RandomForest::assemble(data, trees, &boots)
+    }
 
+    /// The forest of `trees`, fitted on `boots`: out-of-bag error over
+    /// the rows each tree never saw, and normalised importances.
+    fn assemble(data: &Dataset, trees: Vec<DecisionTree>, boots: &[Vec<usize>]) -> RandomForest {
+        let n = data.len();
         // Out-of-bag error: vote each row only with trees that never saw it.
         let mut oob_votes = vec![vec![0.0f64; data.n_classes()]; n];
         let mut in_bag = vec![false; n];
@@ -160,7 +149,7 @@ impl RandomForest {
         };
 
         // Aggregate and normalise importances.
-        let mut importances = vec![0.0f64; d];
+        let mut importances = vec![0.0f64; data.n_features()];
         for tree in &trees {
             for (i, &v) in tree.importances().iter().enumerate() {
                 importances[i] += v;
@@ -187,12 +176,20 @@ impl RandomForest {
     /// # Panics
     /// Panics if `out.len() != n_classes`.
     pub fn predict_proba_into(&self, row: &[f64], out: &mut [f64]) {
+        self.vote_into(row, out, |_, _| {});
+    }
+
+    /// [`RandomForest::predict_proba_into`], handing each tree's own
+    /// probabilities to `each(tree_index, probs)` as they are summed.
+    fn vote_into(&self, row: &[f64], out: &mut [f64], mut each: impl FnMut(usize, &[f64])) {
         assert_eq!(out.len(), self.n_classes, "probability buffer mismatch");
         out.fill(0.0);
-        for tree in &self.trees {
-            for (o, p) in out.iter_mut().zip(tree.predict_proba(row)) {
+        for (t, tree) in self.trees.iter().enumerate() {
+            let probs = tree.predict_proba(row);
+            for (o, p) in out.iter_mut().zip(probs) {
                 *o += p;
             }
+            each(t, probs);
         }
         let n = self.trees.len() as f64;
         out.iter_mut().for_each(|p| *p /= n);
@@ -224,27 +221,52 @@ impl RandomForest {
     /// ships to YourAdValue clients ("apply the model M in the form of a
     /// decision tree", §3.2).
     pub fn representative_tree(&self, data: &Dataset) -> &DecisionTree {
-        // One forest vote per row, shared by every tree's agreement count.
+        // One walk per (tree, row): each tree's own class is read off the
+        // probabilities the forest vote sums.
         let mut probs = vec![0.0f64; self.n_classes];
-        let votes: Vec<usize> = (0..data.len())
-            .map(|i| {
-                self.predict_proba_into(data.row(i), &mut probs);
-                argmax(&probs)
-            })
-            .collect();
-        let mut best = (0usize, None);
-        for (t, tree) in self.trees.iter().enumerate() {
-            let agree = votes
-                .iter()
-                .enumerate()
-                .filter(|&(i, &vote)| tree.predict(data.row(i)) == vote)
-                .count();
-            if Some(agree) > best.1 {
-                best = (t, Some(agree));
+        let mut own = vec![0usize; self.trees.len()];
+        let mut agree = vec![0usize; self.trees.len()];
+        for i in 0..data.len() {
+            self.vote_into(data.row(i), &mut probs, |t, p| own[t] = argmax(p));
+            let vote = argmax(&probs);
+            for (a, &class) in agree.iter_mut().zip(&own) {
+                *a += usize::from(class == vote);
             }
         }
-        &self.trees[best.0]
+        // The first tree wins ties.
+        let mut best = 0;
+        for (t, &a) in agree.iter().enumerate() {
+            if a > agree[best] {
+                best = t;
+            }
+        }
+        &self.trees[best]
     }
+}
+
+/// The per-tree CART parameters: `features_per_split: None` becomes
+/// ⌈√d⌉.
+fn tree_config(d: usize, config: &RandomForestConfig) -> TreeConfig {
+    TreeConfig {
+        features_per_split: config
+            .tree
+            .features_per_split
+            .or(Some(((d as f64).sqrt().ceil() as usize).max(1))),
+        ..config.tree
+    }
+}
+
+/// Every tree's bootstrap rows and RNG seed, drawn up front and serially
+/// from the forest seed, so the thread count cannot change them.
+fn bootstraps(n: usize, config: &RandomForestConfig) -> (Vec<Vec<usize>>, Vec<u64>) {
+    let mut boots: Vec<Vec<usize>> = Vec::with_capacity(config.n_trees);
+    let mut seeds: Vec<u64> = Vec::with_capacity(config.n_trees);
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    for _ in 0..config.n_trees {
+        boots.push((0..n).map(|_| rng.gen_range(0..n)).collect());
+        seeds.push(rng.gen());
+    }
+    (boots, seeds)
 }
 
 #[cfg(test)]
@@ -317,6 +339,51 @@ mod tests {
         cfg.threads = 4;
         let parallel = RandomForest::fit(&data, &cfg);
         assert_eq!(serial, parallel);
+    }
+
+    /// `RandomForest::fit` equals the forest assembled from
+    /// `tree::reference` trees on the same bootstraps and seeds, at any
+    /// thread count; a 257-value column sends small nodes to the sort
+    /// side.
+    #[test]
+    fn binned_forest_matches_reference_trees() {
+        let base = dataset(400);
+        let data = Dataset::new(
+            (0..base.len())
+                .map(|i| {
+                    let mut row = base.row(i).to_vec();
+                    row.push(((i * 101) % 257) as f64);
+                    row
+                })
+                .collect(),
+            base.labels().to_vec(),
+            3,
+            vec!["x".into(), "y".into(), "noise".into(), "wide".into()],
+        );
+        for threads in [1, 4] {
+            let config = RandomForestConfig {
+                n_trees: 8,
+                threads,
+                ..RandomForestConfig::default()
+            };
+            let forest = RandomForest::fit(&data, &config);
+            let tree_config = tree_config(data.n_features(), &config);
+            let (boots, seeds) = bootstraps(data.len(), &config);
+            let trees = boots
+                .iter()
+                .zip(&seeds)
+                .map(|(boot, &seed)| {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    crate::tree::reference::fit(&data, boot, &tree_config, &mut rng)
+                })
+                .collect();
+            let reference = RandomForest::assemble(&data, trees, &boots);
+            assert_eq!(
+                format!("{forest:?}"),
+                format!("{reference:?}"),
+                "threads {threads}"
+            );
+        }
     }
 
     #[test]

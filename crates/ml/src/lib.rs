@@ -14,7 +14,8 @@
 //! * [`discretize`] — the §5.1 price-class construction (log transform +
 //!   balanced entropy splits with a leave-one-out entropy estimate);
 //! * [`tree`] — CART decision trees, the arena form training grows and
-//!   forests vote with;
+//!   forests vote with; training bins each feature once per forest and
+//!   counts classes per bin at each node;
 //! * [`forest`] — bagged random forests with OOB error and impurity
 //!   importances, trained in parallel with crossbeam scoped threads;
 //! * [`compiled`] — the flat struct-of-arrays inference form a trained

@@ -3,18 +3,26 @@
 //! The model YourAdValue ships to clients is "a decision tree" (§3.2), so
 //! trees here are plain serde-serialisable data. Training is exact CART:
 //! at each node, candidate features (optionally a random subset — that is
-//! the random-forest hook) are scanned over sorted value midpoints for the
-//! split with the best Gini-impurity decrease.
+//! the random-forest hook) are scanned over the midpoints between their
+//! distinct values for the split with the best Gini-impurity decrease.
 //!
-//! Training presorts every feature column **once per tree** and keeps the
-//! per-feature orderings partitioned alongside the samples, so no node
-//! ever re-sorts a column: `best_split` sweeps each presorted slice with
-//! running class counts in O(n·d) instead of O(n·d·log n). The fitted
-//! trees are bit-identical to the naive re-sorting implementation (kept
-//! under `#[cfg(test)]` as `reference` and pinned by equivalence tests):
-//! split gains are computed from the same integer class counts with the
-//! same float operations, and tie order within equal feature values can
-//! never change a count at a distinct-value boundary.
+//! Training bins every feature **once per forest** (`Bins`): its distinct
+//! values in ascending order and a bin code per row. A tree keeps one list
+//! of its rows (`Frame`); a node is a range of that list, and a split
+//! partitions only that range. To search a feature, a node counts classes
+//! per occupied bin — into a dense histogram when the feature has no more
+//! bins than the node has rows, otherwise by sorting the node's packed
+//! (bin, label) keys — and sweeps the bins in ascending order. The §5.4
+//! features have at most a few dozen values, so most scans take the
+//! histogram; the sort keeps high-cardinality columns and small nodes
+//! cheap.
+//!
+//! The fitted trees are bit-identical to the naive re-sorting
+//! implementation (kept under `#[cfg(test)]` as `reference` and pinned by
+//! equivalence tests): a cut between two occupied bins is a cut between
+//! two distinct sorted values, its gain is computed from the same integer
+//! class counts with the same float operations, and its threshold comes
+//! from the same [`threshold`] rule.
 
 use crate::dataset::Dataset;
 use rand::rngs::StdRng;
@@ -79,112 +87,298 @@ pub struct DecisionTree {
     importances: Vec<f64>,
 }
 
-/// Per-tree training frame: the selected rows materialised column-major
-/// with every feature column presorted **once**, plus the scratch buffers
-/// the recursion reuses. A node is a range `[lo, hi)` shared by all
-/// per-feature orderings: partitioning a node stably splits each ordering
-/// into a left block and a right block, so children stay sorted without
-/// ever sorting again.
-struct Frame {
-    /// Samples in the frame (bootstrap duplicates count separately).
+/// A dataset binned once for every tree trained on it: each feature's
+/// distinct values in ascending `total_cmp` order, grouped by `==` (so
+/// `-0.0` and `0.0` share a bin), and each row's bin code. `Dataset`
+/// holds no NaN, so `==` groups runs of the sorted values, and a cut
+/// between two bins is a cut between two distinct values.
+pub(crate) struct Bins {
+    /// Rows binned.
     n: usize,
-    /// Feature columns.
-    d: usize,
-    /// Column-major values: `cols[f * n + s]` is sample `s` on feature `f`.
-    cols: Vec<f64>,
-    /// Class label per sample.
-    labels: Vec<usize>,
-    /// Per-feature sample orderings: `order[f * n + k]` is the sample id
-    /// ranked `k` by feature `f`'s value (stable within ties).
-    order: Vec<u32>,
-    /// Stable-partition spill buffer.
-    scratch: Vec<u32>,
-    /// Per-sample side of the split currently being applied.
-    goes_left: Vec<bool>,
-    /// Running left-of-threshold class counts for `best_split`.
+    /// Number of classes.
+    n_classes: usize,
+    /// `values[f]`: feature `f`'s distinct values, ascending.
+    values: Vec<Vec<f64>>,
+    /// Column-major bin codes: `codes[f * n + i]` is row `i`'s bin on
+    /// feature `f`.
+    codes: Vec<u32>,
+    /// Class label per row.
+    labels: Vec<u32>,
+}
+
+impl Bins {
+    /// Bins every feature of `data`.
+    ///
+    /// # Panics
+    /// Panics if the row or class count does not fit a `u32`.
+    pub(crate) fn new(data: &Dataset) -> Bins {
+        let n = data.len();
+        let d = data.n_features();
+        let n32 = u32::try_from(n).expect("a tree's rows are indexed by u32");
+        let mut values = Vec::with_capacity(d);
+        let mut codes = vec![0u32; n * d];
+        let mut order: Vec<u32> = (0..n32).collect();
+        for f in 0..d {
+            let column = &mut codes[f * n..(f + 1) * n];
+            let value = |i: u32| data.row(i as usize)[f];
+            order.sort_unstable_by(|&a, &b| value(a).total_cmp(&value(b)));
+            let mut distinct: Vec<f64> = Vec::new();
+            for &i in &order {
+                let v = value(i);
+                if distinct.last() != Some(&v) {
+                    distinct.push(v);
+                }
+                column[i as usize] = (distinct.len() - 1) as u32;
+            }
+            values.push(distinct);
+        }
+        Bins {
+            n,
+            n_classes: data.n_classes(),
+            values,
+            codes,
+            labels: data
+                .labels()
+                .iter()
+                .map(|&l| u32::try_from(l).expect("class labels are packed into u32"))
+                .collect(),
+        }
+    }
+
+    /// Feature `f`'s bin code per row.
+    fn column(&self, f: usize) -> &[u32] {
+        &self.codes[f * self.n..(f + 1) * self.n]
+    }
+}
+
+/// Per-worker training scratch, reused across every tree the worker
+/// fits: the tree's row list and the buffers a node's split search
+/// fills.
+pub(crate) struct Frame {
+    /// The tree's rows (bootstrap duplicates count separately); a node
+    /// is a range `[lo, hi)` of it.
+    rows: Vec<u32>,
+    /// Dense class histogram: `hist[bin * n_classes + class]`.
+    hist: Vec<u32>,
+    /// Packed `bin << 32 | label` keys of a node's rows, for the sort
+    /// side.
+    keys: Vec<u64>,
+    /// Running below-the-cut class counts.
     left_counts: Vec<usize>,
+    /// Below-the-cut class counts of the best cut so far: the left
+    /// child's class counts once `best_split` returns.
+    best_left: Vec<usize>,
     /// Feature roster reused by the per-node shuffle.
     roster: Vec<usize>,
 }
 
 impl Frame {
-    fn new(data: &Dataset, indices: &[usize]) -> Frame {
-        let n = indices.len();
-        let d = data.n_features();
-        let mut cols = vec![0.0f64; n * d];
-        let mut labels = Vec::with_capacity(n);
-        for (s, &i) in indices.iter().enumerate() {
-            let row = data.row(i);
-            for (f, &v) in row.iter().enumerate() {
-                cols[f * n + s] = v;
-            }
-            labels.push(data.label(i));
-        }
-        let mut order = Vec::with_capacity(n * d);
-        for f in 0..d {
-            let col = &cols[f * n..(f + 1) * n];
-            let mut o: Vec<u32> = (0..n as u32).collect();
-            o.sort_by(|&a, &b| col[a as usize].total_cmp(&col[b as usize]));
-            order.extend_from_slice(&o);
-        }
+    /// Empty scratch for trees on `bins`.
+    pub(crate) fn new(bins: &Bins) -> Frame {
         Frame {
-            n,
-            d,
-            cols,
-            labels,
-            order,
-            scratch: vec![0; n],
-            goes_left: vec![false; n],
-            left_counts: vec![0; data.n_classes()],
-            roster: (0..d).collect(),
+            rows: Vec::new(),
+            hist: Vec::new(),
+            keys: Vec::new(),
+            left_counts: vec![0; bins.n_classes],
+            best_left: vec![0; bins.n_classes],
+            roster: (0..bins.values.len()).collect(),
         }
     }
 
-    /// Class counts over the node `[lo, hi)` (read off feature 0's
-    /// ordering — every feature's slice holds exactly the node's samples).
-    fn node_counts(&self, lo: usize, hi: usize, counts: &mut [usize]) {
-        counts.iter_mut().for_each(|c| *c = 0);
-        for &s in &self.order[lo..hi] {
-            counts[self.labels[s as usize]] += 1;
-        }
-    }
-
-    /// Splits the node `[lo, hi)` on `row[feature] <= threshold`, stably
-    /// partitioning every per-feature ordering so both children remain
-    /// presorted. Returns the left child's size.
-    fn partition(&mut self, lo: usize, hi: usize, feature: usize, threshold: f64) -> usize {
-        let n = self.n;
-        let Frame {
-            cols,
-            order,
-            scratch,
-            goes_left,
-            ..
-        } = self;
-        let col = &cols[feature * n..(feature + 1) * n];
+    /// Splits the node `[lo, hi)` on `value <= threshold`, moving its
+    /// left rows to the front. Returns the left child's size.
+    fn partition(
+        &mut self,
+        bins: &Bins,
+        lo: usize,
+        hi: usize,
+        feature: usize,
+        threshold: f64,
+    ) -> usize {
+        let values = &bins.values[feature];
+        let codes = bins.column(feature);
+        let rows = &mut self.rows[lo..hi];
         let mut n_left = 0usize;
-        for &s in &order[feature * n + lo..feature * n + hi] {
-            let left = col[s as usize] <= threshold;
-            goes_left[s as usize] = left;
-            n_left += left as usize;
-        }
-        for f in 0..self.d {
-            let slice = &mut order[f * n + lo..f * n + hi];
-            let mut w = 0usize;
-            let mut spilled = 0usize;
-            for i in 0..slice.len() {
-                let s = slice[i];
-                if goes_left[s as usize] {
-                    slice[w] = s;
-                    w += 1;
-                } else {
-                    scratch[spilled] = s;
-                    spilled += 1;
-                }
+        for i in 0..rows.len() {
+            if values[codes[rows[i] as usize] as usize] <= threshold {
+                rows.swap(i, n_left);
+                n_left += 1;
             }
-            slice[w..].copy_from_slice(&scratch[..spilled]);
         }
         n_left
+    }
+
+    /// Finds the best (feature, threshold, gain) over the node
+    /// `[lo, hi)`, leaving its left side's class counts in `best_left`;
+    /// `None` if no split satisfies the leaf-size constraints. Each
+    /// candidate feature's occupied bins are counted and swept in
+    /// ascending order.
+    #[allow(clippy::too_many_arguments)]
+    fn best_split(
+        &mut self,
+        bins: &Bins,
+        lo: usize,
+        hi: usize,
+        total_counts: &[usize],
+        node_impurity: f64,
+        config: &TreeConfig,
+        rng: &mut StdRng,
+    ) -> Option<(usize, f64, f64)> {
+        let Frame {
+            rows,
+            hist,
+            keys,
+            left_counts,
+            best_left,
+            roster,
+        } = self;
+        // With feature subsampling, order the *full* roster with the random
+        // subset first: the scan below stops after the subset if it found a
+        // valid split, but keeps drawing further features when it did not
+        // (sklearn semantics — a node only becomes a leaf when no feature
+        // at all can split it).
+        // The roster always restarts from the identity permutation so the
+        // shuffle consumes the rng exactly as a fresh `(0..d).collect()`
+        // would (the reference implementation reshuffles from scratch at
+        // every node).
+        for (i, f) in roster.iter_mut().enumerate() {
+            *f = i;
+        }
+        let subset_len = match config.features_per_split {
+            Some(m) if m < roster.len() => {
+                for i in 0..roster.len() {
+                    let j = rng.gen_range(i..roster.len());
+                    roster.swap(i, j);
+                }
+                m
+            }
+            _ => roster.len(),
+        };
+
+        let rows = &rows[lo..hi];
+        let n = rows.len();
+        let k = bins.n_classes;
+        let mut best: Option<(usize, f64, f64)> = None;
+        for (fi, &f) in roster.iter().enumerate() {
+            if fi >= subset_len && best.is_some() {
+                break; // subset exhausted and a valid split exists
+            }
+            let sweep = Sweep {
+                feature: f,
+                values: &bins.values[f],
+                total_counts,
+                n,
+                node_impurity,
+                min_samples_leaf: config.min_samples_leaf,
+            };
+            let codes = bins.column(f);
+            left_counts.fill(0);
+            if sweep.values.len() <= n {
+                // Dense histogram: one pass over the rows, one over the bins.
+                let cells = sweep.values.len() * k;
+                if hist.len() < cells {
+                    hist.resize(cells, 0);
+                }
+                let hist = &mut hist[..cells];
+                hist.fill(0);
+                for &r in rows {
+                    let r = r as usize;
+                    hist[codes[r] as usize * k + bins.labels[r] as usize] += 1;
+                }
+                let mut n_left = 0usize;
+                let mut below = None;
+                for (bin, counts) in hist.chunks_exact(k).enumerate() {
+                    let count = counts.iter().sum::<u32>() as usize;
+                    if count == 0 {
+                        continue;
+                    }
+                    if let Some(below) = below {
+                        sweep.cut(&mut best, best_left, left_counts, n_left, below, bin);
+                    }
+                    for (l, &c) in left_counts.iter_mut().zip(counts) {
+                        *l += c as usize;
+                    }
+                    n_left += count;
+                    below = Some(bin);
+                }
+            } else {
+                // More bins than rows: sort the rows' (bin, label) keys.
+                keys.clear();
+                keys.extend(rows.iter().map(|&r| {
+                    u64::from(codes[r as usize]) << 32 | u64::from(bins.labels[r as usize])
+                }));
+                keys.sort_unstable();
+                let mut below = (keys[0] >> 32) as usize;
+                for (n_left, &key) in keys.iter().enumerate() {
+                    let bin = (key >> 32) as usize;
+                    if bin != below {
+                        sweep.cut(&mut best, best_left, left_counts, n_left, below, bin);
+                        below = bin;
+                    }
+                    left_counts[key as u32 as usize] += 1;
+                }
+            }
+        }
+        best
+    }
+}
+
+/// One feature's scan over a node: scores a cut between two adjacent
+/// occupied bins.
+struct Sweep<'a> {
+    feature: usize,
+    /// The feature's distinct values (bin → value).
+    values: &'a [f64],
+    /// The node's class counts.
+    total_counts: &'a [usize],
+    /// The node's rows.
+    n: usize,
+    node_impurity: f64,
+    min_samples_leaf: usize,
+}
+
+impl Sweep<'_> {
+    /// Scores cutting the node between occupied bins `below` and `above`,
+    /// with `left_counts` (`n_left` rows) the class counts of every bin up
+    /// to `below`, and records it in `best` and `best_left` if it gains
+    /// more.
+    fn cut(
+        &self,
+        best: &mut Option<(usize, f64, f64)>,
+        best_left: &mut [usize],
+        left_counts: &[usize],
+        n_left: usize,
+        below: usize,
+        above: usize,
+    ) {
+        let n_right = self.n - n_left;
+        if n_left < self.min_samples_leaf || n_right < self.min_samples_leaf {
+            return;
+        }
+        let weighted = (n_left as f64 * gini(left_counts, n_left)
+            + n_right as f64 * gini_complement(self.total_counts, left_counts, n_right))
+            / self.n as f64;
+        let gain = self.node_impurity - weighted;
+        if gain > best.map(|(_, _, g)| g).unwrap_or(1e-12) {
+            let threshold = threshold(self.values[below], self.values[above]);
+            *best = Some((self.feature, threshold, gain));
+            best_left.copy_from_slice(left_counts);
+        }
+    }
+}
+
+/// The threshold of a cut between adjacent distinct values `below <
+/// above`: their midpoint, unless rounding or overflow puts it outside
+/// `[below, above)` (adjacent floats, `±∞`, magnitudes past `f64::MAX /
+/// 2`), where `row <= threshold` would send both sides one way; then the
+/// largest float under `above`. The sign of a zero on either side never
+/// changes the result, so a bin's `0.0` and `-0.0` are interchangeable.
+fn threshold(below: f64, above: f64) -> f64 {
+    let mid = (below + above) / 2.0;
+    if below <= mid && mid < above {
+        mid
+    } else {
+        above.next_down()
     }
 }
 
@@ -192,21 +386,45 @@ impl DecisionTree {
     /// Fits a tree on (a subset of) a dataset. `indices` selects the
     /// training rows (bootstrap samples pass duplicates freely); `rng`
     /// drives feature subsampling only.
+    ///
+    /// # Panics
+    /// Panics if `indices` is empty or holds an index past the data.
     pub fn fit(
         data: &Dataset,
         indices: &[usize],
         config: &TreeConfig,
         rng: &mut StdRng,
     ) -> DecisionTree {
+        let bins = Bins::new(data);
+        DecisionTree::fit_binned(&bins, &mut Frame::new(&bins), indices, config, rng)
+    }
+
+    /// [`DecisionTree::fit`] on bins built once for many trees, with a
+    /// reused `frame` — the forest's per-tree entry.
+    pub(crate) fn fit_binned(
+        bins: &Bins,
+        frame: &mut Frame,
+        indices: &[usize],
+        config: &TreeConfig,
+        rng: &mut StdRng,
+    ) -> DecisionTree {
         assert!(!indices.is_empty(), "cannot fit a tree on zero rows");
+        frame.rows.clear();
+        frame.rows.extend(indices.iter().map(|&i| {
+            assert!(i < bins.n, "row {i} out of range ({} rows)", bins.n);
+            i as u32
+        }));
         let mut tree = DecisionTree {
             nodes: Vec::new(),
-            n_classes: data.n_classes(),
-            n_features: data.n_features(),
-            importances: vec![0.0; data.n_features()],
+            n_classes: bins.n_classes,
+            n_features: bins.values.len(),
+            importances: vec![0.0; bins.values.len()],
         };
-        let mut frame = Frame::new(data, indices);
-        tree.build(&mut frame, 0, indices.len(), 0, config, rng);
+        let mut counts = vec![0usize; bins.n_classes];
+        for &r in &frame.rows {
+            counts[bins.labels[r as usize] as usize] += 1;
+        }
+        tree.build(bins, frame, counts, 0, indices.len(), 0, config, rng);
         tree
     }
 
@@ -215,11 +433,14 @@ impl DecisionTree {
         &self.nodes
     }
 
-    /// Recursive node construction over the frame range `[lo, hi)`;
-    /// returns the node's arena index.
+    /// Recursive node construction over the row range `[lo, hi)`, whose
+    /// class counts are `counts`; returns the node's arena index.
+    #[allow(clippy::too_many_arguments)]
     fn build(
         &mut self,
+        bins: &Bins,
         frame: &mut Frame,
+        counts: Vec<usize>,
         lo: usize,
         hi: usize,
         depth: usize,
@@ -227,8 +448,6 @@ impl DecisionTree {
         rng: &mut StdRng,
     ) -> usize {
         let n = hi - lo;
-        let mut counts = vec![0usize; self.n_classes];
-        frame.node_counts(lo, hi, &mut counts);
         let node_impurity = gini(&counts, n);
         let pure = counts.iter().filter(|&&c| c > 0).count() <= 1;
 
@@ -237,15 +456,19 @@ impl DecisionTree {
         }
 
         let Some((feature, threshold, gain)) =
-            self.best_split(frame, lo, hi, &counts, node_impurity, config, rng)
+            frame.best_split(bins, lo, hi, &counts, node_impurity, config, rng)
         else {
             return self.push_leaf(&counts, n);
         };
 
         self.importances[feature] += gain * n as f64;
 
-        let n_left = frame.partition(lo, hi, feature, threshold);
+        let n_left = frame.partition(bins, lo, hi, feature, threshold);
         debug_assert!(n_left > 0 && n_left < n);
+        // The children's class counts are the best cut's two sides.
+        let left = frame.best_left.clone();
+        debug_assert_eq!(n_left, left.iter().sum::<usize>());
+        let right = counts.iter().zip(&left).map(|(&t, &l)| t - l).collect();
 
         let node_idx = self.nodes.len();
         self.nodes.push(Node::Split {
@@ -254,8 +477,8 @@ impl DecisionTree {
             left: 0,
             right: 0,
         });
-        let l = self.build(frame, lo, lo + n_left, depth + 1, config, rng);
-        let r = self.build(frame, lo + n_left, hi, depth + 1, config, rng);
+        let l = self.build(bins, frame, left, lo, lo + n_left, depth + 1, config, rng);
+        let r = self.build(bins, frame, right, lo + n_left, hi, depth + 1, config, rng);
         if let Node::Split { left, right, .. } = &mut self.nodes[node_idx] {
             *left = l;
             *right = r;
@@ -267,85 +490,6 @@ impl DecisionTree {
         let probs = counts.iter().map(|&c| c as f64 / n.max(1) as f64).collect();
         self.nodes.push(Node::Leaf { probs });
         self.nodes.len() - 1
-    }
-
-    /// Finds the best (feature, threshold) by Gini gain over the node
-    /// `[lo, hi)`; `None` if no split satisfies the leaf-size
-    /// constraints. Each candidate feature is swept over its *presorted*
-    /// slice with running class counts — no sorting here.
-    #[allow(clippy::too_many_arguments)]
-    fn best_split(
-        &self,
-        frame: &mut Frame,
-        lo: usize,
-        hi: usize,
-        total_counts: &[usize],
-        node_impurity: f64,
-        config: &TreeConfig,
-        rng: &mut StdRng,
-    ) -> Option<(usize, f64, f64)> {
-        // With feature subsampling, order the *full* roster with the random
-        // subset first: the scan below stops after the subset if it found a
-        // valid split, but keeps drawing further features when it did not
-        // (sklearn semantics — a node only becomes a leaf when no feature
-        // at all can split it).
-        // The roster always restarts from the identity permutation so the
-        // shuffle consumes the rng exactly as a fresh `(0..d).collect()`
-        // would (the reference implementation reshuffles from scratch at
-        // every node).
-        for (i, f) in frame.roster.iter_mut().enumerate() {
-            *f = i;
-        }
-        let subset_len = match config.features_per_split {
-            Some(m) if m < frame.d => {
-                for i in 0..frame.roster.len() {
-                    let j = rng.gen_range(i..frame.roster.len());
-                    frame.roster.swap(i, j);
-                }
-                m
-            }
-            _ => frame.d,
-        };
-
-        let n = hi - lo;
-        let stride = frame.n;
-        let mut best: Option<(usize, f64, f64)> = None;
-        for fi in 0..frame.roster.len() {
-            if fi >= subset_len && best.is_some() {
-                break; // subset exhausted and a valid split exists
-            }
-            let f = frame.roster[fi];
-            let col = &frame.cols[f * stride..(f + 1) * stride];
-            let ord = &frame.order[f * stride + lo..f * stride + hi];
-            if col[ord[0] as usize] == col[ord[n - 1] as usize] {
-                continue; // constant feature here
-            }
-
-            let left_counts = &mut frame.left_counts;
-            left_counts.iter_mut().for_each(|c| *c = 0);
-            for split_at in 1..n {
-                let prev = ord[split_at - 1] as usize;
-                left_counts[frame.labels[prev]] += 1;
-                // Only split between distinct values.
-                if col[prev] == col[ord[split_at] as usize] {
-                    continue;
-                }
-                let n_left = split_at;
-                let n_right = n - split_at;
-                if n_left < config.min_samples_leaf || n_right < config.min_samples_leaf {
-                    continue;
-                }
-                let weighted = (n_left as f64 * gini(left_counts, n_left)
-                    + n_right as f64 * gini_complement(total_counts, left_counts, n_right))
-                    / n as f64;
-                let gain = node_impurity - weighted;
-                if gain > best.map(|(_, _, g)| g).unwrap_or(1e-12) {
-                    let threshold = (col[prev] + col[ord[split_at] as usize]) / 2.0;
-                    best = Some((f, threshold, gain));
-                }
-            }
-        }
-        best
     }
 
     /// Class-probability vector for one feature row.
@@ -448,9 +592,10 @@ fn gini_complement(total: &[usize], left: &[usize], n_right: usize) -> f64 {
     1.0 - sum_sq
 }
 
-/// The seed (pre-presort) training algorithm, kept verbatim as the
-/// ground truth for the bit-identity equivalence tests: per node it
-/// re-collects and re-sorts every candidate feature column.
+/// The seed training algorithm, kept as the ground truth for the
+/// bit-identity equivalence tests: per node it re-collects and re-sorts
+/// every candidate feature column. It shares only `gini` and the
+/// `threshold` rule with the binned trainer.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
@@ -601,7 +746,7 @@ pub(crate) mod reference {
                     / n as f64;
                 let gain = node_impurity - weighted;
                 if gain > best.map(|(_, _, g)| g).unwrap_or(1e-12) {
-                    let threshold = (pairs[split_at - 1].0 + pairs[split_at].0) / 2.0;
+                    let threshold = threshold(pairs[split_at - 1].0, pairs[split_at].0);
                     best = Some((f, threshold, gain));
                 }
             }
@@ -749,36 +894,58 @@ mod tests {
         assert_eq!(argmax(&[0.1, 0.5, 0.4]), 1);
     }
 
-    /// A messier multi-class dataset with ties, duplicated rows and a
-    /// constant column — the shapes that exercise the presorted sweep's
-    /// corner cases.
+    /// A messier multi-class dataset: heavy ties, a constant column, runs
+    /// of duplicates, a 257-value column (wider than most nodes, like
+    /// the publisher bucket), mixed `-0.0`/`0.0`, `±∞` and midpoints that
+    /// overflow, and adjacent floats — the shapes that exercise both
+    /// counting sides and the threshold rule.
     fn gnarly_dataset(n: usize, n_classes: usize, seed: u64) -> Dataset {
+        let zeros = [-0.0, 0.0, 0.0, -0.0, 1.0, -1.0];
+        let extremes = [
+            f64::NEG_INFINITY,
+            -1.5e308,
+            -1e308,
+            0.5,
+            1e308,
+            1.5e308,
+            f64::INFINITY,
+        ];
+        let x0 = 1.0f64;
+        let adjacent = [x0, x0.next_up(), x0.next_up().next_up(), 3.0];
+        let s = seed as usize;
         let rows: Vec<Vec<f64>> = (0..n)
             .map(|i| {
-                let a = ((i as u64).wrapping_mul(seed | 1) % 23) as f64; // heavy ties
-                let b = ((i * 31 + seed as usize) % 101) as f64 / 7.0;
-                let c = 5.0; // constant
-                let d = ((i / 3) % 13) as f64; // duplicated in runs of 3
-                vec![a, b, c, d]
+                vec![
+                    ((i as u64).wrapping_mul(seed | 1) % 23) as f64, // heavy ties
+                    ((i * 31 + s) % 101) as f64 / 7.0,
+                    5.0,                          // constant
+                    ((i / 3) % 13) as f64,        // duplicated in runs of 3
+                    ((i * 101 + s) % 257) as f64, // 257 values
+                    zeros[(i * 5 + s) % zeros.len()],
+                    extremes[(i * 3 + s) % extremes.len()],
+                    adjacent[(i * 7 + s) % adjacent.len()],
+                ]
             })
             .collect();
         let labels: Vec<usize> = (0..n)
-            .map(|i| (i.wrapping_mul(7) + seed as usize) % n_classes)
+            .map(|i| (i.wrapping_mul(7) + s) % n_classes)
             .collect();
+        let names = ["a", "b", "c", "d", "wide", "zeros", "extremes", "adjacent"];
         Dataset::new(
             rows,
             labels,
             n_classes,
-            vec!["a".into(), "b".into(), "c".into(), "d".into()],
+            names.iter().map(|&s| s.to_owned()).collect(),
         )
     }
 
-    /// The presorted trainer must produce trees bit-identical to the
-    /// seed implementation (same nodes, same thresholds, same
+    /// The binned trainer must produce trees bit-identical to the
+    /// re-sorting reference (same nodes, same threshold bits, same
     /// importances) across depths, leaf constraints, class counts,
-    /// feature subsampling and bootstrap duplicates.
+    /// feature subsampling and bootstrap duplicates, on both counting
+    /// sides.
     #[test]
-    fn presorted_training_matches_reference_bit_for_bit() {
+    fn binned_training_matches_reference_bit_for_bit() {
         let configs = [
             TreeConfig::default(),
             TreeConfig {
@@ -795,17 +962,19 @@ mod tests {
                 ..TreeConfig::default()
             },
             TreeConfig {
-                features_per_split: Some(2),
+                features_per_split: Some(3),
                 max_depth: 30,
-                ..TreeConfig::default()
+                min_samples_leaf: 1,
+                min_samples_split: 2,
             },
         ];
         for seed in [1u64, 7, 42] {
             for n_classes in [2usize, 3, 5] {
-                let data = gnarly_dataset(180, n_classes, seed);
-                // Bootstrap-style index list with duplicates.
+                let data = gnarly_dataset(300, n_classes, seed);
+                // A bootstrap: duplicates and missing rows.
+                let mut draw = StdRng::seed_from_u64(seed);
                 let indices: Vec<usize> = (0..data.len())
-                    .map(|i| (i.wrapping_mul(13) + seed as usize) % data.len())
+                    .map(|_| draw.gen_range(0..data.len()))
                     .collect();
                 for config in &configs {
                     let mut rng_a = StdRng::seed_from_u64(seed ^ 0xBEEF);
@@ -813,8 +982,9 @@ mod tests {
                     let fast = DecisionTree::fit(&data, &indices, config, &mut rng_a);
                     let slow = reference::fit(&data, &indices, config, &mut rng_b);
                     assert_eq!(
-                        fast, slow,
-                        "presorted != reference for seed {seed}, k {n_classes}, {config:?}"
+                        format!("{fast:?}"),
+                        format!("{slow:?}"),
+                        "binned != reference for seed {seed}, k {n_classes}, {config:?}"
                     );
                 }
             }
@@ -822,7 +992,7 @@ mod tests {
     }
 
     #[test]
-    fn presorted_training_matches_reference_on_xor() {
+    fn binned_training_matches_reference_on_xor() {
         let data = xor_dataset();
         let idx: Vec<usize> = (0..data.len()).collect();
         let mut rng_a = StdRng::seed_from_u64(1);
@@ -830,6 +1000,43 @@ mod tests {
         let fast = DecisionTree::fit(&data, &idx, &TreeConfig::default(), &mut rng_a);
         let slow = reference::fit(&data, &idx, &TreeConfig::default(), &mut rng_b);
         assert_eq!(fast, slow);
+    }
+
+    /// Where the midpoint of two adjacent values rounds or overflows onto
+    /// the upper one (or is NaN), the threshold drops just under it, so
+    /// `row <= threshold` still separates the two sides.
+    #[test]
+    fn thresholds_separate_adjacent_and_unbounded_values() {
+        let x1 = 1.0f64.next_up();
+        let x2 = x1.next_up();
+        assert_eq!((x1 + x2) / 2.0, x2, "this midpoint rounds upward");
+        assert_eq!(threshold(1.0, 3.0), 2.0);
+        for (below, above) in [
+            (x1, x2),
+            (1.0, f64::INFINITY),
+            (f64::NEG_INFINITY, f64::INFINITY),
+            (1e308, 1.5e308),
+            (-1.5e308, -1e308),
+            (-5e-324, 0.0),
+        ] {
+            let t = threshold(below, above);
+            assert!(below <= t && t < above, "{below} | {above} -> {t}");
+            let data = Dataset::new(
+                vec![vec![below], vec![below], vec![above], vec![above]],
+                vec![0, 0, 1, 1],
+                2,
+                vec!["x".into()],
+            );
+            let tree = fit(&data, TreeConfig::default());
+            assert_eq!(tree.n_nodes(), 3, "{below} | {above}");
+            for i in 0..data.len() {
+                assert_eq!(
+                    tree.predict(data.row(i)),
+                    data.label(i),
+                    "{below} | {above}"
+                );
+            }
+        }
     }
 }
 

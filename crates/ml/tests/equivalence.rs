@@ -4,9 +4,9 @@
 //! the arena walker across forests of varying depth, size and class
 //! count — the property the client's hot path relies on.
 //!
-//! (The companion guarantee — presorted-column training produces trees
-//! bit-identical to the seed implementation — lives next to the private
-//! reference implementation in `tree::tests`.)
+//! (The companion guarantee — binned training produces trees
+//! bit-identical to the re-sorting reference implementation — lives next
+//! to that private implementation in `tree::tests` and `forest::tests`.)
 
 use yav_ml::tree::argmax;
 use yav_ml::{CompiledForest, Dataset, RandomForest, RandomForestConfig, TreeConfig};

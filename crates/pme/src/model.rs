@@ -174,8 +174,10 @@ pub struct TrainConfig {
     pub cv_folds: usize,
     /// Cross-validation repetitions (paper: 10).
     pub cv_runs: usize,
-    /// Subsample cap on training rows (exact-split CART is O(n log n)
-    /// per node; campaign reports can be 600 k rows).
+    /// Subsample cap on training rows (exact-split CART costs O(n) per
+    /// node and feature, or O(n log n) where a feature has more distinct
+    /// values than the node has rows; campaign reports can be 600 k
+    /// rows).
     pub max_rows: usize,
     /// Seed for subsampling and CV.
     pub seed: u64,
