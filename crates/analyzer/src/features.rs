@@ -301,7 +301,7 @@ pub fn extract(
 
 /// Like [`extract`], but writes into a caller-owned buffer so hot loops
 /// (one vector per detected impression) can reuse a single allocation.
-pub fn extract_into(
+fn extract_into(
     out: &mut Vec<f64>,
     meta: &DetectedImpression,
     transport: &NurlTransport,

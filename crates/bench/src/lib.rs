@@ -22,16 +22,3 @@ mod smoke_tests;
 
 pub use stream::{StreamWorld, TruthStats};
 pub use world::{Scale, World};
-
-/// The machine-metadata row every `BENCH_*.json` file opens with, so a
-/// recorded number can always be read against the hardware that
-/// produced it. Assembled by hand (like the bench writers themselves)
-/// to keep the JSON shape obvious in the diff.
-pub fn machine_json() -> String {
-    let vcpus = std::thread::available_parallelism().map_or(0, |n| n.get());
-    format!(
-        "{{\"bench\":\"machine\",\"arch\":\"{}\",\"os\":\"{}\",\"vcpus\":{vcpus}}}",
-        std::env::consts::ARCH,
-        std::env::consts::OS,
-    )
-}

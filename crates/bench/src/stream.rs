@@ -132,8 +132,8 @@ impl StreamWorld {
     }
 
     /// Streams the Huge profile (one simulated day, lazy panel) at a
-    /// custom panel size — the knob behind the 10 k / 100 k / 1 M bench
-    /// ladder in `benches/world_stream.rs`.
+    /// custom panel size; perfbench's fidelity test checks its stream
+    /// workload against this builder.
     pub fn build_with_users(users: u32, exec: &ExecConfig) -> StreamWorld {
         let config = WeblogConfig {
             users,
@@ -152,7 +152,7 @@ impl StreamWorld {
         // One template build per run: the integration matrix's key
         // derivation is milliseconds of SHA-256, identical across all
         // shards — stamping per-shard markets from the template is what
-        // keeps per-shard setup off the ladder's critical path.
+        // keeps per-shard setup off the stream's critical path.
         let market_template = MarketTemplate::new(market_config.clone());
         let shards = generator.shard_count();
         yav_telemetry::gauge("world.stream.shards").set(shards as f64);

@@ -25,9 +25,10 @@
 //!    [`TenantStore::feed`] with no model, which sifts every request as
 //!    it arrives. Once the warm pass has created every tenant and grown
 //!    the sift scratch to high water: exactly zero allocations. Replayed
-//!    again with a trained model, only an encrypted notification may
-//!    allocate (its estimator context owns the publisher name); every
-//!    other request allocates nothing.
+//!    again with a trained model, which values every encrypted
+//!    notification: exactly zero allocations on every request. (The
+//!    estimator context would own a publisher name, but no encrypted
+//!    notification in the replay echoes one.)
 //!
 //! This file deliberately holds a single `#[test]` with a thread-local
 //! counter, for the reasons documented in `no_alloc.rs` (the harness's
@@ -201,37 +202,28 @@ fn steady_state_window_loop_never_allocates_per_event() {
     assert_eq!(monitored, 0, "TenantStore::feed() steady state allocated");
 
     // With a model, the warm pass also grows the estimate scratch; after
-    // it, each request is measured alone.
+    // it the store values every encrypted notification and still
+    // allocates nothing.
     let model = trained_model();
     let mut store = TenantStore::new();
     for req in &captured {
         store.feed(Some(&model), req);
     }
-    let (mut encrypted, mut cleartext) = (0usize, 0usize);
-    let mut allocating: Vec<(usize, u64)> = Vec::new();
-    for (i, req) in captured.iter().enumerate() {
-        let price = notified_price(req);
-        let allocs = allocations(|| store.feed(Some(&model), req));
-        match price {
-            Some(PricePayload::Encrypted(_)) => encrypted += 1,
-            price => {
-                cleartext += usize::from(price.is_some());
-                if allocs > 0 {
-                    allocating.push((i, allocs));
-                }
-            }
+    let priced = allocations(|| {
+        for req in &captured {
+            store.feed(Some(&model), req);
         }
-    }
+    });
+    let prices: Vec<PricePayload> = captured.iter().filter_map(notified_price).collect();
+    let encrypted = prices.iter().filter(|p| p.encrypted().is_some()).count();
+    let cleartext = prices.len() - encrypted;
     assert!(
         encrypted > 0 && cleartext > 0,
         "the replay must hold both price kinds ({encrypted} encrypted, {cleartext} cleartext)"
     );
-    assert!(
-        allocating.is_empty(),
-        "TenantStore::feed(Some(model)) allocated on {} of {} requests that are not \
-         encrypted notifications ({cleartext} cleartext); (request, allocations): {:?}",
-        allocating.len(),
-        captured.len() - encrypted,
-        &allocating[..allocating.len().min(8)]
+    assert_eq!(
+        priced, 0,
+        "TenantStore::feed(Some(model)) steady state allocated ({encrypted} encrypted and \
+         {cleartext} cleartext notifications)"
     );
 }

@@ -27,7 +27,7 @@ pub const MAX_AUTO_THREADS: usize = 16;
 
 /// Worker threads matched to the host: `available_parallelism`, clamped
 /// to `[1, MAX_AUTO_THREADS]`.
-pub fn default_threads() -> usize {
+fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)

@@ -200,11 +200,11 @@ pub fn lint_source(rel: &str, crate_name: &str, kind: FileKind, src: &str) -> Ve
     lint_files(std::slice::from_ref(&file)).diagnostics
 }
 
-/// Discovers and lexes every workspace source file: `crates/*/{src,tests,
-/// benches,examples}` plus the root facade's `src/`. Shims are excluded —
-/// they are vendored stand-ins for external crates, not project code —
-/// as are `tests/fixtures/` directories (lint test data, deliberately
-/// full of violations).
+/// Discovers and lexes every workspace source file:
+/// `crates/*/{src,tests,examples}` plus the root facade's `src/`. Shims
+/// are excluded — they are vendored stand-ins for external crates, not
+/// project code — as are `tests/fixtures/` directories (lint test data,
+/// deliberately full of violations).
 pub fn load_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
     let mut files = Vec::new();
     let crates_dir = root.join("crates");
@@ -231,10 +231,9 @@ fn load_package(
     crate_name: &str,
     files: &mut Vec<SourceFile>,
 ) -> io::Result<()> {
-    const TREES: [(&str, FileKind); 4] = [
+    const TREES: [(&str, FileKind); 3] = [
         ("src", FileKind::Source),
         ("tests", FileKind::Test),
-        ("benches", FileKind::Bench),
         ("examples", FileKind::Example),
     ];
     for (sub, kind) in TREES {

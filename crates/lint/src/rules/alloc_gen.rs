@@ -6,8 +6,8 @@
 //! scratch buffers; the auction resolves bids entirely in reused
 //! vectors. A stray `format!` or `to_string` in either hot file turns a
 //! zero-allocation event back into a malloc-bound one and silently
-//! erodes the throughput the bench ladder pins. This rule keeps
-//! `generator.rs` and `market.rs` honest token by token — the
+//! erodes the throughput perfbench's `stream` workload measures. This
+//! rule keeps `generator.rs` and `market.rs` honest token by token — the
 //! `no_alloc_gen` counting-allocator test proves the property end to
 //! end; this lint points at the offending line when someone breaks it.
 //! Per-shard setup (scratch construction, metric-handle resolution) may

@@ -3,12 +3,12 @@
 //! kind collisions and idiom duplicates.
 //!
 //! Harvest sites are the yav-telemetry registration idioms:
-//! `counter("…")`, `gauge("…")`, `histogram("…")`, `span!("…")` and
-//! `start_span("…")`. A span named `x` records the histogram `x.ms`, so
-//! spans are registered under that derived name. Conditional
-//! registrations (`counter(match … { … })`, `gauge(if … { "a" } else
-//! { "b" })`) are handled by harvesting every string literal inside the
-//! call's balanced parentheses.
+//! `counter("…")`, `gauge("…")`, `histogram("…")` and `span!("…")`. A
+//! span named `x` records the histogram `x.ms`, so spans are registered
+//! under that derived name. Conditional registrations
+//! (`counter(match … { … })`, `gauge(if … { "a" } else { "b" })`) are
+//! handled by harvesting every string literal inside the call's
+//! balanced parentheses.
 //!
 //! The harvest doubles as the source of the generated `docs/METRICS.md`
 //! registry ([`crate::metrics_doc`]).
@@ -59,7 +59,7 @@ pub struct MetricEntry {
     pub name: String,
     /// `counter`, `gauge` or `histogram`.
     pub kind: &'static str,
-    /// Registered through `span!`/`start_span` rather than directly.
+    /// Registered through `span!` rather than directly.
     pub via_span: bool,
     /// Every `(workspace-relative path, line)` registering the name.
     pub sites: Vec<(String, u32)>,
@@ -197,21 +197,12 @@ impl Rule for MetricNameRule {
                     continue;
                 }
             }
-            // Span idioms: span!("…") and start_span("…").
-            let span_open = if toks[i].is_ident("span")
+            // The span idiom: span!("…").
+            if toks[i].is_ident("span")
                 && toks.get(i + 1).is_some_and(|t| t.is_punct('!'))
                 && toks.get(i + 2).is_some_and(|t| t.is_punct('('))
             {
-                Some(i + 3)
-            } else if toks[i].is_ident("start_span")
-                && toks.get(i + 1).is_some_and(|t| t.is_punct('('))
-            {
-                Some(i + 2)
-            } else {
-                None
-            };
-            if let Some(open) = span_open {
-                i = self.harvest_call("histogram", true, open, file, out);
+                i = self.harvest_call("histogram", true, i + 3, file, out);
                 continue;
             }
             i += 1;

@@ -12,8 +12,6 @@ pub enum FileKind {
     Source,
     /// `tests/` — integration tests; rules that exempt test code skip it.
     Test,
-    /// `benches/` — benchmarks; treated like test code.
-    Bench,
     /// `examples/` — treated like test code.
     Example,
 }

@@ -1,15 +1,12 @@
 //! Lightweight process-wide telemetry for the your-ad-value pipeline.
 //!
 //! One [`Registry`] holds named [`Counter`]s, [`Gauge`]s and
-//! log-bucketed [`Histogram`]s (p50/p90/p99/max). RAII [`Span`] timers
-//! measure regions and nest via a per-thread active-span stack.
-//! Exporters render the registry as Prometheus text, a JSON snapshot or
-//! a human report.
+//! log-bucketed [`Histogram`]s (p50/p90/p99/max). The [`span!`] macro
+//! times a region into the histogram `<name>.ms`. Exporters render the
+//! registry as Prometheus text, a JSON snapshot or a human report.
 //!
 //! Metric names follow `<crate>.<subsystem>.<name>` (see DESIGN.md,
-//! "Telemetry"). Instrumentation is on by default and can be switched
-//! off process-wide with [`set_enabled`] — the overhead benchmark in
-//! `crates/bench` measures exactly that delta.
+//! "Telemetry"). Instrumentation is always on.
 //!
 //! ```
 //! use yav_telemetry as telemetry;
@@ -28,11 +25,22 @@
 mod export;
 mod metrics;
 mod registry;
-mod span;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, HistogramTimer};
-pub use registry::{enabled, registry, set_enabled, Registry};
-pub use span::{active_spans, start_span, Span};
+pub use registry::{registry, Registry};
+
+/// Starts an RAII span timer: `let _span = span!("auction.run");`.
+///
+/// The name is a string literal. The guard is the histogram
+/// `<name>.ms`'s [`Histogram::time_ms`] timer, so on drop the elapsed
+/// milliseconds land there. Hold it in a named binding; binding to `_`
+/// drops it at once and times nothing.
+#[macro_export]
+macro_rules! span {
+    ($name:literal) => {
+        $crate::histogram(concat!($name, ".ms")).time_ms()
+    };
+}
 
 /// The global counter named `name` (created on first use).
 pub fn counter(name: &str) -> Counter {

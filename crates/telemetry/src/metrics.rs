@@ -25,9 +25,7 @@ impl Counter {
 
     /// Adds `n`.
     pub fn add(&self, n: u64) {
-        if crate::enabled() {
-            self.inner.fetch_add(n, Ordering::Relaxed);
-        }
+        self.inner.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current count.
@@ -57,16 +55,11 @@ impl Gauge {
 
     /// Sets the gauge.
     pub fn set(&self, value: f64) {
-        if crate::enabled() {
-            self.bits.store(value.to_bits(), Ordering::Relaxed);
-        }
+        self.bits.store(value.to_bits(), Ordering::Relaxed);
     }
 
     /// Adds `delta` (compare-and-swap loop; gauges are low-frequency).
     pub fn add(&self, delta: f64) {
-        if !crate::enabled() {
-            return;
-        }
         let mut current = self.bits.load(Ordering::Relaxed);
         loop {
             let next = (f64::from_bits(current) + delta).to_bits();
@@ -164,9 +157,6 @@ impl Histogram {
 
     /// Records one observation.
     pub fn observe(&self, value: f64) {
-        if !crate::enabled() {
-            return;
-        }
         let core = &*self.inner;
         core.count.fetch_add(1, Ordering::Relaxed);
         if value.is_nan() || value <= 0.0 {
@@ -199,10 +189,8 @@ impl Histogram {
     }
 
     /// Starts an RAII timer recording elapsed **microseconds** into this
-    /// histogram on drop — the hot-path counterpart of [`crate::span!`]:
-    /// no name allocation, no span-stack push, just the pre-resolved
-    /// handle and one `Instant` read. Hold it in a named binding;
-    /// binding to `_` drops immediately and times nothing.
+    /// histogram on drop. Hold it in a named binding; binding to `_`
+    /// drops immediately and times nothing.
     pub fn time_us(&self) -> HistogramTimer {
         HistogramTimer {
             hist: self.clone(),
@@ -211,7 +199,8 @@ impl Histogram {
         }
     }
 
-    /// Like [`Histogram::time_us`], recording **milliseconds**.
+    /// Like [`Histogram::time_us`], recording **milliseconds** (the
+    /// timer behind [`crate::span!`]).
     pub fn time_ms(&self) -> HistogramTimer {
         HistogramTimer {
             hist: self.clone(),
@@ -285,9 +274,7 @@ impl Histogram {
 }
 
 /// An RAII guard from [`Histogram::time_us`]/[`Histogram::time_ms`];
-/// records the elapsed time into its histogram when dropped. The
-/// observation respects the process-wide kill switch at drop time, like
-/// every other write.
+/// records the elapsed time into its histogram when dropped.
 #[derive(Debug)]
 #[must_use = "binding to _ drops the timer immediately and times nothing"]
 pub struct HistogramTimer {

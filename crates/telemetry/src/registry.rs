@@ -1,9 +1,8 @@
-//! The process-wide metric registry and the global on/off switch.
+//! The process-wide metric registry.
 
 use crate::metrics::{Counter, Gauge, Histogram};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 /// Collection instrumentation writes into and exporters read from.
@@ -99,24 +98,7 @@ impl Registry {
 
 static GLOBAL: OnceLock<Registry> = OnceLock::new();
 
-/// Whether instrumentation records anything. Start enabled: the cost of
-/// live metrics is the point of having them (and the overhead bench
-/// bounds it).
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
 /// The process-wide registry.
 pub fn registry() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
-}
-
-/// Turns recording on or off process-wide. Lookups still succeed while
-/// disabled; writes become no-ops.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// True when instrumentation records.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
 }
