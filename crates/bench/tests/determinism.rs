@@ -5,12 +5,15 @@
 //! shards on structural boundaries (user blocks, campaign setups) and
 //! merges into a canonical order, so the same seed must produce the
 //! same bytes on 1, 2 or 8 threads. The weblog and analyzer stages are
-//! checked against a serial oracle in `stream_equivalence.rs`.
+//! checked against a serial oracle in `stream_equivalence.rs`. Model
+//! training runs forests on threads of its own, and the trained model
+//! is held to the same rule.
 
 use yav_auction::MarketConfig;
 use yav_bench::{Scale, World};
 use yav_campaign::Campaign;
 use yav_exec::ExecConfig;
+use yav_pme::TrainConfig;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -37,6 +40,34 @@ fn campaign_identical_across_thread_counts() {
         assert_eq!(report.auctions_entered, base.auctions_entered);
         assert_eq!(report.setups_completed, base.setups_completed);
         assert_eq!(report.budget_exhausted, base.budget_exhausted);
+    }
+}
+
+/// Forest threads schedule trees and never choose them: the §5.4 model
+/// trained on the same A1 rows is the same, cross-validation report and
+/// shipped client model included, on 1, 2 or 8 threads.
+#[test]
+fn trained_model_identical_across_thread_counts() {
+    let universe = yav_weblog::PublisherUniverse::build(0xD474, 300, 120);
+    let rows = yav_campaign::execute_parallel(
+        &MarketConfig::default(),
+        &universe,
+        &Campaign::a1().scaled(10),
+        &ExecConfig::serial(),
+    )
+    .rows;
+    assert_eq!(rows.len(), 144 * 10);
+    let mut models = THREAD_COUNTS.iter().map(|&threads| {
+        let mut config = TrainConfig {
+            cv_runs: 1,
+            ..TrainConfig::default()
+        };
+        config.forest.threads = threads;
+        serde_json::to_string(&yav_pme::model::train(&rows, &config)).expect("serialises")
+    });
+    let base = models.next().unwrap();
+    for (model, threads) in models.zip(&THREAD_COUNTS[1..]) {
+        assert!(model == base, "model trained on {threads} threads differs");
     }
 }
 

@@ -75,13 +75,14 @@ pub(crate) enum SiftDrop {
 /// the caller.
 ///
 /// The estimator's [`CoreContext`] is built only when `want_ctx`
-/// accepts the notification's price. It is the sift's one allocating
-/// piece (the owned publisher name), so a caller that reads it only to
-/// value encrypted prices skips it for everything else and the sift
-/// stays heap-free there — what keeps the multi-tenant feed path inside
-/// the steady-state zero-allocation contract (`no_alloc_gen.rs`). Its
-/// `city` is left unset: the home city is the caller's to look up, and
-/// only for a request that survives the sift.
+/// accepts the notification's price, and owns the echoed publisher name,
+/// the sift's one allocating piece, only when `with_publisher` asks for
+/// it. A caller that reads the context only to value encrypted prices
+/// with a model that ignores the publisher keeps the sift heap-free —
+/// what keeps the multi-tenant feed path inside the steady-state
+/// zero-allocation contract (`no_alloc_gen.rs`). Its `city` is left
+/// unset: the home city is the caller's to look up, and only for a
+/// request that survives the sift.
 ///
 /// Non-nURL traffic — the overwhelming majority — leaves through one of
 /// the early rejects without touching the heap: [`yav_nurl::screen_adx`]
@@ -93,6 +94,7 @@ pub(crate) fn sift_request(
     req: &HttpRequest,
     scratch: &mut SiftScratch,
     want_ctx: impl FnOnce(&PricePayload) -> bool,
+    with_publisher: bool,
 ) -> Result<(Adx, PricePayload, Option<CoreContext>), SiftDrop> {
     let adx = match yav_nurl::screen_adx(&req.url) {
         Ok(adx) => adx,
@@ -120,7 +122,10 @@ pub(crate) fn sift_request(
             format: fields.slot,
             adx,
             iab: fields.publisher.and_then(taxonomy::categorize),
-            publisher: fields.publisher.map(str::to_owned),
+            publisher: fields
+                .publisher
+                .filter(|_| with_publisher)
+                .map(str::to_owned),
         }
     });
     Ok((adx, fields.price, ctx))
@@ -206,8 +211,9 @@ impl YourAdValue {
     /// [`sift_request`] with the estimator context, plus this monitor's
     /// per-drop accounting — [`YourAdValue::observe`]'s sift.
     fn sift(&mut self, req: &HttpRequest) -> Option<(Adx, PricePayload, CoreContext)> {
-        // Contributions carry the context of cleartext prices too.
-        match sift_request(req, &mut self.sift, |_| true) {
+        // Contributions carry the context, publisher included, of
+        // cleartext prices too.
+        match sift_request(req, &mut self.sift, |_| true, true) {
             // Asked for, so the context is always there.
             Ok((adx, price, ctx)) => ctx.map(|mut ctx| {
                 ctx.city = self.home_city;

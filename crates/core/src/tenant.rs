@@ -251,12 +251,14 @@ impl TenantStore {
     /// price is added as read; an encrypted one is valued with `model`,
     /// or counted as `skipped_no_model` when there is none.
     pub fn feed(&mut self, model: Option<&ClientModel>, req: &HttpRequest) {
-        // The estimator context is the sift's only allocating piece
-        // (owned publisher string); it is only built for an encrypted
-        // price a model will value, so everything else stays heap-quiet.
+        // The estimator context is only built for an encrypted price a
+        // model will value, and owns the publisher name (the sift's only
+        // allocating piece) only for a model that reads it, so every
+        // other request stays heap-quiet.
         let want_ctx =
             |price: &PricePayload| model.is_some() && matches!(price, PricePayload::Encrypted(_));
-        let (_, price, ctx) = match sift_request(req, &mut self.sift, want_ctx) {
+        let with_publisher = model.is_some_and(|m| m.with_publisher);
+        let (_, price, ctx) = match sift_request(req, &mut self.sift, want_ctx, with_publisher) {
             Ok(found) => found,
             Err(SiftDrop::ParseError) => {
                 self.drops.parse_error += 1;

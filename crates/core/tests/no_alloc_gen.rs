@@ -27,8 +27,9 @@
 //!    the sift scratch to high water: exactly zero allocations. Replayed
 //!    again with a trained model, which values every encrypted
 //!    notification: exactly zero allocations on every request. (The
-//!    estimator context would own a publisher name, but no encrypted
-//!    notification in the replay echoes one.)
+//!    replay gains an encrypted rich-metadata notification that echoes
+//!    `pub_name`; the model does not read the publisher, so the
+//!    estimator context never copies it.)
 //!
 //! This file deliberately holds a single `#[test]` with a thread-local
 //! counter, for the reasons documented in `no_alloc.rs` (the harness's
@@ -43,8 +44,10 @@ use yav_analyzer::{Retention, WeblogAnalyzer};
 use yav_auction::{Market, MarketConfig};
 use yav_campaign::Campaign;
 use yav_core::TenantStore;
-use yav_nurl::{PricePayload, Url};
+use yav_crypto::{PriceCrypter, PriceKeys};
+use yav_nurl::{NurlFields, PricePayload, Url};
 use yav_pme::{ClientModel, Pme, TrainConfig};
+use yav_types::{Adx, AuctionId, DspId, ImpressionId};
 use yav_weblog::{HttpRequest, Panel, PublisherUniverse, WeblogConfig, WeblogGenerator};
 
 /// Counts every allocation and reallocation made by the current
@@ -186,6 +189,11 @@ fn steady_state_window_loop_never_allocates_per_event() {
     assert_eq!(analyzed, 0, "ingest_quiet() steady state allocated");
 
     // --- Stage 3: tenant monitor ------------------------------------
+    // No encrypted notification in the generated replay echoes a
+    // publisher name, so one that does joins it.
+    let echoed = echoed_publisher(&captured[0]);
+    captured.push(echoed.clone());
+
     // The warm pass creates tenant states and grows the URL decode
     // scratch to its high-water length; every later request is sifted
     // in place, so the model-free feed path is allocation-free forever
@@ -203,8 +211,10 @@ fn steady_state_window_loop_never_allocates_per_event() {
 
     // With a model, the warm pass also grows the estimate scratch; after
     // it the store values every encrypted notification and still
-    // allocates nothing.
+    // allocates nothing. The model ignores the publisher, so valuing the
+    // echoed notification must not copy its name.
     let model = trained_model();
+    assert!(!model.with_publisher);
     let mut store = TenantStore::new();
     for req in &captured {
         store.feed(Some(&model), req);
@@ -226,4 +236,29 @@ fn steady_state_window_loop_never_allocates_per_event() {
         "TenantStore::feed(Some(model)) steady state allocated ({encrypted} encrypted and \
          {cleartext} cleartext notifications)"
     );
+    // The echoed notification is one the store values, not a drop.
+    let valued = |store: &TenantStore| store.tenant(echoed.user).map(|t| t.encrypted_count);
+    let before = valued(&store);
+    store.feed(Some(&model), &echoed);
+    assert_eq!(valued(&store), before.map(|n| n + 1));
+}
+
+/// `like`, carrying an encrypted notification from MoPub, whose house
+/// format echoes slot, `pub_name` and other metadata.
+fn echoed_publisher(like: &HttpRequest) -> HttpRequest {
+    let token = PriceCrypter::new(PriceKeys::derive("no-alloc-gen")).encrypt(1_250_000, [7; 16]);
+    let mut fields = NurlFields::minimal(
+        Adx::MoPub,
+        DspId(3),
+        PricePayload::Encrypted(token),
+        ImpressionId(1),
+        AuctionId(2),
+    );
+    fields.publisher = Some("elpais.com".to_owned());
+    let url = yav_nurl::emit(&fields).to_string();
+    assert!(url.contains("pub_name="), "{url}");
+    HttpRequest {
+        url,
+        ..like.clone()
+    }
 }

@@ -5,7 +5,7 @@
 //! collecting the confusion statistics and weighted AUCROC of every fold.
 
 use crate::dataset::Dataset;
-use crate::forest::{RandomForest, RandomForestConfig};
+use crate::forest::{self, RandomForestConfig};
 use crate::metrics::{auc_roc_ovr, ConfusionMatrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -88,9 +88,10 @@ pub fn cross_validate(
             if train.is_empty() || test.is_empty() {
                 continue;
             }
-            let train_ds = data.select(&train);
-            let forest = RandomForest::fit(
-                &train_ds,
+            // Nothing reads a fold forest's OOB error or importances, so
+            // its trees are grown and voted with, never assembled.
+            let (trees, _) = forest::grow(
+                &data.select(&train),
                 &RandomForestConfig {
                     seed: config.seed ^ ((run * folds + fold) as u64) << 8,
                     ..*config
@@ -101,7 +102,7 @@ pub fn cross_validate(
             let mut probs = Vec::with_capacity(test.len());
             for &i in &test {
                 let mut p = vec![0.0f64; data.n_classes()];
-                forest.predict_proba_into(data.row(i), &mut p);
+                forest::vote_into(&trees, data.row(i), &mut p, |_, _| {});
                 predicted.push(crate::tree::argmax(&p));
                 probs.push(p);
                 actual.push(data.label(i));
@@ -212,6 +213,98 @@ mod tests {
         assert!(report.fp_rate < 0.15);
         assert_eq!(report.per_class_recall.len(), 3);
         assert!(report.worst_class_gap() < 0.2);
+    }
+
+    /// The protocol with every fold forest fitted in full by
+    /// `RandomForest::fit`, out-of-bag pass included, and voted through
+    /// `predict_proba_into`: the oracle for `cross_validate`'s grown-only
+    /// fold forests.
+    fn reference_cv(
+        data: &Dataset,
+        config: &RandomForestConfig,
+        folds: usize,
+        runs: usize,
+        seed: u64,
+    ) -> CvReport {
+        let k = data.n_classes();
+        let [mut acc, mut prec, mut rec, mut fpr, mut auc] = [(); 5].map(|_| Vec::new());
+        let mut class_rec = vec![Vec::new(); k];
+        for run in 0..runs {
+            let mut rng = StdRng::seed_from_u64(seed ^ (run as u64).wrapping_mul(0x9E37_79B9));
+            let assignment = stratified_folds(data, folds, &mut rng);
+            for fold in 0..folds {
+                let train: Vec<usize> =
+                    (0..data.len()).filter(|&i| assignment[i] != fold).collect();
+                let forest = crate::RandomForest::fit(
+                    &data.select(&train),
+                    &RandomForestConfig {
+                        seed: config.seed ^ ((run * folds + fold) as u64) << 8,
+                        ..*config
+                    },
+                );
+                let (actual, probs): (Vec<usize>, Vec<Vec<f64>>) = (0..data.len())
+                    .filter(|&i| assignment[i] == fold)
+                    .map(|i| {
+                        let mut p = vec![0.0f64; k];
+                        forest.predict_proba_into(data.row(i), &mut p);
+                        (data.label(i), p)
+                    })
+                    .unzip();
+                let predicted: Vec<usize> = probs.iter().map(|p| crate::tree::argmax(p)).collect();
+                let cm = ConfusionMatrix::from_labels(k, &actual, &predicted);
+                acc.push(cm.accuracy());
+                prec.push(cm.weighted_precision());
+                rec.push(cm.weighted_recall());
+                fpr.push(cm.weighted_fp_rate());
+                auc.extend(Some(auc_roc_ovr(&probs, &actual, k)).filter(|a| a.is_finite()));
+                for (c, bucket) in class_rec.iter_mut().enumerate() {
+                    bucket.extend(Some(cm.recall(c)).filter(|r| r.is_finite()));
+                }
+            }
+        }
+        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
+        CvReport {
+            folds,
+            runs,
+            accuracy: mean(&acc),
+            precision: mean(&prec),
+            recall: mean(&rec),
+            fp_rate: mean(&fpr),
+            auc_roc: mean(&auc),
+            per_class_recall: class_rec.iter().map(|v| mean(v)).collect(),
+        }
+    }
+
+    /// Fold forests grown without the out-of-bag pass report what fully
+    /// fitted ones do, field for field, at any thread count. A 257-value
+    /// column is wider than most nodes, so the split search's sort side
+    /// runs too.
+    #[test]
+    fn grown_fold_forests_match_fully_fitted_ones() {
+        let base = dataset();
+        let data = Dataset::new(
+            (0..base.len())
+                .map(|i| {
+                    let mut row = base.row(i).to_vec();
+                    row.push(((i * 101) % 257) as f64);
+                    row
+                })
+                .collect(),
+            base.labels().to_vec(),
+            3,
+            vec!["x".into(), "y".into(), "wide".into()],
+        );
+        for threads in [1, 2] {
+            let config = RandomForestConfig {
+                threads,
+                ..quick_config()
+            };
+            assert_eq!(
+                format!("{:?}", cross_validate(&data, &config, 5, 2, 4)),
+                format!("{:?}", reference_cv(&data, &config, 5, 2, 4)),
+                "threads {threads}"
+            );
+        }
     }
 
     #[test]

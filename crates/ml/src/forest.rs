@@ -6,6 +6,12 @@
 //! train in parallel with crossbeam scoped threads; each tree's RNG is
 //! derived from the forest seed and the tree index, so parallelism never
 //! affects the result.
+//!
+//! Fitting is two steps: `grow` fits the trees, then
+//! `RandomForest::assemble` runs the out-of-bag pass and sums the
+//! importances. Only [`RandomForest::fit`] assembles; the
+//! cross-validation forests skip the OOB pass and vote with their grown
+//! trees, since nothing reads a fold forest's OOB error or importances.
 
 use crate::dataset::Dataset;
 use crate::tree::{argmax, Bins, DecisionTree, Frame, TreeConfig};
@@ -63,52 +69,11 @@ pub struct RandomForest {
 }
 
 impl RandomForest {
-    /// Trains a forest on the full dataset.
+    /// Trains a forest on the full dataset: grows its trees, then runs
+    /// the out-of-bag pass for [`RandomForest::oob_error`] and the
+    /// importances.
     pub fn fit(data: &Dataset, config: &RandomForestConfig) -> RandomForest {
-        assert!(!data.is_empty(), "cannot fit a forest on an empty dataset");
-        assert!(config.n_trees > 0, "need at least one tree");
-        let tree_config = tree_config(data.n_features(), config);
-        let (boots, seeds) = bootstraps(data.len(), config);
-
-        // Bin every feature once; each worker reuses one frame for all
-        // of its trees.
-        let bins = Bins::new(data);
-        let fit_tree = |frame: &mut Frame, t: usize| {
-            let mut trng = StdRng::seed_from_u64(seeds[t]);
-            DecisionTree::fit_binned(&bins, frame, &boots[t], &tree_config, &mut trng)
-        };
-        let threads = config.threads.max(1).min(config.n_trees);
-        let mut trees: Vec<Option<DecisionTree>> = vec![None; config.n_trees];
-        if threads == 1 {
-            let mut frame = Frame::new(&bins);
-            for (t, slot) in trees.iter_mut().enumerate() {
-                *slot = Some(fit_tree(&mut frame, t));
-            }
-        } else {
-            let chunks: Vec<Vec<usize>> = (0..threads)
-                .map(|w| (w..config.n_trees).step_by(threads).collect())
-                .collect();
-            crossbeam::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for chunk in &chunks {
-                    let (bins, fit_tree) = (&bins, &fit_tree);
-                    handles.push(scope.spawn(move |_| {
-                        let mut frame = Frame::new(bins);
-                        chunk
-                            .iter()
-                            .map(|&t| (t, fit_tree(&mut frame, t)))
-                            .collect::<Vec<_>>()
-                    }));
-                }
-                for h in handles {
-                    for (t, tree) in h.join().expect("tree trainer panicked") {
-                        trees[t] = Some(tree);
-                    }
-                }
-            })
-            .expect("training scope panicked");
-        }
-        let trees = trees.into_iter().map(|t| t.expect("all trained")).collect();
+        let (trees, boots) = grow(data, config);
         RandomForest::assemble(data, trees, &boots)
     }
 
@@ -170,29 +135,14 @@ impl RandomForest {
 
     /// Averaged class probabilities for one row, written into `out` —
     /// the allocation-free arena-walker path. Training-time code (CV, the
-    /// representative tree) votes through it, and it is the oracle the
+    /// representative tree) votes the same way, and it is the oracle the
     /// flat [`crate::CompiledForest`] is pinned bit-identical to.
     ///
     /// # Panics
     /// Panics if `out.len() != n_classes`.
     pub fn predict_proba_into(&self, row: &[f64], out: &mut [f64]) {
-        self.vote_into(row, out, |_, _| {});
-    }
-
-    /// [`RandomForest::predict_proba_into`], handing each tree's own
-    /// probabilities to `each(tree_index, probs)` as they are summed.
-    fn vote_into(&self, row: &[f64], out: &mut [f64], mut each: impl FnMut(usize, &[f64])) {
         assert_eq!(out.len(), self.n_classes, "probability buffer mismatch");
-        out.fill(0.0);
-        for (t, tree) in self.trees.iter().enumerate() {
-            let probs = tree.predict_proba(row);
-            for (o, p) in out.iter_mut().zip(probs) {
-                *o += p;
-            }
-            each(t, probs);
-        }
-        let n = self.trees.len() as f64;
-        out.iter_mut().for_each(|p| *p /= n);
+        vote_into(&self.trees, row, out, |_, _| {});
     }
 
     /// The trained trees, for lowering.
@@ -227,7 +177,9 @@ impl RandomForest {
         let mut own = vec![0usize; self.trees.len()];
         let mut agree = vec![0usize; self.trees.len()];
         for i in 0..data.len() {
-            self.vote_into(data.row(i), &mut probs, |t, p| own[t] = argmax(p));
+            vote_into(&self.trees, data.row(i), &mut probs, |t, p| {
+                own[t] = argmax(p)
+            });
             let vote = argmax(&probs);
             for (a, &class) in agree.iter_mut().zip(&own) {
                 *a += usize::from(class == vote);
@@ -242,6 +194,81 @@ impl RandomForest {
         }
         &self.trees[best]
     }
+}
+
+/// Grows the forest's trees on their bootstraps and returns them with
+/// the bootstraps, without the out-of-bag pass: [`RandomForest::fit`]
+/// assembles the result, cross-validation votes with the trees alone.
+pub(crate) fn grow(
+    data: &Dataset,
+    config: &RandomForestConfig,
+) -> (Vec<DecisionTree>, Vec<Vec<usize>>) {
+    assert!(!data.is_empty(), "cannot fit a forest on an empty dataset");
+    assert!(config.n_trees > 0, "need at least one tree");
+    let tree_config = tree_config(data.n_features(), config);
+    let (boots, seeds) = bootstraps(data.len(), config);
+
+    // Bin every feature once; each worker reuses one frame for all of
+    // its trees.
+    let bins = Bins::new(data);
+    let fit_tree = |frame: &mut Frame, t: usize| {
+        let mut trng = StdRng::seed_from_u64(seeds[t]);
+        DecisionTree::fit_binned(&bins, frame, &boots[t], &tree_config, &mut trng)
+    };
+    let threads = config.threads.max(1).min(config.n_trees);
+    let mut trees: Vec<Option<DecisionTree>> = vec![None; config.n_trees];
+    if threads == 1 {
+        let mut frame = Frame::new(&bins);
+        for (t, slot) in trees.iter_mut().enumerate() {
+            *slot = Some(fit_tree(&mut frame, t));
+        }
+    } else {
+        let chunks: Vec<Vec<usize>> = (0..threads)
+            .map(|w| (w..config.n_trees).step_by(threads).collect())
+            .collect();
+        crossbeam::thread::scope(|scope| {
+            let mut handles = Vec::new();
+            for chunk in &chunks {
+                let (bins, fit_tree) = (&bins, &fit_tree);
+                handles.push(scope.spawn(move |_| {
+                    let mut frame = Frame::new(bins);
+                    chunk
+                        .iter()
+                        .map(|&t| (t, fit_tree(&mut frame, t)))
+                        .collect::<Vec<_>>()
+                }));
+            }
+            for h in handles {
+                for (t, tree) in h.join().expect("tree trainer panicked") {
+                    trees[t] = Some(tree);
+                }
+            }
+        })
+        .expect("training scope panicked");
+    }
+    let trees = trees.into_iter().map(|t| t.expect("all trained")).collect();
+    (trees, boots)
+}
+
+/// Averaged class probabilities of `trees` for one row, written into
+/// `out`, handing each tree's own probabilities to `each(tree_index,
+/// probs)` as they are summed.
+pub(crate) fn vote_into(
+    trees: &[DecisionTree],
+    row: &[f64],
+    out: &mut [f64],
+    mut each: impl FnMut(usize, &[f64]),
+) {
+    out.fill(0.0);
+    for (t, tree) in trees.iter().enumerate() {
+        let probs = tree.predict_proba(row);
+        for (o, p) in out.iter_mut().zip(probs) {
+            *o += p;
+        }
+        each(t, probs);
+    }
+    let n = trees.len() as f64;
+    out.iter_mut().for_each(|p| *p /= n);
 }
 
 /// The per-tree CART parameters: `features_per_split: None` becomes

@@ -18,11 +18,13 @@
 //!   counts classes per bin at each node;
 //! * [`forest`] — bagged random forests with OOB error and impurity
 //!   importances, trained in parallel with crossbeam scoped threads;
+//!   cross-validation forests skip the OOB pass, as nothing reads it;
 //! * [`compiled`] — the flat struct-of-arrays inference form a trained
 //!   forest or tree is lowered into for allocation-free, cache-blocked
 //!   prediction; YourAdValue ships one compiled tree to the client;
 //! * [`metrics`] — confusion-matrix statistics and AUCROC;
-//! * [`cv`] — stratified k-fold cross-validation;
+//! * [`cv`] — stratified k-fold cross-validation, voting with each
+//!   fold's grown trees;
 //! * [`linreg`] — the OLS baseline the paper discarded.
 //!
 //! Everything is deterministic given the caller's seed.

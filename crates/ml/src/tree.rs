@@ -9,11 +9,13 @@
 //! Training bins every feature **once per forest** (`Bins`): its distinct
 //! values in ascending order and a bin code per row. A tree keeps one list
 //! of its rows (`Frame`); a node is a range of that list, and a split
-//! partitions only that range. To search a feature, a node counts classes
-//! per occupied bin — into a dense histogram when the feature has no more
-//! bins than the node has rows, otherwise by sorting the node's packed
-//! (bin, label) keys — and sweeps the bins in ascending order. The §5.4
-//! features have at most a few dozen values, so most scans take the
+//! partitions only that range, comparing each row's bin code with the
+//! cut's lower bin, without a data-dependent branch; nothing depends on
+//! the order of rows within a node. To search a feature, a node counts
+//! classes per occupied bin — into a dense histogram when the feature has
+//! no more bins than the node has rows, otherwise by sorting the node's
+//! packed (bin, label) keys — and sweeps the bins in ascending order. The
+//! §5.4 features have at most a few dozen values, so most scans take the
 //! histogram; the sort keeps high-cardinality columns and small nodes
 //! cheap.
 //!
@@ -152,8 +154,8 @@ impl Bins {
 }
 
 /// Per-worker training scratch, reused across every tree the worker
-/// fits: the tree's row list and the buffers a node's split search
-/// fills.
+/// fits: the tree's row list, the buffers a node's split search fills
+/// and the class counts of the nodes being built.
 pub(crate) struct Frame {
     /// The tree's rows (bootstrap duplicates count separately); a node
     /// is a range `[lo, hi)` of it.
@@ -170,6 +172,11 @@ pub(crate) struct Frame {
     best_left: Vec<usize>,
     /// Feature roster reused by the per-node shuffle.
     roster: Vec<usize>,
+    /// Class counts of the nodes being built, two slots per depth: slot
+    /// `s` is `counts[s * n_classes..]`, and depth `d`'s nodes use slots
+    /// `2d` and `2d + 1`, so a right child waits in its slot while its
+    /// left sibling's subtree grows below it.
+    counts: Vec<usize>,
 }
 
 impl Frame {
@@ -182,48 +189,68 @@ impl Frame {
             left_counts: vec![0; bins.n_classes],
             best_left: vec![0; bins.n_classes],
             roster: (0..bins.values.len()).collect(),
+            counts: Vec::new(),
         }
     }
 
-    /// Splits the node `[lo, hi)` on `value <= threshold`, moving its
-    /// left rows to the front. Returns the left child's size.
-    fn partition(
-        &mut self,
-        bins: &Bins,
-        lo: usize,
-        hi: usize,
-        feature: usize,
-        threshold: f64,
-    ) -> usize {
-        let values = &bins.values[feature];
-        let codes = bins.column(feature);
+    /// The class counts in `slot`.
+    fn counts(&self, slot: usize) -> &[usize] {
+        let k = self.best_left.len();
+        &self.counts[slot * k..(slot + 1) * k]
+    }
+
+    /// Writes the children's class counts of the node in `slot`, the best
+    /// cut's two sides, into the two slots of the children's `depth`, and
+    /// returns those slots.
+    fn child_counts(&mut self, slot: usize, depth: usize) -> (usize, usize) {
+        let k = self.best_left.len();
+        let left = 2 * depth;
+        if self.counts.len() < (left + 2) * k {
+            self.counts.resize((left + 2) * k, 0);
+        }
+        let (above, children) = self.counts.split_at_mut(left * k);
+        let node = &above[slot * k..(slot + 1) * k];
+        let (l, r) = children[..2 * k].split_at_mut(k);
+        l.copy_from_slice(&self.best_left);
+        for ((r, &t), &b) in r.iter_mut().zip(node).zip(&self.best_left) {
+            *r = t - b;
+        }
+        (left, left + 1)
+    }
+
+    /// Splits the node `[lo, hi)` by `cut`, moving the rows whose bin
+    /// code is at most `cut.bin` to the front, and returns the left
+    /// child's size. Every row is swapped with the first right row and
+    /// the left count grows by the comparison, so no branch depends on
+    /// the data.
+    fn partition(&mut self, bins: &Bins, lo: usize, hi: usize, cut: &Cut) -> usize {
+        let codes = bins.column(cut.feature);
         let rows = &mut self.rows[lo..hi];
         let mut n_left = 0usize;
         for i in 0..rows.len() {
-            if values[codes[rows[i] as usize] as usize] <= threshold {
-                rows.swap(i, n_left);
-                n_left += 1;
-            }
+            let r = rows[i];
+            rows.swap(i, n_left);
+            n_left += usize::from(codes[r as usize] <= cut.bin);
         }
         n_left
     }
 
-    /// Finds the best (feature, threshold, gain) over the node
-    /// `[lo, hi)`, leaving its left side's class counts in `best_left`;
-    /// `None` if no split satisfies the leaf-size constraints. Each
-    /// candidate feature's occupied bins are counted and swept in
-    /// ascending order.
+    /// Finds the best cut over the node `[lo, hi)`, whose class counts
+    /// are in `slot`, leaving its left side's class counts in
+    /// `best_left`; `None` if no split satisfies the leaf-size
+    /// constraints. Each candidate feature's occupied bins are counted
+    /// and swept in ascending order.
     #[allow(clippy::too_many_arguments)]
     fn best_split(
         &mut self,
         bins: &Bins,
         lo: usize,
         hi: usize,
-        total_counts: &[usize],
+        slot: usize,
         node_impurity: f64,
         config: &TreeConfig,
         rng: &mut StdRng,
-    ) -> Option<(usize, f64, f64)> {
+    ) -> Option<Cut> {
         let Frame {
             rows,
             hist,
@@ -231,6 +258,7 @@ impl Frame {
             left_counts,
             best_left,
             roster,
+            counts,
         } = self;
         // With feature subsampling, order the *full* roster with the random
         // subset first: the scan below stops after the subset if it found a
@@ -258,7 +286,8 @@ impl Frame {
         let rows = &rows[lo..hi];
         let n = rows.len();
         let k = bins.n_classes;
-        let mut best: Option<(usize, f64, f64)> = None;
+        let total_counts = &counts[slot * k..(slot + 1) * k];
+        let mut best: Option<Cut> = None;
         for (fi, &f) in roster.iter().enumerate() {
             if fi >= subset_len && best.is_some() {
                 break; // subset exhausted and a valid split exists
@@ -323,6 +352,18 @@ impl Frame {
     }
 }
 
+/// A node's split: `feature`'s bins up to `bin`, its lower occupied bin
+/// at the cut, go left. On the node's rows that is `value <= threshold`,
+/// as the threshold lies between `bin`'s value and the next occupied
+/// bin's, and no row of the node has a bin in between.
+#[derive(Clone, Copy)]
+struct Cut {
+    feature: usize,
+    bin: u32,
+    threshold: f64,
+    gain: f64,
+}
+
 /// One feature's scan over a node: scores a cut between two adjacent
 /// occupied bins.
 struct Sweep<'a> {
@@ -344,7 +385,7 @@ impl Sweep<'_> {
     /// more.
     fn cut(
         &self,
-        best: &mut Option<(usize, f64, f64)>,
+        best: &mut Option<Cut>,
         best_left: &mut [usize],
         left_counts: &[usize],
         n_left: usize,
@@ -359,9 +400,13 @@ impl Sweep<'_> {
             + n_right as f64 * gini_complement(self.total_counts, left_counts, n_right))
             / self.n as f64;
         let gain = self.node_impurity - weighted;
-        if gain > best.map(|(_, _, g)| g).unwrap_or(1e-12) {
-            let threshold = threshold(self.values[below], self.values[above]);
-            *best = Some((self.feature, threshold, gain));
+        if gain > best.map(|c| c.gain).unwrap_or(1e-12) {
+            *best = Some(Cut {
+                feature: self.feature,
+                bin: below as u32,
+                threshold: threshold(self.values[below], self.values[above]),
+                gain,
+            });
             best_left.copy_from_slice(left_counts);
         }
     }
@@ -420,11 +465,13 @@ impl DecisionTree {
             n_features: bins.values.len(),
             importances: vec![0.0; bins.values.len()],
         };
-        let mut counts = vec![0usize; bins.n_classes];
+        // The root's class counts, in slot 0.
+        frame.counts.clear();
+        frame.counts.resize(bins.n_classes, 0);
         for &r in &frame.rows {
-            counts[bins.labels[r as usize] as usize] += 1;
+            frame.counts[bins.labels[r as usize] as usize] += 1;
         }
-        tree.build(bins, frame, counts, 0, indices.len(), 0, config, rng);
+        tree.build(bins, frame, 0, 0, indices.len(), 0, config, rng);
         tree
     }
 
@@ -434,13 +481,14 @@ impl DecisionTree {
     }
 
     /// Recursive node construction over the row range `[lo, hi)`, whose
-    /// class counts are `counts`; returns the node's arena index.
+    /// class counts are in the frame's `slot`; returns the node's arena
+    /// index.
     #[allow(clippy::too_many_arguments)]
     fn build(
         &mut self,
         bins: &Bins,
         frame: &mut Frame,
-        counts: Vec<usize>,
+        slot: usize,
         lo: usize,
         hi: usize,
         depth: usize,
@@ -448,32 +496,29 @@ impl DecisionTree {
         rng: &mut StdRng,
     ) -> usize {
         let n = hi - lo;
-        let node_impurity = gini(&counts, n);
+        let counts = frame.counts(slot);
+        let node_impurity = gini(counts, n);
         let pure = counts.iter().filter(|&&c| c > 0).count() <= 1;
 
         if pure || depth >= config.max_depth || n < config.min_samples_split {
-            return self.push_leaf(&counts, n);
+            return self.push_leaf(counts, n);
         }
 
-        let Some((feature, threshold, gain)) =
-            frame.best_split(bins, lo, hi, &counts, node_impurity, config, rng)
-        else {
-            return self.push_leaf(&counts, n);
+        let Some(cut) = frame.best_split(bins, lo, hi, slot, node_impurity, config, rng) else {
+            return self.push_leaf(frame.counts(slot), n);
         };
 
-        self.importances[feature] += gain * n as f64;
+        self.importances[cut.feature] += cut.gain * n as f64;
 
-        let n_left = frame.partition(bins, lo, hi, feature, threshold);
+        let n_left = frame.partition(bins, lo, hi, &cut);
         debug_assert!(n_left > 0 && n_left < n);
-        // The children's class counts are the best cut's two sides.
-        let left = frame.best_left.clone();
-        debug_assert_eq!(n_left, left.iter().sum::<usize>());
-        let right = counts.iter().zip(&left).map(|(&t, &l)| t - l).collect();
+        debug_assert_eq!(n_left, frame.best_left.iter().sum::<usize>());
+        let (left, right) = frame.child_counts(slot, depth + 1);
 
         let node_idx = self.nodes.len();
         self.nodes.push(Node::Split {
-            feature,
-            threshold,
+            feature: cut.feature,
+            threshold: cut.threshold,
             left: 0,
             right: 0,
         });
@@ -987,6 +1032,46 @@ mod tests {
                         "binned != reference for seed {seed}, k {n_classes}, {config:?}"
                     );
                 }
+            }
+        }
+    }
+
+    /// A tree depends on the multiset of its rows, never on their order:
+    /// the split search counts dense histograms or sorts keys, so the
+    /// order a partition leaves a node's rows in cannot change a split.
+    /// Fitting any permutation of the same bootstrap gives the same tree.
+    #[test]
+    fn row_order_never_changes_the_tree() {
+        let configs = [
+            TreeConfig::default(),
+            TreeConfig {
+                features_per_split: Some(3),
+                max_depth: 30,
+                min_samples_leaf: 1,
+                min_samples_split: 2,
+            },
+        ];
+        for seed in [3u64, 11] {
+            let data = gnarly_dataset(300, 3, seed);
+            let mut draw = StdRng::seed_from_u64(seed);
+            let boot: Vec<usize> = (0..data.len())
+                .map(|_| draw.gen_range(0..data.len()))
+                .collect();
+            let mut reversed = boot.clone();
+            reversed.reverse();
+            let mut shuffled = boot.clone();
+            for i in 0..shuffled.len() {
+                let j = draw.gen_range(i..shuffled.len());
+                shuffled.swap(i, j);
+            }
+            for config in &configs {
+                let fit = |rows: &[usize]| {
+                    let mut rng = StdRng::seed_from_u64(seed ^ 0xBEEF);
+                    format!("{:?}", DecisionTree::fit(&data, rows, config, &mut rng))
+                };
+                let tree = fit(&boot);
+                assert_eq!(fit(&reversed), tree, "reversed, seed {seed}, {config:?}");
+                assert_eq!(fit(&shuffled), tree, "shuffled, seed {seed}, {config:?}");
             }
         }
     }
