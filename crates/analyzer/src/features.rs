@@ -60,7 +60,7 @@ const SLOT_INDEX: [AdSlotSize; 19] = [
     AdSlotSize::S1024x768,
 ];
 
-/// Index of a slot in [`SLOT_INDEX`].
+/// Index of a slot in the fixed slot-size order (`SLOT_INDEX`).
 pub fn slot_index(slot: AdSlotSize) -> usize {
     SLOT_INDEX
         .iter()

@@ -1,4 +1,4 @@
-//! Exchange-side machinery: integrations and notification emission.
+//! Exchange-side machinery: integrations and their price encoding.
 //!
 //! An *integration* is one (exchange, DSP) reporting channel. Its price
 //! visibility is decided here:
@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use yav_crypto::{PriceCrypter, PriceKeys};
-use yav_nurl::fields::{NurlFields, PricePayload};
+use yav_nurl::fields::PricePayload;
 use yav_types::{Adx, Cpm, DspId, PriceVisibility, SimTime};
 
 /// Simulation horizon for migration draws: flip days land anywhere in
@@ -157,37 +157,6 @@ impl IntegrationMatrix {
             .filter(|i| i.visibility(time) == PriceVisibility::Encrypted)
             .count();
         enc as f64 / self.map.len() as f64
-    }
-}
-
-/// Assembles the notification payload an exchange hands to the browser.
-/// The price payload is passed in pre-encoded so the market can share one
-/// [`Integration::encode_price`] call between this owned form and the
-/// allocation-free borrowed renderer.
-#[allow(clippy::too_many_arguments)]
-pub fn notification(
-    dsp: DspId,
-    price: PricePayload,
-    winner_bid: Cpm,
-    req: &crate::request::AdRequest,
-    impression: yav_types::ImpressionId,
-    auction: yav_types::AuctionId,
-    campaign: Option<yav_types::CampaignId>,
-    latency_ms: u32,
-) -> NurlFields {
-    NurlFields {
-        adx: req.adx,
-        dsp,
-        price,
-        bid_price: Some(winner_bid),
-        impression,
-        auction,
-        campaign,
-        slot: Some(req.slot),
-        publisher: Some(req.publisher_name.clone()),
-        country: Some("ES".to_owned()),
-        latency_ms: Some(latency_ms),
-        ad_domain: None,
     }
 }
 

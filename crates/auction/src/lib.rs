@@ -31,9 +31,7 @@ pub mod valuation;
 
 pub use config::MarketConfig;
 pub use dsp::{DspProfile, DspStrategy};
-pub use market::{
-    AuctionOutcome, AuctionResult, Market, MarketTemplate, ProbeBid, ProbeWin, SaleLite,
-};
+pub use market::{Market, MarketTemplate, ProbeBid, Sale};
 pub use profile::Dmp;
 pub use request::AdRequest;
 pub use valuation::ValuationModel;

@@ -4,19 +4,21 @@
 //! the valuation model into a single deterministic auction engine. One
 //! call to [`Market::run_auction`] plays out steps 3–7 of the paper's
 //! Figure 1: bid solicitation, second-price resolution, charge-price
-//! computation and notification-URL emission.
+//! computation and notification-URL emission into the caller's buffer.
+//! It serves both buyers of the simulation: the weblog's organic slots
+//! pass no probe, and a probing campaign passes its [`ProbeBid`] and
+//! reads the true charge from the returned [`Sale`].
 
 use crate::config::MarketConfig;
 use crate::dsp::DspProfile;
-use crate::exchange::{notification, IntegrationMatrix};
+use crate::exchange::IntegrationMatrix;
 use crate::profile::{standard_normal, Dmp};
 use crate::request::AdRequest;
 use crate::valuation::ValuationModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use yav_nurl::fields::{NurlFields, NurlFieldsRef, PricePayload};
+use yav_nurl::fields::{NurlFieldsRef, PricePayload};
 use yav_nurl::template;
-use yav_nurl::url::Url;
 use yav_types::{Adx, AuctionId, CampaignId, Cpm, DspId, ImpressionId, PriceVisibility};
 
 /// A probing campaign's standing order: bid up to `max_bid` through `dsp`.
@@ -31,65 +33,13 @@ pub struct ProbeBid {
     pub campaign: CampaignId,
 }
 
-/// What the campaign's performance report records for one won impression.
-/// Crucially it contains the *true* charge price even on encrypted
-/// channels — the buyer holds the decryption keys. This is exactly the
-/// ground-truth channel the paper's probing campaigns exploit.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProbeWin {
-    /// True charge price from the buyer-side report.
-    pub charge: Cpm,
-    /// How the browser-visible notification reported the price.
-    pub visibility: PriceVisibility,
-    /// The notification payload as emitted.
-    pub fields: NurlFields,
-    /// The notification URL the user's browser fired.
-    pub nurl: Url,
-}
-
-/// One resolved auction, with simulator-side ground truth attached.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AuctionOutcome {
-    /// The winning bidder.
-    pub winner: DspId,
-    /// The winner's bid.
-    pub bid: Cpm,
-    /// Ground-truth charge price (second-highest bid, floored).
-    pub charge: Cpm,
-    /// Whether the notification carried the price encrypted.
-    pub visibility: PriceVisibility,
-    /// Typed notification payload.
-    pub fields: NurlFields,
-    /// The notification URL fired through the user's browser.
-    pub nurl: Url,
-}
-
-/// Auction resolution.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AuctionResult {
-    /// Fewer than the required bids arrived; the slot goes to backfill
-    /// (no RTB notification fires).
-    NoSale,
-    /// The slot sold; a notification fired.
-    Sale(Box<AuctionOutcome>),
-}
-
-impl AuctionResult {
-    /// The outcome, if the slot sold.
-    pub fn sale(&self) -> Option<&AuctionOutcome> {
-        match self {
-            AuctionResult::Sale(o) => Some(o),
-            AuctionResult::NoSale => None,
-        }
-    }
-}
-
-/// A resolved sale on the allocation-free path: everything the streaming
-/// generator needs to book ground truth, with the notification URL already
-/// rendered into the caller's buffer instead of materialised as
-/// [`NurlFields`] + [`Url`].
+/// A resolved sale, with simulator-side ground truth attached; the
+/// notification URL the browser fires goes into the caller's buffer.
+/// The charge is the *true* price even on encrypted channels — the buyer
+/// holds the decryption keys, which is exactly the ground-truth channel
+/// the paper's probing campaigns exploit.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SaleLite {
+pub struct Sale {
     /// The winning bidder.
     pub winner: DspId,
     /// The winner's bid.
@@ -104,16 +54,10 @@ pub struct SaleLite {
     pub auction: AuctionId,
 }
 
-/// Everything [`Market::resolve_core`] decides before the notification
-/// payload takes shape — shared by the owned and borrowed emitters so the
-/// RNG stream, id counters, IV counters and telemetry stay identical.
+/// Everything [`Market::resolve_core`] decides: the sale itself plus
+/// the notification fields that only the rendered URL carries.
 struct ResolvedCore {
-    winner: DspId,
-    winner_bid: Cpm,
-    charge: Cpm,
-    visibility: PriceVisibility,
-    impression: ImpressionId,
-    auction: AuctionId,
+    sale: Sale,
     campaign: Option<CampaignId>,
     latency_ms: u32,
     price: PricePayload,
@@ -280,41 +224,31 @@ impl Market {
         self.integrations.encrypted_pair_share(time)
     }
 
-    /// Runs one organic auction (no probing campaign involved).
-    pub fn run_auction(&mut self, req: &AdRequest) -> AuctionResult {
-        let (result, _) = self.resolve(req, None);
-        result
-    }
-
-    /// Runs one auction with a probing campaign participating. The probe
-    /// bids its cap (the dominant strategy under Vickrey rules); when it
-    /// wins, the returned [`ProbeWin`] carries buyer-side ground truth.
-    pub fn run_auction_with_probe(
+    /// Runs one auction and renders its notification URL into
+    /// `nurl_out` (cleared first), so a resolved auction touches the heap
+    /// only to grow reused buffers. `None` means no sale (backfill), in
+    /// which case `nurl_out` is left cleared.
+    ///
+    /// Organic slots pass no `probe`. A probing campaign passes its
+    /// standing order: the probe bids its cap (the dominant strategy
+    /// under Vickrey rules) and the impression books against the
+    /// campaign exactly when `sale.winner == probe.dsp`.
+    pub fn run_auction(
         &mut self,
         req: &AdRequest,
-        probe: &ProbeBid,
-    ) -> (AuctionResult, Option<ProbeWin>) {
-        self.resolve(req, Some(probe))
-    }
-
-    /// Runs one organic auction on the allocation-free path. The decision
-    /// process — RNG stream, id/IV counters, telemetry — is shared with
-    /// [`Market::run_auction`]; the only difference is the output shape:
-    /// the notification URL is rendered straight into `nurl_out` (cleared
-    /// first) and the sale comes back as a plain-old-data [`SaleLite`],
-    /// so a resolved auction touches the heap only to grow reused
-    /// buffers. `None` means no sale (backfill), in which case `nurl_out`
-    /// is left cleared.
-    pub fn run_auction_into(&mut self, req: &AdRequest, nurl_out: &mut String) -> Option<SaleLite> {
+        probe: Option<&ProbeBid>,
+        nurl_out: &mut String,
+    ) -> Option<Sale> {
         nurl_out.clear();
-        let core = self.resolve_core(req, None)?;
+        let core = self.resolve_core(req, probe)?;
+        let sale = core.sale;
         let fields = NurlFieldsRef {
             adx: req.adx,
-            dsp: core.winner,
+            dsp: sale.winner,
             price: core.price,
-            bid_price: Some(core.winner_bid),
-            impression: core.impression,
-            auction: core.auction,
+            bid_price: Some(sale.bid),
+            impression: sale.impression,
+            auction: sale.auction,
             campaign: core.campaign,
             slot: Some(req.slot),
             publisher: Some(&req.publisher_name),
@@ -323,61 +257,11 @@ impl Market {
             ad_domain: None,
         };
         template::render_into(&fields, nurl_out);
-        Some(SaleLite {
-            winner: core.winner,
-            bid: core.winner_bid,
-            charge: core.charge,
-            visibility: core.visibility,
-            impression: core.impression,
-            auction: core.auction,
-        })
-    }
-
-    /// Core resolution: collect bids, apply Vickrey rules, emit the nURL.
-    fn resolve(
-        &mut self,
-        req: &AdRequest,
-        probe: Option<&ProbeBid>,
-    ) -> (AuctionResult, Option<ProbeWin>) {
-        let _span = yav_telemetry::span!("auction.market.run");
-        let Some(core) = self.resolve_core(req, probe) else {
-            return (AuctionResult::NoSale, None);
-        };
-        let fields = notification(
-            core.winner,
-            core.price,
-            core.winner_bid,
-            req,
-            core.impression,
-            core.auction,
-            core.campaign,
-            core.latency_ms,
-        );
-        let nurl = template::emit(&fields);
-
-        let outcome = AuctionOutcome {
-            winner: core.winner,
-            bid: core.winner_bid,
-            charge: core.charge,
-            visibility: core.visibility,
-            fields: fields.clone(),
-            nurl: nurl.clone(),
-        };
-
-        let probe_win = probe.filter(|p| p.dsp == core.winner).map(|_| ProbeWin {
-            charge: core.charge,
-            visibility: core.visibility,
-            fields,
-            nurl,
-        });
-
-        // yav-lint: allow(alloc-in-gen-path) — owned emitter for run_auction_with_probe, the campaign ground-truth path; the streamed sink uses run_auction_into
-        (AuctionResult::Sale(Box::new(outcome)), probe_win)
+        Some(sale)
     }
 
     /// Everything up to (and including) price encoding: bid solicitation,
-    /// Vickrey resolution, id assignment and telemetry. Both emitters
-    /// call this, so their observable side effects are identical.
+    /// Vickrey resolution, id assignment and telemetry.
     fn resolve_core(&mut self, req: &AdRequest, probe: Option<&ProbeBid>) -> Option<ResolvedCore> {
         let _t = self.metrics.time_us.time_us();
         self.metrics.runs.inc();
@@ -495,12 +379,14 @@ impl Market {
         let price = integration.encode_price(charge, req.time);
 
         Some(ResolvedCore {
-            winner,
-            winner_bid,
-            charge,
-            visibility,
-            impression,
-            auction,
+            sale: Sale {
+                winner,
+                bid: winner_bid,
+                charge,
+                visibility,
+                impression,
+                auction,
+            },
             campaign,
             latency_ms,
             price,
@@ -511,6 +397,8 @@ impl Market {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use yav_nurl::fields::NurlFields;
+    use yav_nurl::{UrlRef, UrlScratch};
     use yav_types::{
         AdSlotSize, Adx, City, DeviceType, IabCategory, InteractionType, Os, PublisherId, SimTime,
         UserId,
@@ -537,33 +425,113 @@ mod tests {
         Market::new(MarketConfig::default())
     }
 
+    /// Parses a rendered notification the way the monitor does: screen
+    /// the host, split the URL, read the exchange's template fields.
+    fn parse(nurl: &str) -> NurlFields {
+        let adx = yav_nurl::screen_adx(nurl).expect("an exchange host");
+        let url = UrlRef::parse(nurl).expect("a well-formed URL");
+        let mut scratch = UrlScratch::new();
+        template::parse_borrowed_screened(adx, &url, &mut scratch)
+            .expect("a well-formed payload")
+            .expect("a notification")
+            .to_owned_fields()
+    }
+
     #[test]
     fn auctions_resolve_and_emit_parseable_nurls() {
+        // Organic and probe auctions on every exchange: each rendered
+        // buffer must carry every field the sale decided.
+        let t = SimTime::from_ymd_hm(2015, 4, 4, 16, 0);
         let mut m = market();
-        let t = SimTime::from_ymd_hm(2015, 3, 10, 11, 0);
-        let mut sales = 0;
-        for i in 0..200 {
-            let mut req = request(Adx::MoPub, t.plus_minutes(i));
+        let probe = ProbeBid {
+            dsp: DspId(3),
+            max_bid: Cpm::from_whole(1),
+            campaign: CampaignId(9),
+        };
+        let mut buf = String::new();
+        let (mut sales, mut mopub_sales, mut probe_wins, mut probe_losses) = (0, 0, 0, 0);
+        for i in 0usize..300 {
+            let mut req = request(Adx::from_index(i % 17), t.plus_minutes(i as i64 * 11));
             req.user = UserId(i as u32 % 20);
-            if let AuctionResult::Sale(o) = m.run_auction(&req) {
-                sales += 1;
-                let parsed = template::parse(&o.nurl).unwrap().unwrap();
-                assert_eq!(parsed, o.fields);
-                assert!(o.charge <= o.bid, "charge price cannot exceed the bid");
-                assert!(o.charge >= MarketConfig::default().floor);
+            let probe = (i % 3 == 0).then_some(&probe);
+            let Some(sale) = m.run_auction(&req, probe, &mut buf) else {
+                assert!(probe.is_none(), "a probe always clears");
+                assert!(buf.is_empty(), "no sale leaves the buffer empty");
+                continue;
+            };
+            sales += 1;
+            assert!(
+                sale.charge <= sale.bid,
+                "charge price cannot exceed the bid"
+            );
+            assert!(sale.charge >= MarketConfig::default().floor);
+            let f = parse(&buf);
+            assert_eq!(f.adx, req.adx);
+            assert_eq!(f.dsp, sale.winner);
+            assert_eq!(f.price.visibility(), sale.visibility);
+            match sale.visibility {
+                PriceVisibility::Cleartext => assert_eq!(f.price.cleartext(), Some(sale.charge)),
+                PriceVisibility::Encrypted => assert!(f.price.encrypted().is_some()),
             }
+            assert_eq!(f.impression, sale.impression);
+            assert_eq!(f.auction, sale.auction);
+            let probe_won = probe.is_some_and(|p| p.dsp == sale.winner);
+            assert_eq!(f.campaign, probe_won.then_some(CampaignId(9)), "at {i}");
+            match probe {
+                Some(_) if probe_won => probe_wins += 1,
+                Some(_) => probe_losses += 1,
+                None => {}
+            }
+            // The bid echo and the slot/publisher/country/latency metadata
+            // ride only where the exchange's template carries them, and
+            // MoPub's carries them all.
+            if req.adx == Adx::MoPub {
+                mopub_sales += 1;
+                assert!(
+                    f.bid_price.is_some()
+                        && f.slot.is_some()
+                        && f.publisher.is_some()
+                        && f.country.is_some()
+                        && f.latency_ms.is_some(),
+                    "MoPub echoes every field: {buf}"
+                );
+            }
+            assert!(f.bid_price.is_none_or(|b| b == sale.bid));
+            assert!(f.slot.is_none_or(|s| s == req.slot));
+            assert!(f.publisher.is_none_or(|p| p == "elperiodico.example"));
+            assert!(f.country.is_none_or(|c| c == "ES"));
+            assert!(f.latency_ms.is_none_or(|ms| (40..220).contains(&ms)));
         }
-        assert!(sales > 150, "most auctions should clear, got {sales}");
+        assert!(sales > 225, "most auctions should clear, got {sales}");
+        assert!(mopub_sales > 0);
+        assert!(
+            probe_wins > 0 && probe_losses > 0,
+            "{probe_wins} / {probe_losses}"
+        );
+
+        // A lone bidder has no competition: the slot goes to backfill and
+        // the previous sale's URL does not survive in the buffer.
+        assert!(!buf.is_empty());
+        let mut lone = Market::new(MarketConfig {
+            n_dsps: 1,
+            ..MarketConfig::default()
+        });
+        assert_eq!(
+            lone.run_auction(&request(Adx::MoPub, t), None, &mut buf),
+            None
+        );
+        assert!(buf.is_empty());
     }
 
     #[test]
     fn vickrey_charge_below_winner_bid() {
         let mut m = market();
+        let mut buf = String::new();
         let t = SimTime::from_ymd_hm(2015, 6, 1, 10, 0);
         for i in 0..100 {
             let req = request(Adx::Adnxs, t.plus_minutes(i * 7));
-            if let AuctionResult::Sale(o) = m.run_auction(&req) {
-                assert!(o.charge <= o.bid);
+            if let Some(s) = m.run_auction(&req, None, &mut buf) {
+                assert!(s.charge <= s.bid);
             }
         }
     }
@@ -571,12 +539,13 @@ mod tests {
     #[test]
     fn encrypted_house_reports_encrypted() {
         let mut m = market();
+        let mut buf = String::new();
         let t = SimTime::from_ymd_hm(2015, 2, 2, 9, 0);
         let req = request(Adx::DoubleClick, t);
         for _ in 0..20 {
-            if let AuctionResult::Sale(o) = m.run_auction(&req) {
-                assert_eq!(o.visibility, PriceVisibility::Encrypted);
-                assert!(o.fields.price.encrypted().is_some());
+            if let Some(s) = m.run_auction(&req, None, &mut buf) {
+                assert_eq!(s.visibility, PriceVisibility::Encrypted);
+                assert!(parse(&buf).price.encrypted().is_some());
             }
         }
     }
@@ -584,6 +553,7 @@ mod tests {
     #[test]
     fn probe_at_high_cap_wins_and_reports_truth() {
         let mut m = market();
+        let mut buf = String::new();
         let t = SimTime::from_ymd_hm(2016, 5, 10, 10, 0);
         let probe = ProbeBid {
             dsp: DspId(2),
@@ -593,15 +563,16 @@ mod tests {
         let mut wins = 0;
         for i in 0..50 {
             let req = request(Adx::OpenX, t.plus_minutes(i * 3));
-            let (result, win) = m.run_auction_with_probe(&req, &probe);
-            let outcome = result.sale().expect("probe guarantees a sale");
-            if let Some(w) = win {
+            let sale = m
+                .run_auction(&req, Some(&probe), &mut buf)
+                .expect("probe guarantees a sale");
+            if sale.winner == probe.dsp {
                 wins += 1;
-                assert_eq!(outcome.charge, w.charge);
-                assert_eq!(w.visibility, PriceVisibility::Encrypted);
+                assert_eq!(sale.visibility, PriceVisibility::Encrypted);
                 // The browser-visible nURL hides the price; the report has it.
-                assert!(w.fields.price.encrypted().is_some());
-                assert_eq!(w.fields.campaign, Some(CampaignId(7)));
+                let f = parse(&buf);
+                assert!(f.price.encrypted().is_some());
+                assert_eq!(f.campaign, Some(CampaignId(7)));
             }
         }
         assert!(
@@ -620,8 +591,10 @@ mod tests {
             campaign: CampaignId(1),
         };
         let req = request(Adx::MoPub, t);
-        let (_, win) = m.run_auction_with_probe(&req, &probe);
-        let w = win.expect("cap of 1000 CPM wins");
+        let w = m
+            .run_auction(&req, Some(&probe), &mut String::new())
+            .filter(|s| s.winner == probe.dsp)
+            .expect("cap of 1000 CPM wins");
         assert!(
             w.charge < Cpm::from_whole(100),
             "charge {} should reflect competition, not the cap",
@@ -633,12 +606,12 @@ mod tests {
     fn determinism_same_seed_same_outcomes() {
         let run = || {
             let mut m = market();
+            let mut buf = String::new();
             let t = SimTime::from_ymd_hm(2015, 4, 4, 16, 0);
             (0..50)
                 .filter_map(|i| {
-                    m.run_auction(&request(Adx::MoPub, t.plus_minutes(i)))
-                        .sale()
-                        .map(|o| o.charge)
+                    m.run_auction(&request(Adx::MoPub, t.plus_minutes(i)), None, &mut buf)
+                        .map(|s| s.charge)
                 })
                 .collect::<Vec<_>>()
         };
@@ -649,11 +622,11 @@ mod tests {
     fn shard_zero_is_the_legacy_market() {
         let t = SimTime::from_ymd_hm(2015, 4, 4, 16, 0);
         let run = |mut m: Market| {
+            let mut buf = String::new();
             (0..50)
                 .filter_map(|i| {
-                    m.run_auction(&request(Adx::MoPub, t.plus_minutes(i)))
-                        .sale()
-                        .map(|o| (o.charge, o.winner, o.fields.impression))
+                    m.run_auction(&request(Adx::MoPub, t.plus_minutes(i)), None, &mut buf)
+                        .map(|s| (s.charge, s.winner, parse(&buf).impression))
                 })
                 .collect::<Vec<_>>()
         };
@@ -671,19 +644,19 @@ mod tests {
         assert_eq!(m0.encrypted_pair_share(t), m7.encrypted_pair_share(t));
         // …while auction randomness and id namespaces are not.
         let charges = |mut m: Market| {
+            let mut buf = String::new();
             (0..30)
                 .filter_map(|i| {
-                    m.run_auction(&request(Adx::MoPub, t.plus_minutes(i)))
-                        .sale()
-                        .map(|o| o.charge)
+                    m.run_auction(&request(Adx::MoPub, t.plus_minutes(i)), None, &mut buf)
+                        .map(|s| s.charge)
                 })
                 .collect::<Vec<_>>()
         };
         let ids = |mut m: Market| {
-            m.run_auction(&request(Adx::MoPub, t))
-                .sale()
-                .map(|o| o.fields.impression)
-                .unwrap()
+            let mut buf = String::new();
+            m.run_auction(&request(Adx::MoPub, t), None, &mut buf)
+                .unwrap();
+            parse(&buf).impression
         };
         assert_ne!(
             charges(Market::new_shard(MarketConfig::default(), 0)),
@@ -694,41 +667,9 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_auction_path_matches_owned() {
-        // Two identically-seeded markets, one driven through the owned
-        // API and one through the allocation-free path: every outcome —
-        // including the rendered nURL bytes — must agree.
-        let t = SimTime::from_ymd_hm(2015, 4, 4, 16, 0);
-        let mut owned = market();
-        let mut borrowed = market();
-        let mut buf = String::new();
-        let mut sales = 0;
-        for i in 0usize..200 {
-            let mut req = request(Adx::from_index(i % 17), t.plus_minutes(i as i64 * 11));
-            req.user = UserId(i as u32 % 20);
-            let a = owned.run_auction(&req);
-            let b = borrowed.run_auction_into(&req, &mut buf);
-            match (a, b) {
-                (AuctionResult::Sale(o), Some(s)) => {
-                    sales += 1;
-                    assert_eq!(buf, o.nurl.to_string(), "nURL bytes at {i}");
-                    assert_eq!(s.winner, o.winner);
-                    assert_eq!(s.bid, o.bid);
-                    assert_eq!(s.charge, o.charge);
-                    assert_eq!(s.visibility, o.visibility);
-                    assert_eq!(s.impression, o.fields.impression);
-                    assert_eq!(s.auction, o.fields.auction);
-                }
-                (AuctionResult::NoSale, None) => assert!(buf.is_empty()),
-                (a, b) => panic!("divergent outcomes at {i}: {a:?} vs {b:?}"),
-            }
-        }
-        assert!(sales > 150, "most auctions should clear, got {sales}");
-    }
-
-    #[test]
     fn app_traffic_clears_higher() {
         let mut m = market();
+        let mut buf = String::new();
         let t = SimTime::from_ymd_hm(2015, 5, 5, 13, 0);
         let mut web = Vec::new();
         let mut app = Vec::new();
@@ -740,11 +681,11 @@ mod tests {
             } else {
                 InteractionType::MobileApp
             };
-            if let AuctionResult::Sale(o) = m.run_auction(&req) {
+            if let Some(s) = m.run_auction(&req, None, &mut buf) {
                 if req.interaction == InteractionType::MobileWeb {
-                    web.push(o.charge.as_f64());
+                    web.push(s.charge.as_f64());
                 } else {
-                    app.push(o.charge.as_f64());
+                    app.push(s.charge.as_f64());
                 }
             }
         }
@@ -765,6 +706,7 @@ mod tests {
         // MoPub (cleartext house) with DoubleClick (encrypted house) on
         // identical request streams.
         let mut m = market();
+        let mut buf = String::new();
         let t = SimTime::from_ymd_hm(2015, 7, 7, 11, 0);
         let mut clear = Vec::new();
         let mut enc = Vec::new();
@@ -778,10 +720,10 @@ mod tests {
                 t.plus_minutes(i % 500),
             );
             req.user = UserId(i as u32 % 100);
-            if let AuctionResult::Sale(o) = m.run_auction(&req) {
-                match o.visibility {
-                    PriceVisibility::Cleartext => clear.push(o.charge.as_f64()),
-                    PriceVisibility::Encrypted => enc.push(o.charge.as_f64()),
+            if let Some(s) = m.run_auction(&req, None, &mut buf) {
+                match s.visibility {
+                    PriceVisibility::Cleartext => clear.push(s.charge.as_f64()),
+                    PriceVisibility::Encrypted => enc.push(s.charge.as_f64()),
                 }
             }
         }

@@ -268,9 +268,9 @@ fn shard_users(
 /// historical side comes from the summary's per-IAB MoPub price
 /// histograms (medians quantised to half a 0.01-CPM bin) instead of the
 /// materialised detection list; the recent side is the A2 campaign's
-/// exact rows, as in [`TimeShift::fit_stratified`]. Mirrors that fit's
-/// logic: per-stratum median ratios (strata under 30 prices on either
-/// side skipped), coefficient = median ratio, pooled-median fallback.
+/// exact rows, as in [`TimeShift::fit_stratified`]. Per-stratum median
+/// ratios (strata under 30 prices on either side skipped) go through the
+/// same [`TimeShift::from_ratios`] rule.
 fn fit_shift_bounded(summary: &DetectionSummary, a2: &CampaignReport) -> TimeShift {
     const MIN_N: u64 = 30;
     let recent_strata = a2_strata(a2);
@@ -287,26 +287,8 @@ fn fit_shift_bounded(summary: &DetectionSummary, a2: &CampaignReport) -> TimeShi
             }
         }
     }
-    let pooled = summary.mopub_all_prices();
-    let historical_median = pooled.median().unwrap_or(0.0);
-    let recent_median = median(&recent_all);
-    if ratios.is_empty() {
-        let coefficient = if historical_median > 0.0 && recent_median > 0.0 {
-            recent_median / historical_median
-        } else {
-            1.0
-        };
-        return TimeShift {
-            historical_median,
-            recent_median,
-            coefficient,
-        };
-    }
-    TimeShift {
-        historical_median,
-        recent_median,
-        coefficient: median(&ratios),
-    }
+    let historical_median = summary.mopub_all_prices().median().unwrap_or(0.0);
+    TimeShift::from_ratios(&ratios, historical_median, median(&recent_all))
 }
 
 /// The `stream` experiment text: what the constant-memory builder can

@@ -213,6 +213,14 @@ fn run_setup(
         attempts_total: 0,
         completed: false,
     };
+    let probe = ProbeBid {
+        dsp: campaign.dsp,
+        max_bid: campaign.max_bid,
+        campaign: campaign.id,
+    };
+    // The notification the browser would fire; the report reads the
+    // sale itself, so the rendered URL only needs a reused buffer.
+    let mut nurl = String::new();
     let mut bought = 0u32;
     let mut attempts = 0u32;
     let max_attempts = campaign.impressions_per_setup.saturating_mul(4).max(16);
@@ -220,13 +228,12 @@ fn run_setup(
         attempts += 1;
         run.attempts_total += 1;
         let req = synthesize_request(rng, setup, campaign, eligible);
-        let probe = ProbeBid {
-            dsp: campaign.dsp,
-            max_bid: campaign.max_bid,
-            campaign: campaign.id,
+        let Some(win) = market
+            .run_auction(&req, Some(&probe), &mut nurl)
+            .filter(|sale| sale.winner == probe.dsp)
+        else {
+            continue;
         };
-        let (_result, win) = market.run_auction_with_probe(&req, &probe);
-        let Some(win) = win else { continue };
         bought += 1;
         run.attempts_at.push(run.attempts_total);
         run.rows.push(ProbeImpression {

@@ -15,10 +15,11 @@
 //!   144-setup design;
 //! * [`plan`] — the §5.2 sample-size mathematics;
 //! * [`executor`] — buys impressions setup by setup through
-//!   [`yav_auction::Market::run_auction_with_probe`], one shard market
-//!   per setup ([`execute_parallel`]), respecting the bid cap and the
-//!   campaign budget, and collects the performance report rows that
-//!   later train the Price Modeling Engine.
+//!   [`yav_auction::Market::run_auction`] with the campaign's
+//!   [`yav_auction::ProbeBid`], one shard market per setup
+//!   ([`execute_parallel`]), respecting the bid cap and the campaign
+//!   budget, and books each won sale's true charge into the performance
+//!   report rows that later train the Price Modeling Engine.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

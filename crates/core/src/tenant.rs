@@ -11,7 +11,7 @@
 //! monitors would spend on ledgers alone.
 //!
 //! Each request is priced the moment it arrives, with the exact pieces
-//! the single-user client uses — [`crate::monitor::sift_request`] for
+//! the single-user client uses — the crate-private `sift_request` for
 //! the zero-copy screen-first sift and [`ClientModel::estimate_into`] for
 //! valuing encrypted notifications — so a tenant's totals are
 //! bit-identical to what a dedicated [`crate::YourAdValue`] fed only that

@@ -73,17 +73,9 @@ fn nibble(b: u8, pos: usize) -> Result<u8, CodecError> {
     }
 }
 
-/// Decodes hex (either case) to bytes.
-pub fn hex_decode(s: &str) -> Result<Vec<u8>, CodecError> {
-    let mut out = vec![0u8; s.len() / 2];
-    let n = hex_decode_into(s, &mut out)?;
-    debug_assert_eq!(n, out.len());
-    Ok(out)
-}
-
 /// Decodes hex (either case) into `out` without allocating, returning the
-/// decoded length. Validation order and error positions match
-/// [`hex_decode`] exactly; an input that is valid but does not fit yields
+/// decoded length. An invalid byte is reported at its position even past
+/// the end of `out`; an input that is valid but does not fit yields
 /// [`CodecError::BufferTooSmall`] with the full decoded length.
 pub fn hex_decode_into(s: &str, out: &mut [u8]) -> Result<usize, CodecError> {
     let bytes = s.as_bytes();
@@ -94,7 +86,7 @@ pub fn hex_decode_into(s: &str, out: &mut [u8]) -> Result<usize, CodecError> {
     for i in 0..n {
         let b = (nibble(bytes[2 * i], 2 * i)? << 4) | nibble(bytes[2 * i + 1], 2 * i + 1)?;
         // Keep validating past the end of `out` so InvalidByte wins over
-        // BufferTooSmall at every position, as the allocating decoder would.
+        // BufferTooSmall at every position.
         if i < out.len() {
             out[i] = b;
         }
@@ -159,20 +151,11 @@ fn b64_val(b: u8, pos: usize) -> Result<u32, CodecError> {
     }
 }
 
-/// Decodes URL-safe base64 (unpadded; trailing `=` padding is tolerated).
-pub fn base64url_decode(s: &str) -> Result<Vec<u8>, CodecError> {
-    let trimmed_len = s.trim_end_matches('=').len();
-    let cap = trimmed_len / 4 * 3 + [0usize, 0, 1, 2][trimmed_len % 4];
-    let mut out = vec![0u8; cap];
-    let n = base64url_decode_into(s, &mut out)?;
-    debug_assert_eq!(n, cap);
-    Ok(out)
-}
-
-/// Decodes URL-safe base64 into `out` without allocating, returning the
-/// decoded length. Validation order and error positions match
-/// [`base64url_decode`] exactly; an input that is valid but does not fit
-/// yields [`CodecError::BufferTooSmall`] with the full decoded length.
+/// Decodes URL-safe base64 (unpadded; trailing `=` padding is tolerated)
+/// into `out` without allocating, returning the decoded length. An
+/// invalid byte is reported at its position even past the end of `out`;
+/// an input that is valid but does not fit yields
+/// [`CodecError::BufferTooSmall`] with the full decoded length.
 pub fn base64url_decode_into(s: &str, out: &mut [u8]) -> Result<usize, CodecError> {
     let trimmed = s.trim_end_matches('=');
     let bytes = trimmed.as_bytes();
@@ -188,8 +171,7 @@ pub fn base64url_decode_into(s: &str, out: &mut [u8]) -> Result<usize, CodecErro
         }
         // A chunk of 2/3/4 characters carries 1/2/3 bytes. Keep
         // validating past the end of `out` so InvalidByte wins over
-        // BufferTooSmall at every position, as the allocating decoder
-        // would.
+        // BufferTooSmall at every position.
         let emit = chunk.len() - 1;
         for k in 0..emit {
             if n + k < out.len() {
@@ -212,16 +194,29 @@ mod tests {
     #[test]
     fn hex_round_trip() {
         assert_eq!(hex_encode(&[0x00, 0xff, 0x5a]), "00ff5a");
-        assert_eq!(hex_decode("00ff5a").unwrap(), vec![0x00, 0xff, 0x5a]);
-        assert_eq!(hex_decode("00FF5A").unwrap(), vec![0x00, 0xff, 0x5a]);
-        assert_eq!(hex_decode("").unwrap(), Vec::<u8>::new());
+        for wire in ["00ff5a", "00FF5A"] {
+            let mut buf = [0u8; 3];
+            assert_eq!(hex_decode_into(wire, &mut buf), Ok(3));
+            assert_eq!(buf, [0x00, 0xff, 0x5a]);
+        }
+        assert_eq!(hex_decode_into("", &mut []), Ok(0));
     }
 
     #[test]
     fn hex_rejects() {
-        assert_eq!(hex_decode("abc"), Err(CodecError::InvalidLength(3)));
-        assert_eq!(hex_decode("zz"), Err(CodecError::InvalidByte(0)));
-        assert_eq!(hex_decode("a!"), Err(CodecError::InvalidByte(1)));
+        let mut buf = [0u8; 2];
+        assert_eq!(
+            hex_decode_into("abc", &mut buf),
+            Err(CodecError::InvalidLength(3))
+        );
+        assert_eq!(
+            hex_decode_into("zz", &mut buf),
+            Err(CodecError::InvalidByte(0))
+        );
+        assert_eq!(
+            hex_decode_into("a!", &mut buf),
+            Err(CodecError::InvalidByte(1))
+        );
     }
 
     #[test]
@@ -240,18 +235,28 @@ mod tests {
 
     #[test]
     fn base64url_decode_tolerates_padding() {
-        assert_eq!(base64url_decode("Zm9vYg==").unwrap(), b"foob");
-        assert_eq!(base64url_decode("Zm9vYg").unwrap(), b"foob");
+        for wire in ["Zm9vYg==", "Zm9vYg"] {
+            let mut buf = [0u8; 4];
+            assert_eq!(base64url_decode_into(wire, &mut buf), Ok(4));
+            assert_eq!(&buf, b"foob");
+        }
     }
 
     #[test]
     fn base64url_rejects() {
+        let mut buf = [0u8; 8];
         assert!(matches!(
-            base64url_decode("Zm9v+"),
+            base64url_decode_into("Zm9v+", &mut buf),
             Err(CodecError::InvalidLength(_))
         ));
-        assert_eq!(base64url_decode("Zm+v"), Err(CodecError::InvalidByte(2)));
-        assert_eq!(base64url_decode("Zm/v"), Err(CodecError::InvalidByte(2)));
+        assert_eq!(
+            base64url_decode_into("Zm+v", &mut buf),
+            Err(CodecError::InvalidByte(2))
+        );
+        assert_eq!(
+            base64url_decode_into("Zm/v", &mut buf),
+            Err(CodecError::InvalidByte(2))
+        );
     }
 
     #[test]
@@ -284,7 +289,7 @@ mod tests {
     #[test]
     fn decode_into_invalid_byte_beats_small_buffer() {
         // The invalid byte sits past the buffer's capacity; the position
-        // must still be reported, exactly as the allocating decoder does.
+        // must still be reported.
         let mut buf = [0u8; 1];
         assert_eq!(
             hex_decode_into("00ffzz", &mut buf),
@@ -299,23 +304,31 @@ mod tests {
     proptest! {
         #[test]
         fn prop_hex_round_trip(data: Vec<u8>) {
-            prop_assert_eq!(hex_decode(&hex_encode(&data)).unwrap(), data);
+            let mut buf = vec![0u8; data.len()];
+            prop_assert_eq!(hex_decode_into(&hex_encode(&data), &mut buf), Ok(data.len()));
+            prop_assert_eq!(buf, data);
         }
 
         #[test]
-        fn prop_decode_into_matches_allocating(data: Vec<u8>) {
-            let mut buf = vec![0u8; data.len()];
+        fn prop_decode_into_oversized_buffer(data: Vec<u8>) {
+            // Room to spare: the true length comes back and the tail is
+            // left untouched.
+            let mut buf = vec![0xAAu8; data.len() + 5];
             let hex = hex_encode(&data);
             prop_assert_eq!(hex_decode_into(&hex, &mut buf), Ok(data.len()));
-            prop_assert_eq!(&buf, &data);
+            prop_assert_eq!(&buf[..data.len()], &data[..]);
             let b64 = base64url_encode(&data);
             prop_assert_eq!(base64url_decode_into(&b64, &mut buf), Ok(data.len()));
-            prop_assert_eq!(&buf, &data);
+            prop_assert_eq!(&buf[..data.len()], &data[..]);
+            prop_assert!(buf[data.len()..].iter().all(|&b| b == 0xAA));
         }
 
         #[test]
         fn prop_base64url_round_trip(data: Vec<u8>) {
-            prop_assert_eq!(base64url_decode(&base64url_encode(&data)).unwrap(), data);
+            let mut buf = vec![0u8; data.len()];
+            let b64 = base64url_encode(&data);
+            prop_assert_eq!(base64url_decode_into(&b64, &mut buf), Ok(data.len()));
+            prop_assert_eq!(buf, data);
         }
 
         #[test]

@@ -9,15 +9,16 @@
 //! To reproduce that constraint faithfully the simulator needs a real
 //! scheme: exchanges hold keys and encrypt; DSPs hold the same keys and
 //! decrypt; the analyzer/YourAdValue side holds nothing and can only
-//! recognise the token shape. This crate provides:
+//! recognise the token shape.
 //!
-//! * [`sha256`] — FIPS 180-4 SHA-256, from scratch;
-//! * [`hmac`] — RFC 2104 HMAC over SHA-256;
-//! * [`price`] — the DoubleClick-style `iv ‖ (plaintext ⊕ pad) ‖ signature`
-//!   construction over a 28-byte layout (16-byte IV, 8-byte price,
-//!   4-byte integrity tag);
-//! * [`codec`] — hex and URL-safe base64, the encodings those tokens wear
-//!   inside notification URLs.
+//! The public surface is the token scheme of [`price`] — the
+//! DoubleClick-style `iv ‖ (plaintext ⊕ pad) ‖ signature` construction
+//! over a 28-byte layout (16-byte IV, 8-byte price, 4-byte integrity
+//! tag): [`PriceKeys`], [`PriceCrypter`], [`EncryptedPrice`] and
+//! [`PriceTokenError`], plus [`hex_encode`] for the hex wire form of a
+//! token. Behind it sit three private modules: FIPS 180-4 SHA-256 and
+//! RFC 2104 HMAC over it, both from scratch, and the hex and URL-safe
+//! base64 codecs the tokens wear inside notification URLs.
 //!
 //! No third-party crypto crates are used; determinism and auditability
 //! matter more here than raw speed. The SHA-256 compression itself comes
@@ -27,15 +28,10 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod codec;
-pub mod hmac;
+mod codec;
+mod hmac;
 pub mod price;
-pub mod sha256;
+mod sha256;
 
-pub use codec::{
-    base64url_decode, base64url_decode_into, base64url_encode, base64url_encode_push, hex_decode,
-    hex_decode_into, hex_encode, hex_encode_push, hex_encode_push_upper, CodecError,
-};
-pub use hmac::{hmac_sha256, HmacKey};
+pub use codec::hex_encode;
 pub use price::{EncryptedPrice, PriceCrypter, PriceKeys, PriceTokenError};
-pub use sha256::{sha256, Sha256};

@@ -196,7 +196,7 @@ impl EncryptedPrice {
 
 /// Encrypts and decrypts price tokens for one (exchange, buyer) key pair.
 ///
-/// Caches the two keys' [`HmacKey`] midstates, so each encrypt/decrypt
+/// Caches the two keys' HMAC midstates, so each encrypt/decrypt
 /// costs four SHA-256 compressions instead of eight. The midstates are
 /// computed on first use, not at construction: the market builds a
 /// crypter per (exchange, buyer) integration on every shard, and most

@@ -9,15 +9,6 @@
 use yav_simd::sha256 as kernel;
 
 /// Streaming SHA-256 hasher.
-///
-/// ```
-/// use yav_crypto::Sha256;
-/// let mut h = Sha256::new();
-/// h.update(b"abc");
-/// let digest = h.finalize();
-/// assert_eq!(yav_crypto::hex_encode(&digest),
-///     "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
-/// ```
 #[derive(Debug, Clone)]
 pub struct Sha256 {
     state: [u32; 8],
@@ -141,6 +132,16 @@ mod tests {
     fn abc() {
         assert_eq!(
             hex_encode(&sha256(b"abc")),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        );
+    }
+
+    #[test]
+    fn streaming_abc() {
+        let mut h = Sha256::new();
+        h.update(b"abc");
+        assert_eq!(
+            hex_encode(&h.finalize()),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
         );
     }

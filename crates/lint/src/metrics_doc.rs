@@ -50,7 +50,7 @@ mod tests {
                 sites: vec![("crates/auction/src/market.rs".into(), 10)],
             },
             MetricEntry {
-                name: "auction.market.run.ms".into(),
+                name: "weblog.generator.run.ms".into(),
                 kind: "histogram",
                 via_span: true,
                 sites: vec![("crates/auction/src/market.rs".into(), 9)],

@@ -24,7 +24,7 @@
 //! equivalence tests): a cut between two occupied bins is a cut between
 //! two distinct sorted values, its gain is computed from the same integer
 //! class counts with the same float operations, and its threshold comes
-//! from the same [`threshold`] rule.
+//! from the same `threshold` rule.
 
 use crate::dataset::Dataset;
 use rand::rngs::StdRng;

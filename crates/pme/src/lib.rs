@@ -3,7 +3,7 @@
 //! The PME is the centralized back-end of the system: it bootstraps from
 //! an offline weblog (dataset D), reduces the 288 available features to a
 //! small core set `S` that still explains the cleartext price classes
-//! ([`reduce`]), trains a classifier on probing-campaign ground truth
+//! ([`reduce`](mod@reduce)), trains a classifier on probing-campaign ground truth
 //! ([`model`]), derives the 2015→2016 time-shift correction
 //! ([`timeshift`]), and serves versioned client models to YourAdValue
 //! installations while accepting anonymous contributions ([`engine`]).

@@ -25,12 +25,24 @@ impl TimeShift {
     /// Fits the correction from the two price samples. Returns a neutral
     /// (1.0) shift if either sample is empty or non-positive.
     pub fn fit(historical_cpm: &[f64], recent_cpm: &[f64]) -> TimeShift {
-        let h = median(historical_cpm);
-        let r = median(recent_cpm);
-        let coefficient = if h > 0.0 && r > 0.0 { r / h } else { 1.0 };
+        TimeShift::from_ratios(&[], median(historical_cpm), median(recent_cpm))
+    }
+
+    /// The rule every fit ends in. The coefficient is the median of the
+    /// per-stratum `recent / historical` median ratios; with no ratio it
+    /// falls back to the pooled `recent_median / historical_median` when
+    /// both are positive, else to a neutral 1.0.
+    pub fn from_ratios(ratios: &[f64], historical_median: f64, recent_median: f64) -> TimeShift {
+        let coefficient = if !ratios.is_empty() {
+            median(ratios)
+        } else if historical_median > 0.0 && recent_median > 0.0 {
+            recent_median / historical_median
+        } else {
+            1.0
+        };
         TimeShift {
-            historical_median: h,
-            recent_median: r,
+            historical_median,
+            recent_median,
             coefficient,
         }
     }
@@ -45,8 +57,8 @@ impl TimeShift {
     /// shift can be measured within matched content strata, cancelling
     /// composition differences). The coefficient is the median of the
     /// per-stratum median ratios; strata with fewer than `min_n` prices
-    /// on either side are skipped. Falls back to the plain fit when no
-    /// stratum qualifies.
+    /// on either side are skipped. Falls back to the pooled fit when no
+    /// stratum qualifies ([`TimeShift::from_ratios`]).
     pub fn fit_stratified(strata: &[(Vec<f64>, Vec<f64>)], min_n: usize) -> TimeShift {
         let mut ratios = Vec::new();
         let mut hist_all = Vec::new();
@@ -62,14 +74,7 @@ impl TimeShift {
                 }
             }
         }
-        if ratios.is_empty() {
-            return TimeShift::fit(&hist_all, &recent_all);
-        }
-        TimeShift {
-            historical_median: median(&hist_all),
-            recent_median: median(&recent_all),
-            coefficient: median(&ratios),
-        }
+        TimeShift::from_ratios(&ratios, median(&hist_all), median(&recent_all))
     }
 }
 
@@ -91,6 +96,30 @@ mod tests {
         assert_eq!(TimeShift::fit(&[], &[1.0]).coefficient, 1.0);
         assert_eq!(TimeShift::fit(&[1.0], &[]).coefficient, 1.0);
         assert_eq!(TimeShift::fit(&[0.0], &[1.0]).coefficient, 1.0);
+    }
+
+    #[test]
+    fn stratified_fit_takes_the_median_stratum_ratio() {
+        // Stratum ratios 2, 3 and 4; the pooled medians (1 and 4) would
+        // say 4, and the median stratum ratio wins.
+        let strata = vec![
+            (vec![1.0, 1.0], vec![2.0, 2.0]),
+            (vec![2.0, 2.0], vec![6.0, 6.0]),
+            (vec![1.0, 1.0], vec![4.0, 4.0]),
+        ];
+        let ts = TimeShift::fit_stratified(&strata, 2);
+        assert_eq!(
+            (ts.historical_median, ts.recent_median, ts.coefficient),
+            (1.0, 4.0, 3.0)
+        );
+        // No stratum qualifies: the pooled fit, bit for bit.
+        let hist: Vec<f64> = strata.iter().flat_map(|s| s.0.clone()).collect();
+        let recent: Vec<f64> = strata.iter().flat_map(|s| s.1.clone()).collect();
+        assert_eq!(
+            TimeShift::fit_stratified(&strata, 3),
+            TimeShift::fit(&hist, &recent)
+        );
+        assert_eq!(TimeShift::from_ratios(&[], 0.0, 2.0).coefficient, 1.0);
     }
 
     #[test]

@@ -498,11 +498,9 @@ impl WeblogGenerator {
         scratch.req.duration_ms = rng.gen_range(30..150);
         on_req(&scratch.req);
 
-        // The notification URL is rendered straight into the reused
-        // request buffer; the borrowed auction path shares every RNG and
-        // side-effect step with `run_auction` (pinned by the
-        // `borrowed_auction_path_matches_owned` test in yav-auction).
-        if let Some(sale) = market.run_auction_into(&scratch.ad, &mut scratch.req.url) {
+        // An organic slot: the market renders the notification URL
+        // straight into the reused request buffer.
+        if let Some(sale) = market.run_auction(&scratch.ad, None, &mut scratch.req.url) {
             // RTB impression rate = rtb_impressions / requests.
             scratch.rtb_impressions.inc();
             // The notification URL fires through the browser as the

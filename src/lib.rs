@@ -16,7 +16,7 @@
 //! | vocabulary | [`types`] | prices, simulated time, geography, formats, entities |
 //! | substrate | [`stats`] | quantiles, CDFs, KS tests, sample-size maths |
 //! | substrate | [`exec`] | deterministic worker pools, shard seed derivation |
-//! | substrate | [`crypto`] | SHA-256/HMAC and the 28-byte encrypted-price token |
+//! | substrate | [`crypto`] | the 28-byte encrypted-price token, over private SHA-256/HMAC |
 //! | wire | [`nurl`] | notification-URL templates, detection, price extraction |
 //! | market | [`auction`] | publishers, exchanges, DSPs, Vickrey auctions |
 //! | world | [`weblog`] | the 1 594-user panel and its year of browsing |

@@ -71,7 +71,7 @@ fn pipeline_run_produces_a_full_snapshot() {
     for name in [
         "weblog.generator.run.ms",
         "pme.engine.train.ms",
-        "auction.market.run.ms",
+        "auction.market.us",
     ] {
         assert!(
             histograms[name].count > 0,
