@@ -12,21 +12,22 @@
 //! Each encrypted integration owns a [`PriceCrypter`] keyed to the pair,
 //! mirroring the real protocol where the exchange shares per-buyer
 //! secrets. Observers (everything downstream of the emitted URL) never
-//! see these keys.
+//! see these keys. An integration holds no mutable state: the IV of each
+//! sealed price comes from the sale's impression id, so every market
+//! shard reads one shared matrix.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use yav_crypto::{PriceCrypter, PriceKeys};
 use yav_nurl::fields::PricePayload;
-use yav_types::{Adx, Cpm, DspId, PriceVisibility, SimTime};
+use yav_types::{Adx, Cpm, DspId, ImpressionId, PriceVisibility, SimTime};
 
 /// Simulation horizon for migration draws: flip days land anywhere in
 /// 2015–2016 (the study window).
 const HORIZON_DAYS: i64 = 730;
 
 /// One (exchange, DSP) reporting channel.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Integration {
     adx: Adx,
     dsp: DspId,
@@ -34,7 +35,6 @@ pub struct Integration {
     /// `None` means it stays cleartext for the whole horizon.
     flip_day: Option<i64>,
     crypter: PriceCrypter,
-    iv_counter: u64,
 }
 
 impl Integration {
@@ -48,45 +48,45 @@ impl Integration {
         }
     }
 
-    /// Encodes a charge price for the wire at `time`, encrypting when the
-    /// channel calls for it.
-    pub fn encode_price(&mut self, charge: Cpm, time: SimTime) -> PricePayload {
+    /// Encodes the charge price of `impression` for the wire at `time`,
+    /// encrypting when the channel calls for it. The IV is the
+    /// impression id, then the DSP id, then the exchange index: impression
+    /// ids live in per-shard namespaces, so no two sales of one market
+    /// stream share an IV under a pair's keys.
+    pub fn encode_price(
+        &self,
+        charge: Cpm,
+        time: SimTime,
+        impression: ImpressionId,
+    ) -> PricePayload {
         match self.visibility(time) {
             PriceVisibility::Cleartext => PricePayload::Cleartext(charge),
             PriceVisibility::Encrypted => {
                 let mut iv = [0u8; 16];
-                iv[..8].copy_from_slice(&self.iv_counter.to_be_bytes());
+                iv[..8].copy_from_slice(&impression.0.to_be_bytes());
                 iv[8..12].copy_from_slice(&(self.dsp.0).to_be_bytes());
                 iv[12..16].copy_from_slice(&(self.adx.index() as u32).to_be_bytes());
-                self.iv_counter += 1;
                 PricePayload::Encrypted(self.crypter.encrypt(charge.micros().max(0) as u64, iv))
             }
         }
     }
-
-    /// The DSP-side decryption of a token this integration produced —
-    /// what the buyer's performance report contains. Exposed so the
-    /// probing-campaign harness can receive ground truth exactly the way
-    /// the paper's campaigns did.
-    pub fn crypter(&self) -> &PriceCrypter {
-        &self.crypter
-    }
 }
 
-/// The full integration matrix.
+/// The full integration matrix: one integration per (exchange, DSP)
+/// pair, stored densely at `adx.index() * n_dsps + dsp.0`.
 ///
-/// Cloning copies the derived keys instead of re-deriving them — the
-/// parallel world builders stamp per-shard matrices from one template
-/// build (see [`crate::MarketTemplate`]), since deriving the keys costs
-/// two HMAC-SHA256s per (exchange, DSP) pair.
-#[derive(Debug, Clone)]
+/// Built once per [`crate::MarketTemplate`] and shared by every shard it
+/// stamps, since deriving the keys costs two HMAC-SHA256s per pair.
+#[derive(Debug)]
 pub struct IntegrationMatrix {
-    map: HashMap<(Adx, DspId), Integration>,
+    n_dsps: usize,
+    table: Vec<Integration>,
 }
 
 impl IntegrationMatrix {
-    /// Builds the matrix for a DSP roster. Migration flip days are drawn
-    /// once, deterministically from `seed`.
+    /// Builds the matrix for a DSP roster, whose ids are its positions
+    /// (as [`crate::dsp::DspProfile::roster`] numbers them). Migration
+    /// flip days are drawn once, deterministically from `seed`.
     pub fn build(
         seed: u64,
         dsps: &[crate::dsp::DspProfile],
@@ -94,9 +94,10 @@ impl IntegrationMatrix {
         migration_rate_minor: f64,
     ) -> IntegrationMatrix {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x1A7E_6000_0000_0002);
-        let mut map = HashMap::new();
+        let mut table = Vec::with_capacity(Adx::ALL.len() * dsps.len());
         for adx in Adx::ALL {
-            for dsp in dsps {
+            for (i, dsp) in dsps.iter().enumerate() {
+                debug_assert_eq!(dsp.id.0 as usize, i, "roster ids are positions");
                 let flip_day = match adx.house_style() {
                     // Encrypted houses encrypt from day zero.
                     PriceVisibility::Encrypted => Some(0),
@@ -120,43 +121,42 @@ impl IntegrationMatrix {
                     }
                 };
                 let label = format!("{}|{}", adx.domain(), dsp.id.domain());
-                map.insert(
-                    (adx, dsp.id),
-                    Integration {
-                        adx,
-                        dsp: dsp.id,
-                        flip_day,
-                        crypter: PriceCrypter::new(PriceKeys::derive(&label)),
-                        iv_counter: 0,
-                    },
-                );
+                table.push(Integration {
+                    adx,
+                    dsp: dsp.id,
+                    flip_day,
+                    crypter: PriceCrypter::new(PriceKeys::derive(&label)),
+                });
             }
         }
-        IntegrationMatrix { map }
+        IntegrationMatrix {
+            n_dsps: dsps.len(),
+            table,
+        }
     }
 
-    /// Mutable access to one integration.
-    pub fn get_mut(&mut self, adx: Adx, dsp: DspId) -> Option<&mut Integration> {
-        self.map.get_mut(&(adx, dsp))
-    }
-
-    /// Shared access to one integration.
+    /// The integration of `dsp` on `adx`, if `dsp` is on the roster.
     pub fn get(&self, adx: Adx, dsp: DspId) -> Option<&Integration> {
-        self.map.get(&(adx, dsp))
+        let dsp = dsp.0 as usize;
+        if dsp < self.n_dsps {
+            self.table.get(adx.index() * self.n_dsps + dsp)
+        } else {
+            None
+        }
     }
 
     /// Fraction of integrations reporting encrypted at `time` — the
     /// Figure-2 y-axis.
     pub fn encrypted_pair_share(&self, time: SimTime) -> f64 {
-        if self.map.is_empty() {
+        if self.table.is_empty() {
             return 0.0;
         }
         let enc = self
-            .map
-            .values()
+            .table
+            .iter()
             .filter(|i| i.visibility(time) == PriceVisibility::Encrypted)
             .count();
-        enc as f64 / self.map.len() as f64
+        enc as f64 / self.table.len() as f64
     }
 }
 
@@ -193,7 +193,7 @@ mod tests {
     fn migration_is_sticky() {
         let m = matrix();
         // Once encrypted, an integration never goes back.
-        for (_, i) in m.map.iter() {
+        for i in &m.table {
             if let Some(day) = i.flip_day {
                 let before = SimTime::from_minutes((day - 1).max(0) * yav_types::MINUTES_PER_DAY);
                 let after = SimTime::from_minutes((day + 1) * yav_types::MINUTES_PER_DAY);
@@ -207,29 +207,46 @@ mod tests {
 
     #[test]
     fn encode_price_round_trips_through_dsp_keys() {
-        let mut m = matrix();
+        let m = matrix();
         let t = SimTime::EPOCH;
-        let i = m.get_mut(Adx::DoubleClick, DspId(2)).unwrap();
-        let payload = i.encode_price(Cpm::from_f64(1.25), t);
+        let i = m.get(Adx::DoubleClick, DspId(2)).unwrap();
+        let payload = i.encode_price(Cpm::from_f64(1.25), t, ImpressionId(42));
         let token = payload.encrypted().expect("doubleclick encrypts");
-        assert_eq!(i.crypter().decrypt(token).unwrap(), 1_250_000);
+        assert_eq!(i.crypter.decrypt(token).unwrap(), 1_250_000);
+        assert_eq!(token.iv()[..8], 42u64.to_be_bytes());
     }
 
     #[test]
     fn ivs_never_repeat() {
-        let mut m = matrix();
-        let i = m.get_mut(Adx::OpenX, DspId(1)).unwrap();
-        let a = i.encode_price(Cpm::ONE, SimTime::EPOCH);
-        let b = i.encode_price(Cpm::ONE, SimTime::EPOCH);
-        assert_ne!(a.encrypted().unwrap(), b.encrypted().unwrap());
+        let m = matrix();
+        let i = m.get(Adx::OpenX, DspId(1)).unwrap();
+        let a = i.encode_price(Cpm::ONE, SimTime::EPOCH, ImpressionId(7));
+        let b = i.encode_price(Cpm::ONE, SimTime::EPOCH, ImpressionId(8));
+        assert_ne!(a.encrypted().unwrap().iv(), b.encrypted().unwrap().iv());
+        // The same impression id on another pair is still another IV.
+        let other = m.get(Adx::OpenX, DspId(2)).unwrap();
+        let c = other.encode_price(Cpm::ONE, SimTime::EPOCH, ImpressionId(7));
+        assert_ne!(a.encrypted().unwrap().iv(), c.encrypted().unwrap().iv());
+    }
+
+    #[test]
+    fn dense_table_is_indexed_by_exchange_then_dsp() {
+        let m = matrix();
+        for adx in Adx::ALL {
+            for d in 0..30 {
+                let i = m.get(adx, DspId(d)).unwrap();
+                assert_eq!((i.adx, i.dsp), (adx, DspId(d)));
+            }
+            assert!(m.get(adx, DspId(30)).is_none(), "off the roster");
+        }
     }
 
     #[test]
     fn matrix_is_deterministic() {
         let a = matrix();
         let b = matrix();
-        for (k, ia) in a.map.iter() {
-            assert_eq!(ia.flip_day, b.map[k].flip_day);
+        for (ia, ib) in a.table.iter().zip(&b.table) {
+            assert_eq!(ia.flip_day, ib.flip_day);
         }
     }
 

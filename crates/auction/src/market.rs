@@ -17,6 +17,7 @@ use crate::request::AdRequest;
 use crate::valuation::ValuationModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use yav_nurl::fields::{NurlFieldsRef, PricePayload};
 use yav_nurl::template;
 use yav_types::{Adx, AuctionId, CampaignId, Cpm, DspId, ImpressionId, PriceVisibility};
@@ -87,10 +88,10 @@ impl MarketMetrics {
             sold_cleartext: yav_telemetry::counter("auction.market.sold_cleartext"),
             time_us: yav_telemetry::histogram("auction.market.us"),
             charge_cpm: std::array::from_fn(|i| {
-                // yav-lint: allow(alloc-in-gen-path) — per-shard metric-handle resolution
+                // yav-lint: allow(alloc-in-gen-path) — metric-handle resolution, once per template
                 yav_telemetry::histogram(&format!(
                     "auction.market.charge_cpm.{}",
-                    // yav-lint: allow(alloc-in-gen-path) — per-shard metric-handle resolution
+                    // yav-lint: allow(alloc-in-gen-path) — metric-handle resolution, once per template
                     Adx::from_index(i).name().to_ascii_lowercase()
                 ))
             }),
@@ -98,23 +99,31 @@ impl MarketMetrics {
     }
 }
 
-/// The shard-invariant market structure: DSP roster, integration matrix
-/// (with its derived per-pair price keys), cached participation weight.
+/// What every market stamped from one [`MarketTemplate`] shares.
+struct Shared {
+    config: MarketConfig,
+    dsps: Vec<DspProfile>,
+    /// Cached `Σ participation` over the roster.
+    total_weight: f64,
+    integrations: IntegrationMatrix,
+    metrics: MarketMetrics,
+}
+
+/// The shard-invariant market structure: configuration, DSP roster,
+/// cached participation weight, integration matrix (with its derived
+/// per-pair price keys) and the resolved `auction.market.*` handles.
 ///
 /// Building this is the expensive part of standing up a market — the
 /// matrix derives two HMAC-SHA256 keys per (exchange, DSP) pair, which
 /// at the default 17 × 60 roster costs milliseconds. It is also a pure
 /// function of `config`, identical for every shard. The parallel world
 /// builders therefore build one template per run and stamp per-shard
-/// markets out of it with [`MarketTemplate::shard`]: a clone of the
-/// shared structure (a memcpy of already-derived keys) plus the shard's
-/// own randomness streams, id namespaces and scratch.
+/// markets out of it with [`MarketTemplate::shard`]: every shard shares
+/// the structure behind one `Arc` and owns only its randomness streams,
+/// id namespaces and scratch.
 #[derive(Clone)]
 pub struct MarketTemplate {
-    config: MarketConfig,
-    dsps: Vec<DspProfile>,
-    total_weight: f64,
-    integrations: IntegrationMatrix,
+    shared: Arc<Shared>,
 }
 
 impl MarketTemplate {
@@ -129,10 +138,13 @@ impl MarketTemplate {
         );
         let total_weight = dsps.iter().map(|d| d.participation).sum();
         MarketTemplate {
-            config,
-            dsps,
-            total_weight,
-            integrations,
+            shared: Arc::new(Shared {
+                config,
+                dsps,
+                total_weight,
+                integrations,
+                metrics: MarketMetrics::resolve(),
+            }),
         }
     }
 
@@ -142,7 +154,7 @@ impl MarketTemplate {
     /// derive from `(config.seed, shard)`, and auction/impression ids
     /// live in a per-shard namespace so merged streams never collide.
     pub fn shard(&self, shard: u64) -> Market {
-        let config = self.config.clone();
+        let config = &self.shared.config;
         let mix = if shard == 0 {
             0
         } else {
@@ -155,15 +167,11 @@ impl MarketTemplate {
         );
         let rng = StdRng::seed_from_u64(config.seed ^ 0x3A2B_0000_0000_0003 ^ mix);
         Market {
-            config,
-            dsps: self.dsps.clone(),
-            total_weight: self.total_weight,
+            shared: Arc::clone(&self.shared),
             dmp,
-            integrations: self.integrations.clone(),
             rng,
             next_auction: shard << 32,
             next_impression: shard << 32,
-            metrics: MarketMetrics::resolve(),
             // yav-lint: allow(alloc-in-gen-path) — per-shard bid scratch, reused across auctions
             participants: Vec::with_capacity(16),
             // yav-lint: allow(alloc-in-gen-path) — per-shard bid scratch, reused across auctions
@@ -174,16 +182,11 @@ impl MarketTemplate {
 
 /// The deterministic RTB market.
 pub struct Market {
-    config: MarketConfig,
-    dsps: Vec<DspProfile>,
-    /// Cached `Σ participation` over the roster — invariant per market.
-    total_weight: f64,
+    shared: Arc<Shared>,
     dmp: Dmp,
-    integrations: IntegrationMatrix,
     rng: StdRng,
     next_auction: u64,
     next_impression: u64,
-    metrics: MarketMetrics,
     /// Scratch for the turnout draw, reused across auctions.
     participants: Vec<usize>,
     /// Scratch for the collected bids, reused across auctions.
@@ -211,7 +214,7 @@ impl Market {
 
     /// The valuation model in force.
     pub fn valuation(&self) -> &ValuationModel {
-        &self.config.valuation
+        &self.shared.config.valuation
     }
 
     /// The DMP (market-side user knowledge).
@@ -221,7 +224,7 @@ impl Market {
 
     /// Fraction of integrations reporting encrypted at `time` (Figure 2).
     pub fn encrypted_pair_share(&self, time: yav_types::SimTime) -> f64 {
-        self.integrations.encrypted_pair_share(time)
+        self.shared.integrations.encrypted_pair_share(time)
     }
 
     /// Runs one auction and renders its notification URL into
@@ -263,10 +266,17 @@ impl Market {
     /// Everything up to (and including) price encoding: bid solicitation,
     /// Vickrey resolution, id assignment and telemetry.
     fn resolve_core(&mut self, req: &AdRequest, probe: Option<&ProbeBid>) -> Option<ResolvedCore> {
-        let _t = self.metrics.time_us.time_us();
-        self.metrics.runs.inc();
+        let Shared {
+            config,
+            dsps,
+            total_weight,
+            integrations,
+            metrics,
+        } = &*self.shared;
+        let _t = metrics.time_us.time_us();
+        metrics.runs.inc();
         let user_value = self.dmp.user_value(req.user).factor;
-        let mu_base = self.config.valuation.mu(req, user_value);
+        let mu_base = config.valuation.mu(req, user_value);
 
         // Which DSPs show up: a stable-sized panel of bidders drawn
         // without replacement, weighted by each profile's participation
@@ -279,23 +289,23 @@ impl Market {
         // organic bid and the impression would book against the campaign
         // at a charge above its max-bid safeguard.
         let excluded = probe.map(|p| p.dsp);
-        let eligible = self.dsps.len() - usize::from(excluded.is_some());
+        let eligible = dsps.len() - usize::from(excluded.is_some());
         let turnout = {
             let jitter = (self.rng.gen_range(0..3) as i64 - 1).max(-1);
-            ((self.config.mean_bidders.round() as i64 + jitter).max(2) as usize).min(eligible)
+            ((config.mean_bidders.round() as i64 + jitter).max(2) as usize).min(eligible)
         };
         self.participants.clear();
         while self.participants.len() < turnout {
-            let mut x = self.rng.gen::<f64>() * self.total_weight;
+            let mut x = self.rng.gen::<f64>() * total_weight;
             let mut pick = 0usize;
-            for (i, d) in self.dsps.iter().enumerate() {
+            for (i, d) in dsps.iter().enumerate() {
                 x -= d.participation;
                 if x <= 0.0 {
                     pick = i;
                     break;
                 }
             }
-            if Some(self.dsps[pick].id) == excluded {
+            if Some(dsps[pick].id) == excluded {
                 continue;
             }
             if !self.participants.contains(&pick) {
@@ -305,7 +315,7 @@ impl Market {
 
         self.bids.clear();
         for &pi in &self.participants {
-            let dsp = &self.dsps[pi];
+            let dsp = &dsps[pi];
             // The confidential-channel premium (§2.3's explanation for
             // dearer encrypted prices). It is an *exchange-level*
             // phenomenon: encrypted-house exchanges host the high-value
@@ -316,10 +326,9 @@ impl Market {
             // cleartext exchange is hiding its strategy, not outbidding
             // the room: it gets only a small edge.
             let premium = if req.adx.house_style() == PriceVisibility::Encrypted {
-                self.config.valuation.encrypted_factor(true).ln()
+                config.valuation.encrypted_factor(true).ln()
             } else {
-                let migrated = self
-                    .integrations
+                let migrated = integrations
                     .get(req.adx, dsp.id)
                     .map(|i| i.visibility(req.time) == PriceVisibility::Encrypted)
                     .unwrap_or(false);
@@ -330,7 +339,7 @@ impl Market {
                 }
             };
             let mu = mu_base + dsp.mu_offset + dsp.match_premium * req.interest_match + premium;
-            let sigma = self.config.valuation.sigma(req);
+            let sigma = config.valuation.sigma(req);
             let bid = (mu + sigma * standard_normal(&mut self.rng)).exp();
             self.bids.push((dsp.id, Cpm::from_f64(bid)));
         }
@@ -346,17 +355,13 @@ impl Market {
             // exchanges need competition or a deal floor; probing
             // campaigns however buy remnant inventory at the floor.
             if probe.is_none() {
-                self.metrics.no_sale.inc();
+                metrics.no_sale.inc();
                 return None;
             }
         }
         let (winner, winner_bid) = self.bids[0];
-        let second = self
-            .bids
-            .get(1)
-            .map(|&(_, b)| b)
-            .unwrap_or(self.config.floor);
-        let charge = second.max(self.config.floor);
+        let second = self.bids.get(1).map(|&(_, b)| b).unwrap_or(config.floor);
+        let charge = second.max(config.floor);
 
         let auction = AuctionId(self.next_auction);
         let impression = ImpressionId(self.next_impression);
@@ -366,17 +371,16 @@ impl Market {
         let campaign = probe.filter(|p| p.dsp == winner).map(|p| p.campaign);
         let latency_ms = self.rng.gen_range(40..220);
 
-        let integration = self
-            .integrations
-            .get_mut(req.adx, winner)
+        let integration = integrations
+            .get(req.adx, winner)
             .expect("winner always has an integration on its exchange");
         let visibility = integration.visibility(req.time);
-        self.metrics.charge_cpm[req.adx.index()].observe(charge.as_f64());
+        metrics.charge_cpm[req.adx.index()].observe(charge.as_f64());
         match visibility {
-            PriceVisibility::Encrypted => self.metrics.sold_encrypted.inc(),
-            PriceVisibility::Cleartext => self.metrics.sold_cleartext.inc(),
+            PriceVisibility::Encrypted => metrics.sold_encrypted.inc(),
+            PriceVisibility::Cleartext => metrics.sold_cleartext.inc(),
         }
-        let price = integration.encode_price(charge, req.time);
+        let price = integration.encode_price(charge, req.time, impression);
 
         Some(ResolvedCore {
             sale: Sale {
@@ -664,6 +668,66 @@ mod tests {
         );
         assert_eq!(ids(m7).0 >> 32, 7, "shard id namespace");
         assert_eq!(ids(m0).0 >> 32, 0);
+    }
+
+    #[test]
+    fn stamped_shards_never_reuse_an_iv() {
+        // Every shard shares the template's integrations and keys, so an
+        // IV must never repeat across shards either: it carries the
+        // impression id, whose namespace is the shard.
+        let t = SimTime::from_ymd_hm(2015, 4, 4, 16, 0);
+        let template = MarketTemplate::new(MarketConfig::default());
+        let mut buf = String::new();
+        let mut ivs = std::collections::HashSet::new();
+        for s in 0..8 {
+            let mut m = template.shard(s);
+            for i in 0..40usize {
+                let adx = Adx::ENCRYPTED_TARGETS[i % Adx::ENCRYPTED_TARGETS.len()];
+                let mut req = request(adx, t.plus_minutes(i as i64));
+                req.user = UserId(i as u32 % 7);
+                if m.run_auction(&req, None, &mut buf).is_some() {
+                    let price = parse(&buf).price;
+                    let token = price.encrypted().expect("an encrypted house");
+                    assert!(ivs.insert(token.iv().to_vec()), "IV repeated on shard {s}");
+                }
+            }
+        }
+        assert!(ivs.len() > 300, "{} encrypted sales", ivs.len());
+    }
+
+    #[test]
+    fn interleaved_stamps_match_markets_built_alone() {
+        // Shards stamped from one template share its structure; running
+        // them interleaved must render exactly what each renders alone.
+        let t = SimTime::from_ymd_hm(2015, 9, 1, 8, 0);
+        let req = |i: usize| {
+            let mut req = request(Adx::from_index(i % 17), t.plus_minutes(i as i64 * 5));
+            req.user = UserId(i as u32 % 11);
+            req
+        };
+        let alone = |s: u64| {
+            let mut m = Market::new_shard(MarketConfig::default(), s);
+            let mut buf = String::new();
+            (0..120)
+                .map(|i| {
+                    m.run_auction(&req(i), None, &mut buf);
+                    buf.clone()
+                })
+                .collect::<Vec<_>>()
+        };
+        let template = MarketTemplate::new(MarketConfig::default());
+        let (mut m3, mut m7) = (template.shard(3), template.shard(7));
+        let (mut b3, mut b7) = (Vec::new(), Vec::new());
+        let mut buf = String::new();
+        for i in 0..120 {
+            m3.run_auction(&req(i), None, &mut buf);
+            b3.push(buf.clone());
+            m7.run_auction(&req(i), None, &mut buf);
+            b7.push(buf.clone());
+        }
+        assert!(b3.iter().any(|u| parse(u).price.encrypted().is_some()));
+        assert_eq!(b3, alone(3));
+        assert_eq!(b7, alone(7));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! resolution, staging-slot high-water growth, first-sight aggregate
 //! keys) may allocate, but per-*event* work must not.
 //!
-//! Three measurements, one per pipeline stage:
+//! Three measurements, one per pipeline stage, then one of shard setup:
 //!
 //! 1. **Generator + market** — the same warmed market is run over a
 //!    16-user slice and over the full 48-user panel. Users draw from
@@ -30,6 +30,9 @@
 //!    replay gains an encrypted rich-metadata notification that echoes
 //!    `pub_name`; the model does not read the publisher, so the
 //!    estimator context never copies it.)
+//! 4. **Market stamp** — [`MarketTemplate::shard`] shares the template's
+//!    roster, integration matrix and metric handles, so stamping a shard
+//!    requests under 1 KiB (its bid scratch) at 60 and at 240 DSPs.
 //!
 //! This file deliberately holds a single `#[test]` with a thread-local
 //! counter, for the reasons documented in `no_alloc.rs` (the harness's
@@ -41,7 +44,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use yav_analyzer::{Retention, WeblogAnalyzer};
-use yav_auction::{Market, MarketConfig};
+use yav_auction::{Market, MarketConfig, MarketTemplate};
 use yav_campaign::Campaign;
 use yav_core::TenantStore;
 use yav_crypto::{PriceCrypter, PriceKeys};
@@ -51,18 +54,25 @@ use yav_types::{Adx, AuctionId, DspId, ImpressionId};
 use yav_weblog::{HttpRequest, Panel, PublisherUniverse, WeblogConfig, WeblogGenerator};
 
 /// Counts every allocation and reallocation made by the current
-/// thread, then delegates to the system allocator.
+/// thread, and the bytes each requested, then delegates to the system
+/// allocator.
 struct CountingAlloc;
 
 thread_local! {
     // Const-initialized so the first access inside `alloc` itself never
     // allocates; `try_with` so TLS teardown can't recurse into a panic.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -71,7 +81,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -83,6 +93,12 @@ fn allocations(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.with(|c| c.get());
     f();
     ALLOCS.with(|c| c.get()) - before
+}
+
+fn bytes_requested(f: impl FnOnce()) -> u64 {
+    let before = BYTES.with(|c| c.get());
+    f();
+    BYTES.with(|c| c.get()) - before
 }
 
 const USERS: u32 = 48;
@@ -241,6 +257,23 @@ fn steady_state_window_loop_never_allocates_per_event() {
     let before = valued(&store);
     store.feed(Some(&model), &echoed);
     assert_eq!(valued(&store), before.map(|n| n + 1));
+
+    // --- Stage 4: market stamp --------------------------------------
+    // A stamp owns only its DMP, RNG, id namespaces and bid scratch;
+    // the roster and the 17 × n_dsps integrations stay in the template.
+    for n_dsps in [60, 240] {
+        let template = MarketTemplate::new(MarketConfig {
+            n_dsps,
+            ..MarketConfig::default()
+        });
+        let stamped = bytes_requested(|| {
+            std::hint::black_box(template.shard(5));
+        });
+        assert!(
+            stamped < 1024,
+            "MarketTemplate::shard requested {stamped} bytes at {n_dsps} DSPs"
+        );
+    }
 }
 
 /// `like`, carrying an encrypted notification from MoPub, whose house

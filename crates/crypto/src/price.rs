@@ -13,8 +13,8 @@
 //! * `sig = HMAC(integrity_key, price_bytes ‖ iv)[..4]`
 //! * the price plaintext is the charge price in **micro-CPM**, big-endian.
 //!
-//! The IV carries a timestamp + entropy in the real protocol; here it is
-//! drawn from the exchange's deterministic RNG so each impression gets a
+//! The IV carries a timestamp + entropy in the real protocol; here the
+//! simulator builds it from the impression id so each impression gets a
 //! unique pad. Without both keys the token is indistinguishable from
 //! random bytes — exactly the property that forces the paper's estimation
 //! approach. Tokens are shipped in nURLs as unpadded URL-safe base64
@@ -199,27 +199,12 @@ impl EncryptedPrice {
 /// Caches the two keys' HMAC midstates, so each encrypt/decrypt
 /// costs four SHA-256 compressions instead of eight. The midstates are
 /// computed on first use, not at construction: the market builds a
-/// crypter per (exchange, buyer) integration on every shard, and most
-/// integrations never seal a price — paying four compressions up front
-/// per crypter measurably slowed whole-world builds.
+/// crypter per (exchange, buyer) integration once per market template,
+/// and most integrations never seal a price.
 #[derive(Debug)]
 pub struct PriceCrypter {
     keys: PriceKeys,
     mids: std::sync::OnceLock<(HmacKey, HmacKey)>,
-}
-
-impl Clone for PriceCrypter {
-    fn clone(&self) -> PriceCrypter {
-        PriceCrypter {
-            keys: self.keys.clone(),
-            // Carry already-computed midstates over; a clone of an unused
-            // crypter stays lazy.
-            mids: match self.mids.get() {
-                Some(m) => std::sync::OnceLock::from(m.clone()),
-                None => std::sync::OnceLock::new(),
-            },
-        }
-    }
 }
 
 impl PriceCrypter {
@@ -244,7 +229,7 @@ impl PriceCrypter {
 
     /// Encrypts a price (micro-CPM) under a caller-supplied IV. The IV must
     /// be unique per impression; the simulator derives it from the
-    /// impression id plus exchange entropy.
+    /// impression id plus the pair's DSP id and exchange index.
     pub fn encrypt(&self, micro_cpm: u64, iv: [u8; IV_LEN]) -> EncryptedPrice {
         let price_bytes = micro_cpm.to_be_bytes();
         let pad = self.mids().0.mac(&iv);

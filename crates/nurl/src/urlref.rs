@@ -37,14 +37,19 @@ impl<'a> UrlRef<'a> {
     /// with `eq_ignore_ascii_case` or lowercase at the call site.
     pub fn parse(input: &'a str) -> Result<UrlRef<'a>, UrlParseError> {
         let (https, host, tail) = split_host(input)?;
-        // `tail` is empty or starts the path or a port, whose bytes up to
-        // the path are never checked.
-        let path_query = tail.find('/').map_or("/", |i| &tail[i..]);
+        // `tail` is empty or starts a port, the path, the query or the
+        // fragment. The authority (and so any port, whose bytes are never
+        // checked) ends at the first `/`, `?` or `#`.
+        let tb = tail.as_bytes();
+        let path_query = match tb.iter().position(|&b| matches!(b, b'/' | b'?' | b'#')) {
+            Some(i) => &tail[i..],
+            None => "",
+        };
 
-        // The path ends at the first `?` or `#`. A `#` there starts the
-        // fragment (never used, and it must not pollute the query), so
-        // any `?` after it is fragment text; a `?` starts the query,
-        // which runs to the next `#`.
+        // The path ends at the first `?` or `#`, and is `/` when empty. A
+        // `#` there starts the fragment (never used, and it must not
+        // pollute the query), so any `?` after it is fragment text; a `?`
+        // starts the query, which runs to the next `#`.
         let pq = path_query.as_bytes();
         let (path, query) = match pq.iter().position(|&b| b == b'?' || b == b'#') {
             Some(i) if pq[i] == b'?' => {
@@ -55,6 +60,7 @@ impl<'a> UrlRef<'a> {
             Some(i) => (&path_query[..i], ""),
             None => (path_query, ""),
         };
+        let path = if path.is_empty() { "/" } else { path };
 
         Ok(UrlRef {
             https,
@@ -160,8 +166,9 @@ impl<'a> Iterator for QueryIter<'a> {
 /// text after the host — the one authority rule [`UrlRef::parse`] and
 /// [`crate::screen_adx`] share. The host is the run of host bytes after
 /// the scheme. It must be non-empty and end the input or be followed by
-/// `/` (the path) or `:` (a port); any other byte ending it — whitespace,
-/// `@`, `?`, non-ASCII — makes the host invalid.
+/// `:` (a port) or by one of the bytes that end an RFC 3986 authority:
+/// `/` (the path), `?` (the query) or `#` (the fragment). Any other byte
+/// ending it — whitespace, `@`, non-ASCII — makes the host invalid.
 pub(crate) fn split_host(input: &str) -> Result<(bool, &str, &str), UrlParseError> {
     let (https, rest) = if let Some(r) = input.strip_prefix("https://") {
         (true, r)
@@ -176,7 +183,7 @@ pub(crate) fn split_host(input: &str) -> Result<(bool, &str, &str), UrlParseErro
         .position(|&b| !HOST_BYTE[b as usize])
         .unwrap_or(bytes.len());
     match bytes.get(host_len) {
-        None | Some(b'/' | b':') if host_len > 0 => {
+        None | Some(b'/' | b':' | b'?' | b'#') if host_len > 0 => {
             let (host, tail) = rest.split_at(host_len);
             Ok((https, host, tail))
         }
@@ -407,11 +414,26 @@ mod tests {
     }
 
     #[test]
+    fn authority_ends_at_path_query_or_fragment() {
+        let parts = |raw| {
+            let u = UrlRef::parse(raw).unwrap();
+            (u.host_raw(), u.path(), u.query_str())
+        };
+        assert_eq!(parts("http://h?q"), ("h", "/", "q"));
+        assert_eq!(parts("http://h#f"), ("h", "/", ""));
+        // A `/` inside the query or fragment is not the path.
+        assert_eq!(parts("http://h:80?a=/b"), ("h", "/", "a=/b"));
+        assert_eq!(parts("http://h:80#/x"), ("h", "/", ""));
+        assert_eq!(parts("http://h:80/p?a=/b"), ("h", "/p", "a=/b"));
+    }
+
+    #[test]
     fn host_charset_is_exactly_alnum_dot_dash_underscore() {
         use crate::url::Url;
         for c in (0u8..0x80).map(char::from) {
-            // `/` and `:` end the host, so they never reach the charset check.
-            if matches!(c, '/' | ':') {
+            // `/`, `:`, `?` and `#` end the host, so they never reach the
+            // charset check.
+            if matches!(c, '/' | ':' | '?' | '#') {
                 continue;
             }
             let raw = format!("http://a{c}z.example/");

@@ -167,11 +167,11 @@ fn check_template_parity(input: &str) {
     );
 }
 
-/// The structural grammar written with splits, as `UrlRef::parse` once
-/// was: the authority runs to the first `/`, the host to the first `:`
-/// and must be non-empty host bytes; the fragment is cut at the first
-/// `#`, then the query split off at the first `?`. Returns
-/// `(https, host, path, query)`.
+/// The structural grammar written with splits: the authority runs to the
+/// first `/`, `?` or `#` (RFC 3986), the host to the first `:` and must
+/// be non-empty host bytes; the fragment is cut at the first `#`, then
+/// the query split off at the first `?`, and an empty path is `/`.
+/// Returns `(https, host, path, query)`.
 fn split_parse(input: &str) -> Result<(bool, &str, &str, &str), UrlParseError> {
     let (https, rest) = if let Some(r) = input.strip_prefix("https://") {
         (true, r)
@@ -180,9 +180,9 @@ fn split_parse(input: &str) -> Result<(bool, &str, &str, &str), UrlParseError> {
     } else {
         return Err(UrlParseError::Scheme);
     };
-    let (authority, path_query) = match rest.find('/') {
+    let (authority, path_query) = match rest.find(['/', '?', '#']) {
         Some(i) => (&rest[..i], &rest[i..]),
-        None => (rest, "/"),
+        None => (rest, ""),
     };
     let host = authority.split(':').next().unwrap_or("");
     let host_byte = |b: u8| b.is_ascii_alphanumeric() || b == b'.' || b == b'-' || b == b'_';
@@ -197,10 +197,12 @@ fn split_parse(input: &str) -> Result<(bool, &str, &str, &str), UrlParseError> {
         Some(i) => (&path_query[..i], &path_query[i + 1..]),
         None => (path_query, ""),
     };
+    let path = if path.is_empty() { "/" } else { path };
     Ok((https, host, path, query))
 }
 
-/// `screen_adx` written with `Split` iterators, as it once was.
+/// `screen_adx` written with `Split` iterators: the authority runs to the
+/// first `/`, `?` or `#`, the host to the first `:`.
 fn split_screen(raw: &str) -> Result<Adx, FastReject> {
     let rest = if let Some(r) = raw.strip_prefix("https://") {
         r
@@ -209,7 +211,7 @@ fn split_screen(raw: &str) -> Result<Adx, FastReject> {
     } else {
         return Err(FastReject::Scheme);
     };
-    let authority = rest.split('/').next().unwrap_or(rest);
+    let authority = rest.split(['/', '?', '#']).next().unwrap_or(rest);
     let host = authority.split(':').next().unwrap_or("");
     exchange_host(host).ok_or(FastReject::Host)
 }
@@ -317,6 +319,10 @@ fn authority_and_fragment_edges_agree() {
             "::1/imp?charge_price=0.5",
             ":80#frag",
             ":80?charge_price=0.5",
+            // A `/` after the authority's end is query or fragment text,
+            // not the path.
+            ":80?charge_price=0.5&a=/imp",
+            ":80#/imp?charge_price=0.5",
             // `#` before `?`: the query is fragment text.
             "/imp#frag?charge_price=0.5",
             "#?charge_price=0.5",
