@@ -410,16 +410,6 @@ impl WeblogAnalyzer {
         (self.report, self.global)
     }
 
-    /// Read access to a user's evolving state (for tests and tools).
-    pub fn user_state(&self, user: UserId) -> Option<&UserState> {
-        self.users.get(&user)
-    }
-
-    /// Read access to the global state.
-    pub fn global_state(&self) -> &GlobalState {
-        &self.global
-    }
-
     /// The feature schema the analyzer emits.
     pub fn schema(&self) -> &'static FeatureSchema {
         FeatureSchema::get()

@@ -198,7 +198,9 @@ fn health_report_surfaces_ingest_latency_and_drop_flags() {
                 yav_types::ImpressionId(i),
                 yav_types::AuctionId(i + 1_000),
             );
-            yav_nurl::emit(&fields).to_string()
+            let mut url = String::new();
+            yav_nurl::render_into(&fields.as_ref_fields(), &mut url);
+            url
         };
         batch.push(yav_weblog::HttpRequest::bare(t, &url));
     }

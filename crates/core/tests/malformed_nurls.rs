@@ -36,7 +36,9 @@ fn valid_emissions() -> Vec<String> {
                 ImpressionId(i as u64),
                 AuctionId(i as u64 + 1000),
             );
-            out.push(yav_nurl::emit(&fields).to_string());
+            let mut url = String::new();
+            yav_nurl::render_into(&fields.as_ref_fields(), &mut url);
+            out.push(url);
         }
     }
     out

@@ -48,7 +48,7 @@ use yav_auction::{Market, MarketConfig, MarketTemplate};
 use yav_campaign::Campaign;
 use yav_core::TenantStore;
 use yav_crypto::{PriceCrypter, PriceKeys};
-use yav_nurl::{NurlFields, PricePayload, Url};
+use yav_nurl::{NurlFields, PricePayload, UrlRef, UrlScratch};
 use yav_pme::{ClientModel, Pme, TrainConfig};
 use yav_types::{Adx, AuctionId, DspId, ImpressionId};
 use yav_weblog::{HttpRequest, Panel, PublisherUniverse, WeblogConfig, WeblogGenerator};
@@ -120,8 +120,10 @@ fn trained_model() -> ClientModel {
 
 /// The price a request notifies, if it is a well-formed notification.
 fn notified_price(req: &HttpRequest) -> Option<PricePayload> {
-    let url = Url::parse(&req.url).ok()?;
-    yav_nurl::template::parse(&url)
+    let adx = yav_nurl::screen_adx(&req.url).ok()?;
+    let url = UrlRef::parse(&req.url).ok()?;
+    let mut scratch = UrlScratch::new();
+    yav_nurl::parse_borrowed_screened(adx, &url, &mut scratch)
         .ok()
         .flatten()
         .map(|f| f.price)
@@ -288,7 +290,8 @@ fn echoed_publisher(like: &HttpRequest) -> HttpRequest {
         AuctionId(2),
     );
     fields.publisher = Some("elpais.com".to_owned());
-    let url = yav_nurl::emit(&fields).to_string();
+    let mut url = String::new();
+    yav_nurl::render_into(&fields.as_ref_fields(), &mut url);
     assert!(url.contains("pub_name="), "{url}");
     HttpRequest {
         url,

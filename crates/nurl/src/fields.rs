@@ -1,6 +1,5 @@
 //! The typed payload of a winning-price notification.
 
-use serde::{Deserialize, Serialize};
 use yav_crypto::EncryptedPrice;
 use yav_types::{AdSlotSize, Adx, AuctionId, CampaignId, Cpm, DspId, ImpressionId};
 
@@ -173,18 +172,6 @@ impl NurlFields {
             ad_domain: self.ad_domain.as_deref(),
         }
     }
-}
-
-/// Observer-side record of one detected charge price: what YourAdValue and
-/// the weblog analyzer store per notification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PriceObservation {
-    /// The exchange the notification came from.
-    pub adx: Adx,
-    /// The readable price if cleartext; `None` for encrypted.
-    pub cleartext: Option<Cpm>,
-    /// The opaque token's wire form if encrypted; `None` for cleartext.
-    pub encrypted_wire: Option<String>,
 }
 
 #[cfg(test)]

@@ -12,8 +12,7 @@
 //! rule enforces it token by token), while the scratch owns the only
 //! buffers in the borrowed pipeline.
 
-use crate::url::UrlParseError;
-use crate::urlref::{decode_byte_at, QueryIter, UrlRef};
+use crate::urlref::{decode_byte_at, QueryIter, UrlParseError, UrlRef};
 
 /// Reusable decode storage: decoded component bytes plus `(key, value)`
 /// span bounds per pair. Hold one per ingestion loop and feed it every
@@ -33,9 +32,11 @@ impl UrlScratch {
 
     /// Percent-decodes every query pair of `url` into this scratch,
     /// replacing its previous contents, and returns a view over the
-    /// decoded pairs. Errors are byte-for-byte what the owned
-    /// `Url::parse` reports for the same input: pairs decode in order,
-    /// key before value, and the first failure wins.
+    /// decoded pairs. Pairs decode in order, key before value, and the
+    /// first failure wins: a bad escape reports its raw position in the
+    /// component, invalid UTF-8 the decoded position where the invalid
+    /// sequence starts. [`UrlRef::validate_query`] reports the same
+    /// error without decoding.
     pub fn decode<'s, 'a: 's>(
         &'s mut self,
         url: &UrlRef<'a>,
@@ -79,7 +80,7 @@ impl UrlScratch {
 
 /// Decodes one component onto the end of `buf`, returning its span.
 /// UTF-8 is validated per component so error positions are relative to
-/// the component's decoded bytes — exactly `percent_decode`'s contract.
+/// the component's decoded bytes.
 fn decode_component(raw: &str, buf: &mut Vec<u8>) -> Result<(u32, u32), UrlParseError> {
     let start = buf.len();
     let bytes = raw.as_bytes();
@@ -155,8 +156,7 @@ impl<'s> DecodedPairs<'s> {
         }
     }
 
-    /// First value for `key` — the decoded-pairs analogue of
-    /// `Url::query`.
+    /// First value for `key`.
     pub fn get(&self, key: &str) -> Option<&'s str> {
         self.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
     }
@@ -202,7 +202,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn decodes_like_the_owned_parser() {
+    fn decodes_escapes_plus_and_bare_keys() {
         let raw = "http://t.co/n?cb=http%3A%2F%2Fbeacon.example%2Ft&q=a+b&flag&k=";
         let url = UrlRef::parse(raw).unwrap();
         let mut scratch = UrlScratch::new();
@@ -219,16 +219,23 @@ mod tests {
     }
 
     #[test]
-    fn errors_match_percent_decode() {
+    fn errors_carry_component_positions() {
+        // A bad escape reports its raw offset in the component, invalid
+        // UTF-8 the decoded offset where the bad sequence starts, and the
+        // key fails before its value. `tests/parity.rs` checks the same
+        // against an independent decoder on every corpus input.
         let mut scratch = UrlScratch::new();
-        for (q, raw_component) in [("a=%zz", "%zz"), ("a=%f", "%f"), ("a=%80", "%80")] {
+        for (q, want) in [
+            ("a=o+k%zz", 3),
+            ("a=ok%f", 2),
+            ("a=%41%80", 1),
+            ("%zz=%80", 0),
+        ] {
             let input = format!("http://x.com/?{q}");
             let url = UrlRef::parse(&input).unwrap();
             let got = scratch.decode(&url).map(|_| ()).unwrap_err();
-            let want = crate::url::percent_decode(raw_component)
-                .map(|_| ())
-                .unwrap_err();
-            assert_eq!(got, want, "{q}");
+            assert_eq!(got, UrlParseError::Escape(want), "{q}");
+            assert_eq!(url.validate_query(), Err(got), "{q}");
         }
     }
 

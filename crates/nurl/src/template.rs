@@ -5,9 +5,9 @@
 //! formats below are modelled after the Table-1 examples and the public
 //! RTB macro documentation the paper's analyzer was built from — MoPub's
 //! verbose cleartext `imp` beacon, MathTag's hex-token `notify/js`,
-//! DoubleClick's base64 `price=` and so on. `emit` and `parse` are exact
-//! inverses on the typed payload, which the round-trip property tests pin
-//! down.
+//! DoubleClick's base64 `price=` and so on. [`render_into`] and
+//! [`parse_borrowed_screened`] are exact inverses on the typed payload,
+//! which the round-trip property tests pin down.
 //!
 //! One documented deviation from the real wire: every encrypted exchange
 //! here carries the full 28-byte token of [`yav_crypto::price`] (hex or
@@ -15,17 +15,17 @@
 //! shorter opaque blobs. The *observable property* — an opaque,
 //! undecryptable price field — is identical.
 
-use crate::fields::{NurlFields, NurlFieldsRef, PricePayload};
+use crate::fields::{NurlFieldsRef, PricePayload};
 use crate::scratch::{DecodedPairs, UrlScratch};
-use crate::url::{Url, UrlParseError};
-use crate::urlref::UrlRef;
+use crate::urlref::{UrlParseError, UrlRef};
 use std::fmt;
 use std::fmt::Write as _;
-use yav_crypto::{hex_encode, EncryptedPrice};
+use yav_crypto::EncryptedPrice;
 use yav_types::{AdSlotSize, Adx, AuctionId, CampaignId, Cpm, DspId, ImpressionId};
 
-/// Errors from [`parse`]: the URL *looked like* a notification from a known
-/// exchange but its payload was malformed.
+/// Payload errors of [`parse_borrowed_screened`] (its
+/// [`NurlRefError::Payload`]): the URL *looked like* a notification from a
+/// known exchange but its payload was malformed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NurlParseError {
     /// The price parameter was missing entirely.
@@ -52,12 +52,10 @@ impl fmt::Display for NurlParseError {
 impl std::error::Error for NurlParseError {}
 
 /// Errors from [`parse_borrowed_screened`]: either the deferred
-/// percent-decoding failed (what `Url::parse` would have rejected up
-/// front) or the notification payload was malformed.
+/// percent-decoding failed or the notification payload was malformed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NurlRefError {
-    /// A query component failed percent-decoding — the borrowed
-    /// pipeline's equivalent of an owned-parse failure.
+    /// A query component failed percent-decoding.
     Url(UrlParseError),
     /// Decoded fine, but the notification payload was malformed.
     Payload(NurlParseError),
@@ -248,86 +246,24 @@ fn template_for(adx: Adx) -> &'static Template {
     t
 }
 
-/// Every (exchange, price-parameter) pair — the macro list the detector is
-/// seeded with.
-pub fn price_macros() -> impl Iterator<Item = (Adx, &'static str)> {
-    TEMPLATES.iter().map(|t| (t.adx, t.price_param))
-}
-
 /// The price query parameter an exchange's notifications carry.
 pub fn price_param(adx: Adx) -> &'static str {
     template_for(adx).price_param
 }
 
-/// The notification path for an exchange (used by tests and the detector).
-pub fn notification_path(adx: Adx) -> &'static str {
-    template_for(adx).path
-}
-
-/// Emits the notification URL for a typed payload, in the exchange's house
-/// format. Whether the price rides cleartext or encrypted is decided by
-/// the payload, not the template — real integrations occasionally deviate
-/// from their house style and the parser must cope, so the emitter can
-/// produce both.
-pub fn emit(fields: &NurlFields) -> Url {
-    let t = template_for(fields.adx);
-    let mut b = Url::build(false, fields.adx.domain(), t.path);
-
-    // Identifier block first, like real beacons.
-    b = b
-        .param("imp", &fields.impression.wire())
-        .param("auc", &fields.auction.wire())
-        .param("bidder", &fields.dsp.domain());
-
-    if let Some(c) = fields.campaign {
-        b = b.param("cmpid", &c.wire());
-    }
-
-    // Price, in house encoding.
-    b = match &fields.price {
-        PricePayload::Cleartext(p) => b.param(t.price_param, &p.to_string()),
-        PricePayload::Encrypted(token) => {
-            let encoded = match t.token.unwrap_or(TokenCodec::Base64) {
-                TokenCodec::Base64 => token.to_wire(),
-                TokenCodec::Hex => hex_encode(token.as_bytes()).to_ascii_uppercase(),
-            };
-            b.param(t.price_param, &encoded)
-        }
-    };
-
-    if let (Some(bid_param), Some(bid)) = (t.bid_param, fields.bid_price) {
-        b = b.param(bid_param, &bid.to_string());
-    }
-
-    if t.rich_metadata {
-        if let Some(slot) = fields.slot {
-            b = b.param("size", &slot.wire());
-        }
-        b = b
-            .opt_param("pub_name", fields.publisher.as_deref())
-            .opt_param("country", fields.country.as_deref())
-            .opt_param("ad_domain", fields.ad_domain.as_deref());
-        if let Some(lat) = fields.latency_ms {
-            b = b.param("latency", &format!("{:.3}", lat as f64 / 1000.0));
-        }
-        b = b.param("currency", "USD");
-    }
-
-    b.finish()
-}
-
-/// Renders the notification URL for a borrowed payload straight into a
-/// caller-owned buffer — byte-identical to `emit(&f.to_owned_fields())
-/// .to_string()` (pinned by `render_into_matches_emit`) with zero heap
-/// allocations beyond growth of `out` itself. This is the generator hot
-/// path's emitter: every id, token and price has a `fmt::Write`-style
-/// writer, so the whole URL is assembled by appending into `out`.
+/// Renders the notification URL for a payload in the exchange's house
+/// format into a caller-owned buffer, with zero heap allocations beyond
+/// growth of `out` itself. The payload, not the template, decides
+/// whether the price rides cleartext or encrypted: real integrations
+/// deviate from their house style, and the parser must cope. Every id,
+/// token and price has a `fmt::Write`-style writer, so the whole URL is
+/// assembled by appending into `out`; the test oracle
+/// (`render_into_matches_emit`) builds it from a pair list instead.
 ///
 /// Fixed-format values (hex wire ids, dsp/adx domains, decimal CPMs,
 /// base64url/hex price tokens, `WxH` slot sizes, `latency` seconds and
 /// `USD`) consist solely of RFC-3986 unreserved bytes, so they are
-/// written raw; the free-form metadata strings go through the same
-/// percent-encoder the owned [`Url`] display uses.
+/// written raw; the free-form metadata strings are percent-encoded.
 pub fn render_into(fields: &NurlFieldsRef<'_>, out: &mut String) {
     let t = template_for(fields.adx);
     out.clear();
@@ -376,15 +312,15 @@ pub fn render_into(fields: &NurlFieldsRef<'_>, out: &mut String) {
         }
         if let Some(p) = fields.publisher {
             out.push_str("&pub_name=");
-            crate::url::percent_encode_into(p, out);
+            percent_encode_into(p, out);
         }
         if let Some(c) = fields.country {
             out.push_str("&country=");
-            crate::url::percent_encode_into(c, out);
+            percent_encode_into(c, out);
         }
         if let Some(d) = fields.ad_domain {
             out.push_str("&ad_domain=");
-            crate::url::percent_encode_into(d, out);
+            percent_encode_into(d, out);
         }
         if let Some(lat) = fields.latency_ms {
             // `lat/1000.0` rendered to three decimals is exactly the
@@ -396,41 +332,40 @@ pub fn render_into(fields: &NurlFieldsRef<'_>, out: &mut String) {
     }
 }
 
-/// Attempts to parse a URL as a winning-price notification — the owned
-/// wrapper over the field extraction [`parse_borrowed_screened`] runs,
-/// kept for callers that hold a [`Url`] and as the reference the parity
-/// suite checks the borrowed parse against.
-///
-/// * `Ok(None)` — not a notification URL (unknown host or path): ordinary
-///   traffic.
-/// * `Ok(Some(fields))` — a well-formed notification.
-/// * `Err(_)` — hosted on a known exchange's notification endpoint but the
-///   payload is malformed; the analyzer counts these separately.
-pub fn parse(url: &Url) -> Result<Option<NurlFields>, NurlParseError> {
-    let result = match Adx::from_domain(url.host()) {
-        Some(adx) if url.path() == template_for(adx).path => {
-            fields_ref_from_query(adx, url).map(|f| Some(f.to_owned_fields()))
+/// Appends a query component to `out`, percent-encoded: RFC 3986
+/// unreserved bytes pass through, every other byte becomes `%XX`.
+fn percent_encode_into(s: &str, out: &mut String) {
+    // Indexing with a nibble (0–15) cannot go out of bounds.
+    const HEX_UPPER: &[u8; 16] = b"0123456789ABCDEF";
+    for &b in s.as_bytes() {
+        if b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.' | b'~') {
+            out.push(b as char);
+        } else {
+            out.push('%');
+            out.push(HEX_UPPER[(b >> 4) as usize] as char);
+            out.push(HEX_UPPER[(b & 0xf) as usize] as char);
         }
-        _ => Ok(None),
-    };
-    count(&result);
-    result
+    }
 }
 
 /// Parses a borrowed URL whose host already matched `adx` — via
 /// [`crate::detect::screen_adx`] on the raw string or
 /// [`crate::detect::exchange_host`] on the parsed host — as a
-/// winning-price notification. This is the one parse the analyzer and
-/// the monitor run. Result semantics and `nurl.template.*` accounting
-/// match [`parse`]; the host is not re-checked here.
+/// winning-price notification. This is the one notification parse: the
+/// analyzer, the monitor and the tenant store all run it. The host is
+/// not re-checked here.
 ///
+/// * `Ok(None)` — not a notification URL (wrong path): ordinary traffic.
+/// * `Ok(Some(fields))` — a well-formed notification.
+/// * `Err(_)` — on a known exchange's notification host but undecodable
+///   or with a malformed payload; the analyzer counts these separately.
+///
+/// Each call counts `nurl.template.urls_seen` plus one outcome counter.
 /// The query is decoded into `scratch` before the path check, so a
-/// notification-host URL with an undecodable query reports the same
-/// escape error the owned pipeline reports from `Url::parse`. The
-/// returned [`NurlFieldsRef`] borrows its free-form metadata from the
-/// scratch, so callers extract what they fold before the next decode;
-/// `to_owned_fields()` reproduces [`parse`]'s output exactly (pinned by
-/// `crates/nurl/tests/parity.rs`).
+/// notification-host URL with an undecodable query reports its escape
+/// error whatever its path. The returned [`NurlFieldsRef`] borrows its
+/// free-form metadata from the scratch, so callers extract what they
+/// fold before the next decode, or keep `to_owned_fields()`.
 pub fn parse_borrowed_screened<'s, 'a: 's>(
     adx: Adx,
     url: &UrlRef<'a>,
@@ -476,32 +411,6 @@ fn count<T, E>(result: &Result<Option<T>, E>) {
     }
 }
 
-/// The one query surface both pipelines share: in-order decoded pairs.
-/// Implemented by the owned [`Url`] and by scratch-decoded
-/// [`DecodedPairs`], so field extraction is a single function and the
-/// owned/borrowed parsers agree by construction. The lifetime is the
-/// pairs' own, which lets [`fields_ref_from_query`] hold values across
-/// the walk — one pass over the pairs instead of one scan per field.
-trait QueryLookup<'q> {
-    fn for_each_pair(&self, f: &mut dyn FnMut(&'q str, &'q str));
-}
-
-impl<'q> QueryLookup<'q> for &'q Url {
-    fn for_each_pair(&self, f: &mut dyn FnMut(&'q str, &'q str)) {
-        for (k, v) in self.query_pairs() {
-            f(k, v);
-        }
-    }
-}
-
-impl<'q> QueryLookup<'q> for &DecodedPairs<'q> {
-    fn for_each_pair(&self, f: &mut dyn FnMut(&'q str, &'q str)) {
-        for (k, v) in self.iter() {
-            f(k, v);
-        }
-    }
-}
-
 /// Extracts the typed payload as a [`NurlFieldsRef`] borrowing the query
 /// pairs' decoded text. A single walk over the pairs routes each key to
 /// its field slot, first value winning — observably identical to per-key
@@ -509,7 +418,7 @@ impl<'q> QueryLookup<'q> for &DecodedPairs<'q> {
 /// traffic.
 fn fields_ref_from_query<'q>(
     adx: Adx,
-    q: impl QueryLookup<'q>,
+    q: &DecodedPairs<'q>,
 ) -> Result<NurlFieldsRef<'q>, NurlParseError> {
     let t = template_for(adx);
     let mut raw_price = None;
@@ -523,7 +432,7 @@ fn fields_ref_from_query<'q>(
     let mut country = None;
     let mut latency = None;
     let mut ad_domain = None;
-    q.for_each_pair(&mut |k, v| {
+    for (k, v) in q.iter() {
         // Fixed vocabulary first; no template prices or bid params
         // collide with it (pinned by `vocabulary_is_collision_free`).
         let slot = match k {
@@ -538,12 +447,12 @@ fn fields_ref_from_query<'q>(
             "ad_domain" => &mut ad_domain,
             _ if k == t.price_param => &mut raw_price,
             _ if Some(k) == t.bid_param => &mut raw_bid,
-            _ => return,
+            _ => continue,
         };
         if slot.is_none() {
             *slot = Some(v);
         }
-    });
+    }
 
     let raw_price = raw_price.ok_or(NurlParseError::MissingPrice)?;
     let price = decode_price(t, raw_price)?;
@@ -624,17 +533,113 @@ fn splitmix64_inverse(mut z: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fields::NurlFields;
+    use crate::{screen_adx, FastReject};
     use proptest::prelude::*;
-    use yav_crypto::{PriceCrypter, PriceKeys};
+    use yav_crypto::{hex_encode, PriceCrypter, PriceKeys};
 
     fn sample_token(seed: u8) -> EncryptedPrice {
         PriceCrypter::new(PriceKeys::derive("test")).encrypt(1_234_000, [seed; 16])
     }
 
+    /// `render_into`'s oracle: it lists the query pairs, then
+    /// percent-encodes every key and value with its own encoder, so it
+    /// shares no code with `render_into`.
+    fn emit(fields: &NurlFields) -> String {
+        let t = template_for(fields.adx);
+        let mut pairs = vec![
+            ("imp", fields.impression.wire()),
+            ("auc", fields.auction.wire()),
+            ("bidder", fields.dsp.domain()),
+        ];
+        if let Some(c) = fields.campaign {
+            pairs.push(("cmpid", c.wire()));
+        }
+        let price = match &fields.price {
+            PricePayload::Cleartext(p) => p.to_string(),
+            PricePayload::Encrypted(token) => match t.token.unwrap_or(TokenCodec::Base64) {
+                TokenCodec::Base64 => token.to_wire(),
+                TokenCodec::Hex => hex_encode(token.as_bytes()).to_ascii_uppercase(),
+            },
+        };
+        pairs.push((t.price_param, price));
+        if let (Some(bid_param), Some(bid)) = (t.bid_param, fields.bid_price) {
+            pairs.push((bid_param, bid.to_string()));
+        }
+        if t.rich_metadata {
+            if let Some(slot) = fields.slot {
+                pairs.push(("size", slot.wire()));
+            }
+            for (key, value) in [
+                ("pub_name", &fields.publisher),
+                ("country", &fields.country),
+                ("ad_domain", &fields.ad_domain),
+            ] {
+                if let Some(v) = value {
+                    pairs.push((key, v.clone()));
+                }
+            }
+            if let Some(lat) = fields.latency_ms {
+                pairs.push(("latency", format!("{:.3}", lat as f64 / 1000.0)));
+            }
+            pairs.push(("currency", "USD".to_owned()));
+        }
+        let encode = |s: &str| -> String {
+            s.bytes()
+                .map(|b| match b {
+                    b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
+                        char::from(b).to_string()
+                    }
+                    _ => format!("%{b:02X}"),
+                })
+                .collect()
+        };
+        let query: Vec<String> = pairs
+            .iter()
+            .map(|(k, v)| format!("{}={}", encode(k), encode(v)))
+            .collect();
+        format!(
+            "http://{}{}?{}",
+            fields.adx.domain(),
+            t.path,
+            query.join("&")
+        )
+    }
+
+    fn render(fields: &NurlFields) -> String {
+        let mut out = String::new();
+        render_into(&fields.as_ref_fields(), &mut out);
+        out
+    }
+
+    /// Reads a URL back the way the monitor does — screen, structural
+    /// parse, notification parse — and keeps the owned payload.
+    fn reparse(raw: &str) -> Result<Option<NurlFields>, NurlRefError> {
+        let adx = screen_adx(raw).expect("an exchange notification host");
+        let url = UrlRef::parse(raw).expect("a well-formed URL");
+        parse_borrowed_screened(adx, &url, &mut UrlScratch::new())
+            .map(|f| f.map(|f| f.to_owned_fields()))
+    }
+
+    /// A notification from `adx` whose price parameter carries `value`.
+    fn with_price(adx: Adx, value: &str) -> String {
+        let t = template_for(adx);
+        let mut raw = format!(
+            "http://{}{}?imp={}&auc={}&bidder=mediamath.com&{}=",
+            adx.domain(),
+            t.path,
+            ImpressionId(1).wire(),
+            AuctionId(2).wire(),
+            t.price_param
+        );
+        percent_encode_into(value, &mut raw);
+        raw
+    }
+
     #[test]
     fn render_into_matches_emit() {
         // The allocation-free renderer must be byte-identical to the
-        // builder pipeline for every exchange, both price visibilities
+        // pair-list oracle for every exchange, both price visibilities
         // and both metadata shapes — it is what the hot path emits and
         // what the analyzer re-parses.
         let mut buf = String::new();
@@ -656,7 +661,7 @@ mod tests {
                     ),
                 ] {
                     render_into(&fields.as_ref_fields(), &mut buf);
-                    assert_eq!(buf, emit(&fields).to_string(), "{adx} {price:?}");
+                    assert_eq!(buf, emit(&fields), "{adx} {price:?}");
                     // The borrowed payload round-trips to the owned one.
                     assert_eq!(fields.as_ref_fields().to_owned_fields(), fields);
                 }
@@ -666,7 +671,7 @@ mod tests {
         let mut odd = rich_fields(Adx::MoPub, PricePayload::Cleartext(Cpm::ONE));
         odd.publisher = Some("el país/ñ".to_owned());
         render_into(&odd.as_ref_fields(), &mut buf);
-        assert_eq!(buf, emit(&odd).to_string());
+        assert_eq!(buf, emit(&odd));
         assert!(buf.contains("pub_name=el%20pa%C3%ADs%2F%C3%B1"));
         // High-roster dsp ids use the synthetic domain form.
         let far = NurlFields::minimal(
@@ -677,7 +682,7 @@ mod tests {
             AuctionId(2),
         );
         render_into(&far.as_ref_fields(), &mut buf);
-        assert_eq!(buf, emit(&far).to_string());
+        assert_eq!(buf, emit(&far));
     }
 
     #[test]
@@ -743,31 +748,31 @@ mod tests {
     #[test]
     fn mopub_cleartext_round_trip() {
         let fields = rich_fields(Adx::MoPub, PricePayload::Cleartext(Cpm::from_f64(0.95)));
-        let url = emit(&fields);
-        assert_eq!(url.host(), "cpp.imp.mpx.mopub.com");
-        assert_eq!(url.query("charge_price"), Some("0.95"));
-        assert_eq!(url.query("bid_price"), Some("0.99"));
-        assert_eq!(url.query("size"), Some("300x250"));
-        let parsed = parse(&url).unwrap().unwrap();
-        assert_eq!(parsed, fields);
+        let raw = render(&fields);
+        let url = UrlRef::parse(&raw).unwrap();
+        assert_eq!(url.host_raw(), "cpp.imp.mpx.mopub.com");
+        assert_eq!(url.query_raw("charge_price"), Some("0.95"));
+        assert_eq!(url.query_raw("bid_price"), Some("0.99"));
+        assert_eq!(url.query_raw("size"), Some("300x250"));
+        assert_eq!(reparse(&raw), Ok(Some(fields)));
     }
 
     #[test]
     fn doubleclick_encrypted_round_trip() {
         let token = sample_token(1);
         let mut fields = rich_fields(Adx::DoubleClick, PricePayload::Encrypted(token));
-        // DoubleClick's template is metadata-poor: emit drops the rich
-        // fields, so the parse result won't echo them back.
+        // DoubleClick's template is metadata-poor: rendering drops the
+        // rich fields, so the parse result won't echo them back.
         fields.bid_price = None;
         fields.slot = None;
         fields.publisher = None;
         fields.country = None;
         fields.latency_ms = None;
         fields.ad_domain = None;
-        let url = emit(&fields);
-        let raw = url.query("price").unwrap();
-        assert_eq!(raw.len(), 38, "base64url of 28 bytes");
-        let parsed = parse(&url).unwrap().unwrap();
+        let raw = render(&fields);
+        let price = UrlRef::parse(&raw).unwrap().query_raw("price").unwrap();
+        assert_eq!(price.len(), 38, "base64url of 28 bytes");
+        let parsed = reparse(&raw).unwrap().unwrap();
         assert_eq!(parsed, fields);
         assert_eq!(parsed.price.encrypted(), Some(&token));
     }
@@ -782,13 +787,13 @@ mod tests {
             ImpressionId(1),
             AuctionId(2),
         );
-        let url = emit(&fields);
-        let raw = url.query("price").unwrap();
-        assert_eq!(raw.len(), 56, "hex of 28 bytes");
-        assert!(raw
+        let raw = render(&fields);
+        let price = UrlRef::parse(&raw).unwrap().query_raw("price").unwrap();
+        assert_eq!(price.len(), 56, "hex of 28 bytes");
+        assert!(price
             .bytes()
             .all(|b| b.is_ascii_uppercase() || b.is_ascii_digit()));
-        let parsed = parse(&url).unwrap().unwrap();
+        let parsed = reparse(&raw).unwrap().unwrap();
         assert_eq!(parsed.price.encrypted(), Some(&token));
     }
 
@@ -806,7 +811,7 @@ mod tests {
                     ImpressionId(10),
                     AuctionId(20),
                 );
-                let parsed = parse(&emit(&fields)).unwrap().unwrap();
+                let parsed = reparse(&render(&fields)).unwrap().unwrap();
                 assert_eq!(parsed, fields, "round trip for {adx}");
             }
         }
@@ -814,43 +819,98 @@ mod tests {
 
     #[test]
     fn non_nurl_traffic_is_none() {
-        let u = Url::parse("http://www.elpais.es/articles/page.html?id=5").unwrap();
-        assert_eq!(parse(&u).unwrap(), None);
+        // An unknown host never reaches the parse: the screen stops it.
+        assert_eq!(
+            screen_adx("http://www.elpais.es/articles/page.html?id=5"),
+            Err(FastReject::Host)
+        );
         // Right host, wrong path: also not a notification.
-        let u = Url::parse("http://cpp.imp.mpx.mopub.com/other/path?charge_price=1").unwrap();
-        assert_eq!(parse(&u).unwrap(), None);
+        assert_eq!(
+            reparse("http://cpp.imp.mpx.mopub.com/other/path?charge_price=1"),
+            Ok(None)
+        );
     }
 
     #[test]
     fn malformed_notifications_are_errors() {
         let base = "http://cpp.imp.mpx.mopub.com/imp";
-        let missing_price = Url::parse(&format!("{base}?imp={}", ImpressionId(1).wire())).unwrap();
-        assert_eq!(parse(&missing_price), Err(NurlParseError::MissingPrice));
+        let missing_price = format!("{base}?imp={}", ImpressionId(1).wire());
+        assert_eq!(
+            reparse(&missing_price),
+            Err(NurlRefError::Payload(NurlParseError::MissingPrice))
+        );
 
-        let bad_price = Url::parse(&format!(
+        let bad_price = format!(
             "{base}?charge_price=notanumber&imp={}&auc={}&bidder=mediamath.com",
             ImpressionId(1).wire(),
             AuctionId(1).wire()
-        ))
-        .unwrap();
-        assert_eq!(parse(&bad_price), Err(NurlParseError::BadCleartextPrice));
+        );
+        assert_eq!(
+            reparse(&bad_price),
+            Err(NurlRefError::Payload(NurlParseError::BadCleartextPrice))
+        );
 
-        let bad_imp = Url::parse(&format!(
+        let bad_imp = format!(
             "{base}?charge_price=1&imp=zzz&auc={}&bidder=mediamath.com",
             AuctionId(1).wire()
-        ))
-        .unwrap();
-        assert_eq!(parse(&bad_imp), Err(NurlParseError::BadId("imp")));
+        );
+        assert_eq!(
+            reparse(&bad_imp),
+            Err(NurlRefError::Payload(NurlParseError::BadId("imp")))
+        );
     }
 
     #[test]
     fn bid_price_is_not_the_charge_price() {
         // §4.1: bidding prices co-existing in the nURL must be filtered out.
         let fields = rich_fields(Adx::MoPub, PricePayload::Cleartext(Cpm::from_f64(0.80)));
-        let parsed = parse(&emit(&fields)).unwrap().unwrap();
+        let parsed = reparse(&render(&fields)).unwrap().unwrap();
         assert_eq!(parsed.price.cleartext(), Some(Cpm::from_f64(0.80)));
         assert_eq!(parsed.bid_price, Some(Cpm::from_f64(0.99)));
         assert_ne!(parsed.price.cleartext(), parsed.bid_price);
+    }
+
+    #[test]
+    fn price_shape_decides_visibility() {
+        // A cleartext house delivering an encrypted token (or the reverse)
+        // must still be classified correctly: §2.4's Figure 2 is exactly
+        // the drift of ADX-DSP pairs from one style to the other.
+        let token = sample_token(5);
+        let parsed = reparse(&with_price(Adx::MoPub, &token.to_wire()));
+        assert_eq!(
+            parsed.unwrap().unwrap().price,
+            PricePayload::Encrypted(token)
+        );
+        let parsed = reparse(&with_price(Adx::DoubleClick, "1"));
+        assert_eq!(
+            parsed.unwrap().unwrap().price,
+            PricePayload::Cleartext(Cpm::ONE)
+        );
+        // "12" is both valid hex and a valid decimal; decimal wins (real
+        // cleartext prices are short decimals), on either house.
+        for adx in [Adx::MoPub, Adx::MathTag] {
+            let parsed = reparse(&with_price(adx, "12")).unwrap().unwrap();
+            assert_eq!(parsed.price, PricePayload::Cleartext(Cpm::from_whole(12)));
+        }
+    }
+
+    #[test]
+    fn garbled_prices_are_payload_errors() {
+        // Neither a decimal nor a token: a malformed token on a token
+        // house, a malformed price on a cleartext one. 55 hex digits are
+        // one short of a hex-coded token.
+        for value in ["%%%", "abc", &"a".repeat(55)] {
+            assert_eq!(
+                reparse(&with_price(Adx::DoubleClick, value)),
+                Err(NurlRefError::Payload(NurlParseError::BadToken)),
+                "{value}"
+            );
+            assert_eq!(
+                reparse(&with_price(Adx::MoPub, value)),
+                Err(NurlRefError::Payload(NurlParseError::BadCleartextPrice)),
+                "{value}"
+            );
+        }
     }
 
     #[test]
@@ -861,15 +921,6 @@ mod tests {
         }
         assert_eq!(wire_id(Some("nothex")), None);
         assert_eq!(wire_id(None), None);
-    }
-
-    #[test]
-    fn macro_list_covers_all_exchanges() {
-        let macros: Vec<_> = price_macros().collect();
-        assert_eq!(macros.len(), Adx::ALL.len());
-        for adx in Adx::ALL {
-            assert!(macros.iter().any(|(a, _)| *a == adx));
-        }
     }
 
     proptest! {
@@ -888,7 +939,7 @@ mod tests {
                 ImpressionId(imp),
                 AuctionId(auc),
             );
-            let reparsed = parse(&Url::parse(&emit(&fields).to_string()).unwrap()).unwrap().unwrap();
+            let reparsed = reparse(&render(&fields)).unwrap().unwrap();
             prop_assert_eq!(reparsed, fields);
         }
     }

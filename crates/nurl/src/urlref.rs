@@ -1,19 +1,51 @@
-//! Borrowed, zero-copy view of an HTTP(S) URL.
+//! Borrowed, zero-copy view of an HTTP(S) URL — the crate's one URL
+//! type.
 //!
-//! [`UrlRef`] is the allocation-free twin of [`crate::url::Url`]: every
-//! component is a subslice of the input, query pairs come out of a lazy
-//! [`QueryIter`], and percent-decoding is deferred — either validated in
-//! place ([`UrlRef::validate_query`]) or decoded into a caller-owned
-//! scratch buffer ([`crate::scratch::UrlScratch`]). The owned parser is a
-//! thin wrapper over this one, so the two can never disagree on the
-//! grammar.
+//! The analyzer sees millions of raw request URLs; the exchanges emit
+//! notification URLs. Both sides need the same small subset of the URL
+//! grammar — scheme, host, path, `key=value` query pairs — with RFC-3986
+//! percent-encoding. Hand-rolled rather than pulling in the `url` crate:
+//! the subset is tiny, and we want total control over what counts as
+//! malformed (a mis-parsed price is a corrupted measurement).
+//!
+//! Every component of a [`UrlRef`] is a subslice of the input, query
+//! pairs come out of a lazy [`QueryIter`], and percent-decoding is
+//! deferred — either validated in place ([`UrlRef::validate_query`]) or
+//! decoded into a caller-owned scratch buffer
+//! ([`crate::scratch::UrlScratch`]).
 //!
 //! This module is the monitor's reject path: at production scale nearly
 //! every observed request is *not* an nURL, and rejecting one must not
 //! touch the heap. A dedicated lint rule (`alloc-in-reject-path`) keeps
 //! every token in this file borrow-only.
 
-use crate::url::UrlParseError;
+use std::fmt;
+
+/// Errors from [`UrlRef::parse`] (structure) and from percent-decoding
+/// its query ([`UrlRef::validate_query`], [`crate::UrlScratch::decode`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum UrlParseError {
+    /// Missing or unsupported scheme (only `http`/`https`).
+    Scheme,
+    /// Empty or syntactically invalid host.
+    Host,
+    /// A percent escape was truncated or non-hex (the escape's raw
+    /// position in its component), or the component decoded to invalid
+    /// UTF-8 (the decoded position where the invalid sequence starts).
+    Escape(usize),
+}
+
+impl fmt::Display for UrlParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            UrlParseError::Scheme => write!(f, "missing or unsupported scheme"),
+            UrlParseError::Host => write!(f, "invalid host"),
+            UrlParseError::Escape(pos) => write!(f, "bad percent-escape at byte {pos}"),
+        }
+    }
+}
+
+impl std::error::Error for UrlParseError {}
 
 /// A parsed URL borrowing the input string: scheme flag plus host, path
 /// and raw query subslices. Construction performs no percent-decoding and
@@ -29,12 +61,11 @@ pub struct UrlRef<'a> {
 
 impl<'a> UrlRef<'a> {
     /// Parses the structural layer of a URL — scheme, host, path, raw
-    /// query — without decoding anything. Accepts exactly the inputs the
-    /// owned parser accepts structurally; a URL that only fails on a bad
+    /// query — without decoding anything. A URL that only fails on a bad
     /// percent-escape parses here and fails at decode/validate time.
     ///
-    /// Unlike the owned parser the host keeps its original case; compare
-    /// with `eq_ignore_ascii_case` or lowercase at the call site.
+    /// The host keeps its original case; compare with
+    /// `eq_ignore_ascii_case` or lowercase at the call site.
     pub fn parse(input: &'a str) -> Result<UrlRef<'a>, UrlParseError> {
         let (https, host, tail) = split_host(input)?;
         // `tail` is empty or starts a port, the path, the query or the
@@ -75,8 +106,8 @@ impl<'a> UrlRef<'a> {
         self.https
     }
 
-    /// Host subslice, port stripped, **original case** (the owned parser
-    /// lowercases; borrowing cannot).
+    /// Host subslice, port stripped, **original case** (borrowing cannot
+    /// lowercase).
     pub fn host_raw(&self) -> &'a str {
         self.host
     }
@@ -99,12 +130,11 @@ impl<'a> UrlRef<'a> {
         QueryIter { rest: self.query }
     }
 
-    /// Validates every query component exactly as the owned parser's
-    /// decoder would — same escape grammar, same `+`-to-space rule, same
-    /// UTF-8 acceptance, same [`UrlParseError::Escape`] positions — but
-    /// without writing a single decoded byte. `UrlRef::parse` followed by
-    /// `validate_query` accepts precisely the inputs `Url::parse`
-    /// accepts.
+    /// Validates every query component exactly as
+    /// [`crate::UrlScratch::decode`] decodes it — same escape grammar,
+    /// same `+`-to-space rule, same UTF-8 acceptance, same first
+    /// [`UrlParseError::Escape`] — but without writing a single decoded
+    /// byte.
     pub fn validate_query(&self) -> Result<(), UrlParseError> {
         // Escape-free queries — the common case — cannot fail: they are
         // already valid UTF-8 subslices, and `+`-to-space substitution
@@ -119,8 +149,8 @@ impl<'a> UrlRef<'a> {
         Ok(())
     }
 
-    /// First raw value whose *decoded* key equals `key`; the zero-copy
-    /// analogue of `Url::query`. Keys with invalid escapes simply don't
+    /// First raw value whose *decoded* key equals `key`, found without
+    /// decoding into a buffer. Keys with invalid escapes simply don't
     /// match. The returned value is raw (undecoded).
     pub fn query_raw(&self, key: &str) -> Option<&'a str> {
         self.query_pairs()
@@ -204,9 +234,9 @@ const HOST_BYTE: [bool; 256] = {
 };
 
 /// Decodes the byte at raw position `i` of a component, advancing `i`
-/// past it. Mirrors the owned decoder's escape grammar: `%XX` hex pairs,
-/// `+` to space, everything else verbatim. Errors carry the raw position
-/// of the bad escape, like [`crate::url::percent_decode`].
+/// past it — the one escape grammar: `%XX` hex pairs, `+` to space,
+/// everything else verbatim. Errors carry the raw position of the bad
+/// escape.
 pub(crate) fn decode_byte_at(bytes: &[u8], i: &mut usize) -> Result<u8, UrlParseError> {
     match bytes[*i] {
         b'%' => {
@@ -237,8 +267,8 @@ pub(crate) fn decode_byte_at(bytes: &[u8], i: &mut usize) -> Result<u8, UrlParse
 /// Validates one component without materialising the decoded bytes:
 /// escape grammar errors carry the raw position, UTF-8 errors carry the
 /// *decoded* position of the first invalid sequence — the exact values
-/// `percent_decode` reports (its UTF-8 error is `valid_up_to()` of the
-/// decoded buffer).
+/// the scratch decoder reports (its UTF-8 error is `valid_up_to()` of
+/// the decoded buffer).
 fn validate_component(raw: &str) -> Result<(), UrlParseError> {
     // Only `%` escapes can produce errors: without them the decoded
     // bytes are the input (a valid `&str`) with `+` → ASCII space.
@@ -393,7 +423,7 @@ mod tests {
     }
 
     #[test]
-    fn query_iter_matches_owned_split_rules() {
+    fn query_iter_split_rules() {
         let u = UrlRef::parse("http://x.com/p?a=1&&flag&k=&b=2=3").unwrap();
         let pairs: Vec<_> = u.query_pairs().collect();
         assert_eq!(
@@ -403,7 +433,7 @@ mod tests {
     }
 
     #[test]
-    fn structural_errors_match_owned() {
+    fn structural_errors() {
         assert_eq!(UrlRef::parse("ftp://x.com/"), Err(UrlParseError::Scheme));
         assert_eq!(UrlRef::parse("not a url"), Err(UrlParseError::Scheme));
         assert_eq!(UrlRef::parse("http:///path"), Err(UrlParseError::Host));
@@ -429,7 +459,6 @@ mod tests {
 
     #[test]
     fn host_charset_is_exactly_alnum_dot_dash_underscore() {
-        use crate::url::Url;
         for c in (0u8..0x80).map(char::from) {
             // `/`, `:`, `?` and `#` end the host, so they never reach the
             // charset check.
@@ -443,11 +472,9 @@ mod tests {
                 Some(UrlParseError::Host)
             };
             assert_eq!(UrlRef::parse(&raw).err(), want, "{c:?}");
-            assert_eq!(Url::parse(&raw).err(), want, "owned parser, {c:?}");
         }
         let raw = "http://é.example/";
         assert_eq!(UrlRef::parse(raw).err(), Some(UrlParseError::Host));
-        assert_eq!(Url::parse(raw).err(), Some(UrlParseError::Host));
     }
 
     #[test]

@@ -1,33 +1,38 @@
-//! Borrowed ⇄ owned parser parity: `UrlRef` must agree with `Url` on
-//! every input — same accepts, same rejects, same error values, same
-//! components after decoding. The owned parser is a wrapper over the
-//! borrowed one, but the decode split (eager in `Url::parse`, deferred
-//! into `UrlScratch` / `validate_query`) re-implements the escape and
-//! UTF-8 handling, so this suite fuzzes the seam: the hostile corpus of
-//! `core/tests/malformed_nurls.rs` (prefix truncations, single-byte
-//! corruptions, garbage strings) plus property-based random inputs.
+//! The borrowed URL layer and the exchange screen against independent
+//! oracles. Every production answer is a byte scan written for speed;
+//! each is checked against a slower form that shares no code with it:
 //!
-//! Because `Url::parse` wraps `UrlRef::parse`, parity cannot see a
-//! change to the structural grammar itself. That grammar and the
-//! raw-string screen are byte scans written for speed, so each is also
-//! checked against an independent oracle on every input: the split-based
-//! forms they replaced (`split_parse`, `split_screen`).
+//! * structure — `UrlRef::parse` and `screen_adx` against the split-based
+//!   forms they replaced (`split_parse`, `split_screen`);
+//! * decoding — `validate_query`, `UrlScratch::decode` (pairs and first
+//!   error), `decoded_len` of every raw component and `query_raw` of
+//!   every decoded key against `percent_decode`, an eager decoder run
+//!   over pairs split with `str::split`;
+//! * the host lookup — `exchange_host` and `screen_adx` against a linear
+//!   case-insensitive scan of `Adx::ALL` (`roster_scan`).
+//!
+//! The inputs are the hostile corpus of `core/tests/malformed_nurls.rs`
+//! (prefix truncations, single-byte corruptions, garbage strings),
+//! authority and fragment edge cases, and property-based random inputs.
+//! The notification parse runs on every input the screen admits and must
+//! report the decode oracle's error, if any.
 
 use proptest::prelude::*;
 use yav_crypto::{PriceCrypter, PriceKeys};
 use yav_nurl::fields::PricePayload;
+use yav_nurl::urlref::decoded_len;
 use yav_nurl::{
-    exchange_host, screen_adx, template, FastReject, NurlFields, NurlRefError, Url, UrlParseError,
+    exchange_host, screen_adx, template, FastReject, NurlFields, NurlRefError, UrlParseError,
     UrlRef, UrlScratch,
 };
 use yav_types::{AdSlotSize, Adx, AuctionId, CampaignId, Cpm, DspId, ImpressionId};
 
-/// Two valid emissions per exchange and price visibility: the minimal
+/// Two valid renderings per exchange and price visibility: the minimal
 /// payload `core/tests/malformed_nurls.rs` mutates, and a rich one
 /// carrying every optional field — bid price, campaign, slot size,
 /// latency and free-form publisher/country/ad-domain text, the
 /// publisher with bytes that must percent-encode. Only rich-metadata
-/// templates emit the optional block, so the rich seeds reach the
+/// templates render the optional block, so the rich seeds reach the
 /// metadata fields on those exchanges and the id/price core on the rest.
 fn valid_emissions() -> Vec<String> {
     let crypter = PriceCrypter::new(PriceKeys::derive("malformed-nurls"));
@@ -54,117 +59,14 @@ fn valid_emissions() -> Vec<String> {
                 ad_domain: Some("amazon.es".to_owned()),
                 ..minimal.clone()
             };
-            out.push(yav_nurl::emit(&minimal).to_string());
-            out.push(yav_nurl::emit(&rich).to_string());
-        }
-    }
-    out
-}
-
-/// The full parity check for one input string.
-fn check_parity(input: &str) {
-    let owned = Url::parse(input);
-    let borrowed = UrlRef::parse(input);
-    let mut scratch = UrlScratch::new();
-    match borrowed {
-        Err(err) => {
-            // Structural reject: the owned parser must reject with the
-            // identical error.
-            assert_eq!(owned, Err(err), "structural reject mismatch: {input:?}");
-        }
-        Ok(url) => {
-            // Deferred-decode outcomes must agree with the eager ones:
-            // validate, scratch-decode and owned parse all see the same
-            // first error (or all succeed).
-            let validated = url.validate_query();
-            let decoded = scratch.decode(&url);
-            match owned {
-                Err(err) => {
-                    assert!(
-                        matches!(err, UrlParseError::Escape(_)),
-                        "owned structural error {err:?} after borrowed accept: {input:?}"
-                    );
-                    assert_eq!(validated, Err(err.clone()), "validate mismatch: {input:?}");
-                    assert_eq!(
-                        decoded.map(|_| ()),
-                        Err(err),
-                        "scratch decode mismatch: {input:?}"
-                    );
-                }
-                Ok(owned) => {
-                    assert_eq!(
-                        validated,
-                        Ok(()),
-                        "validate rejected a decodable: {input:?}"
-                    );
-                    let pairs = match decoded {
-                        Ok(pairs) => pairs,
-                        Err(err) => panic!("scratch rejected a decodable: {input:?}: {err}"),
-                    };
-                    assert_eq!(owned.is_https(), url.is_https(), "{input:?}");
-                    assert_eq!(
-                        owned.host(),
-                        url.host_raw().to_ascii_lowercase(),
-                        "{input:?}"
-                    );
-                    assert_eq!(owned.path(), url.path(), "{input:?}");
-                    let borrowed_pairs: Vec<(String, String)> = pairs
-                        .iter()
-                        .map(|(k, v)| (k.to_owned(), v.to_owned()))
-                        .collect();
-                    let owned_pairs: Vec<(String, String)> = owned.query_pairs().to_vec();
-                    assert_eq!(owned_pairs, borrowed_pairs, "{input:?}");
-                    // Keyed lookup agrees for every present key.
-                    for (k, _) in owned.query_pairs() {
-                        assert_eq!(owned.query(k), pairs.get(k), "key {k:?} in {input:?}");
-                    }
-                }
+            for fields in [minimal, rich] {
+                let mut url = String::new();
+                template::render_into(&fields.as_ref_fields(), &mut url);
+                out.push(url);
             }
         }
     }
-}
-
-/// The hot paths' notification parse: exchange lookup on the borrowed
-/// host, then the screened borrowed parse, materialised for comparison.
-fn borrowed_parse(
-    url: &UrlRef<'_>,
-    scratch: &mut UrlScratch,
-) -> Result<Option<NurlFields>, NurlRefError> {
-    let Some(adx) = exchange_host(url.host_raw()) else {
-        return Ok(None);
-    };
-    template::parse_borrowed_screened(adx, url, scratch).map(|f| f.map(|f| f.to_owned_fields()))
-}
-
-/// Template parity: wherever both URL parsers accept, the owned
-/// `template::parse(&Url)` must equal `exchange_host` followed by
-/// `parse_borrowed_screened(..).to_owned_fields()` — same fields, same
-/// ordinary-traffic verdict, same payload error — and the raw-string
-/// screen must name the same exchange the parsed host does.
-fn check_template_parity(input: &str) {
-    let mut scratch = UrlScratch::new();
-    let borrowed = UrlRef::parse(input)
-        .ok()
-        .filter(|u| u.validate_query().is_ok());
-    let owned = Url::parse(input).ok();
-    // Accept sets agree (check_parity pins the error details).
-    assert_eq!(owned.is_some(), borrowed.is_some(), "{input:?}");
-    let (Some(owned), Some(url)) = (owned, borrowed) else {
-        return;
-    };
-    assert_eq!(
-        screen_adx(input).ok(),
-        exchange_host(url.host_raw()),
-        "screen verdict mismatch: {input:?}"
-    );
-    // The query validated, so the borrowed decode cannot fail: its only
-    // errors are payload errors, which must be the owned parser's.
-    let want = template::parse(&owned).map_err(NurlRefError::Payload);
-    assert_eq!(
-        borrowed_parse(&url, &mut scratch),
-        want,
-        "template verdict mismatch: {input:?}"
-    );
+    out
 }
 
 /// The structural grammar written with splits: the authority runs to the
@@ -216,26 +118,166 @@ fn split_screen(raw: &str) -> Result<Adx, FastReject> {
     exchange_host(host).ok_or(FastReject::Host)
 }
 
-/// The byte scans against their oracles: same accepts, same error
-/// values, same subslices; same screen verdict.
-fn check_oracles(input: &str) {
-    let parsed =
-        UrlRef::parse(input).map(|u| (u.is_https(), u.host_raw(), u.path(), u.query_str()));
-    assert_eq!(parsed, split_parse(input), "structural parse: {input:?}");
-    assert_eq!(screen_adx(input), split_screen(input), "screen: {input:?}");
+/// Percent-decodes a query component eagerly into a new string: `%XX`
+/// hex pairs, `+` to space (the `application/x-www-form-urlencoded`
+/// convention real trackers use), everything else verbatim. A bad escape
+/// reports its raw position; invalid UTF-8 reports `valid_up_to` of the
+/// decoded bytes.
+fn percent_decode(s: &str) -> Result<String, UrlParseError> {
+    let bytes = s.as_bytes();
+    let mut out = Vec::with_capacity(bytes.len());
+    let mut i = 0;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'%' => {
+                if i + 2 > bytes.len() {
+                    return Err(UrlParseError::Escape(i));
+                }
+                let hi = bytes.get(i + 1).and_then(|b| (*b as char).to_digit(16));
+                let lo = bytes.get(i + 2).and_then(|b| (*b as char).to_digit(16));
+                match (hi, lo) {
+                    (Some(h), Some(l)) => {
+                        out.push(((h << 4) | l) as u8);
+                        i += 3;
+                    }
+                    _ => return Err(UrlParseError::Escape(i)),
+                }
+            }
+            b'+' => {
+                out.push(b' ');
+                i += 1;
+            }
+            b => {
+                out.push(b);
+                i += 1;
+            }
+        }
+    }
+    String::from_utf8(out).map_err(|e| UrlParseError::Escape(e.utf8_error().valid_up_to()))
 }
 
-fn check_both(input: &str) {
-    check_oracles(input);
-    check_parity(input);
-    check_template_parity(input);
+/// The query's raw pairs, split with `str::split`: on `&`, empty
+/// components skipped, each pair at its first `=`.
+fn split_pairs(query: &str) -> Vec<(&str, &str)> {
+    query
+        .split('&')
+        .filter(|pair| !pair.is_empty())
+        .map(|pair| pair.split_once('=').unwrap_or((pair, "")))
+        .collect()
+}
+
+/// The exchange whose notification domain is `host`, by a linear scan of
+/// the roster over the lowercased host.
+fn roster_scan(host: &str) -> Option<Adx> {
+    let host = host.to_ascii_lowercase();
+    Adx::ALL.into_iter().find(|adx| adx.domain() == host)
+}
+
+/// Every production answer for one input against its oracle.
+fn check(input: &str) {
+    // Structure.
+    let structure = split_parse(input);
+    let parsed = UrlRef::parse(input);
+    assert_eq!(
+        parsed
+            .as_ref()
+            .map(|u| (u.is_https(), u.host_raw(), u.path(), u.query_str()))
+            .map_err(Clone::clone),
+        structure,
+        "structural parse: {input:?}"
+    );
+    assert_eq!(screen_adx(input), split_screen(input), "screen: {input:?}");
+
+    // Host lookup.
+    let owner = structure.ok().and_then(|(_, host, _, _)| roster_scan(host));
+    assert_eq!(screen_adx(input).ok(), owner, "screen vs roster: {input:?}");
+    let Ok(url) = parsed else {
+        return;
+    };
+    assert_eq!(exchange_host(url.host_raw()), owner, "host: {input:?}");
+
+    // Decoding: pairs in order, key before value, the first error wins.
+    let raw_pairs = split_pairs(url.query_str());
+    let want: Result<Vec<(String, String)>, UrlParseError> = raw_pairs
+        .iter()
+        .map(|(k, v)| Ok((percent_decode(k)?, percent_decode(v)?)))
+        .collect();
+    let want_verdict = want.as_ref().map(|_| ()).map_err(Clone::clone);
+    assert_eq!(url.validate_query(), want_verdict, "validate: {input:?}");
+    let mut scratch = UrlScratch::new();
+    match (scratch.decode(&url), &want) {
+        (Ok(pairs), Ok(want)) => {
+            let got: Vec<(String, String)> = pairs
+                .iter()
+                .map(|(k, v)| (k.to_owned(), v.to_owned()))
+                .collect();
+            assert_eq!(&got, want, "decoded pairs: {input:?}");
+            for (k, _) in want {
+                let first = want.iter().find(|(wk, _)| wk == k).map(|(_, v)| v.as_str());
+                assert_eq!(pairs.get(k), first, "key {k:?} in {input:?}");
+            }
+        }
+        (got, _) => assert_eq!(got.map(|_| ()), want_verdict, "decode: {input:?}"),
+    }
+
+    // Component lengths and keyed raw lookup.
+    let keys: Vec<Result<String, UrlParseError>> =
+        raw_pairs.iter().map(|(k, _)| percent_decode(k)).collect();
+    for (i, &(k, v)) in raw_pairs.iter().enumerate() {
+        for raw in [k, v] {
+            match percent_decode(raw) {
+                Ok(decoded) => assert_eq!(decoded_len(raw), decoded.len(), "{raw:?} in {input:?}"),
+                // Undecodable components only need a total answer.
+                Err(_) => assert!(decoded_len(raw) <= raw.len(), "{raw:?} in {input:?}"),
+            }
+        }
+        if let Ok(key) = &keys[i] {
+            let first = keys.iter().position(|other| other.as_ref() == Ok(key));
+            let want_raw = first.map(|j| raw_pairs[j].1);
+            assert_eq!(url.query_raw(key), want_raw, "key {key:?} in {input:?}");
+        }
+    }
+
+    // The notification parse, wherever the screen admits the input.
+    if let Some(adx) = owner {
+        let verdict = template::parse_borrowed_screened(adx, &url, &mut scratch).map(|_| ());
+        match want_verdict {
+            Err(err) => assert_eq!(verdict, Err(NurlRefError::Url(err)), "{input:?}"),
+            Ok(()) => assert!(
+                !matches!(verdict, Err(NurlRefError::Url(_))),
+                "parse failed to decode a decodable query: {input:?}"
+            ),
+        }
+    }
+}
+
+#[test]
+fn every_exchange_domain_resolves() {
+    // Each roster domain in both cases, and the near misses around it:
+    // one byte more at either end, one byte short, a subdomain.
+    for adx in Adx::ALL {
+        let domain = adx.domain();
+        assert_eq!(exchange_host(domain), Some(adx), "{domain}");
+        for host in [
+            domain.to_owned(),
+            domain.to_ascii_uppercase(),
+            format!("x{domain}"),
+            format!("{domain}x"),
+            domain[..domain.len() - 1].to_owned(),
+            format!("a.{domain}"),
+        ] {
+            check(&format!("http://{host}/p"));
+            check(&format!("https://{host}:8080"));
+        }
+    }
+    assert_eq!(exchange_host("example.com"), None);
 }
 
 #[test]
 fn emissions_and_prefix_truncations_agree() {
     for url in valid_emissions() {
         for len in 0..=url.len() {
-            check_both(&url[..len]);
+            check(&url[..len]);
         }
     }
 }
@@ -251,7 +293,7 @@ fn single_byte_corruptions_agree() {
                 }
                 let mut mutated = bytes.to_vec();
                 mutated[pos] = garbage;
-                check_both(&String::from_utf8(mutated).expect("ASCII stays UTF-8"));
+                check(&String::from_utf8(mutated).expect("ASCII stays UTF-8"));
             }
         }
     }
@@ -293,12 +335,13 @@ fn garbage_corpus_agrees() {
         "http://x.com/?a=%f0%9f%a6",
         "http://x.com/?a=ok%ffx",
         "http://x.com/?%2b=+&%3d==",
+        "http://x.com/?q+r=1&q r=2",
         "http://x.com/?a=1&&b=2&",
         "http://x.com/?=bare&flag",
         "http://X.COM:8080/Mixed/Case?K=V#frag?ghost=1",
         &long,
     ] {
-        check_both(input);
+        check(input);
     }
 }
 
@@ -354,7 +397,7 @@ fn authority_and_fragment_edges_agree() {
             inputs.push(format!("http://cpp{bad}{host}/imp?charge_price=0.5"));
         }
         for input in &inputs {
-            check_both(input);
+            check(input);
         }
     }
     // Empty hosts, with and without a port or path.
@@ -366,7 +409,7 @@ fn authority_and_fragment_edges_agree() {
         "http://?a=1",
         "http://#",
     ] {
-        check_both(input);
+        check(input);
     }
 }
 
@@ -374,7 +417,7 @@ proptest! {
     /// Random printable inputs, biased toward URL-shaped strings.
     #[test]
     fn prop_random_strings_agree(s in "\\PC{0,60}") {
-        check_both(&s);
+        check(&s);
     }
 
     /// URL-shaped inputs with adversarial ports, query bytes and
@@ -390,7 +433,7 @@ proptest! {
         fragment_first in any::<bool>(),
     ) {
         let scheme = if https { "https" } else { "http" };
-        check_both(&if fragment_first {
+        check(&if fragment_first {
             format!("{scheme}://{host}{port}/{path}{fragment}?{query}")
         } else {
             format!("{scheme}://{host}{port}/{path}?{query}{fragment}")

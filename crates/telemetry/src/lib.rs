@@ -82,11 +82,6 @@ pub fn json_snapshot_of(registry: &Registry) -> String {
     export::json_snapshot(registry)
 }
 
-/// Renders any registry as a human report.
-pub fn report_of(registry: &Registry) -> String {
-    export::report(registry)
-}
-
 /// The process's peak resident set size (high-water mark) in bytes.
 ///
 /// Reads `VmHWM` from `/proc/self/status`, so it is Linux-only and

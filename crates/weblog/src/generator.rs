@@ -581,23 +581,33 @@ mod tests {
         WeblogGenerator::new(WeblogConfig::tiny()).collect(&MarketConfig::default())
     }
 
+    /// Requests the monitor's parse reads as well-formed notifications.
+    fn notifications(log: &Weblog) -> usize {
+        let mut scratch = yav_nurl::UrlScratch::new();
+        log.requests
+            .iter()
+            .filter(|r| {
+                let (Ok(adx), Ok(url)) = (
+                    yav_nurl::screen_adx(&r.url),
+                    yav_nurl::UrlRef::parse(&r.url),
+                ) else {
+                    return false;
+                };
+                matches!(
+                    yav_nurl::parse_borrowed_screened(adx, &url, &mut scratch),
+                    Ok(Some(_))
+                )
+            })
+            .count()
+    }
+
     #[test]
     fn generates_events_and_truth() {
         let log = generate();
         assert!(log.requests.len() > 1000, "requests {}", log.requests.len());
         assert!(log.truth.len() > 50, "impressions {}", log.truth.len());
         // Every truth record corresponds to a notification URL in the log.
-        let nurl_count = log
-            .requests
-            .iter()
-            .filter(|r| {
-                yav_nurl::Url::parse(&r.url)
-                    .ok()
-                    .and_then(|u| yav_nurl::NurlDetector::new().detect(&u))
-                    .is_some()
-            })
-            .count();
-        assert_eq!(nurl_count, log.truth.len());
+        assert_eq!(notifications(&log), log.truth.len());
     }
 
     #[test]
@@ -641,25 +651,16 @@ mod tests {
             );
         }
         // The stream still carries detectable notifications.
-        let nurls = log
-            .requests
-            .iter()
-            .filter(|r| {
-                yav_nurl::Url::parse(&r.url)
-                    .ok()
-                    .and_then(|u| yav_nurl::NurlDetector::new().detect(&u))
-                    .is_some()
-            })
-            .count();
-        assert_eq!(nurls, log.truth.len());
+        assert_eq!(notifications(&log), log.truth.len());
     }
 
     #[test]
     fn urls_all_parse() {
         let log = generate();
         for r in log.requests.iter().take(5000) {
+            let url = yav_nurl::UrlRef::parse(&r.url);
             assert!(
-                yav_nurl::Url::parse(&r.url).is_ok(),
+                url.is_ok_and(|u| u.validate_query().is_ok()),
                 "unparseable URL {}",
                 r.url
             );

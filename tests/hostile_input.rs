@@ -5,7 +5,7 @@
 //! traffic.
 
 use your_ad_value::analyzer::WeblogAnalyzer;
-use your_ad_value::nurl::{template, NurlDetector, Url};
+use your_ad_value::nurl::{screen_adx, template, NurlParseError, NurlRefError, UrlRef, UrlScratch};
 use your_ad_value::prelude::*;
 use your_ad_value::types::{AuctionId, DspId, ImpressionId};
 use your_ad_value::weblog::HttpRequest;
@@ -31,7 +31,9 @@ fn good_nurl() -> String {
         ImpressionId(9),
         AuctionId(9),
     );
-    template::emit(&fields).to_string()
+    let mut url = String::new();
+    template::render_into(&fields.as_ref_fields(), &mut url);
+    url
 }
 
 #[test]
@@ -43,9 +45,8 @@ fn corrupted_notifications_are_counted_not_crashed() {
         good.replace("0.5", "1e99999"),
         // Mangle the impression id.
         {
-            let u = Url::parse(&good).unwrap();
-            let imp = u.query("imp").unwrap().to_owned();
-            good.replace(&imp, "zz")
+            let imp = UrlRef::parse(&good).unwrap().query_raw("imp").unwrap();
+            good.replace(imp, "zz")
         },
     ];
     let mut analyzer = WeblogAnalyzer::new();
@@ -90,16 +91,40 @@ fn hostile_urls_never_panic() {
 
 #[test]
 fn truncated_tokens_classify_as_garbled() {
+    // A cut token is neither a price nor a token: a malformed token on a
+    // token house, a malformed price on a cleartext one.
     use your_ad_value::crypto::{PriceCrypter, PriceKeys};
     let token = PriceCrypter::new(PriceKeys::derive("x")).encrypt(1_000_000, [3u8; 16]);
     let wire = token.to_wire();
+    let mut scratch = UrlScratch::new();
     for cut in [1, 10, 37] {
-        let truncated = &wire[..cut];
-        let det = NurlDetector::classify_price(truncated);
-        assert!(
-            det.cleartext().is_none() && !det.is_encrypted(),
-            "truncated token at {cut} must be garbled, got {det:?}"
-        );
+        for (base, want) in [
+            (
+                "http://googleads.g.doubleclick.net/pagead/adview",
+                NurlParseError::BadToken,
+            ),
+            (
+                "http://cpp.imp.mpx.mopub.com/imp",
+                NurlParseError::BadCleartextPrice,
+            ),
+        ] {
+            let adx = screen_adx(base).unwrap();
+            let param = template::price_param(adx);
+            let raw = format!(
+                "{base}?imp={}&auc={}&bidder={}&{param}={}",
+                ImpressionId(1).wire(),
+                AuctionId(2).wire(),
+                DspId(0).domain(),
+                &wire[..cut]
+            );
+            let url = UrlRef::parse(&raw).unwrap();
+            let parsed = template::parse_borrowed_screened(adx, &url, &mut scratch);
+            assert_eq!(
+                parsed.map(|f| f.is_some()),
+                Err(NurlRefError::Payload(want)),
+                "token cut at {cut}: {raw}"
+            );
+        }
     }
 }
 

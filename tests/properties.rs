@@ -4,12 +4,20 @@
 use proptest::prelude::*;
 use your_ad_value::crypto::{EncryptedPrice, PriceCrypter, PriceKeys};
 use your_ad_value::nurl::fields::{NurlFields, PricePayload};
-use your_ad_value::nurl::{template, NurlDetector, Url};
-use your_ad_value::types::{AuctionId, Cpm, DspId, ImpressionId};
+use your_ad_value::nurl::{screen_adx, template, UrlRef, UrlScratch};
+use your_ad_value::types::{Adx, AuctionId, Cpm, DspId, ImpressionId};
+
+/// Renders a notification the way the market does.
+fn render(fields: &NurlFields) -> String {
+    let mut url = String::new();
+    template::render_into(&fields.as_ref_fields(), &mut url);
+    url
+}
 
 proptest! {
-    /// Any price emitted by any exchange template is re-detected with the
-    /// same visibility and (when cleartext) the same value.
+    /// Any price rendered by any exchange template is read back by the
+    /// monitor's parse with the same exchange, the same visibility and
+    /// (when cleartext) the same value.
     #[test]
     fn emit_detect_agrees(
         adx_idx in 0usize..17,
@@ -18,7 +26,7 @@ proptest! {
         encrypted in proptest::bool::ANY,
         iv: [u8; 16],
     ) {
-        let adx = your_ad_value::types::Adx::from_index(adx_idx);
+        let adx = Adx::from_index(adx_idx);
         let price = if encrypted {
             let c = PriceCrypter::new(PriceKeys::derive("prop"));
             PricePayload::Encrypted(c.encrypt(micros as u64, iv))
@@ -26,39 +34,76 @@ proptest! {
             PricePayload::Cleartext(Cpm::from_micros(micros))
         };
         let fields = NurlFields::minimal(adx, DspId(dsp), price, ImpressionId(1), AuctionId(2));
-        let url = template::emit(&fields);
-        let det = NurlDetector::new().detect(&url).expect("own emission must detect");
-        prop_assert_eq!(det.adx, adx);
-        prop_assert_eq!(det.price.is_encrypted(), encrypted);
+        let raw = render(&fields);
+        prop_assert_eq!(screen_adx(&raw), Ok(adx));
+        let url = UrlRef::parse(&raw).unwrap();
+        let mut scratch = UrlScratch::new();
+        let parsed = template::parse_borrowed_screened(adx, &url, &mut scratch)
+            .unwrap()
+            .expect("own rendering must parse as a notification");
+        prop_assert_eq!(parsed.price.encrypted().is_some(), encrypted);
         if !encrypted {
-            prop_assert_eq!(det.price.cleartext(), Some(Cpm::from_micros(micros)));
+            prop_assert_eq!(parsed.price.cleartext(), Some(Cpm::from_micros(micros)));
         }
     }
 
-    /// URL round-trip: display ∘ parse is the identity on parsed URLs.
+    /// Render ∘ parse is the identity: free-form metadata written by the
+    /// renderer's percent-encoder comes back unchanged from the scratch
+    /// decode, and the whole notification reads back as the fields it
+    /// was rendered from.
     #[test]
     fn url_display_parse_identity(
-        host_label in "[a-z][a-z0-9]{0,10}",
-        path_seg in "[a-zA-Z0-9._-]{0,12}",
-        key in "[a-zA-Z0-9_]{1,8}",
-        value in "\\PC{0,30}",
+        publisher in "\\PC{0,30}",
+        country in "\\PC{0,30}",
+        ad_domain in "\\PC{0,30}",
+        micros in 1i64..50_000_000,
     ) {
-        let url = Url::build(false, &format!("{host_label}.example"), &format!("/{path_seg}"))
-            .param(&key, &value)
-            .finish();
-        let reparsed = Url::parse(&url.to_string()).unwrap();
-        prop_assert_eq!(reparsed, url);
+        // MoPub's template echoes every free-form field.
+        let mut fields = NurlFields::minimal(
+            Adx::MoPub,
+            DspId(1),
+            PricePayload::Cleartext(Cpm::from_micros(micros)),
+            ImpressionId(1),
+            AuctionId(2),
+        );
+        fields.publisher = Some(publisher.clone());
+        fields.country = Some(country.clone());
+        fields.ad_domain = Some(ad_domain.clone());
+        let raw = render(&fields);
+        let url = UrlRef::parse(&raw).unwrap();
+        let mut scratch = UrlScratch::new();
+        let pairs = scratch.decode(&url).unwrap();
+        prop_assert_eq!(pairs.get("pub_name"), Some(publisher.as_str()));
+        prop_assert_eq!(pairs.get("country"), Some(country.as_str()));
+        prop_assert_eq!(pairs.get("ad_domain"), Some(ad_domain.as_str()));
+        let parsed = template::parse_borrowed_screened(Adx::MoPub, &url, &mut scratch)
+            .unwrap()
+            .expect("own rendering must parse as a notification")
+            .to_owned_fields();
+        prop_assert_eq!(parsed, fields);
     }
 
-    /// Price tokens survive arbitrary wire transport (their base64url
-    /// form is URL-safe by construction, even percent-encoded).
+    /// Price tokens survive their raw embedding in a notification
+    /// (base64url is URL-safe by construction) and come back unchanged
+    /// from the scratch decode.
     #[test]
     fn token_survives_query_embedding(micros in 0u64..u64::MAX / 2, iv: [u8; 16]) {
         let c = PriceCrypter::new(PriceKeys::derive("transport"));
         let token = c.encrypt(micros, iv);
-        let url = Url::build(true, "x.example", "/cb").param("p", &token.to_wire()).finish();
-        let back = Url::parse(&url.to_string()).unwrap();
-        let recovered = EncryptedPrice::from_wire(back.query("p").unwrap()).unwrap();
+        let fields = NurlFields::minimal(
+            Adx::MoPub,
+            DspId(1),
+            PricePayload::Encrypted(token),
+            ImpressionId(1),
+            AuctionId(2),
+        );
+        let raw = render(&fields);
+        let url = UrlRef::parse(&raw).unwrap();
+        let mut scratch = UrlScratch::new();
+        let pairs = scratch.decode(&url).unwrap();
+        let wire = pairs.get(template::price_param(Adx::MoPub)).unwrap();
+        prop_assert_eq!(wire, token.to_wire().as_str());
+        let recovered = EncryptedPrice::from_wire(wire).unwrap();
         prop_assert_eq!(c.decrypt(&recovered).unwrap(), micros);
     }
 
