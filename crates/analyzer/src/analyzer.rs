@@ -304,11 +304,11 @@ impl WeblogAnalyzer {
                 // Decode errors cannot reach here (`ingest_with`
                 // validated the query), so this is a malformed payload.
                 self.report.malformed_nurls += 1;
-                yav_trace::trace_instant!("analyzer.malformed_nurl");
+                yav_telemetry::instant!("analyzer.malformed_nurl");
                 return None;
             }
         };
-        yav_trace::trace_instant!("analyzer.detect", adx as u64);
+        yav_telemetry::instant!("analyzer.detect", adx);
 
         let visibility = fields.price.visibility();
         let cleartext = fields.price.cleartext();
@@ -405,7 +405,7 @@ impl WeblogAnalyzer {
     /// (advertiser, campaign and publisher aggregates) that
     /// [`Self::finish`] drops.
     pub fn finish_with_state(mut self) -> (AnalyzerReport, GlobalState) {
-        let _trace = yav_trace::trace_span!("analyzer.finish", self.report.total_requests);
+        yav_telemetry::instant!("analyzer.finish", self.report.total_requests);
         self.report.users_seen = self.users.len();
         (self.report, self.global)
     }

@@ -73,8 +73,6 @@ struct MarketMetrics {
     no_sale: yav_telemetry::Counter,
     sold_encrypted: yav_telemetry::Counter,
     sold_cleartext: yav_telemetry::Counter,
-    /// Wall time per resolved auction, for the bench's phase breakdown.
-    time_us: yav_telemetry::Histogram,
     /// `auction.market.charge_cpm.{adx}`, indexed by [`Adx::index`].
     charge_cpm: [yav_telemetry::Histogram; 17],
 }
@@ -86,7 +84,6 @@ impl MarketMetrics {
             no_sale: yav_telemetry::counter("auction.market.no_sale"),
             sold_encrypted: yav_telemetry::counter("auction.market.sold_encrypted"),
             sold_cleartext: yav_telemetry::counter("auction.market.sold_cleartext"),
-            time_us: yav_telemetry::histogram("auction.market.us"),
             charge_cpm: std::array::from_fn(|i| {
                 // yav-lint: allow(alloc-in-gen-path) — metric-handle resolution, once per template
                 yav_telemetry::histogram(&format!(
@@ -273,7 +270,7 @@ impl Market {
             integrations,
             metrics,
         } = &*self.shared;
-        let _t = metrics.time_us.time_us();
+        let _span = yav_telemetry::span!("auction.market");
         metrics.runs.inc();
         let user_value = self.dmp.user_value(req.user).factor;
         let mu_base = config.valuation.mu(req, user_value);

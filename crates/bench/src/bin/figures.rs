@@ -13,6 +13,7 @@
 
 use yav_bench::{figs_dataset as fd, figs_model as fm, figs_user as fu, Scale, StreamWorld, World};
 use yav_exec::ExecConfig;
+use yav_telemetry::journal;
 
 const ALL: &[&str] = &[
     "table3",
@@ -80,8 +81,8 @@ fn run(world: &World, id: &str) -> Option<String> {
 /// Stops tracing, drains the ring and writes the Chrome trace JSON plus
 /// folded stacks next to it.
 fn dump_trace(path: &std::path::Path) {
-    yav_trace::set_enabled(false);
-    let trace = yav_trace::drain();
+    journal::set_enabled(false);
+    let trace = journal::drain();
     if let Err(e) = std::fs::write(path, yav_trace::chrome_trace_json(&trace)) {
         eprintln!("cannot write {}: {e}", path.display());
         std::process::exit(1);
@@ -158,7 +159,8 @@ fn main() {
             "usage: figures [all | stream | <experiment ids>] [--scale small|mid|paper|huge] [--threads N] [--out DIR] [--trace FILE]"
         );
         eprintln!("experiments: {} stream", ALL.join(" "));
-        eprintln!("--threads N   worker threads for world building (default: all cores, <= 16);");
+        eprintln!("--threads N   worker threads for world building and every forest (default: all");
+        eprintln!("              cores, <= 16);");
         eprintln!("              results are identical for every N — only wall-clock changes");
         eprintln!("--trace FILE  record a causal trace of the world build: Chrome trace JSON to");
         eprintln!("              FILE (open in Perfetto) and folded stacks to FILE.folded");
@@ -191,7 +193,7 @@ fn main() {
             exec.threads()
         );
         if trace_this.is_some() {
-            yav_trace::set_enabled(true);
+            journal::set_enabled(true);
         }
         let t0 = std::time::Instant::now();
         let world = StreamWorld::build_with(scale, &exec);
@@ -225,7 +227,7 @@ fn main() {
         exec.threads()
     );
     if trace_out.is_some() {
-        yav_trace::set_enabled(true);
+        journal::set_enabled(true);
     }
     let t0 = std::time::Instant::now();
     let world = World::build_with(scale, &exec);

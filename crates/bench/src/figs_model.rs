@@ -16,7 +16,9 @@ pub fn dimred(w: &World) -> String {
     }
     let rows: Vec<Vec<f64>> = w.feature_sample.iter().map(|(r, _)| r.clone()).collect();
     let prices: Vec<f64> = w.feature_sample.iter().map(|(_, p)| *p).collect();
-    let r = reduce(&rows, &prices, &ReductionConfig::default());
+    let mut config = ReductionConfig::default();
+    config.forest.threads = w.exec.threads();
+    let r = reduce(&rows, &prices, &config);
     let mut out = String::from("§5.1 dimensionality reduction (cleartext price classes)\n");
     out += &format!(
         "features: 288 -> {} after variance filters -> {} selected\n",
@@ -243,7 +245,7 @@ pub fn model(w: &World) -> String {
         &w.a1.rows,
         &TrainConfig {
             with_publisher: true,
-            ..w.scale.train_config()
+            ..w.scale.train_config(&w.exec)
         },
     );
     out += &format!(
@@ -265,7 +267,7 @@ pub fn ablate_classes(w: &World) -> String {
         "{:>7} {:>9} {:>9} {:>9} {:>9}\n",
         "classes", "accuracy", "chance", "skill", "AUCROC"
     );
-    let mut quick = w.scale.train_config();
+    let mut quick = w.scale.train_config(&w.exec);
     quick.cv_runs = 1;
     quick.cv_folds = 5;
     for k in [4usize, 5, 6, 8, 10] {
@@ -296,7 +298,7 @@ pub fn ablate_features(w: &World) -> String {
     use yav_ml::{cross_validate, Dataset};
     use yav_pme::model::{encode, feature_names, CoreContext};
 
-    let mut quick = w.scale.train_config();
+    let mut quick = w.scale.train_config(&w.exec);
     quick.cv_runs = 1;
     quick.cv_folds = 5;
 

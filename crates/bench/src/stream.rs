@@ -144,8 +144,7 @@ impl StreamWorld {
     }
 
     fn build_from_config(scale: Scale, config: WeblogConfig) -> StreamWorld {
-        let _span = yav_telemetry::span!("bench.world.stream");
-        let _trace = yav_trace::trace_span!("world.stream", config.users as u64);
+        let _span = yav_telemetry::span!("bench.world.stream", config.users);
         let exec = &config.exec;
         let generator = WeblogGenerator::new(config.clone());
         let market_config = MarketConfig::default();
@@ -180,7 +179,7 @@ impl StreamWorld {
 
         for lo in (0..shards).step_by(window) {
             let n = window.min(shards - lo);
-            let _wtrace = yav_trace::trace_span!("world.stream_window", lo as u64);
+            let _window = yav_telemetry::span!("world.stream_window", lo);
             let parts = yav_exec::par_map_indexed(exec, n, |i| {
                 let s = lo + i;
                 let mut market = market_template.shard(s as u64);

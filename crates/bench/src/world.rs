@@ -72,9 +72,10 @@ impl Scale {
     }
 
     /// Training configuration matched to the scale (the paper's 10-fold
-    /// ×10-run protocol at full size; lighter below).
-    pub fn train_config(self) -> TrainConfig {
-        match self {
+    /// ×10-run protocol at full size; lighter below), its forests sized
+    /// to `exec`'s pool. The thread count never changes a fitted forest.
+    pub fn train_config(self, exec: &ExecConfig) -> TrainConfig {
+        let mut config = match self {
             // Huge spends its budget on the million-user stream, not on
             // campaign training — the quick forest is plenty for the
             // estimator the tenant monitors share.
@@ -84,7 +85,6 @@ impl Scale {
                 cv_runs: 2,
                 forest: RandomForestConfig {
                     n_trees: 40,
-                    threads: 8,
                     ..TrainConfig::default().forest
                 },
                 ..TrainConfig::default()
@@ -94,12 +94,13 @@ impl Scale {
                 cv_runs: 3,
                 forest: RandomForestConfig {
                     n_trees: 40,
-                    threads: 8,
                     ..TrainConfig::default().forest
                 },
                 ..TrainConfig::default()
             },
-        }
+        };
+        config.forest.threads = exec.threads();
+        config
     }
 }
 
@@ -107,6 +108,9 @@ impl Scale {
 pub struct World {
     /// The scale this world was built at.
     pub scale: Scale,
+    /// The pool it was built on; the figure experiments' forests use it
+    /// too.
+    pub exec: ExecConfig,
     /// The analyzer's view of dataset D.
     pub report: AnalyzerReport,
     /// Simulator ground truth for D (validation-only fields).
@@ -188,9 +192,7 @@ pub(crate) fn campaigns_and_pme(
         exec,
     );
     let pme = Pme::new();
-    let mut train = scale.train_config();
-    train.forest.threads = exec.threads();
-    pme.train_from_campaign(&a1.rows, &train);
+    pme.train_from_campaign(&a1.rows, &scale.train_config(exec));
     (a1, a2, pme)
 }
 
@@ -227,7 +229,6 @@ impl World {
     /// analyzer over `generator.collect`, re-sorted by (minute, user).
     pub fn build_with(scale: Scale, exec: &ExecConfig) -> World {
         let _span = yav_telemetry::span!("bench.world.build");
-        let _trace = yav_trace::trace_span!("bench.world_build");
         let config = WeblogConfig {
             exec: *exec,
             ..scale.weblog()
@@ -327,6 +328,7 @@ impl World {
 
         World {
             scale,
+            exec: *exec,
             report,
             truth,
             a1,

@@ -1,6 +1,6 @@
 //! Tracing is an observer, never an input.
 //!
-//! The yav-trace kill switch, ring capacity and thread count must all be
+//! The journal's kill switch, ring capacity and thread count must all be
 //! invisible to the pipeline's output: the same seed produces the same
 //! world bytes with tracing off, on, on a tiny ring, or on more workers.
 //! Alongside the invariance proof, this suite pins the exporter formats
@@ -10,8 +10,9 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use yav_bench::{Scale, World};
 use yav_exec::ExecConfig;
+use yav_telemetry::journal;
 
-/// The trace collector and telemetry registry are process-global;
+/// The journal and telemetry registry are process-global;
 /// every test in this binary serialises on this lock and resets the
 /// collector so concurrent tests cannot cross-pollute streams.
 fn collector_lock() -> MutexGuard<'static, ()> {
@@ -20,9 +21,9 @@ fn collector_lock() -> MutexGuard<'static, ()> {
         .get_or_init(|| Mutex::new(()))
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    yav_trace::set_enabled(false);
-    yav_trace::clear();
-    yav_trace::set_ring_capacity(yav_trace::DEFAULT_RING_CAPACITY);
+    journal::set_enabled(false);
+    journal::clear();
+    journal::set_ring_capacity(journal::DEFAULT_RING_CAPACITY);
     guard
 }
 
@@ -56,24 +57,41 @@ fn world_identical_with_tracing_off_on_and_across_rings_and_threads() {
     let base = World::build_with(Scale::Small, &ExecConfig::serial());
 
     // Tracing on, default ring.
-    yav_trace::set_enabled(true);
+    journal::set_enabled(true);
     let traced = World::build_with(Scale::Small, &ExecConfig::serial());
-    yav_trace::set_enabled(false);
-    let trace = yav_trace::drain();
+    journal::set_enabled(false);
+    let trace = journal::drain();
     assert!(!trace.is_empty(), "enabled tracing must record spans");
     assert_worlds_equal(&base, &traced, "tracing on");
 
     // Tracing on, a ring small enough to wrap constantly, more workers.
-    yav_trace::set_ring_capacity(128);
-    yav_trace::set_enabled(true);
+    // An odd size cuts through the shards' Begin/End pairs, so wrapped
+    // streams keep Ends whose Begins they overwrote.
+    journal::set_ring_capacity(61);
+    journal::set_enabled(true);
     let wrapped = World::build_with(Scale::Small, &ExecConfig::with_threads(3));
-    yav_trace::set_enabled(false);
-    let trace = yav_trace::drain();
+    journal::set_enabled(false);
+    let trace = journal::drain();
     assert!(
         trace.dropped() > 0,
-        "128-slot ring must wrap on a world build"
+        "61-slot ring must wrap on a world build"
     );
     assert_worlds_equal(&base, &wrapped, "tracing on, tiny ring, 3 threads");
+
+    // The wrap leaves Ends whose Begins it overwrote; the Chrome export
+    // must still balance every thread.
+    let orphan_ends = trace
+        .streams
+        .iter()
+        .filter(|s| {
+            let first = s.records.first().map_or(0, |r| r.seq);
+            s.records
+                .iter()
+                .any(|r| r.kind == journal::EventKind::End && r.parent < first)
+        })
+        .count();
+    assert!(orphan_ends > 0, "a wrapped stream keeps an orphan End");
+    assert_chrome_schema(&trace);
 }
 
 /// Minimal schema check over the Chrome trace-event JSON `figures
@@ -82,7 +100,7 @@ fn world_identical_with_tracing_off_on_and_across_rings_and_threads() {
 #[test]
 fn chrome_trace_export_matches_event_schema() {
     let _g = collector_lock();
-    yav_trace::set_enabled(true);
+    journal::set_enabled(true);
     // Two workers, so the export holds several trace streams.
     let _ = yav_campaign::execute_parallel(
         &yav_auction::MarketConfig::default(),
@@ -90,12 +108,32 @@ fn chrome_trace_export_matches_event_schema() {
         &yav_campaign::Campaign::a2().scaled(2),
         &ExecConfig::with_threads(2),
     );
-    yav_trace::set_enabled(false);
-    let trace = yav_trace::drain();
+    journal::set_enabled(false);
+    let trace = journal::drain();
     assert!(!trace.is_empty());
     assert!(trace.streams.len() > 1, "one trace stream per setup shard");
+    assert_chrome_schema(&trace);
 
-    let json = yav_trace::chrome_trace_json(&trace);
+    // The folded-stack exporter agrees on the record count: one logical
+    // tick per record, each attributed to exactly one stack.
+    let folded = yav_trace::folded_stacks(&trace);
+    let weight: u64 = folded
+        .lines()
+        .map(|l| {
+            l.rsplit(' ')
+                .next()
+                .unwrap()
+                .parse::<u64>()
+                .expect("weight")
+        })
+        .sum();
+    assert_eq!(weight, trace.len() as u64);
+}
+
+/// Parses the Chrome export and checks every event's phase fields and
+/// each thread's Begin/End balance.
+fn assert_chrome_schema(trace: &journal::Trace) {
+    let json = yav_trace::chrome_trace_json(trace);
     let doc: serde_json::Value = serde_json::from_str(&json).expect("exporter emits valid JSON");
     let events = doc
         .get("traceEvents")
@@ -138,21 +176,6 @@ fn chrome_trace_export_matches_event_schema() {
     for (tid, depth) in depth_per_tid {
         assert_eq!(depth, 0, "unclosed spans on tid {tid}");
     }
-
-    // The folded-stack exporter agrees on the record count: one logical
-    // tick per record, each attributed to exactly one stack.
-    let folded = yav_trace::folded_stacks(&trace);
-    let weight: u64 = folded
-        .lines()
-        .map(|l| {
-            l.rsplit(' ')
-                .next()
-                .unwrap()
-                .parse::<u64>()
-                .expect("weight")
-        })
-        .sum();
-    assert_eq!(weight, trace.len() as u64);
 }
 
 /// The health engine must surface ingest p99 latency and drop-rate

@@ -30,7 +30,6 @@ struct MonitorMetrics {
     events: yav_telemetry::Counter,
     ledger_cleartext_cpm: yav_telemetry::Gauge,
     ledger_estimated_cpm: yav_telemetry::Gauge,
-    observe_us: yav_telemetry::Histogram,
 }
 
 impl Default for MonitorMetrics {
@@ -43,7 +42,6 @@ impl Default for MonitorMetrics {
             events: yav_telemetry::counter("core.monitor.events"),
             ledger_cleartext_cpm: yav_telemetry::gauge("core.monitor.ledger_cleartext_cpm"),
             ledger_estimated_cpm: yav_telemetry::gauge("core.monitor.ledger_estimated_cpm"),
-            observe_us: yav_telemetry::histogram("ingest.observe.us"),
         }
     }
 }
@@ -223,14 +221,14 @@ impl YourAdValue {
                 self.drops.parse_error += 1;
                 self.metrics.parse_error.inc();
                 self.metrics.rejected_total.inc();
-                yav_trace::trace_instant!("ingest.drop", DROP_PARSE_ERROR);
+                yav_telemetry::instant!("ingest.drop", DROP_PARSE_ERROR);
                 None
             }
             Err(SiftDrop::NotNotification) => {
                 self.drops.not_notification += 1;
                 self.metrics.not_notification.inc();
                 self.metrics.rejected_total.inc();
-                yav_trace::trace_instant!("ingest.drop", DROP_NOT_NOTIFICATION);
+                yav_telemetry::instant!("ingest.drop", DROP_NOT_NOTIFICATION);
                 None
             }
         }
@@ -250,9 +248,10 @@ impl YourAdValue {
     }
 
     /// Observes one HTTP request. Returns the stored event if it was a
-    /// winning-price notification.
+    /// winning-price notification. Opens no span: a clock pair costs
+    /// about as much as the request itself, so the batch is timed
+    /// instead ([`YourAdValue::observe_batch`]).
     pub fn observe(&mut self, req: &HttpRequest) -> Option<PriceEvent> {
-        let _trace = yav_trace::trace_span!("ingest.observe");
         let (adx, price, ctx) = self.sift(req)?;
         let event = match price {
             PricePayload::Cleartext(price) => {
@@ -290,12 +289,11 @@ impl YourAdValue {
 
     /// Observes a batch of HTTP requests, returning the stored events in
     /// request order: [`YourAdValue::observe`] per request, so every side
-    /// effect is the serial loop's. The whole call records one
-    /// `ingest.observe.us` sample, the latency the health engine's
-    /// `ingest` watch reads.
+    /// effect is the serial loop's. The whole call is one
+    /// `ingest.observe` span: one `ingest.observe.us` sample, the latency
+    /// the health engine's `ingest` watch reads.
     pub fn observe_batch(&mut self, reqs: &[HttpRequest]) -> Vec<PriceEvent> {
-        let _timer = self.metrics.observe_us.time_us();
-        let _trace = yav_trace::trace_span!("ingest.observe_batch", reqs.len());
+        let _span = yav_telemetry::span!("ingest.observe", reqs.len());
         reqs.iter().filter_map(|req| self.observe(req)).collect()
     }
 

@@ -97,13 +97,15 @@ fn reject_path_never_allocates() {
     });
     assert_eq!(parsed, 0, "UrlRef reject path allocated");
 
-    // Monitor layer: after one warmup pass (telemetry handle resolution
-    // happens at construction; DropStats are plain integers), observing
-    // any number of reject-path requests performs zero allocations.
+    // Monitor layer: after one warmup pass (counter handles resolve at
+    // construction, the `ingest.observe` span's histogram on its first
+    // batch; DropStats are plain integers), observing any number of
+    // reject-path requests performs zero allocations.
     let mut yav = YourAdValue::new(None);
     for req in &rejects {
         assert!(yav.observe(req).is_none());
     }
+    assert!(yav.observe_batch(&rejects).is_empty());
     let observed = allocations(|| {
         for _ in 0..64 {
             for req in &rejects {

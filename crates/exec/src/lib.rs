@@ -19,6 +19,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use yav_telemetry::journal;
 
 /// Upper clamp for auto-detected worker counts: shards in this workspace
 /// are coarse (whole users-blocks, whole campaign setups), so pools wider
@@ -94,8 +95,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let _span = yav_telemetry::span!("exec.pool.par_map");
-    let _trace = yav_trace::trace_span!("exec.par_map", n);
+    let _span = yav_telemetry::span!("exec.pool.par_map", n);
     yav_telemetry::counter("exec.pool.tasks").add(n as u64);
     let workers = exec.threads().min(n.max(1));
     yav_telemetry::gauge("exec.pool.workers").set(workers as f64);
@@ -105,14 +105,14 @@ where
     // — so the merged trace is canonical across thread counts. The
     // generation is taken here, on the coordinating thread, keeping it
     // deterministic for a deterministic call sequence.
-    let trace_group = if yav_trace::enabled() {
-        Some((yav_trace::next_group(), yav_trace::current_ctx()))
+    let trace_group = if journal::enabled() {
+        Some((journal::next_group(), journal::current_ctx()))
     } else {
         None
     };
     let run_shard = |i: usize| match trace_group {
-        Some((group, origin)) => yav_trace::stream_scope(
-            yav_trace::StreamId {
+        Some((group, origin)) => journal::stream_scope(
+            journal::StreamId {
                 group,
                 index: i as u32,
             },
@@ -223,21 +223,24 @@ mod tests {
 
     #[test]
     fn traced_shards_merge_canonically() {
-        yav_trace::set_enabled(true);
-        let marker = yav_trace::span_name("exec.test_marker");
+        journal::set_enabled(true);
         let out = par_map_indexed(&ExecConfig::with_threads(4), 6, |i| {
-            yav_trace::instant(marker, i as u64);
+            yav_telemetry::instant!("exec.test_marker", i);
             i
         });
-        yav_trace::set_enabled(false);
+        journal::set_enabled(false);
         assert_eq!(out, vec![0, 1, 2, 3, 4, 5]);
-        let trace = yav_trace::drain();
+        let trace = journal::drain();
         // Other tests in this binary may have traced concurrently; look
         // only at the streams carrying our marker.
         let mine: Vec<_> = trace
             .streams
             .iter()
-            .filter(|s| s.records.iter().any(|r| r.name == marker.id()))
+            .filter(|s| {
+                s.records
+                    .iter()
+                    .any(|r| journal::name_of(r.name) == "exec.test_marker")
+            })
             .collect();
         assert_eq!(mine.len(), 6, "one stream per shard");
         let group = mine[0].stream.group;

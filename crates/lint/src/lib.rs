@@ -23,7 +23,7 @@
 //! | `metric-name-hygiene` | token | metric literals follow `area.name[.unit]`, no collisions |
 //! | `money-cast` | token | no raw casts around `Cpm` fixed-point money outside `yav-types` |
 //! | `alloc-in-reject-path` | token | zero allocations on the borrowed parser's reject path |
-//! | `span-hygiene` | token | `trace_span!` names follow `area.op`; guards are bound |
+//! | `span-hygiene` | token | `span!`/`instant!` names follow `area.op`; guards are bound |
 //! | `stream-materialize` | token | no population-sized state in the streaming modules |
 //! | `privacy-taint` | graph | tainted types never reach exporter/collector sinks unsanitized |
 //! | `boundary-escape` | graph | monitor pub API exposes no raw per-user state across the crate |

@@ -16,7 +16,7 @@ pub fn render(entries: &[MetricEntry]) -> String {
         "Generated by `cargo run -p yav-lint -- --write-metrics-doc` — do not edit by hand.\n\
          CI fails when this file is stale.\n\n\
          Names follow `area.name[.unit]` (see DESIGN.md §9 and §12). Spans appear under\n\
-         their derived `<name>.ms` histogram.\n\n",
+         their derived `<name>.us` histogram.\n\n",
     );
     writeln!(out, "{} metrics.\n", entries.len()).ok();
     out.push_str("| Metric | Kind | Registered at |\n|---|---|---|\n");
@@ -50,7 +50,7 @@ mod tests {
                 sites: vec![("crates/auction/src/market.rs".into(), 10)],
             },
             MetricEntry {
-                name: "weblog.generator.run.ms".into(),
+                name: "weblog.generator.run.us".into(),
                 kind: "histogram",
                 via_span: true,
                 sites: vec![("crates/auction/src/market.rs".into(), 9)],

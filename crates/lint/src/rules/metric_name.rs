@@ -4,8 +4,9 @@
 //!
 //! Harvest sites are the yav-telemetry registration idioms:
 //! `counter("…")`, `gauge("…")`, `histogram("…")` and `span!("…")`. A
-//! span named `x` records the histogram `x.ms`, so spans are registered
-//! under that derived name. Conditional registrations
+//! span named `x` records the histogram `x.us`, so spans are registered
+//! under that derived name; a bad span name is `span-hygiene`'s finding,
+//! not this rule's. Conditional registrations
 //! (`counter(match … { … })`, `gauge(if … { "a" } else { "b" })`) are
 //! handled by harvesting every string literal inside the call's
 //! balanced parentheses.
@@ -47,15 +48,16 @@ pub(crate) const AREAS: &[&str] = &[
     "world",
 ];
 
-/// The telemetry crate defines the primitives (its internals mention
-/// metric plumbing, not instrumentation sites); the lint crate's sources
-/// talk *about* metrics. Neither is a harvest site.
-const EXEMPT_CRATES: &[&str] = &["telemetry", "lint"];
+/// The lint crate's sources talk *about* metrics, so it is no harvest
+/// site. The telemetry crate is: its journal counts flushes in the
+/// registry (`trace.*`), while its primitives take names as parameters,
+/// never literals.
+const EXEMPT_CRATES: &[&str] = &["lint"];
 
 /// One harvested metric.
 #[derive(Debug, Clone)]
 pub struct MetricEntry {
-    /// Full dotted name (spans appear under their derived `<name>.ms`).
+    /// Full dotted name (spans appear under their derived `<name>.us`).
     pub name: String,
     /// `counter`, `gauge` or `histogram`.
     pub kind: &'static str,
@@ -103,11 +105,13 @@ impl MetricNameRule {
             });
         };
         if let Some(why) = bad_name(name) {
-            diag(format!("metric name `{name}` {why}"));
+            if !via_span {
+                diag(format!("metric name `{name}` {why}"));
+            }
             return;
         }
         let full = if via_span {
-            format!("{name}.ms")
+            format!("{name}.us")
         } else {
             name.to_owned()
         };
@@ -150,7 +154,7 @@ impl Default for MetricNameRule {
 }
 
 /// Why a name violates `area.name[.unit]`, or `None` when it is fine.
-/// Shared with `span-hygiene`: trace span names follow the same
+/// Shared with `span-hygiene`: span and instant names follow the same
 /// `area.op` dotted convention as metric names.
 pub(crate) fn bad_name(name: &str) -> Option<&'static str> {
     let segments: Vec<&str> = name.split('.').collect();

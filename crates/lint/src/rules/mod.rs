@@ -73,7 +73,7 @@ pub const RULE_DOCS: &[RuleDoc] = &[
                     the linter itself: simulation and training are pure functions of \
                     their inputs.",
         example: "Instant::now() in crate `auction`: sim/train code must not read the \
-                  wall clock — use a yav-telemetry span or histogram timer",
+                  wall clock — use a yav-telemetry span",
     },
     RuleDoc {
         name: "panic-policy",
@@ -129,9 +129,9 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     RuleDoc {
         name: "span-hygiene",
         kind: "token",
-        invariant: "`trace_span!` names follow the dotted `area.op` convention and \
-                    span guards are `let`-bound, never dropped on the spot \
-                    (DESIGN.md §14).",
+        invariant: "`span!` and `instant!` names follow the dotted `area.op` \
+                    convention and span guards are `let`-bound, never dropped on \
+                    the spot (DESIGN.md §14).",
         example: "span guard bound to `_` is dropped immediately: bind to a named \
                   guard",
     },

@@ -1,25 +1,24 @@
-//! `span-hygiene`: trace span names follow `area.op`, and every
-//! `trace_span!` guard is bound to a named variable.
+//! `span-hygiene`: `span!` and `instant!` names follow `area.op`, and
+//! every `span!` guard is bound to a named variable.
 //!
-//! Trace spans share the metric registry's dotted-name convention
-//! ([`super::metric_name`]), so exporters group by the same areas the
-//! telemetry surface uses. The guard check exists because
-//! `trace_span!` returns an RAII [`SpanGuard`]: written bare as a
+//! Span and instant names share the metric registry's dotted-name
+//! convention ([`super::metric_name`]), so exporters group by the same
+//! areas the telemetry surface uses. The guard check exists because
+//! `span!` returns an RAII `yav_telemetry::Span`: written bare as a
 //! statement, or bound to `_`, the guard drops on the same line and the
-//! span closes at open — silently tracing nothing. Binding to a named
-//! variable (idiomatically `_trace` or `_span`) keeps the span open to
-//! the end of the scope on **every** exit path, early returns and `?`
-//! included, which is what makes the monitor/pme/nurl spans trustworthy.
-//!
-//! [`SpanGuard`]: ../../../trace/struct.SpanGuard.html
+//! span closes at open — silently timing and journaling nothing.
+//! Binding to a named variable (idiomatically `_span`) keeps the span
+//! open to the end of the scope on **every** exit path, early returns
+//! and `?` included, which is what makes the monitor/pme/exec spans
+//! trustworthy.
 
 use crate::engine::{Diagnostic, Rule};
 use crate::lexer::TokenKind;
 use crate::source::SourceFile;
 
-/// The trace crate defines the macros (its tokens mention them without
-/// invoking them); the lint crate's sources talk *about* spans.
-const EXEMPT_CRATES: &[&str] = &["trace", "lint"];
+/// The telemetry crate defines the macros (its tokens mention them
+/// without invoking them); the lint crate's sources talk *about* spans.
+const EXEMPT_CRATES: &[&str] = &["telemetry", "lint"];
 
 /// The rule object.
 pub struct SpanHygiene;
@@ -35,8 +34,8 @@ impl Rule for SpanHygiene {
         }
         let toks = &file.tokens;
         for i in 0..toks.len() {
-            let is_span = toks[i].is_ident("trace_span");
-            let is_instant = toks[i].is_ident("trace_instant");
+            let is_span = toks[i].is_ident("span");
+            let is_instant = toks[i].is_ident("instant");
             if !(is_span || is_instant) || file.in_test_code(toks[i].line) {
                 continue;
             }
@@ -66,14 +65,14 @@ impl Rule for SpanHygiene {
                 Some(t) => diag(
                     t.line,
                     t.col,
-                    "span name must be a string literal (`trace_span!(\"area.op\")`)".to_owned(),
+                    "span name must be a string literal (`span!(\"area.op\")`)".to_owned(),
                 ),
                 None => {}
             }
 
-            // The guard binding, `trace_span!` only (`trace_instant!`
-            // returns no guard). Walk back over an optional module path
-            // (`yav_trace::`), then require `let <name> =` with a name
+            // The guard binding, `span!` only (`instant!` returns no
+            // guard). Walk back over an optional module path
+            // (`yav_telemetry::`), then require `let <name> =` with a name
             // that is not the discarding `_`.
             if !is_span {
                 continue;
@@ -97,15 +96,15 @@ impl Rule for SpanHygiene {
                 None => diag(
                     toks[i].line,
                     toks[i].col,
-                    "trace_span! guard is not bound: the span closes immediately — \
-                     bind it (`let _trace = trace_span!(…);`) so it spans the scope"
+                    "span! guard is not bound: the span closes immediately — \
+                     bind it (`let _span = span!(…);`) so it spans the scope"
                         .to_owned(),
                 ),
                 Some(b) if b.text == "_" => diag(
                     b.line,
                     b.col,
-                    "trace_span! guard bound to `_` drops at once — name it \
-                     (`let _trace = …`) so the span survives to end of scope"
+                    "span! guard bound to `_` drops at once — name it \
+                     (`let _span = …`) so the span survives to end of scope"
                         .to_owned(),
                 ),
                 Some(_) => {}

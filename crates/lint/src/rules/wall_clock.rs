@@ -3,13 +3,12 @@
 //!
 //! Simulation and training code must be a pure function of its inputs —
 //! wall-clock reads smuggle in nondeterminism and break replay. Timing
-//! belongs to yav-telemetry (span and histogram timers) and to the bench
-//! harness.
+//! belongs to yav-telemetry (`span!`) and to the bench harness.
 
 use crate::engine::{Diagnostic, Rule};
 use crate::source::SourceFile;
 
-/// Crates that legitimately read the clock: the telemetry timers, the
+/// Crates that legitimately read the clock: the telemetry spans, the
 /// bench harness, and the linter itself (it wall-clock-gates its own
 /// CI runtime budget — there is no simulation in this crate).
 const EXEMPT_CRATES: &[&str] = &["telemetry", "bench", "lint"];
@@ -41,7 +40,7 @@ impl Rule for WallClockInSim {
                     col: w[0].col,
                     message: format!(
                         "{}::now() in crate `{}`: sim/train code must not read the wall clock — \
-                         use a yav-telemetry span or histogram timer",
+                         use a yav-telemetry span",
                         w[0].text, file.crate_name
                     ),
                 });

@@ -1,11 +1,11 @@
-//! Negative span-hygiene fixture: idiomatic tracing, nothing to flag.
+//! Negative span-hygiene fixture: idiomatic spans, nothing to flag.
 
 pub fn observe(reqs: &[u64]) -> usize {
-    let _trace = yav_trace::trace_span!("ingest.observe");
-    let _phase = trace_span!("ingest.sift", reqs.len());
-    let mut guard = yav_trace::trace_span!("pme.train", 10);
+    let _span = yav_telemetry::span!("ingest.observe");
+    let _phase = span!("ingest.sift", reqs.len());
+    let mut guard = yav_telemetry::span!("pme.train", 10);
     let _keep = &mut guard;
-    yav_trace::trace_instant!("ingest.drop", 1);
+    yav_telemetry::instant!("ingest.drop", 1);
     reqs.len()
 }
 
@@ -13,6 +13,6 @@ pub fn observe(reqs: &[u64]) -> usize {
 mod tests {
     #[test]
     fn test_code_is_out_of_scope() {
-        yav_trace::trace_span!("anything goes in tests");
+        yav_telemetry::span!("anything goes in tests");
     }
 }

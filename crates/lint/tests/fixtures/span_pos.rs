@@ -1,15 +1,15 @@
-//! Positive span-hygiene fixture: every trace call here is wrong.
+//! Positive span-hygiene fixture: every span call here is wrong.
 
 pub fn observe(reqs: &[u64]) -> usize {
     // Unbound guard: the span closes on this same line.
-    yav_trace::trace_span!("ingest.observe");
+    yav_telemetry::span!("ingest.observe");
     // Bound to `_`, which also drops immediately.
-    let _ = yav_trace::trace_span!("ingest.sift", reqs.len());
+    let _ = yav_telemetry::span!("ingest.sift", reqs.len());
     // Name ignores the dotted `area.op` convention.
-    let _g = trace_span!("IngestObserve");
+    let _g = span!("IngestObserve");
     // Unknown area.
-    let _h = yav_trace::trace_span!("mystery.op");
+    let _h = yav_telemetry::span!("mystery.op");
     // Instants share the name convention.
-    yav_trace::trace_instant!("ingest");
+    yav_telemetry::instant!("ingest");
     reqs.len()
 }

@@ -1,9 +1,9 @@
-//! Negative fixture: simulation code on SimTime, timing via the
-//! telemetry histogram timer, wall clock only in test code (linted as
-//! crate `auction`).
+//! Negative fixture: simulation code on SimTime, timing via a
+//! telemetry span, wall clock only in test code (linted as crate
+//! `auction`).
 
-pub fn run_auction(now_minutes: i64, latency: &yav_telemetry::Histogram) -> i64 {
-    let _timer = latency.time_us();
+pub fn run_auction(now_minutes: i64) -> i64 {
+    let _span = yav_telemetry::span!("auction.market");
     now_minutes + 1
 }
 

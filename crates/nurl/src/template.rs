@@ -371,7 +371,7 @@ pub fn parse_borrowed_screened<'s, 'a: 's>(
     url: &UrlRef<'a>,
     scratch: &'s mut UrlScratch,
 ) -> Result<Option<NurlFieldsRef<'s>>, NurlRefError> {
-    let _trace = yav_trace::trace_span!("nurl.parse_borrowed");
+    yav_telemetry::instant!("nurl.parse_borrowed");
     let result = match scratch.decode(url) {
         Err(e) => Err(NurlRefError::Url(e)),
         Ok(_) if url.path() != template_for(adx).path => Ok(None),

@@ -77,8 +77,7 @@ impl Pme {
     /// Trains (or retrains) from campaign ground truth, bumping the model
     /// version. Returns the new version.
     pub fn train_from_campaign(&self, rows: &[ProbeImpression], config: &TrainConfig) -> u32 {
-        let _span = yav_telemetry::span!("pme.engine.train");
-        let _trace = yav_trace::trace_span!("pme.train", rows.len());
+        let _span = yav_telemetry::span!("pme.engine.train", rows.len());
         self.install(model::train(rows, config))
     }
 
@@ -213,8 +212,7 @@ impl Pme {
                     .map(|(ctx, p)| (ctx.clone(), p.as_f64())),
             );
         }
-        let _span = yav_telemetry::span!("pme.engine.train");
-        let _trace = yav_trace::trace_span!("pme.train", pairs.len());
+        let _span = yav_telemetry::span!("pme.engine.train", pairs.len());
         self.install(model::train_pairs(&pairs, config))
     }
 }

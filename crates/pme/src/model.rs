@@ -263,18 +263,16 @@ pub struct EstimateScratch {
     row: Vec<f64>,
     probs: Vec<f64>,
     predictions: yav_telemetry::Counter,
-    latency_us: yav_telemetry::Histogram,
 }
 
 impl EstimateScratch {
-    /// A fresh scratch (resolves the `pme.predictions_total` counter and
-    /// `pme.predict.us` histogram once).
+    /// A fresh scratch (resolves the `pme.predictions_total` counter
+    /// once).
     pub fn new() -> EstimateScratch {
         EstimateScratch {
             row: Vec::with_capacity(13),
             probs: Vec::new(),
             predictions: yav_telemetry::counter("pme.predictions_total"),
-            latency_us: yav_telemetry::histogram("pme.predict.us"),
         }
     }
 }
@@ -288,17 +286,17 @@ impl Default for EstimateScratch {
 impl ClientModel {
     /// Estimates a charge price for one auction context — the
     /// `ESe(S_i)` of the paper's Equation 3. Encodes into the scratch
-    /// row, walks the compiled tree, and records the `pme.predict.us`
-    /// latency histogram and `pme.predictions_total` counter; nothing is
-    /// allocated per call.
+    /// row, walks the compiled tree, and records the `pme.predict` span
+    /// (the `pme.predict.us` latency histogram) and the
+    /// `pme.predictions_total` counter; nothing is allocated per call.
     pub fn estimate_into(&self, ctx: &CoreContext, scratch: &mut EstimateScratch) -> Cpm {
-        let _timer = scratch.latency_us.time_us();
+        let _span = yav_telemetry::span!("pme.predict");
         scratch.row.clear();
         encode_append(ctx, self.with_publisher, &mut scratch.row);
         scratch.probs.resize(self.compiled.n_classes(), 0.0);
         let class = self.compiled.predict_with(&scratch.row, &mut scratch.probs);
         scratch.predictions.inc();
-        yav_trace::trace_instant!("pme.predict", class);
+        yav_telemetry::instant!("pme.predict.class", class);
         Cpm::from_f64(self.class_prices[class])
     }
 }

@@ -1,13 +1,13 @@
 //! The fixed-size per-stream ring journal.
 //!
-//! Each [`TraceRing`] has exactly one owner — a thread (via the
-//! thread-local in `collector`) or one shard task inside a
-//! [`crate::stream_scope`] — so the record path takes no lock and no
+//! Each `TraceRing` has exactly one owner — a thread (via the
+//! journal's thread-local) or one shard task inside a
+//! [`super::stream_scope`] — so the record path takes no lock and no
 //! atomic: bump a plain counter, write one slot. When the ring is full
 //! the oldest records are overwritten and counted in `dropped`, so a
 //! runaway span can never grow memory.
 
-use crate::record::{EventKind, SpanName, TraceRecord, NO_PARENT};
+use super::record::{EventKind, SpanName, TraceRecord, NO_PARENT};
 
 /// Identifies one record stream in the canonical merge order.
 ///
@@ -39,7 +39,7 @@ impl StreamId {
 
 /// A bounded, single-owner event journal.
 #[derive(Debug)]
-pub struct TraceRing {
+pub(crate) struct TraceRing {
     stream: StreamId,
     /// Cross-stream causal origin: the `(stream, begin seq)` under which
     /// this stream was spawned, if any.
@@ -79,11 +79,6 @@ impl TraceRing {
     /// This ring's stream id.
     pub fn stream(&self) -> StreamId {
         self.stream
-    }
-
-    /// Records overwritten because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     fn push(&mut self, record: TraceRecord) {
@@ -210,7 +205,7 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::span_name;
+    use crate::journal::record::span_name;
 
     fn sid() -> StreamId {
         StreamId { group: 0, index: 0 }
@@ -243,7 +238,6 @@ mod tests {
         for i in 0..20u64 {
             r.instant(tick, i);
         }
-        assert_eq!(r.dropped(), 12);
         let s = r.into_stream();
         assert_eq!(s.records.len(), 8);
         // Oldest survivor first, newest last.

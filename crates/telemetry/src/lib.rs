@@ -1,12 +1,18 @@
 //! Lightweight process-wide telemetry for the your-ad-value pipeline.
 //!
 //! One [`Registry`] holds named [`Counter`]s, [`Gauge`]s and
-//! log-bucketed [`Histogram`]s (p50/p90/p99/max). The [`span!`] macro
-//! times a region into the histogram `<name>.ms`. Exporters render the
-//! registry as Prometheus text, a JSON snapshot or a human report.
+//! log-bucketed [`Histogram`]s (p50/p90/p99/max). Exporters render the
+//! registry as Prometheus text, a JSON snapshot or a human report. The
+//! registry is always on.
+//!
+//! [`span!`] is the one way to time a region: it always records the
+//! elapsed microseconds into the histogram `<name>.us`, and it writes
+//! Begin/End records into the causal [`journal`] only while the journal
+//! is on (it is off by default). [`instant!`] writes a point event into
+//! the journal and records no metric.
 //!
 //! Metric names follow `<crate>.<subsystem>.<name>` (see DESIGN.md,
-//! "Telemetry"). Instrumentation is always on.
+//! "Telemetry").
 //!
 //! ```
 //! use yav_telemetry as telemetry;
@@ -16,6 +22,7 @@
 //!     let _span = telemetry::span!("auction.run");
 //!     telemetry::histogram("auction.charge_cpm").observe(1.25);
 //! }
+//! assert_eq!(telemetry::histogram("auction.run.us").count(), 1);
 //! assert!(telemetry::prometheus_text().contains("yav_auction_runs 1"));
 //! ```
 
@@ -23,23 +30,52 @@
 #![deny(missing_docs)]
 
 mod export;
+pub mod journal;
 mod metrics;
 mod registry;
+mod span;
 
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, HistogramTimer};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{registry, Registry};
+pub use span::Span;
+#[doc(hidden)]
+pub use span::{InstantSite, SpanSite};
 
-/// Starts an RAII span timer: `let _span = span!("auction.run");`.
+/// Opens a span: `let _span = span!("auction.market");`, optionally with
+/// a journal payload: `span!("ingest.observe", batch.len())`.
 ///
-/// The name is a string literal. The guard is the histogram
-/// `<name>.ms`'s [`Histogram::time_ms`] timer, so on drop the elapsed
-/// milliseconds land there. Hold it in a named binding; binding to `_`
-/// drops it at once and times nothing.
+/// The name is a string literal following `area.op`. A `static` at the
+/// call site resolves the histogram `<name>.us` and the journal name
+/// once. The returned [`Span`] records the elapsed microseconds into
+/// that histogram on drop, always; it writes a Begin record carrying
+/// `arg` and the matching End only while [`journal::enabled`]. A span
+/// costs a clock pair, so it marks a region that runs at most once per
+/// auction, estimate, batch, shard or run — never once per request.
+/// Hold it in a named binding; binding to `_` drops it at once and
+/// times nothing.
 #[macro_export]
 macro_rules! span {
     ($name:literal) => {
-        $crate::histogram(concat!($name, ".ms")).time_ms()
+        $crate::span!($name, 0u64)
     };
+    ($name:literal, $arg:expr) => {{
+        static SITE: $crate::SpanSite = $crate::SpanSite::new($name);
+        SITE.enter(($arg) as u64)
+    }};
+}
+
+/// Writes a journal point event under the open span:
+/// `instant!("ingest.drop", reason_code)`. Records no metric; while the
+/// journal is off it costs one relaxed load and a branch.
+#[macro_export]
+macro_rules! instant {
+    ($name:literal) => {
+        $crate::instant!($name, 0u64)
+    };
+    ($name:literal, $arg:expr) => {{
+        static SITE: $crate::InstantSite = $crate::InstantSite::new($name);
+        SITE.record(($arg) as u64)
+    }};
 }
 
 /// The global counter named `name` (created on first use).

@@ -9,7 +9,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A monotonically increasing event count.
 #[derive(Debug, Clone, Default)]
@@ -188,27 +187,6 @@ impl Histogram {
         self.inner.count.load(Ordering::Relaxed)
     }
 
-    /// Starts an RAII timer recording elapsed **microseconds** into this
-    /// histogram on drop. Hold it in a named binding; binding to `_`
-    /// drops immediately and times nothing.
-    pub fn time_us(&self) -> HistogramTimer {
-        HistogramTimer {
-            hist: self.clone(),
-            start: Instant::now(),
-            per_second: 1e6,
-        }
-    }
-
-    /// Like [`Histogram::time_us`], recording **milliseconds** (the
-    /// timer behind [`crate::span!`]).
-    pub fn time_ms(&self) -> HistogramTimer {
-        HistogramTimer {
-            hist: self.clone(),
-            start: Instant::now(),
-            per_second: 1e3,
-        }
-    }
-
     /// The non-empty log buckets as `(geometric midpoint, cumulative
     /// count)` pairs, midpoints ascending.
     ///
@@ -273,29 +251,6 @@ impl Histogram {
     }
 }
 
-/// An RAII guard from [`Histogram::time_us`]/[`Histogram::time_ms`];
-/// records the elapsed time into its histogram when dropped.
-#[derive(Debug)]
-#[must_use = "binding to _ drops the timer immediately and times nothing"]
-pub struct HistogramTimer {
-    hist: Histogram,
-    start: Instant,
-    per_second: f64,
-}
-
-impl HistogramTimer {
-    /// Elapsed time so far, in the timer's unit.
-    pub fn elapsed(&self) -> f64 {
-        self.start.elapsed().as_secs_f64() * self.per_second
-    }
-}
-
-impl Drop for HistogramTimer {
-    fn drop(&mut self) {
-        self.hist.observe(self.elapsed());
-    }
-}
-
 /// A frozen view of one histogram.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HistogramSnapshot {
@@ -330,23 +285,6 @@ mod tests {
             last = mid;
             assert_eq!(bucket_index(mid), i, "midpoint must index its own bucket");
         }
-    }
-
-    #[test]
-    fn histogram_timer_records_on_drop() {
-        let h = Histogram::new();
-        {
-            let t = h.time_us();
-            assert!(t.elapsed() >= 0.0);
-        }
-        {
-            let _t = h.time_ms();
-        }
-        let s = h.snapshot();
-        assert_eq!(s.count, 2);
-        // Sub-nanosecond regions can legally round to 0.0 (underflow
-        // bucket); everything else must be positive.
-        assert!(s.count == s.underflow + 2 || s.max > 0.0);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Integration tests: quantile accuracy against an exact reference,
-//! concurrent writers, span nesting and exporter output shape.
+//! concurrent writers, span nesting, the span/journal contract and
+//! exporter output shape.
 //!
 //! Tests in this binary share the process-global registry, so each test
 //! uses its own metric-name prefix.
@@ -97,8 +98,8 @@ fn counters_and_gauges_survive_concurrent_writers() {
 
 #[test]
 fn spans_nest_and_unwind_in_order() {
-    let outer = telemetry::histogram("nest.outer.ms");
-    let inner = telemetry::histogram("nest.inner.ms");
+    let outer = telemetry::histogram("nest.outer.us");
+    let inner = telemetry::histogram("nest.inner.us");
     {
         let _outer = telemetry::span!("nest.outer");
         {
@@ -108,9 +109,43 @@ fn spans_nest_and_unwind_in_order() {
         assert_eq!(inner.count(), 1);
         assert_eq!(outer.count(), 0);
     }
-    // Each span recorded exactly one duration into `<name>.ms`.
+    // Each span recorded exactly one duration into `<name>.us`.
     assert_eq!(outer.count(), 1);
     assert_eq!(inner.count(), 1);
+}
+
+/// The span contract: the registry sample is unconditional, the journal
+/// records only while the journal is on. The only test in this binary
+/// that turns the journal on, so no lock is needed.
+#[test]
+fn span_always_times_and_journals_only_when_enabled() {
+    use telemetry::journal::{self, EventKind};
+    fn run(arg: u64) {
+        let _span = telemetry::span!("contract.region", arg);
+        telemetry::instant!("contract.tick", arg);
+    }
+    let by_name = || telemetry::histogram("contract.region.us");
+
+    journal::clear();
+    run(1);
+    assert_eq!(by_name().count(), 1, "journal off: one sample");
+    assert!(journal::drain().is_empty(), "journal off: no record");
+
+    journal::set_enabled(true);
+    run(2);
+    journal::set_enabled(false);
+    assert_eq!(by_name().count(), 2, "journal on: one more sample");
+    let trace = journal::drain();
+    let records = &trace.streams[0].records;
+    let kinds: Vec<EventKind> = records.iter().map(|r| r.kind).collect();
+    assert_eq!(
+        kinds,
+        [EventKind::Begin, EventKind::Instant, EventKind::End]
+    );
+    assert_eq!(journal::name_of(records[0].name), "contract.region");
+    assert_eq!(journal::name_of(records[1].name), "contract.tick");
+    assert_eq!((records[0].arg, records[1].arg), (2, 2));
+    assert_eq!(records[2].parent, records[0].seq);
 }
 
 #[test]

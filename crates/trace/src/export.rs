@@ -1,16 +1,14 @@
 //! Trace exporters: Chrome trace-event JSON (Perfetto-loadable) and
 //! folded-stack flamegraph text.
 //!
-//! JSON is hand-rolled like `yav-telemetry`'s exporter — this crate
-//! stays a leaf so instrumenting `yav-nurl` never widens its dependency
-//! tree. Timestamps are logical sequence numbers: Perfetto renders each
-//! stream as a thread track whose x-axis is *event order*, not wall
-//! time, which is exactly the determinism contract of the journal.
+//! JSON is hand-rolled like `yav-telemetry`'s exporter. Timestamps are
+//! logical sequence numbers: Perfetto renders each stream as a thread
+//! track whose x-axis is *event order*, not wall time, which is exactly
+//! the determinism contract of the journal.
 
-use crate::record::{name_of, EventKind, NO_PARENT};
-use crate::ring::Trace;
 use std::collections::BTreeMap;
 use std::fmt::Write;
+use yav_telemetry::journal::{name_of, EventKind, Trace, NO_PARENT};
 
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -35,6 +33,9 @@ fn json_escape(s: &str) -> String {
 /// (`t0`, `g1.s3`, ...); spans are `B`/`E` pairs, point events are
 /// scoped instants (`i`), and `ts` is the record's logical seq. Each
 /// event's `args` carry the raw payload and the causal parent seq.
+///
+/// A wrapped ring can keep an End whose Begin it overwrote; such an End
+/// is skipped, so every thread's `B`/`E` events stay balanced.
 pub fn chrome_trace_json(trace: &Trace) -> String {
     let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
     let mut first = true;
@@ -47,6 +48,8 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
         if let Some((origin, seq)) = stream.origin {
             let _ = write!(label, " (from {}#{})", origin.label(), seq);
         }
+        // Begin seqs written so far and not yet closed, innermost last.
+        let mut open: Vec<u32> = Vec::new();
         let _ = write!(
             out,
             "{{\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\"name\":\"thread_name\",\
@@ -54,6 +57,12 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
             json_escape(&label)
         );
         for r in &stream.records {
+            if r.kind == EventKind::End {
+                if open.last() != Some(&r.parent) {
+                    continue;
+                }
+                open.pop();
+            }
             out.push(',');
             let name = json_escape(&name_of(r.name));
             let parent = if r.parent == NO_PARENT {
@@ -63,6 +72,7 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
             };
             match r.kind {
                 EventKind::Begin => {
+                    open.push(r.seq);
                     let _ = write!(
                         out,
                         "{{\"ph\":\"B\",\"pid\":0,\"tid\":{tid},\"ts\":{},\"name\":\"{name}\",\
@@ -148,21 +158,28 @@ fn fold(root: &str, stack: &[String], leaf: Option<&str>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::span_name;
-    use crate::ring::{StreamId, TraceRing};
+    use yav_telemetry::journal;
+
+    /// Journals `f` on a fresh collector with `capacity`-record rings.
+    /// The collector is process-global, so callers serialise on a lock.
+    fn journal_of(capacity: usize, f: impl FnOnce()) -> Trace {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        journal::clear();
+        journal::set_ring_capacity(capacity);
+        journal::set_enabled(true);
+        f();
+        journal::set_enabled(false);
+        journal::set_ring_capacity(journal::DEFAULT_RING_CAPACITY);
+        journal::drain()
+    }
 
     fn demo_trace() -> Trace {
-        let mut r = TraceRing::new(StreamId { group: 0, index: 0 }, 64);
-        let build = span_name("test.build");
-        let shard = span_name("test.shard");
-        let a = r.begin(build, 0);
-        let b = r.begin(shard, 3);
-        r.instant(span_name("test.drop"), 1);
-        r.end(b, shard);
-        r.end(a, build);
-        Trace {
-            streams: vec![r.into_stream()],
-        }
+        journal_of(64, || {
+            let _build = yav_telemetry::span!("test.build");
+            let _shard = yav_telemetry::span!("test.shard", 3);
+            yav_telemetry::instant!("test.drop", 1);
+        })
     }
 
     #[test]
@@ -175,6 +192,23 @@ mod tests {
         assert!(json.contains("\"ph\":\"i\""));
         assert!(json.contains("\"name\":\"test.build\""));
         assert!(json.contains("\"thread_name\""));
+    }
+
+    #[test]
+    fn chrome_json_skips_an_end_whose_begin_wrapped_away() {
+        // An 8-record ring keeps the last 7 instants and the End.
+        let trace = journal_of(8, || {
+            let _outer = yav_telemetry::span!("test.outer");
+            for i in 0..20u64 {
+                yav_telemetry::instant!("test.tick", i);
+            }
+        });
+        assert_eq!(trace.dropped(), 14);
+        let json = chrome_trace_json(&trace);
+        assert_eq!(json.matches("\"ph\":\"B\"").count(), 0);
+        assert_eq!(json.matches("\"ph\":\"E\"").count(), 0, "{json}");
+        assert_eq!(json.matches("\"ph\":\"i\"").count(), 7);
+        assert!(!json.contains(",,"), "{json}");
     }
 
     #[test]

@@ -5,19 +5,20 @@
 //! cargo run --release --example trace_world
 //! ```
 //!
-//! Enables yav-trace, replays the quickstart pipeline (campaign →
-//! training → panel streaming), ticks the SLO health engine once per
-//! simulated month, then exports the trace as Chrome trace-event JSON
+//! Turns the telemetry journal on, replays the quickstart pipeline
+//! (campaign → training → panel streaming), ticks the SLO health engine
+//! once per batch, then exports the trace as Chrome trace-event JSON
 //! (open in Perfetto / `chrome://tracing`) and as folded stacks
 //! (`flamegraph.pl`-compatible), and prints the final health report.
 
 use your_ad_value::prelude::*;
+use your_ad_value::telemetry::journal;
 use your_ad_value::trace;
 
 fn main() {
-    // Tracing is off by default; the demo opts in before any work runs.
-    // The world stays bit-identical either way — spans only observe.
-    trace::set_enabled(true);
+    // The journal is off by default; the demo opts in before any work
+    // runs. The world stays bit-identical either way — spans only observe.
+    journal::set_enabled(true);
 
     let generator = WeblogGenerator::new(WeblogConfig::small());
     let universe = generator.universe().clone();
@@ -57,8 +58,8 @@ fn main() {
     yav.observe_batch(&batch);
     let report = health.tick();
 
-    trace::set_enabled(false);
-    let t = trace::drain();
+    journal::set_enabled(false);
+    let t = journal::drain();
     let dir = std::env::temp_dir();
     let chrome = dir.join("yav_trace_world.json");
     let folded = dir.join("yav_trace_world.folded");

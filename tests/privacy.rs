@@ -128,13 +128,13 @@ fn exports_carry_no_raw_urls_and_no_per_user_ledger_state() {
     // every export surface — Prometheus text, the JSON snapshot and the
     // Chrome trace — and assert none of them contains a raw URL, a
     // request host, or per-user ledger serialisation.
-    use your_ad_value::telemetry;
+    use your_ad_value::telemetry::{self, journal};
     use your_ad_value::trace;
 
     let generator = WeblogGenerator::new(WeblogConfig::small());
     let mut yav = YourAdValue::new(Some(City::Madrid));
     let mut urls: Vec<String> = Vec::new();
-    trace::set_enabled(true);
+    journal::set_enabled(true);
     generator.run(
         &MarketConfig::default(),
         |req| {
@@ -145,11 +145,11 @@ fn exports_carry_no_raw_urls_and_no_per_user_ledger_state() {
         },
         |_| {},
     );
-    trace::set_enabled(false);
+    journal::set_enabled(false);
 
     let prometheus = telemetry::prometheus_text();
     let snapshot = telemetry::json_snapshot();
-    let chrome = trace::chrome_trace_json(&trace::drain());
+    let chrome = trace::chrome_trace_json(&journal::drain());
 
     assert!(!urls.is_empty(), "the world produced no requests");
     assert!(

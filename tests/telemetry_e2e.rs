@@ -65,12 +65,12 @@ fn pipeline_run_produces_a_full_snapshot() {
         drops.not_notification
     );
 
-    // Span timers fired for the heavy stages.
+    // Spans fired for the heavy stages.
     let histograms: std::collections::BTreeMap<String, _> =
         telemetry::registry().histograms().into_iter().collect();
     for name in [
-        "weblog.generator.run.ms",
-        "pme.engine.train.ms",
+        "weblog.generator.run.us",
+        "pme.engine.train.us",
         "auction.market.us",
     ] {
         assert!(
