@@ -75,8 +75,9 @@ pub struct ImpressionRecord {
 /// [`Retention::Bounded`] drops the list and relies on the always-recorded
 /// [`DetectionSummary`] — constant memory per analyzer, which is what lets
 /// the streaming world builder run million-user populations. Every other
-/// aggregate (class counts, pairs, state folds, returned
-/// [`ImpressionRecord`]s) is identical in both modes.
+/// aggregate (class counts, pairs, the feature history that
+/// [`WeblogAnalyzer::ingest`] folds, returned [`ImpressionRecord`]s) is
+/// identical in both modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Retention {
     /// Keep the full detection list (default).
@@ -195,18 +196,27 @@ impl WeblogAnalyzer {
     /// Ingests one HTTP request. Returns the enriched detection (with its
     /// feature snapshot) when the request was a winning-price
     /// notification.
+    ///
+    /// Besides the report, this folds the request into the feature
+    /// history the snapshots read: per-user [`UserState`] (requests,
+    /// beacons, cookie syncs, publishers, impressions) and the panel-wide
+    /// [`GlobalState`]. An analyzer's history comes only from its
+    /// `ingest` calls, so feed one analyzer through one entry point.
     pub fn ingest(&mut self, req: &HttpRequest) -> Option<ImpressionRecord> {
         self.ingest_with(req, true)
     }
 
-    /// Ingests one HTTP request without building the per-detection
-    /// [`ImpressionRecord`]: both entry points run one body, so every
-    /// aggregate — class counts, user and global state, pairs, summary,
-    /// malformed counts — folds exactly as [`WeblogAnalyzer::ingest`]
-    /// folds it, but the enriched metadata and the 288-feature snapshot
-    /// are never built. This is the streaming window loop's path: after
-    /// warm-up it touches no heap at all (the detection keys are rendered
-    /// into reusable buffers and only first-sight map keys allocate).
+    /// Ingests one HTTP request into the [`AnalyzerReport`] alone. Both
+    /// entry points run one body, so class counts, totals, OS-by-month
+    /// counts, users seen, pairs, the summary and malformed counts fold
+    /// exactly as [`WeblogAnalyzer::ingest`] folds them. The feature
+    /// history exists only to be snapshotted into an [`ImpressionRecord`],
+    /// so this path skips it, and with it the geo lookup and content-host
+    /// categorisation that feed it: an analyzer fed only here hands back
+    /// `GlobalState::default()` from [`WeblogAnalyzer::finish_with_state`].
+    /// This is the streaming window loop's path: after warm-up it touches
+    /// no heap at all (the detection keys are rendered into reusable
+    /// buffers, and only the user map and first-sight pair keys allocate).
     ///
     /// Retention is irrelevant here: a caller that wants
     /// `report.detections` needs the metadata and must use
@@ -216,7 +226,8 @@ impl WeblogAnalyzer {
     }
 
     /// The one ingest body; `want_record` asks for the enriched
-    /// [`ImpressionRecord`] of a detected notification.
+    /// [`ImpressionRecord`] of a detected notification and the feature
+    /// history behind its snapshot.
     fn ingest_with(&mut self, req: &HttpRequest, want_record: bool) -> Option<ImpressionRecord> {
         // Borrowed parse: components are subslices of the raw line, no
         // allocation. Validating the query up front keeps the owned
@@ -241,31 +252,36 @@ impl WeblogAnalyzer {
         self.report.total_requests += 1;
 
         let fp = self.ua.fingerprint(&req.user_agent);
-        let city = self.geo.city_of(req.client_ip);
         let month = GlobalState::month_bucket(req.time);
         self.report.monthly_os_requests[month][os_index(fp.os)] += 1;
 
+        // Every user counts towards `users_seen`; the state behind the
+        // entry is feature history, which only a wanted record reads.
         let user = self.users.entry(req.user).or_default();
-        user.record_request(
-            req.time,
-            req.bytes,
-            req.duration_ms,
-            fp.interaction == InteractionType::MobileApp,
-            city,
-        );
-
-        match class {
-            TrafficClass::Rest => {
+        let city = if want_record {
+            let city = self.geo.city_of(req.client_ip);
+            user.record_request(
+                req.time,
+                req.bytes,
+                req.duration_ms,
+                fp.interaction == InteractionType::MobileApp,
+                city,
+            );
+            if class == TrafficClass::Rest {
                 // Content request: learn the publisher and the interest.
                 let host = normalize_publisher(&self.host_lower);
-                if let Some(iab) = taxonomy::categorize(host) {
-                    user.record_publisher(host, Some(iab));
+                let iab = taxonomy::categorize(host);
+                user.record_publisher(host, iab);
+                if iab.is_some() {
                     bump_count(&mut self.global.publisher_views, host);
-                } else {
-                    user.record_publisher(host, None);
                 }
-                None
             }
+            city
+        } else {
+            None
+        };
+
+        match class {
             TrafficClass::Advertising => self.ingest_advertising(req, &url, fp, city, want_record),
             _ => None,
         }
@@ -281,16 +297,21 @@ impl WeblogAnalyzer {
         city: Option<City>,
         want_record: bool,
     ) -> Option<ImpressionRecord> {
-        let user = self
-            .users
-            .get_mut(&req.user)
-            .expect("state created in ingest_with");
+        let history = want_record.then(|| {
+            self.users
+                .get_mut(&req.user)
+                .expect("state created in ingest_with")
+        });
         if url.path().ends_with("/b.gif") {
-            user.record_beacon();
+            if let Some(user) = history {
+                user.record_beacon();
+            }
             return None;
         }
         if url.path().contains("getuid") || url.query_raw("redir").is_some() {
-            user.record_cookie_sync();
+            if let Some(user) = history {
+                user.record_cookie_sync();
+            }
             return None;
         }
 
@@ -317,62 +338,60 @@ impl WeblogAnalyzer {
         // below allocate only on a key's first sight.
         self.dsp_buf.clear();
         fields.dsp.write_domain(&mut self.dsp_buf);
+        self.report
+            .pairs
+            .record(req.time, adx, Some(&self.dsp_buf), visibility);
+        self.report.summary.record(adx, visibility, cleartext, iab);
+        let user = history?;
 
         // The enriched detection, with its feature snapshot taken BEFORE
         // folding this impression: history "up to now" (Table 4's
         // phrasing).
-        let record = want_record.then(|| {
-            let meta = DetectedImpression {
-                time: req.time,
-                user: req.user,
-                adx,
-                dsp_domain: Some(self.dsp_buf.clone()),
-                visibility,
-                cleartext_cpm: cleartext,
-                encrypted_token_wire: fields.price.encrypted().map(|t| t.to_wire()),
-                slot: fields.slot,
-                publisher: fields.publisher.map(str::to_owned),
-                iab,
-                city,
-                os: fp.os,
-                device: fp.device,
-                interaction: fp.interaction,
-                campaign_wire: fields.campaign.map(|c| c.wire()),
-                latency_ms: fields.latency_ms,
-            };
-            let transport = NurlTransport {
-                bytes: req.bytes,
-                duration_ms: req.duration_ms,
-                param_count: url.query_pairs().count() as u32,
-                https: url.is_https(),
-                // ASCII lowercasing preserves byte length, so the raw
-                // host's length is the normalized host's length.
-                host_len: url.host_raw().len() as u32,
-                path_depth: url.path().split('/').filter(|s| !s.is_empty()).count() as u32,
-                // Decoded lengths without materialising the decoded
-                // strings.
-                query_len: url
-                    .query_pairs()
-                    .map(|(k, v)| decoded_len(k) + decoded_len(v) + 1)
-                    .sum::<usize>() as u32,
-                has_bid_price: fields.bid_price.is_some(),
-                has_size: fields.slot.is_some(),
-                has_publisher: fields.publisher.is_some(),
-                token_len: meta
-                    .encrypted_token_wire
-                    .as_ref()
-                    .map(|t| t.len())
-                    .unwrap_or(0) as u32,
-            };
-            let features = features::extract(&meta, &transport, user, &self.global);
-            ImpressionRecord { meta, features }
-        });
+        let meta = DetectedImpression {
+            time: req.time,
+            user: req.user,
+            adx,
+            dsp_domain: Some(self.dsp_buf.clone()),
+            visibility,
+            cleartext_cpm: cleartext,
+            encrypted_token_wire: fields.price.encrypted().map(|t| t.to_wire()),
+            slot: fields.slot,
+            publisher: fields.publisher.map(str::to_owned),
+            iab,
+            city,
+            os: fp.os,
+            device: fp.device,
+            interaction: fp.interaction,
+            campaign_wire: fields.campaign.map(|c| c.wire()),
+            latency_ms: fields.latency_ms,
+        };
+        let transport = NurlTransport {
+            bytes: req.bytes,
+            duration_ms: req.duration_ms,
+            param_count: url.query_pairs().count() as u32,
+            https: url.is_https(),
+            // ASCII lowercasing preserves byte length, so the raw host's
+            // length is the normalized host's length.
+            host_len: url.host_raw().len() as u32,
+            path_depth: url.path().split('/').filter(|s| !s.is_empty()).count() as u32,
+            // Decoded lengths without materialising the decoded strings.
+            query_len: url
+                .query_pairs()
+                .map(|(k, v)| decoded_len(k) + decoded_len(v) + 1)
+                .sum::<usize>() as u32,
+            has_bid_price: fields.bid_price.is_some(),
+            has_size: fields.slot.is_some(),
+            has_publisher: fields.publisher.is_some(),
+            token_len: meta
+                .encrypted_token_wire
+                .as_ref()
+                .map(|t| t.len())
+                .unwrap_or(0) as u32,
+        };
+        let features = features::extract(&meta, &transport, user, &self.global);
 
-        // Fold the impression into every state store.
+        // Fold the impression into the feature history.
         user.record_impression(adx, cleartext.map(|p| p.as_f64()));
-        self.report
-            .pairs
-            .record(req.time, adx, Some(&self.dsp_buf), visibility);
         if let Some(slot) = fields.slot {
             let m = GlobalState::month_bucket(req.time);
             self.global.monthly_slots[m][features::slot_index(slot)] += 1;
@@ -387,13 +406,10 @@ impl WeblogAnalyzer {
         }
         fold_dsp_stats(&mut self.global, &self.dsp_buf, req, visibility);
 
-        self.report.summary.record(adx, visibility, cleartext, iab);
-        if let Some(record) = &record {
-            if self.retention == Retention::Full {
-                self.report.detections.push(record.meta.clone());
-            }
+        if self.retention == Retention::Full {
+            self.report.detections.push(meta.clone());
         }
-        record
+        Some(ImpressionRecord { meta, features })
     }
 
     /// Finishes the pass and returns the report.
@@ -403,7 +419,8 @@ impl WeblogAnalyzer {
 
     /// Finishes the pass, also handing back the panel-wide global state
     /// (advertiser, campaign and publisher aggregates) that
-    /// [`Self::finish`] drops.
+    /// [`Self::finish`] drops. Only [`Self::ingest`] folds it: after
+    /// [`Self::ingest_quiet`] alone it is `GlobalState::default()`.
     pub fn finish_with_state(mut self) -> (AnalyzerReport, GlobalState) {
         yav_telemetry::instant!("analyzer.finish", self.report.total_requests);
         self.report.users_seen = self.users.len();
@@ -584,9 +601,10 @@ mod tests {
 
     #[test]
     fn quiet_ingest_folds_identically() {
-        // `ingest_quiet` must fold every aggregate exactly as `ingest`
-        // does — it only skips building the per-detection record. Drive
-        // both over the same log and compare everything observable.
+        // `ingest_quiet` must fold the report exactly as `ingest` does;
+        // it skips the per-detection record and the feature history
+        // behind it. Drive both over the same log and compare the report
+        // field by field, then the global state each hands back.
         let generator = WeblogGenerator::new(WeblogConfig::tiny());
         let log = generator.collect(&MarketConfig::default());
         let mut full = WeblogAnalyzer::with_retention(Retention::Bounded);
@@ -610,11 +628,20 @@ mod tests {
         assert_eq!(fr.pairs.figure2(), qr.pairs.figure2());
         assert_eq!(fr.pairs.figure3(), qr.pairs.figure3());
         assert!(qr.detections.is_empty());
-        assert_eq!(fg.dsps, qg.dsps);
-        assert_eq!(fg.campaigns, qg.campaigns);
-        assert_eq!(fg.publisher_views, qg.publisher_views);
-        assert_eq!(fg.publisher_imps, qg.publisher_imps);
-        assert_eq!(fg.monthly_slots, qg.monthly_slots);
+
+        // `ingest` built the history its snapshots read (organic traffic
+        // echoes no campaign id, so `campaigns` stays empty either way)...
+        assert!(!fg.dsps.is_empty());
+        assert!(!fg.publisher_views.is_empty());
+        assert!(!fg.publisher_imps.is_empty());
+        assert!(fg.monthly_slots.iter().flatten().any(|&n| n > 0));
+        // ...and `ingest_quiet` built none of it.
+        let empty = GlobalState::default();
+        assert_eq!(qg.dsps, empty.dsps);
+        assert_eq!(qg.campaigns, empty.campaigns);
+        assert_eq!(qg.publisher_views, empty.publisher_views);
+        assert_eq!(qg.publisher_imps, empty.publisher_imps);
+        assert_eq!(qg.monthly_slots, empty.monthly_slots);
     }
 
     #[test]

@@ -86,6 +86,10 @@ fn feed_and_check(urls: &[String]) {
     assert_eq!(full.malformed_nurls, quiet.malformed_nurls);
     assert_eq!(full.class_counts, quiet.class_counts);
     assert_eq!(full.summary, quiet.summary);
+    assert_eq!(full.users_seen, quiet.users_seen);
+    assert_eq!(full.monthly_os_requests, quiet.monthly_os_requests);
+    assert_eq!(full.pairs.figure2(), quiet.pairs.figure2());
+    assert_eq!(full.pairs.figure3(), quiet.pairs.figure3());
 }
 
 #[test]

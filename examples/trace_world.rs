@@ -18,6 +18,11 @@ use your_ad_value::trace;
 fn main() {
     // The journal is off by default; the demo opts in before any work
     // runs. The world stays bit-identical either way — spans only observe.
+    // The main thread records the campaign, the training and then the
+    // whole panel stream (~125 k records, mostly `ingest.drop`
+    // instants), so its ring is sized to keep all of it: at the default
+    // 65 536 records the stream would overwrite the earlier phases.
+    journal::set_ring_capacity(1 << 18);
     journal::set_enabled(true);
 
     let generator = WeblogGenerator::new(WeblogConfig::small());
@@ -60,6 +65,15 @@ fn main() {
 
     journal::set_enabled(false);
     let t = journal::drain();
+    assert_eq!(t.dropped(), 0, "a ring wrapped: the trace lost records");
+    for phase in ["exec.campaign.execute_parallel", "pme.engine.train"] {
+        let recorded = t
+            .streams
+            .iter()
+            .flat_map(|s| &s.records)
+            .any(|r| r.kind == journal::EventKind::Begin && journal::name_of(r.name) == phase);
+        assert!(recorded, "the trace holds no `{phase}` span");
+    }
     let dir = std::env::temp_dir();
     let chrome = dir.join("yav_trace_world.json");
     let folded = dir.join("yav_trace_world.folded");
