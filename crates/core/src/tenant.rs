@@ -5,7 +5,7 @@
 //! service, PAPERS.md) runs the same sift/estimate pipeline over a
 //! *multiplexed* stream carrying many users' traffic — an ISP vantage
 //! point or a fleet of opted-in clients. [`TenantStore`] is that runtime:
-//! a sharded per-user state store where each tenant accumulates only a
+//! a per-user state store where each tenant accumulates only a
 //! constant-size [`CostSummary`]-shaped total (no per-event ledger), so a
 //! million concurrent tenants fit in memory that a thousand single-user
 //! monitors would spend on ledgers alone.
@@ -20,16 +20,12 @@
 
 use crate::ledger::CostSummary;
 use crate::monitor::{sift_request, DropStats, SiftDrop, SiftScratch};
+use std::collections::BTreeMap;
 use yav_nurl::fields::PricePayload;
 
 use yav_pme::model::{ClientModel, EstimateScratch};
 use yav_types::{City, Cpm, UserId};
 use yav_weblog::HttpRequest;
-
-/// Tenants per internal store shard. Sharding is by `user % SHARDS` —
-/// structural, so the shard a tenant lands in never depends on arrival
-/// order or thread count.
-pub const TENANT_SHARDS: usize = 64;
 
 /// Per-tenant accumulated state: the running totals a single-user
 /// monitor's ledger summary would report, without the ledger.
@@ -181,10 +177,9 @@ struct TenantMetrics {
 /// clone per store would be three gigabytes of copies.
 #[derive(Debug)]
 pub struct TenantStore {
-    /// Per-user state, sharded by `user % TENANT_SHARDS`. BTreeMaps so
-    /// every iteration (the [`TenantStore::report`] fold) is in user
-    /// order — deterministic regardless of arrival order.
-    shards: Vec<std::collections::BTreeMap<u32, TenantState>>,
+    /// Per-user state. A BTreeMap, so the [`TenantStore::report`] fold
+    /// walks tenants in user order, whatever the arrival order.
+    tenants: BTreeMap<u32, TenantState>,
     /// Stream-level drop accounting (drops are not attributable to a
     /// tenant: rejected URLs never reach user routing).
     drops: DropStats,
@@ -205,7 +200,7 @@ impl TenantStore {
     /// An empty store.
     pub fn new() -> TenantStore {
         TenantStore {
-            shards: vec![std::collections::BTreeMap::new(); TENANT_SHARDS],
+            tenants: BTreeMap::new(),
             drops: DropStats::default(),
             sift: SiftScratch::default(),
             estimate: EstimateScratch::new(),
@@ -225,13 +220,13 @@ impl TenantStore {
 
     /// Tenants currently holding state.
     pub fn tenant_count(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
+        self.tenants.len()
     }
 
     /// A tenant's accumulated state, if it exists.
     // yav-lint: allow(boundary-escape) — single-tenant inspection hook for the simulator harness; exports go through summary()/take_contributions(), never this accessor (privacy-taint guards the exporters)
     pub fn tenant(&self, user: UserId) -> Option<&TenantState> {
-        self.shards[user.0 as usize % TENANT_SHARDS].get(&user.0)
+        self.tenants.get(&user.0)
     }
 
     /// Stream-level drop accounting.
@@ -240,9 +235,7 @@ impl TenantStore {
     }
 
     fn state_mut(&mut self, user: u32) -> &mut TenantState {
-        self.shards[user as usize % TENANT_SHARDS]
-            .entry(user)
-            .or_default()
+        self.tenants.entry(user).or_default()
     }
 
     /// Observes one request of a multiplexed stream, routed by
@@ -297,23 +290,21 @@ impl TenantStore {
             drops: self.drops,
             ..TenantReport::default()
         };
-        for shard in &self.shards {
-            for t in shard.values() {
-                let s = t.summary();
-                if s.impressions() > 0 {
-                    report.users += 1;
-                    report.events += s.impressions();
-                    report.cost_hist[cost_bucket(t.total())] += 1;
-                }
-                report.fleet.cleartext = report.fleet.cleartext.saturating_add(s.cleartext);
-                report.fleet.encrypted_estimated = report
-                    .fleet
-                    .encrypted_estimated
-                    .saturating_add(s.encrypted_estimated);
-                report.fleet.cleartext_count += s.cleartext_count;
-                report.fleet.encrypted_count += s.encrypted_count;
-                report.skipped_no_model += t.skipped_no_model;
+        for t in self.tenants.values() {
+            let s = t.summary();
+            if s.impressions() > 0 {
+                report.users += 1;
+                report.events += s.impressions();
+                report.cost_hist[cost_bucket(t.total())] += 1;
             }
+            report.fleet.cleartext = report.fleet.cleartext.saturating_add(s.cleartext);
+            report.fleet.encrypted_estimated = report
+                .fleet
+                .encrypted_estimated
+                .saturating_add(s.encrypted_estimated);
+            report.fleet.cleartext_count += s.cleartext_count;
+            report.fleet.encrypted_count += s.encrypted_count;
+            report.skipped_no_model += t.skipped_no_model;
         }
         report
     }
@@ -400,6 +391,28 @@ mod tests {
             let got = store.tenant(user.id).copied().unwrap_or_default().summary();
             assert_eq!(got, expected, "user {:?}", user.id);
         }
+    }
+
+    /// The report is a fold of order-free sums and counts over the
+    /// tenants, so the same log fed in another arrival order reports the
+    /// same.
+    #[test]
+    fn report_ignores_arrival_order() {
+        let model = client_model();
+        let (log, generator) = world();
+        let fed = |requests: &mut dyn Iterator<Item = &HttpRequest>| {
+            let mut store = TenantStore::new();
+            for user in generator.panel().users() {
+                store.register(user.id, user.home);
+            }
+            for req in requests {
+                store.feed(Some(&model), req);
+            }
+            store.report()
+        };
+        let in_order = fed(&mut log.requests.iter());
+        assert!(in_order.users > 1 && in_order.fleet.encrypted_count > 0);
+        assert_eq!(fed(&mut log.requests.iter().rev()), in_order);
     }
 
     #[test]

@@ -161,11 +161,6 @@ impl EncryptedPrice {
         Ok(EncryptedPrice { bytes })
     }
 
-    /// Wraps raw token bytes; the fixed-size array is already shape-valid.
-    pub fn from_bytes(bytes: [u8; TOKEN_LEN]) -> EncryptedPrice {
-        EncryptedPrice { bytes }
-    }
-
     /// Serialises back to the wire form (38 base64url characters).
     pub fn to_wire(self) -> String {
         base64url_encode(&self.bytes)

@@ -3,10 +3,13 @@
 //! §5.4's protocol: "we applied 10-fold cross validation, and averaged
 //! results over 10 runs". [`cross_validate`] reproduces exactly that,
 //! collecting the confusion statistics and weighted AUCROC of every fold.
+//! It bins the dataset once per call and grows every fold's forest from
+//! those bins through the fold's training rows.
 
 use crate::dataset::Dataset;
 use crate::forest::{self, RandomForestConfig};
 use crate::metrics::{auc_roc_ovr, ConfusionMatrix};
+use crate::tree::Bins;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -78,6 +81,7 @@ pub fn cross_validate(
     let mut fpr = Vec::new();
     let mut auc = Vec::new();
     let mut class_rec = vec![Vec::new(); data.n_classes()];
+    let bins = Bins::new(data);
 
     for run in 0..runs {
         let mut rng = StdRng::seed_from_u64(seed ^ (run as u64).wrapping_mul(0x9E37_79B9));
@@ -91,7 +95,8 @@ pub fn cross_validate(
             // Nothing reads a fold forest's OOB error or importances, so
             // its trees are grown and voted with, never assembled.
             let (trees, _) = forest::grow(
-                &data.select(&train),
+                &bins,
+                &train,
                 &RandomForestConfig {
                     seed: config.seed ^ ((run * folds + fold) as u64) << 8,
                     ..*config

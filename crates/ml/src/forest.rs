@@ -12,6 +12,8 @@
 //! importances. Only [`RandomForest::fit`] assembles; the
 //! cross-validation forests skip the OOB pass and vote with their grown
 //! trees, since nothing reads a fold forest's OOB error or importances.
+//! `grow` takes binned data and a list of its rows, so cross-validation
+//! bins its dataset once and grows every fold's forest from those bins.
 
 use crate::dataset::Dataset;
 use crate::tree::{argmax, Bins, DecisionTree, Frame, TreeConfig};
@@ -50,7 +52,7 @@ impl Default for RandomForestConfig {
 /// Default training parallelism: one worker per available core, clamped
 /// to [1, 8] (trees are coarse units; more workers than that just adds
 /// scheduling noise). Thread count never affects the fitted forest.
-pub fn default_train_threads() -> usize {
+fn default_train_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -73,7 +75,8 @@ impl RandomForest {
     /// the out-of-bag pass for [`RandomForest::oob_error`] and the
     /// importances.
     pub fn fit(data: &Dataset, config: &RandomForestConfig) -> RandomForest {
-        let (trees, boots) = grow(data, config);
+        let rows: Vec<usize> = (0..data.len()).collect();
+        let (trees, boots) = grow(&Bins::new(data), &rows, config);
         RandomForest::assemble(data, trees, &boots)
     }
 
@@ -91,9 +94,7 @@ impl RandomForest {
             }
             for (i, votes) in oob_votes.iter_mut().enumerate() {
                 if !in_bag[i] {
-                    for (c, p) in tree.predict_proba(data.row(i)).iter().enumerate() {
-                        votes[c] += p;
-                    }
+                    tree.vote(data.row(i), votes);
                 }
             }
         }
@@ -133,21 +134,15 @@ impl RandomForest {
         }
     }
 
-    /// Averaged class probabilities for one row, written into `out` —
-    /// the allocation-free arena-walker path. Training-time code (CV, the
-    /// representative tree) votes the same way, and it is the oracle the
-    /// flat [`crate::CompiledForest`] is pinned bit-identical to.
+    /// Averaged class probabilities for one row, written into `out`
+    /// without allocating. Training-time code (CV, the representative
+    /// tree) votes the same way.
     ///
     /// # Panics
     /// Panics if `out.len() != n_classes`.
     pub fn predict_proba_into(&self, row: &[f64], out: &mut [f64]) {
         assert_eq!(out.len(), self.n_classes, "probability buffer mismatch");
         vote_into(&self.trees, row, out, |_, _| {});
-    }
-
-    /// The trained trees, for lowering.
-    pub(crate) fn trees(&self) -> &[DecisionTree] {
-        &self.trees
     }
 
     /// Out-of-bag error estimate from training.
@@ -171,14 +166,14 @@ impl RandomForest {
     /// ships to YourAdValue clients ("apply the model M in the form of a
     /// decision tree", §3.2).
     pub fn representative_tree(&self, data: &Dataset) -> &DecisionTree {
-        // One walk per (tree, row): each tree's own class is read off the
-        // probabilities the forest vote sums.
+        // One walk per (tree, row): each tree's vote also names its own
+        // class.
         let mut probs = vec![0.0f64; self.n_classes];
         let mut own = vec![0usize; self.trees.len()];
         let mut agree = vec![0usize; self.trees.len()];
         for i in 0..data.len() {
-            vote_into(&self.trees, data.row(i), &mut probs, |t, p| {
-                own[t] = argmax(p)
+            vote_into(&self.trees, data.row(i), &mut probs, |t, class| {
+                own[t] = class
             });
             let vote = argmax(&probs);
             for (a, &class) in agree.iter_mut().zip(&own) {
@@ -196,29 +191,31 @@ impl RandomForest {
     }
 }
 
-/// Grows the forest's trees on their bootstraps and returns them with
-/// the bootstraps, without the out-of-bag pass: [`RandomForest::fit`]
-/// assembles the result, cross-validation votes with the trees alone.
+/// Grows a forest's trees on bootstraps of `rows`, row indices into
+/// `bins`, and returns them with the bootstraps, without the out-of-bag
+/// pass: [`RandomForest::fit`] assembles the result, cross-validation
+/// votes with the trees alone. The trees are those that bins of `rows`
+/// alone would grow, as a cut's threshold depends only on the values its
+/// node's rows occupy.
 pub(crate) fn grow(
-    data: &Dataset,
+    bins: &Bins,
+    rows: &[usize],
     config: &RandomForestConfig,
 ) -> (Vec<DecisionTree>, Vec<Vec<usize>>) {
-    assert!(!data.is_empty(), "cannot fit a forest on an empty dataset");
+    assert!(!rows.is_empty(), "cannot fit a forest on an empty dataset");
     assert!(config.n_trees > 0, "need at least one tree");
-    let tree_config = tree_config(data.n_features(), config);
-    let (boots, seeds) = bootstraps(data.len(), config);
+    let tree_config = tree_config(bins.n_features(), config);
+    let (boots, seeds) = bootstraps(rows, config);
 
-    // Bin every feature once; each worker reuses one frame for all of
-    // its trees.
-    let bins = Bins::new(data);
+    // Each worker reuses one frame for all of its trees.
     let fit_tree = |frame: &mut Frame, t: usize| {
         let mut trng = StdRng::seed_from_u64(seeds[t]);
-        DecisionTree::fit_binned(&bins, frame, &boots[t], &tree_config, &mut trng)
+        DecisionTree::fit_binned(bins, frame, &boots[t], &tree_config, &mut trng)
     };
     let threads = config.threads.max(1).min(config.n_trees);
     let mut trees: Vec<Option<DecisionTree>> = vec![None; config.n_trees];
     if threads == 1 {
-        let mut frame = Frame::new(&bins);
+        let mut frame = Frame::new(bins);
         for (t, slot) in trees.iter_mut().enumerate() {
             *slot = Some(fit_tree(&mut frame, t));
         }
@@ -229,7 +226,7 @@ pub(crate) fn grow(
         crossbeam::thread::scope(|scope| {
             let mut handles = Vec::new();
             for chunk in &chunks {
-                let (bins, fit_tree) = (&bins, &fit_tree);
+                let fit_tree = &fit_tree;
                 handles.push(scope.spawn(move |_| {
                     let mut frame = Frame::new(bins);
                     chunk
@@ -251,21 +248,17 @@ pub(crate) fn grow(
 }
 
 /// Averaged class probabilities of `trees` for one row, written into
-/// `out`, handing each tree's own probabilities to `each(tree_index,
-/// probs)` as they are summed.
+/// `out`, handing each tree's own class to `each(tree_index, class)` as
+/// its probabilities are summed.
 pub(crate) fn vote_into(
     trees: &[DecisionTree],
     row: &[f64],
     out: &mut [f64],
-    mut each: impl FnMut(usize, &[f64]),
+    mut each: impl FnMut(usize, usize),
 ) {
     out.fill(0.0);
     for (t, tree) in trees.iter().enumerate() {
-        let probs = tree.predict_proba(row);
-        for (o, p) in out.iter_mut().zip(probs) {
-            *o += p;
-        }
-        each(t, probs);
+        each(t, tree.vote(row, out));
     }
     let n = trees.len() as f64;
     out.iter_mut().for_each(|p| *p /= n);
@@ -273,7 +266,7 @@ pub(crate) fn vote_into(
 
 /// The per-tree CART parameters: `features_per_split: None` becomes
 /// ⌈√d⌉.
-fn tree_config(d: usize, config: &RandomForestConfig) -> TreeConfig {
+pub(crate) fn tree_config(d: usize, config: &RandomForestConfig) -> TreeConfig {
     TreeConfig {
         features_per_split: config
             .tree
@@ -283,14 +276,18 @@ fn tree_config(d: usize, config: &RandomForestConfig) -> TreeConfig {
     }
 }
 
-/// Every tree's bootstrap rows and RNG seed, drawn up front and serially
-/// from the forest seed, so the thread count cannot change them.
-fn bootstraps(n: usize, config: &RandomForestConfig) -> (Vec<Vec<usize>>, Vec<u64>) {
+/// Every tree's bootstrap of `rows` and RNG seed, drawn up front and
+/// serially from the forest seed, so the thread count cannot change them.
+pub(crate) fn bootstraps(
+    rows: &[usize],
+    config: &RandomForestConfig,
+) -> (Vec<Vec<usize>>, Vec<u64>) {
+    let n = rows.len();
     let mut boots: Vec<Vec<usize>> = Vec::with_capacity(config.n_trees);
     let mut seeds: Vec<u64> = Vec::with_capacity(config.n_trees);
     let mut rng = StdRng::seed_from_u64(config.seed);
     for _ in 0..config.n_trees {
-        boots.push((0..n).map(|_| rng.gen_range(0..n)).collect());
+        boots.push((0..n).map(|_| rows[rng.gen_range(0..n)]).collect());
         seeds.push(rng.gen());
     }
     (boots, seeds)
@@ -299,6 +296,7 @@ fn bootstraps(n: usize, config: &RandomForestConfig) -> (Vec<Vec<usize>>, Vec<u6
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::reference;
 
     /// Deterministic 3-class dataset with two informative features and one
     /// pure-noise feature.
@@ -368,10 +366,10 @@ mod tests {
         assert_eq!(serial, parallel);
     }
 
-    /// `RandomForest::fit` equals the forest assembled from
-    /// `tree::reference` trees on the same bootstraps and seeds, at any
-    /// thread count; a 257-value column sends small nodes to the sort
-    /// side.
+    /// `RandomForest::fit` grows the `tree::reference` seed trees on the
+    /// same bootstraps and seeds, node for node, at any thread count, and
+    /// its out-of-bag error is the one the seed walker votes; a
+    /// 257-value column sends small nodes to the sort side.
     #[test]
     fn binned_forest_matches_reference_trees() {
         let base = dataset(400);
@@ -387,6 +385,7 @@ mod tests {
             3,
             vec!["x".into(), "y".into(), "noise".into(), "wide".into()],
         );
+        let rows: Vec<usize> = (0..data.len()).collect();
         for threads in [1, 4] {
             let config = RandomForestConfig {
                 n_trees: 8,
@@ -395,19 +394,32 @@ mod tests {
             };
             let forest = RandomForest::fit(&data, &config);
             let tree_config = tree_config(data.n_features(), &config);
-            let (boots, seeds) = bootstraps(data.len(), &config);
-            let trees = boots
-                .iter()
-                .zip(&seeds)
-                .map(|(boot, &seed)| {
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    crate::tree::reference::fit(&data, boot, &tree_config, &mut rng)
-                })
+            let (boots, seeds) = bootstraps(&rows, &config);
+            let mut oob_votes = vec![vec![0.0f64; 3]; data.len()];
+            for (t, (boot, &seed)) in boots.iter().zip(&seeds).enumerate() {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let oracle = reference::fit(&data, boot, &tree_config, &mut rng);
+                let what = format!("threads {threads}, tree {t}");
+                reference::assert_same(&forest.trees[t], &oracle, &what);
+                for (i, votes) in oob_votes.iter_mut().enumerate() {
+                    if !boot.contains(&i) {
+                        for (v, p) in votes.iter_mut().zip(oracle.predict_proba(data.row(i))) {
+                            *v += p;
+                        }
+                    }
+                }
+            }
+            let voted: Vec<usize> = (0..data.len())
+                .filter(|&i| oob_votes[i].iter().any(|&v| v > 0.0))
                 .collect();
-            let reference = RandomForest::assemble(&data, trees, &boots);
+            let wrong = voted
+                .iter()
+                .filter(|&&i| argmax(&oob_votes[i]) != data.label(i))
+                .count();
+            let oob_error = wrong as f64 / voted.len() as f64;
             assert_eq!(
-                format!("{forest:?}"),
-                format!("{reference:?}"),
+                forest.oob_error().to_bits(),
+                oob_error.to_bits(),
                 "threads {threads}"
             );
         }
@@ -457,7 +469,7 @@ mod tests {
             // Oracle: the per-tree formulation, re-voting the forest on
             // every row for every tree.
             let agreement: Vec<usize> = forest
-                .trees()
+                .trees
                 .iter()
                 .map(|t| {
                     (0..data.len())
@@ -466,7 +478,7 @@ mod tests {
                 })
                 .collect();
             let picked = forest
-                .trees()
+                .trees
                 .iter()
                 .position(|t| std::ptr::eq(t, tree))
                 .expect("the representative is one of the forest's trees");

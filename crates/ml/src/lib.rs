@@ -13,18 +13,16 @@
 //! * [`dataset`] — row-major feature matrices with named columns;
 //! * [`discretize`] — the §5.1 price-class construction (log transform +
 //!   balanced entropy splits with a leave-one-out entropy estimate);
-//! * [`tree`] — CART decision trees, the arena form training grows and
-//!   forests vote with; training bins each feature once per forest and
-//!   counts classes per bin at each node;
+//! * [`tree`] — CART decision trees in one form: the flat table of
+//!   16-byte nodes training writes, forests vote with and YourAdValue
+//!   walks on the client, without allocating; training bins each feature
+//!   once for many trees and counts classes per bin at each node;
 //! * [`forest`] — bagged random forests with OOB error and impurity
 //!   importances, trained in parallel with crossbeam scoped threads;
 //!   cross-validation forests skip the OOB pass, as nothing reads it;
-//! * [`compiled`] — the flat struct-of-arrays inference form a trained
-//!   forest or tree is lowered into for allocation-free, cache-blocked
-//!   prediction; YourAdValue ships one compiled tree to the client;
 //! * [`metrics`] — confusion-matrix statistics and AUCROC;
-//! * [`cv`] — stratified k-fold cross-validation, voting with each
-//!   fold's grown trees;
+//! * [`cv`] — stratified k-fold cross-validation over data binned once
+//!   per call, voting with each fold's grown trees;
 //! * [`linreg`] — the OLS baseline the paper discarded.
 //!
 //! Everything is deterministic given the caller's seed.
@@ -32,7 +30,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod compiled;
 pub mod cv;
 pub mod dataset;
 pub mod discretize;
@@ -41,11 +38,10 @@ pub mod linreg;
 pub mod metrics;
 pub mod tree;
 
-pub use compiled::CompiledForest;
 pub use cv::{cross_validate, CvReport};
 pub use dataset::Dataset;
 pub use discretize::Discretizer;
-pub use forest::{default_train_threads, RandomForest, RandomForestConfig};
+pub use forest::{RandomForest, RandomForestConfig};
 pub use linreg::LinearRegression;
 pub use metrics::{auc_roc_ovr, ConfusionMatrix};
 pub use tree::{DecisionTree, TreeConfig};

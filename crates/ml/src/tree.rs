@@ -1,12 +1,15 @@
 //! CART decision trees.
 //!
-//! The model YourAdValue ships to clients is "a decision tree" (§3.2), so
-//! trees here are plain serde-serialisable data. Training is exact CART:
-//! at each node, candidate features (optionally a random subset — that is
-//! the random-forest hook) are scanned over the midpoints between their
-//! distinct values for the split with the best Gini-impurity decrease.
+//! The model YourAdValue ships to clients is "a decision tree" (§3.2), and
+//! [`DecisionTree`] is that artifact in the one form training writes,
+//! forests vote with and the client walks: a flat table of 16-byte nodes.
+//! Training is exact CART: at each node, candidate features (optionally a
+//! random subset — that is the random-forest hook) are scanned over the
+//! midpoints between their distinct values for the split with the best
+//! Gini-impurity decrease.
 //!
-//! Training bins every feature **once per forest** (`Bins`): its distinct
+//! Training bins every feature **once** for many trees (`Bins`: once per
+//! forest, once per cross-validation for all its folds): its distinct
 //! values in ascending order and a bin code per row. A tree keeps one list
 //! of its rows (`Frame`); a node is a range of that list, and a split
 //! partitions only that range, comparing each row's bin code with the
@@ -19,12 +22,20 @@
 //! histogram; the sort keeps high-cardinality columns and small nodes
 //! cheap.
 //!
-//! The fitted trees are bit-identical to the naive re-sorting
-//! implementation (kept under `#[cfg(test)]` as `reference` and pinned by
-//! equivalence tests): a cut between two occupied bins is a cut between
-//! two distinct sorted values, its gain is computed from the same integer
-//! class counts with the same float operations, and its threshold comes
-//! from the same `threshold` rule.
+//! Nodes are written in the pre-order training recurses in, a split's two
+//! children side by side (`right = left + 1`), so a split stores only its
+//! left child. A leaf's `left` carries `LEAF_BIT`; a pure leaf (one class)
+//! holds its probability in `threshold` and sets `PURE_BIT`, an impure
+//! one indexes the tree's `leaf_probs` arena with the low bits; every
+//! leaf's `feature` holds its class.
+//!
+//! The fitted trees are bit-identical to the seed implementation, the
+//! re-sorting trainer and its arena of enum nodes (kept under
+//! `#[cfg(test)]` as `reference` and pinned by equivalence tests): a cut
+//! between two occupied bins is a cut between two distinct sorted values,
+//! its gain is computed from the same integer class counts with the same
+//! float operations, and its threshold comes from the same `threshold`
+//! rule.
 
 use crate::dataset::Dataset;
 use rand::rngs::StdRng;
@@ -56,32 +67,38 @@ impl Default for TreeConfig {
     }
 }
 
-/// Tree nodes. Stored as an arena (`Vec<Node>`) with index links, which
-/// serialises compactly and keeps prediction cache-friendly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub(crate) enum Node {
-    /// Internal split: `row[feature] <= threshold` goes left.
-    Split {
-        /// Feature column index.
-        feature: usize,
-        /// Split threshold.
-        threshold: f64,
-        /// Left child index.
-        left: usize,
-        /// Right child index.
-        right: usize,
-    },
-    /// Leaf: class probability vector.
-    Leaf {
-        /// P(class) per class.
-        probs: Vec<f64>,
-    },
+/// High bit of a node's `left`: set ⇒ the node is a leaf.
+const LEAF_BIT: u32 = 1 << 31;
+
+/// Second-highest bit of a leaf's `left`: set ⇒ the leaf is pure (one
+/// class with a nonzero probability), which it holds in `threshold`, so
+/// it has no arena entry and a vote adds one cell instead of
+/// `n_classes`. Skipping the zero cells is bit-exact: vote cells only
+/// hold non-negative sums, and `x + 0.0` is `x` for every such `x`.
+/// Greedy CART grows most leaves to purity. An impure leaf's low 30
+/// bits index the `leaf_probs` arena; a split's `left` is a node index
+/// under 2^30 as well.
+const PURE_BIT: u32 = 1 << 30;
+
+/// One node of the table: 16 bytes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+struct Node {
+    /// A split's threshold, `row[feature] <= threshold` going left; a
+    /// pure leaf's probability.
+    threshold: f64,
+    /// A split's left child, the right one following it; a leaf's
+    /// `LEAF_BIT`, with `PURE_BIT` or its arena slot.
+    left: u32,
+    /// A split's feature column; a leaf's class.
+    feature: u16,
 }
 
-/// A trained classification tree.
+/// A trained classification tree: a flat node table, root first.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DecisionTree {
     nodes: Vec<Node>,
+    /// `n_classes` probabilities per impure leaf.
+    leaf_probs: Vec<f64>,
     n_classes: usize,
     n_features: usize,
     /// Total Gini-impurity decrease credited to each feature during
@@ -145,6 +162,11 @@ impl Bins {
                 .map(|&l| u32::try_from(l).expect("class labels are packed into u32"))
                 .collect(),
         }
+    }
+
+    /// Number of feature columns.
+    pub(crate) fn n_features(&self) -> usize {
+        self.values.len()
     }
 
     /// Feature `f`'s bin code per row.
@@ -446,6 +468,10 @@ impl DecisionTree {
 
     /// [`DecisionTree::fit`] on bins built once for many trees, with a
     /// reused `frame` — the forest's per-tree entry.
+    ///
+    /// # Panics
+    /// Also panics if a feature or class index does not fit the node's
+    /// `u16`, or the tree outgrows the 30-bit node or leaf slot budget.
     pub(crate) fn fit_binned(
         bins: &Bins,
         frame: &mut Frame,
@@ -454,16 +480,23 @@ impl DecisionTree {
         rng: &mut StdRng,
     ) -> DecisionTree {
         assert!(!indices.is_empty(), "cannot fit a tree on zero rows");
+        let n_features = bins.n_features();
+        assert!(n_features <= u16::MAX as usize, "feature index exceeds u16");
+        assert!(
+            bins.n_classes <= u16::MAX as usize,
+            "class index exceeds u16"
+        );
         frame.rows.clear();
         frame.rows.extend(indices.iter().map(|&i| {
             assert!(i < bins.n, "row {i} out of range ({} rows)", bins.n);
             i as u32
         }));
         let mut tree = DecisionTree {
-            nodes: Vec::new(),
+            nodes: vec![Node::default()],
+            leaf_probs: Vec::new(),
             n_classes: bins.n_classes,
-            n_features: bins.values.len(),
-            importances: vec![0.0; bins.values.len()],
+            n_features,
+            importances: vec![0.0; n_features],
         };
         // The root's class counts, in slot 0.
         frame.counts.clear();
@@ -471,21 +504,17 @@ impl DecisionTree {
         for &r in &frame.rows {
             frame.counts[bins.labels[r as usize] as usize] += 1;
         }
-        tree.build(bins, frame, 0, 0, indices.len(), 0, config, rng);
+        tree.build(0, bins, frame, 0, 0, indices.len(), 0, config, rng);
         tree
     }
 
-    /// Read-only view of the node arena, for the compiled lowering.
-    pub(crate) fn arena(&self) -> &[Node] {
-        &self.nodes
-    }
-
-    /// Recursive node construction over the row range `[lo, hi)`, whose
-    /// class counts are in the frame's `slot`; returns the node's arena
-    /// index.
+    /// Writes node `at` over the row range `[lo, hi)`, whose class counts
+    /// are in the frame's `slot`, then its subtree: the left child's
+    /// before the right's.
     #[allow(clippy::too_many_arguments)]
     fn build(
         &mut self,
+        at: usize,
         bins: &Bins,
         frame: &mut Frame,
         slot: usize,
@@ -494,18 +523,18 @@ impl DecisionTree {
         depth: usize,
         config: &TreeConfig,
         rng: &mut StdRng,
-    ) -> usize {
+    ) {
         let n = hi - lo;
         let counts = frame.counts(slot);
         let node_impurity = gini(counts, n);
         let pure = counts.iter().filter(|&&c| c > 0).count() <= 1;
 
         if pure || depth >= config.max_depth || n < config.min_samples_split {
-            return self.push_leaf(counts, n);
+            return self.write_leaf(at, counts, n);
         }
 
         let Some(cut) = frame.best_split(bins, lo, hi, slot, node_impurity, config, rng) else {
-            return self.push_leaf(frame.counts(slot), n);
+            return self.write_leaf(at, frame.counts(slot), n);
         };
 
         self.importances[cut.feature] += cut.gain * n as f64;
@@ -515,53 +544,103 @@ impl DecisionTree {
         debug_assert_eq!(n_left, frame.best_left.iter().sum::<usize>());
         let (left, right) = frame.child_counts(slot, depth + 1);
 
-        let node_idx = self.nodes.len();
-        self.nodes.push(Node::Split {
-            feature: cut.feature,
-            threshold: cut.threshold,
-            left: 0,
-            right: 0,
-        });
-        let l = self.build(bins, frame, left, lo, lo + n_left, depth + 1, config, rng);
-        let r = self.build(bins, frame, right, lo + n_left, hi, depth + 1, config, rng);
-        if let Node::Split { left, right, .. } = &mut self.nodes[node_idx] {
-            *left = l;
-            *right = r;
-        }
-        node_idx
+        let l = self.write_split(at, cut.feature, cut.threshold);
+        let mid = lo + n_left;
+        self.build(l, bins, frame, left, lo, mid, depth + 1, config, rng);
+        self.build(l + 1, bins, frame, right, mid, hi, depth + 1, config, rng);
     }
 
-    fn push_leaf(&mut self, counts: &[usize], n: usize) -> usize {
-        let probs = counts.iter().map(|&c| c as f64 / n.max(1) as f64).collect();
-        self.nodes.push(Node::Leaf { probs });
-        self.nodes.len() - 1
+    /// Makes node `at` a split and appends its two children; returns the
+    /// left child's index.
+    fn write_split(&mut self, at: usize, feature: usize, threshold: f64) -> usize {
+        let left = self.nodes.len();
+        assert!(
+            left + 1 < PURE_BIT as usize,
+            "tree exceeds the 30-bit node budget"
+        );
+        self.nodes[at] = Node {
+            threshold,
+            left: left as u32,
+            feature: feature as u16,
+        };
+        self.nodes.extend([Node::default(); 2]);
+        left
     }
 
-    /// Class-probability vector for one feature row.
-    pub fn predict_proba(&self, row: &[f64]) -> &[f64] {
-        let mut idx = 0usize;
-        loop {
-            match &self.nodes[idx] {
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    idx = if row[*feature] <= *threshold {
-                        *left
-                    } else {
-                        *right
-                    };
+    /// Makes node `at` the leaf of `n` rows with class `counts`.
+    fn write_leaf(&mut self, at: usize, counts: &[usize], n: usize) {
+        let prob = |c: usize| c as f64 / n.max(1) as f64;
+        let mut classes = counts.iter().enumerate().filter(|&(_, &c)| c > 0);
+        self.nodes[at] = match (classes.next(), classes.next()) {
+            (Some((class, &c)), None) => Node {
+                threshold: prob(c),
+                left: LEAF_BIT | PURE_BIT,
+                feature: class as u16,
+            },
+            _ => {
+                let k = self.n_classes;
+                let slot = self.leaf_probs.len() / k;
+                assert!(
+                    slot < PURE_BIT as usize,
+                    "tree exceeds the 30-bit leaf slot budget"
+                );
+                self.leaf_probs.extend(counts.iter().map(|&c| prob(c)));
+                Node {
+                    threshold: 0.0,
+                    left: LEAF_BIT | slot as u32,
+                    feature: argmax(&self.leaf_probs[slot * k..]) as u16,
                 }
-                Node::Leaf { probs } => return probs,
+            }
+        };
+    }
+
+    /// The leaf `row` reaches.
+    fn leaf(&self, row: &[f64]) -> Node {
+        let mut node = self.nodes[0];
+        while node.left & LEAF_BIT == 0 {
+            let go_left = row[node.feature as usize] <= node.threshold;
+            node = self.nodes[node.left as usize + usize::from(!go_left)];
+        }
+        node
+    }
+
+    /// Adds this tree's class probabilities for `row` to `votes` and
+    /// returns its class: one walk, a forest's per-tree vote.
+    pub(crate) fn vote(&self, row: &[f64], votes: &mut [f64]) -> usize {
+        self.add(self.leaf(row), votes)
+    }
+
+    /// Adds the class probabilities of `leaf` to `votes` and returns its
+    /// class.
+    fn add(&self, leaf: Node, votes: &mut [f64]) -> usize {
+        if leaf.left & PURE_BIT != 0 {
+            votes[leaf.feature as usize] += leaf.threshold;
+        } else {
+            let k = self.n_classes;
+            let slot = (leaf.left & !LEAF_BIT) as usize;
+            let probs = &self.leaf_probs[slot * k..(slot + 1) * k];
+            for (v, &p) in votes.iter_mut().zip(probs) {
+                *v += p;
             }
         }
+        leaf.feature as usize
+    }
+
+    /// Most probable class for one row (first wins ties), with its class
+    /// probabilities written into `probs`; nothing is allocated.
+    ///
+    /// # Panics
+    /// Panics if `row` or `probs` have the wrong length.
+    pub fn predict_with(&self, row: &[f64], probs: &mut [f64]) -> usize {
+        assert_eq!(row.len(), self.n_features, "row width mismatch");
+        assert_eq!(probs.len(), self.n_classes, "probability buffer mismatch");
+        probs.fill(0.0);
+        self.vote(row, probs)
     }
 
     /// Most probable class for one row.
     pub fn predict(&self, row: &[f64]) -> usize {
-        argmax(self.predict_proba(row))
+        self.leaf(row).feature as usize
     }
 
     /// Number of classes.
@@ -584,11 +663,13 @@ impl DecisionTree {
         self.depth_of(0)
     }
 
-    fn depth_of(&self, idx: usize) -> usize {
-        match &self.nodes[idx] {
-            Node::Leaf { .. } => 0,
-            Node::Split { left, right, .. } => 1 + self.depth_of(*left).max(self.depth_of(*right)),
+    fn depth_of(&self, at: usize) -> usize {
+        let node = self.nodes[at];
+        if node.left & LEAF_BIT != 0 {
+            return 0;
         }
+        let left = node.left as usize;
+        1 + self.depth_of(left).max(self.depth_of(left + 1))
     }
 
     /// Unnormalised impurity-decrease importances.
@@ -637,26 +718,146 @@ fn gini_complement(total: &[usize], left: &[usize], n_right: usize) -> f64 {
     1.0 - sum_sq
 }
 
-/// The seed training algorithm, kept as the ground truth for the
-/// bit-identity equivalence tests: per node it re-collects and re-sorts
-/// every candidate feature column. It shares only `gini` and the
-/// `threshold` rule with the binned trainer.
+/// The seed form and training algorithm, kept as the ground truth for
+/// the bit-identity equivalence tests: an arena of enum nodes with a
+/// probability vector per leaf, grown by re-collecting and re-sorting
+/// every candidate feature column at each node. It shares only `gini`
+/// and the `threshold` rule with the binned trainer.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
 
+    /// A seed tree node; the arena links children by index.
+    #[derive(Debug)]
+    pub enum Node {
+        /// Internal split: `row[feature] <= threshold` goes left.
+        Split {
+            feature: usize,
+            threshold: f64,
+            left: usize,
+            right: usize,
+        },
+        /// Leaf: P(class) per class.
+        Leaf { probs: Vec<f64> },
+    }
+
+    /// A tree in the seed form.
+    #[derive(Debug)]
+    pub struct Tree {
+        nodes: Vec<Node>,
+        n_classes: usize,
+        importances: Vec<f64>,
+    }
+
+    impl Tree {
+        /// The seed walker: the probability vector of the leaf `row`
+        /// reaches.
+        pub fn predict_proba(&self, row: &[f64]) -> &[f64] {
+            let mut idx = 0usize;
+            loop {
+                match &self.nodes[idx] {
+                    Node::Split {
+                        feature,
+                        threshold,
+                        left,
+                        right,
+                    } => {
+                        idx = if row[*feature] <= *threshold {
+                            *left
+                        } else {
+                            *right
+                        }
+                    }
+                    Node::Leaf { probs } => return probs,
+                }
+            }
+        }
+
+        /// Tree depth.
+        pub fn depth(&self) -> usize {
+            self.depth_of(0)
+        }
+
+        fn depth_of(&self, idx: usize) -> usize {
+            match &self.nodes[idx] {
+                Node::Leaf { .. } => 0,
+                Node::Split { left, right, .. } => {
+                    1 + self.depth_of(*left).max(self.depth_of(*right))
+                }
+            }
+        }
+
+        fn push_leaf(&mut self, counts: &[usize], n: usize) -> usize {
+            let probs = counts.iter().map(|&c| c as f64 / n.max(1) as f64).collect();
+            self.nodes.push(Node::Leaf { probs });
+            self.nodes.len() - 1
+        }
+    }
+
+    /// The seed forest vote: every tree's probabilities summed in tree
+    /// order, then averaged.
+    pub fn vote(trees: &[Tree], row: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; trees[0].n_classes];
+        for tree in trees {
+            for (o, p) in out.iter_mut().zip(tree.predict_proba(row)) {
+                *o += p;
+            }
+        }
+        let n = trees.len() as f64;
+        out.iter_mut().for_each(|p| *p /= n);
+        out
+    }
+
+    /// Asserts that `tree` is `seed` node for node in pre-order: each
+    /// split's feature and threshold bits, each leaf's probability bits
+    /// with the seed argmax as its class, and the importance bits.
+    pub fn assert_same(tree: &DecisionTree, seed: &Tree, what: &str) {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(tree.n_classes, seed.n_classes, "{what}: classes");
+        assert_eq!(tree.nodes.len(), seed.nodes.len(), "{what}: node count");
+        assert_eq!(
+            bits(&tree.importances),
+            bits(&seed.importances),
+            "{what}: importances"
+        );
+        let mut pending = vec![(0usize, 0usize)];
+        while let Some((at, idx)) = pending.pop() {
+            let node = tree.nodes[at];
+            match &seed.nodes[idx] {
+                Node::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => {
+                    assert_eq!(node.left & LEAF_BIT, 0, "{what}: node {at} is a leaf");
+                    assert_eq!(node.feature as usize, *feature, "{what}: node {at}");
+                    assert_eq!(
+                        node.threshold.to_bits(),
+                        threshold.to_bits(),
+                        "{what}: node {at}"
+                    );
+                    let l = node.left as usize;
+                    pending.push((l + 1, *right));
+                    pending.push((l, *left));
+                }
+                Node::Leaf { probs } => {
+                    assert_ne!(node.left & LEAF_BIT, 0, "{what}: node {at} splits");
+                    let mut got = vec![0.0; tree.n_classes];
+                    let class = tree.add(node, &mut got);
+                    assert_eq!(bits(&got), bits(probs), "{what}: leaf {at}");
+                    assert_eq!(class, argmax(probs), "{what}: leaf {at}");
+                }
+            }
+        }
+    }
+
     /// Fits a tree exactly as the seed implementation did.
-    pub fn fit(
-        data: &Dataset,
-        indices: &[usize],
-        config: &TreeConfig,
-        rng: &mut StdRng,
-    ) -> DecisionTree {
+    pub fn fit(data: &Dataset, indices: &[usize], config: &TreeConfig, rng: &mut StdRng) -> Tree {
         assert!(!indices.is_empty(), "cannot fit a tree on zero rows");
-        let mut tree = DecisionTree {
+        let mut tree = Tree {
             nodes: Vec::new(),
             n_classes: data.n_classes(),
-            n_features: data.n_features(),
             importances: vec![0.0; data.n_features()],
         };
         let mut idx = indices.to_vec();
@@ -673,7 +874,7 @@ pub(crate) mod reference {
     }
 
     fn build(
-        tree: &mut DecisionTree,
+        tree: &mut Tree,
         data: &Dataset,
         indices: &mut [usize],
         depth: usize,
@@ -726,14 +927,14 @@ pub(crate) mod reference {
     }
 
     fn best_split(
-        tree: &DecisionTree,
+        tree: &Tree,
         data: &Dataset,
         indices: &[usize],
         node_impurity: f64,
         config: &TreeConfig,
         rng: &mut StdRng,
     ) -> Option<(usize, f64, f64)> {
-        let all: Vec<usize> = (0..tree.n_features).collect();
+        let all: Vec<usize> = (0..data.n_features()).collect();
         let (features, subset_len): (Vec<usize>, usize) = match config.features_per_split {
             Some(m) if m < all.len() => {
                 let mut shuffled = all.clone();
@@ -849,7 +1050,16 @@ mod tests {
         let tree = fit(&data, TreeConfig::default());
         assert_eq!(tree.n_nodes(), 1);
         assert_eq!(tree.predict(&[42.0]), 1);
-        assert_eq!(tree.predict_proba(&[42.0]), &[0.0, 1.0]);
+        let mut probs = [0.0; 2];
+        assert_eq!(tree.predict_with(&[42.0], &mut probs), 1);
+        assert_eq!(probs, [0.0, 1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row width mismatch")]
+    fn wrong_row_width_panics() {
+        let tree = fit(&xor_dataset(), TreeConfig::default());
+        tree.predict_with(&[1.0], &mut [0.0; 2]);
     }
 
     #[test]
@@ -864,7 +1074,8 @@ mod tests {
         );
         assert_eq!(tree.n_nodes(), 1);
         // The AND dataset is 75 % class 0 / 25 % class 1.
-        let p = tree.predict_proba(&[0.0, 0.0]);
+        let mut p = [0.0; 2];
+        assert_eq!(tree.predict_with(&[0.0, 0.0], &mut p), 0);
         assert!((p[0] - 0.75).abs() < 1e-9 && (p[1] - 0.25).abs() < 1e-9);
     }
 
@@ -984,9 +1195,9 @@ mod tests {
         )
     }
 
-    /// The binned trainer must produce trees bit-identical to the
-    /// re-sorting reference (same nodes, same threshold bits, same
-    /// importances) across depths, leaf constraints, class counts,
+    /// The binned trainer must write the re-sorting reference's trees
+    /// node for node (same splits, same threshold, probability and
+    /// importance bits) across depths, leaf constraints, class counts,
     /// feature subsampling and bootstrap duplicates, on both counting
     /// sides.
     #[test]
@@ -1026,11 +1237,8 @@ mod tests {
                     let mut rng_b = StdRng::seed_from_u64(seed ^ 0xBEEF);
                     let fast = DecisionTree::fit(&data, &indices, config, &mut rng_a);
                     let slow = reference::fit(&data, &indices, config, &mut rng_b);
-                    assert_eq!(
-                        format!("{fast:?}"),
-                        format!("{slow:?}"),
-                        "binned != reference for seed {seed}, k {n_classes}, {config:?}"
-                    );
+                    let what = format!("seed {seed}, k {n_classes}, {config:?}");
+                    reference::assert_same(&fast, &slow, &what);
                 }
             }
         }
@@ -1084,7 +1292,7 @@ mod tests {
         let mut rng_b = StdRng::seed_from_u64(1);
         let fast = DecisionTree::fit(&data, &idx, &TreeConfig::default(), &mut rng_a);
         let slow = reference::fit(&data, &idx, &TreeConfig::default(), &mut rng_b);
-        assert_eq!(fast, slow);
+        reference::assert_same(&fast, &slow, "xor");
     }
 
     /// Where the midpoint of two adjacent values rounds or overflows onto
@@ -1120,6 +1328,123 @@ mod tests {
                     data.label(i),
                     "{below} | {above}"
                 );
+            }
+        }
+    }
+
+    /// A deterministic multi-modal dataset: mixed integer-ish and
+    /// fractional columns with repeated values (ties exercise `<=`
+    /// threshold edges).
+    fn grid_dataset(n: usize, n_features: usize, n_classes: usize, salt: u64) -> Dataset {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ salt;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|_| {
+                (0..n_features)
+                    .map(|f| match f % 3 {
+                        0 => (next() % 13) as f64,
+                        1 => (next() % 997) as f64 / 31.0,
+                        _ => (next() % 5) as f64 - 2.0,
+                    })
+                    .collect()
+            })
+            .collect();
+        let labels: Vec<usize> = rows
+            .iter()
+            .map(|r| (r.iter().sum::<f64>().abs() as usize) % n_classes)
+            .collect();
+        let names = (0..n_features).map(|f| format!("f{f}")).collect();
+        Dataset::new(rows, labels, n_classes, names)
+    }
+
+    /// The one tree form against the seed form, over a grid of forest
+    /// shapes (depth, size, class count, feature subsampling, one of
+    /// them 21 features wide): every tree a forest grows is the seed
+    /// trainer's tree on the same bootstrap and seed, node for node; on
+    /// every row, each tree's probabilities and class and the forest's
+    /// vote are bit-identical to the seed walker's; and the forest and
+    /// its representative tree, the shipped model, predict the same after
+    /// a serde round trip.
+    #[test]
+    fn forests_match_the_seed_form_bit_for_bit() {
+        use crate::forest::{self, RandomForest, RandomForestConfig};
+        let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let shapes = [
+            (5usize, 2usize, 1usize, 2usize, None),
+            (5, 2, 9, 25, None),
+            (5, 3, 5, 6, Some(2)),
+            (5, 4, 12, 12, Some(1)),
+            (5, 5, 7, 20, Some(3)),
+            (21, 3, 6, 14, None),
+        ];
+        for (i, &(n_features, n_classes, n_trees, max_depth, features_per_split)) in
+            shapes.iter().enumerate()
+        {
+            let data = grid_dataset(260, n_features, n_classes, i as u64);
+            let config = RandomForestConfig {
+                n_trees,
+                seed: 0xEC0 + n_trees as u64,
+                tree: TreeConfig {
+                    max_depth,
+                    features_per_split,
+                    ..TreeConfig::default()
+                },
+                ..RandomForestConfig::default()
+            };
+            let forest = RandomForest::fit(&data, &config);
+            let rows: Vec<usize> = (0..data.len()).collect();
+            let (trees, boots) = forest::grow(&Bins::new(&data), &rows, &config);
+            let (_, seeds) = forest::bootstraps(&rows, &config);
+            let tree_config = forest::tree_config(n_features, &config);
+            let seed_trees: Vec<reference::Tree> = boots
+                .iter()
+                .zip(&seeds)
+                .map(|(boot, &seed)| {
+                    reference::fit(&data, boot, &tree_config, &mut StdRng::seed_from_u64(seed))
+                })
+                .collect();
+            for (t, (tree, seed)) in trees.iter().zip(&seed_trees).enumerate() {
+                reference::assert_same(tree, seed, &format!("shape {i}, tree {t}"));
+                assert_eq!(tree.depth(), seed.depth(), "shape {i}, tree {t}");
+            }
+
+            let mut probs = vec![0.0; n_classes];
+            for r in 0..data.len() {
+                let row = data.row(r);
+                for (t, (tree, seed)) in trees.iter().zip(&seed_trees).enumerate() {
+                    let class = tree.predict_with(row, &mut probs);
+                    let expected = seed.predict_proba(row);
+                    assert_eq!(bits(&probs), bits(expected), "shape {i}, tree {t}, row {r}");
+                    assert_eq!(class, argmax(expected), "shape {i}, tree {t}, row {r}");
+                    assert_eq!(tree.predict(row), class, "shape {i}, tree {t}, row {r}");
+                }
+                forest.predict_proba_into(row, &mut probs);
+                let expected = reference::vote(&seed_trees, row);
+                assert_eq!(bits(&probs), bits(&expected), "shape {i}, row {r}");
+                assert_eq!(argmax(&probs), argmax(&expected), "shape {i}, row {r}");
+            }
+
+            let json = serde_json::to_string(&forest).unwrap();
+            let back: RandomForest = serde_json::from_str(&json).unwrap();
+            assert_eq!(back, forest, "shape {i}");
+            let shipped = forest.representative_tree(&data);
+            let json = serde_json::to_string(shipped).unwrap();
+            let back_tree: DecisionTree = serde_json::from_str(&json).unwrap();
+            assert_eq!(&back_tree, shipped, "shape {i}");
+            let mut again = vec![0.0; n_classes];
+            for r in 0..data.len() {
+                let row = data.row(r);
+                forest.predict_proba_into(row, &mut probs);
+                back.predict_proba_into(row, &mut again);
+                assert_eq!(bits(&again), bits(&probs), "shape {i}, row {r}");
+                let class = shipped.predict_with(row, &mut probs);
+                assert_eq!(back_tree.predict_with(row, &mut again), class);
+                assert_eq!(bits(&again), bits(&probs), "shape {i}, row {r}");
             }
         }
     }
@@ -1163,11 +1488,12 @@ mod prop_tests {
                 &TreeConfig { max_depth: depth, ..TreeConfig::default() },
                 &mut rng,
             );
-            let probs = tree.predict_proba(&[qx, qy]);
-            prop_assert_eq!(probs.len(), n_classes);
+            let mut probs = vec![0.0; n_classes];
+            let class = tree.predict_with(&[qx, qy], &mut probs);
             prop_assert!((probs.iter().sum::<f64>() - 1.0).abs() < 1e-9);
             prop_assert!(probs.iter().all(|&p| (0.0..=1.0).contains(&p)));
-            prop_assert!(tree.predict(&[qx, qy]) < n_classes);
+            prop_assert!(class < n_classes);
+            prop_assert_eq!(tree.predict(&[qx, qy]), class);
             prop_assert!(tree.depth() <= depth);
         }
 

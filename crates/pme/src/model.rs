@@ -2,9 +2,9 @@
 //!
 //! Campaign ground truth (features → true charge price) trains a Random
 //! Forest over four entropy-balanced price classes. The shipped client
-//! artifact is a single representative decision tree, compiled to its
-//! flat form, plus one price per class — small enough for a browser
-//! extension, exactly the form §3.2 describes.
+//! artifact is a single representative decision tree, the flat node
+//! table training wrote, plus one price per class — small enough for a
+//! browser extension, exactly the form §3.2 describes.
 //!
 //! The feature set is the §5.4 core set `S`: city, day of week, time of
 //! day, ad format, mobile OS, publisher IAB category, exchange and device
@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 use yav_analyzer::DetectedImpression;
 use yav_campaign::ProbeImpression;
 use yav_ml::{
-    cross_validate, CompiledForest, CvReport, Dataset, Discretizer, LinearRegression, RandomForest,
+    cross_validate, CvReport, Dataset, DecisionTree, Discretizer, LinearRegression, RandomForest,
     RandomForestConfig,
 };
 use yav_types::{
@@ -239,17 +239,16 @@ pub struct TrainedModel {
 }
 
 /// The compact artifact YourAdValue downloads: the representative
-/// decision tree in compiled form, one price per class, and the encoding
-/// recipe.
+/// decision tree, one price per class, and the encoding recipe.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClientModel {
     /// Model version (assigned by the serving engine).
     pub version: u32,
     /// Whether rows must be encoded with the publisher bucket.
     pub with_publisher: bool,
-    /// The representative decision tree lowered to flat form — what the
-    /// client walks.
-    pub compiled: CompiledForest,
+    /// The representative decision tree of the trained forest, as
+    /// training wrote it — what the client walks.
+    pub compiled: DecisionTree,
     /// Representative CPM per class, precomputed for the client.
     pub class_prices: Vec<f64>,
 }
@@ -286,7 +285,7 @@ impl Default for EstimateScratch {
 impl ClientModel {
     /// Estimates a charge price for one auction context — the
     /// `ESe(S_i)` of the paper's Equation 3. Encodes into the scratch
-    /// row, walks the compiled tree, and records the `pme.predict` span
+    /// row, walks the tree, and records the `pme.predict` span
     /// (the `pme.predict.us` latency histogram) and the
     /// `pme.predictions_total` counter; nothing is allocated per call.
     pub fn estimate_into(&self, ctx: &CoreContext, scratch: &mut EstimateScratch) -> Cpm {
@@ -354,7 +353,7 @@ pub fn train_pairs(pairs: &[(CoreContext, f64)], config: &TrainConfig) -> Traine
         config.seed,
     );
     let forest = RandomForest::fit(&data, &config.forest);
-    let compiled = CompiledForest::from_tree(forest.representative_tree(&data));
+    let compiled = forest.representative_tree(&data).clone();
 
     // The §5.4 regression baseline: OLS on the same features, evaluated
     // in-sample (its failure is evident even there).
@@ -433,9 +432,8 @@ mod tests {
         );
         assert!(model.cv.auc_roc > 0.80, "auc {}", model.cv.auc_roc);
         assert!(model.forest.oob_error() < 0.45);
-        // The shipped artifact is the one compiled representative tree.
+        // The shipped artifact is one tree and one price per class.
         let client = &model.client;
-        assert_eq!(client.compiled.n_trees(), 1);
         assert_eq!(client.class_prices.len(), 4);
         assert_eq!(client.class_prices.len(), client.compiled.n_classes());
     }
@@ -542,12 +540,14 @@ mod tests {
         let json = serde_json::to_string(&model.client).unwrap();
         let back: ClientModel = serde_json::from_str(&json).unwrap();
         assert_eq!(back, model.client);
-        let ctx = CoreContext::from(&rows[3]);
         let mut scratch = EstimateScratch::new();
-        assert_eq!(
-            back.estimate_into(&ctx, &mut scratch),
-            model.client.estimate_into(&ctx, &mut scratch)
-        );
+        for row in &rows {
+            let ctx = CoreContext::from(row);
+            assert_eq!(
+                back.estimate_into(&ctx, &mut scratch),
+                model.client.estimate_into(&ctx, &mut scratch)
+            );
+        }
     }
 
     #[test]

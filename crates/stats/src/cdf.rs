@@ -2,7 +2,7 @@
 //!
 //! Figures 11, 16 and 17 are all empirical CDFs over charge prices on a
 //! logarithmic x-axis. [`Ecdf`] owns a sorted sample and answers
-//! `F(x)`-style queries, inverse quantiles and plot-ready series.
+//! `F(x)`-style queries and inverse quantiles.
 
 use crate::summary::quantile_sorted;
 use serde::{Deserialize, Serialize};
@@ -57,47 +57,6 @@ impl Ecdf {
     pub fn values(&self) -> &[f64] {
         &self.sorted
     }
-
-    /// A plot-ready series of `(x, F(x))` points sampled at `points`
-    /// logarithmically spaced x positions between `lo` and `hi` — exactly
-    /// how the paper's log-x CDF figures are drawn.
-    ///
-    /// # Panics
-    /// Panics if `lo` or `hi` is non-positive or `lo >= hi`.
-    pub fn log_series(&self, lo: f64, hi: f64, points: usize) -> Vec<(f64, f64)> {
-        assert!(lo > 0.0 && hi > lo, "log axis needs 0 < lo < hi");
-        let (llo, lhi) = (lo.ln(), hi.ln());
-        (0..points)
-            .map(|i| {
-                let t = if points == 1 {
-                    0.0
-                } else {
-                    i as f64 / (points - 1) as f64
-                };
-                let x = (llo + t * (lhi - llo)).exp();
-                (x, self.eval(x))
-            })
-            .collect()
-    }
-
-    /// The full step-function series `(x_i, i/n)` — one point per distinct
-    /// observation, useful for exact plotting of small samples.
-    pub fn step_series(&self) -> Vec<(f64, f64)> {
-        let n = self.sorted.len();
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < n {
-            let x = self.sorted[i];
-            // advance over ties
-            let mut j = i + 1;
-            while j < n && self.sorted[j] == x {
-                j += 1;
-            }
-            out.push((x, j as f64 / n as f64));
-            i = j;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -131,36 +90,10 @@ mod tests {
     }
 
     #[test]
-    fn log_series_monotone() {
-        let xs: Vec<f64> = (1..=1000).map(|i| i as f64 / 100.0).collect();
-        let e = Ecdf::new(&xs);
-        let series = e.log_series(0.01, 100.0, 50);
-        assert_eq!(series.len(), 50);
-        for w in series.windows(2) {
-            assert!(w[0].0 < w[1].0, "x must increase");
-            assert!(w[0].1 <= w[1].1, "F must be monotone");
-        }
-        assert_eq!(series.last().unwrap().1, 1.0);
-    }
-
-    #[test]
-    fn step_series_dedupes_ties() {
-        let e = Ecdf::new(&[1.0, 1.0, 2.0]);
-        assert_eq!(e.step_series(), vec![(1.0, 2.0 / 3.0), (2.0, 1.0)]);
-    }
-
-    #[test]
     fn empty_is_safe() {
         let e = Ecdf::new(&[]);
         assert!(e.is_empty());
         assert_eq!(e.eval(1.0), 0.0);
         assert!(e.median().is_nan());
-        assert!(e.step_series().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "log axis")]
-    fn log_series_rejects_bad_bounds() {
-        Ecdf::new(&[1.0]).log_series(0.0, 1.0, 10);
     }
 }

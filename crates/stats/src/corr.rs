@@ -1,9 +1,7 @@
 //! Correlation coefficients.
 //!
 //! Pearson correlation backs the PME's high-correlation feature filter
-//! (§5.1's fallback when cleartext prices are scarce); Spearman rank
-//! correlation is what §4.4 implicitly computes when it observes that
-//! ad-slot *area* does not correlate with price.
+//! (§5.1's fallback when cleartext prices are scarce).
 
 /// Pearson product-moment correlation of two equal-length samples.
 /// Returns `None` if the samples differ in length, are shorter than 2, or
@@ -31,38 +29,6 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
     Some(cov / (vx.sqrt() * vy.sqrt()))
 }
 
-/// Spearman rank correlation: Pearson over mid-ranks (ties share the
-/// average rank). Same `None` conditions as [`pearson`].
-pub fn spearman(xs: &[f64], ys: &[f64]) -> Option<f64> {
-    if xs.len() != ys.len() || xs.len() < 2 {
-        return None;
-    }
-    let rx = ranks(xs);
-    let ry = ranks(ys);
-    pearson(&rx, &ry)
-}
-
-/// Mid-ranks of a sample (1-based; ties averaged).
-fn ranks(values: &[f64]) -> Vec<f64> {
-    let mut idx: Vec<usize> = (0..values.len()).collect();
-    idx.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
-    let mut out = vec![0.0; values.len()];
-    let mut i = 0;
-    while i < idx.len() {
-        let mut j = i;
-        while j + 1 < idx.len() && values[idx[j + 1]] == values[idx[i]] {
-            j += 1;
-        }
-        // positions i..=j are tied; assign the average 1-based rank.
-        let avg = (i + j) as f64 / 2.0 + 1.0;
-        for &k in &idx[i..=j] {
-            out[k] = avg;
-        }
-        i = j + 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,25 +43,10 @@ mod tests {
     }
 
     #[test]
-    fn spearman_invariant_to_monotone_transform() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let ys: Vec<f64> = xs.iter().map(|&x: &f64| x.exp()).collect(); // monotone, nonlinear
-        assert!((spearman(&xs, &ys).unwrap() - 1.0).abs() < 1e-12);
-        // Pearson should be < 1 on the nonlinear relation.
-        assert!(pearson(&xs, &ys).unwrap() < 1.0);
-    }
-
-    #[test]
-    fn ties_get_mid_ranks() {
-        assert_eq!(ranks(&[10.0, 20.0, 20.0, 30.0]), vec![1.0, 2.5, 2.5, 4.0]);
-    }
-
-    #[test]
     fn degenerate_inputs() {
         assert_eq!(pearson(&[1.0], &[2.0]), None);
         assert_eq!(pearson(&[1.0, 2.0], &[3.0]), None);
         assert_eq!(pearson(&[1.0, 1.0], &[1.0, 2.0]), None); // zero variance
-        assert_eq!(spearman(&[], &[]), None);
     }
 
     #[test]

@@ -51,15 +51,6 @@ impl Summary {
             max,
         }
     }
-
-    /// Standard error of the mean, `std / sqrt(n)`.
-    pub fn sem(&self) -> f64 {
-        if self.n == 0 {
-            f64::NAN
-        } else {
-            self.std / (self.n as f64).sqrt()
-        }
-    }
 }
 
 /// The percentile box used by Figures 5–7, 10 and 13: 5th, 10th, 50th, 90th
@@ -154,7 +145,6 @@ mod tests {
         assert!((s.std - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
         assert_eq!(s.min, 2.0);
         assert_eq!(s.max, 9.0);
-        assert!((s.sem() - s.std / 8f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]

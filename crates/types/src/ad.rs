@@ -290,31 +290,6 @@ impl IabCategory {
         IabCategory::StyleFashion,
     ];
 
-    /// The ten categories whose cost CDFs appear in Figure 11.
-    pub const FIGURE11: [IabCategory; 10] = [
-        IabCategory::ArtsEntertainment,
-        IabCategory::Automotive,
-        IabCategory::Business,
-        IabCategory::Education,
-        IabCategory::Hobbies,
-        IabCategory::News,
-        IabCategory::Science,
-        IabCategory::Sports,
-        IabCategory::Technology,
-        IabCategory::Shopping,
-    ];
-
-    /// The six categories common to both campaign notification types,
-    /// compared in Figure 15.
-    pub const FIGURE15: [IabCategory; 6] = [
-        IabCategory::ArtsEntertainment,
-        IabCategory::News,
-        IabCategory::PersonalFinance,
-        IabCategory::Sports,
-        IabCategory::Technology,
-        IabCategory::Travel,
-    ];
-
     /// IAB tier-1 numeric code (e.g. Business & Marketing ⇒ 3).
     pub fn code(self) -> u32 {
         match self {

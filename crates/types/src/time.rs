@@ -13,8 +13,6 @@ use std::ops::{Add, Sub};
 
 /// Minutes in a day.
 pub const MINUTES_PER_DAY: i64 = 24 * 60;
-/// Minutes in a week.
-pub const MINUTES_PER_WEEK: i64 = 7 * MINUTES_PER_DAY;
 
 /// Day lengths for 2015 (not a leap year) and 2016 (leap year).
 const DAYS_2015: [u32; 12] = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31];
