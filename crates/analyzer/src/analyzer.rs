@@ -1,7 +1,7 @@
 //! The streaming analyzer: orchestration of classification, detection,
 //! enrichment and feature extraction.
 
-use crate::classify::{classify_domain_lower, TrafficClass};
+use crate::classify::{classify_host, TrafficClass};
 use crate::features::{self, FeatureSchema, NurlTransport};
 use crate::geoip::GeoDb;
 use crate::pairs::PairTracker;
@@ -144,11 +144,14 @@ pub struct WeblogAnalyzer {
     geo: GeoDb,
     // yav-lint: allow(nondet-iteration) — keyed lookups only (entry/get/len), never iterated, so order cannot reach output; O(1) access on the per-request hot path
     users: HashMap<UserId, UserState>,
+    /// The user of the last quietly ingested request, already in
+    /// `users`: a quiet run enters the map only on a change of user.
+    last_user: Option<UserId>,
     global: GlobalState,
     report: AnalyzerReport,
     retention: Retention,
-    /// Reusable lowercased-host buffer (classification is
-    /// case-insensitive; the borrowed parser keeps the raw case).
+    /// Reusable lowercased-host buffer for the record path's publisher
+    /// name and category (the borrowed parser keeps the raw case).
     host_lower: String,
     /// Reusable percent-decode scratch for notification parsing.
     url_scratch: UrlScratch,
@@ -182,6 +185,7 @@ impl WeblogAnalyzer {
             geo: GeoDb::open(),
             // yav-lint: allow(nondet-iteration) — same map as the field above: lookup-only, never iterated
             users: HashMap::new(),
+            last_user: None,
             global: GlobalState::default(),
             report: AnalyzerReport::default(),
             retention,
@@ -244,10 +248,7 @@ impl WeblogAnalyzer {
             }
         };
 
-        self.host_lower.clear();
-        self.host_lower.push_str(url.host_raw());
-        self.host_lower.make_ascii_lowercase();
-        let class = classify_domain_lower(&self.host_lower);
+        let class = classify_host(url.host_raw());
         *self.report.class_counts.entry(class).or_insert(0) += 1;
         self.report.total_requests += 1;
 
@@ -257,8 +258,8 @@ impl WeblogAnalyzer {
 
         // Every user counts towards `users_seen`; the state behind the
         // entry is feature history, which only a wanted record reads.
-        let user = self.users.entry(req.user).or_default();
         let city = if want_record {
+            let user = self.users.entry(req.user).or_default();
             let city = self.geo.city_of(req.client_ip);
             user.record_request(
                 req.time,
@@ -269,6 +270,9 @@ impl WeblogAnalyzer {
             );
             if class == TrafficClass::Rest {
                 // Content request: learn the publisher and the interest.
+                self.host_lower.clear();
+                self.host_lower.push_str(url.host_raw());
+                self.host_lower.make_ascii_lowercase();
                 let host = normalize_publisher(&self.host_lower);
                 let iab = taxonomy::categorize(host);
                 user.record_publisher(host, iab);
@@ -278,6 +282,12 @@ impl WeblogAnalyzer {
             }
             city
         } else {
+            // A shard streams its users one after another, so most quiet
+            // requests repeat the last user and skip the hash.
+            if self.last_user != Some(req.user) {
+                self.users.entry(req.user).or_default();
+                self.last_user = Some(req.user);
+            }
             None
         };
 
@@ -642,6 +652,37 @@ mod tests {
         assert_eq!(qg.publisher_views, empty.publisher_views);
         assert_eq!(qg.publisher_imps, empty.publisher_imps);
         assert_eq!(qg.monthly_slots, empty.monthly_slots);
+    }
+
+    #[test]
+    fn users_seen_counts_interleaved_users_once() {
+        // A quiet run enters the user map only on a change of user. In
+        // the canonical (minute, user) order users interleave, so that
+        // one-entry check misses often; both entry points must still
+        // count each user with a parseable request exactly once.
+        let generator = WeblogGenerator::new(WeblogConfig::tiny());
+        let mut log = generator.collect(&MarketConfig::default());
+        log.sort_canonical();
+        let mut full = WeblogAnalyzer::with_retention(Retention::Bounded);
+        let mut quiet = WeblogAnalyzer::with_retention(Retention::Bounded);
+        for r in &log.requests {
+            full.ingest(r);
+            quiet.ingest_quiet(r);
+        }
+        let parsed: std::collections::BTreeSet<UserId> = log
+            .requests
+            .iter()
+            .filter(|r| UrlRef::parse(&r.url).is_ok_and(|u| u.validate_query().is_ok()))
+            .map(|r| r.user)
+            .collect();
+        let changes = log
+            .requests
+            .windows(2)
+            .filter(|w| w[0].user != w[1].user)
+            .count();
+        assert!(changes > 2 * parsed.len(), "users must interleave");
+        assert_eq!(full.finish().users_seen, parsed.len());
+        assert_eq!(quiet.finish().users_seen, parsed.len());
     }
 
     #[test]

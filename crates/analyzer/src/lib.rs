@@ -35,7 +35,7 @@ pub mod userstate;
 pub use analyzer::{
     AnalyzerReport, DetectedImpression, ImpressionRecord, Retention, WeblogAnalyzer,
 };
-pub use classify::{classify_domain_lower, TrafficClass};
+pub use classify::{classify_host, TrafficClass};
 pub use features::{FeatureSchema, FEATURE_COUNT};
 pub use geoip::GeoDb;
 pub use summary::{DetectionSummary, PriceHist};

@@ -84,10 +84,10 @@ pub(crate) enum SiftDrop {
 ///
 /// Non-nURL traffic — the overwhelming majority — leaves through one of
 /// the early rejects without touching the heap: [`yav_nurl::screen_adx`]
-/// inspects only the scheme prefix and authority, [`UrlRef::parse`]
-/// borrows subslices of the raw request, and the verdict carries the
-/// matched exchange into the borrowed template parse, so true nURLs scan
-/// the host roster exactly once.
+/// inspects only the scheme prefix and the host's first bytes,
+/// [`UrlRef::parse`] borrows subslices of the raw request, and the
+/// verdict carries the matched exchange into the borrowed template
+/// parse, so true nURLs scan the host roster exactly once.
 pub(crate) fn sift_request(
     req: &HttpRequest,
     scratch: &mut SiftScratch,

@@ -100,7 +100,10 @@ impl Dataset {
         &self.labels
     }
 
-    /// A new dataset containing the given row indices (in order).
+    /// A new dataset containing the given row indices (in order). Only
+    /// tests build row subsets as datasets: cross-validation bins once
+    /// and passes row indices.
+    #[cfg(test)]
     pub fn select(&self, indices: &[usize]) -> Dataset {
         let mut data = Vec::with_capacity(indices.len() * self.n_features);
         let mut labels = Vec::with_capacity(indices.len());

@@ -9,7 +9,6 @@
 //! [`crate::template::parse_borrowed_screened`], which checks the path
 //! and reads the price.
 
-use crate::urlref::{self, UrlParseError};
 use yav_types::Adx;
 
 /// Outcome of [`screen_adx`]'s cheap rejection of a raw URL string.
@@ -31,84 +30,95 @@ pub enum FastReject {
 /// [`crate::template::parse_borrowed_screened`] — true nURLs scan the
 /// host roster once, not twice.
 ///
-/// Runs [`crate::UrlRef::parse`]'s own scheme and host rule, so a
-/// candidate's subsequent parse sees the same host and cannot fail on it.
+/// The screen does not look for the end of the host. After the scheme
+/// it reads two bytes and compares only the exchange domains that start
+/// with them: a URL is admitted when it continues with a domain, ASCII
+/// case-insensitively, and then ends its authority (the input ends, or
+/// `/`, `:`, `?` or `#` follows). Every domain is at least two host
+/// bytes and those four are not host bytes, so that holds exactly when
+/// [`crate::UrlRef::parse`]'s host is that domain: a candidate's parse
+/// sees the same host and cannot fail on it.
 pub fn screen_adx(raw: &str) -> Result<Adx, FastReject> {
-    match urlref::split_host(raw) {
-        Ok((_, host, _)) => exchange_host(host).ok_or(FastReject::Host),
-        Err(UrlParseError::Scheme) => Err(FastReject::Scheme),
-        // An invalid host is no exchange's: every exchange domain is a
-        // valid one.
-        Err(_) => Err(FastReject::Host),
-    }
+    let rest = if let Some(r) = raw.strip_prefix("https://") {
+        r
+    } else if let Some(r) = raw.strip_prefix("http://") {
+        r
+    } else {
+        return Err(FastReject::Scheme);
+    };
+    let b = rest.as_bytes();
+    dispatch(b, |len| {
+        matches!(b.get(len), None | Some(b'/' | b':' | b'?' | b'#'))
+    })
+    .ok_or(FastReject::Host)
 }
-
-/// One entry of the precomputed host-dispatch table: the domain length
-/// and lowercase first byte let [`exchange_host`] skip an exchange
-/// without touching the domain string itself.
-#[derive(Clone, Copy)]
-struct HostEntry {
-    len: u8,
-    first: u8,
-    domain: &'static str,
-    adx: Adx,
-}
-
-const fn host_entry(adx: Adx) -> HostEntry {
-    let domain = adx.domain();
-    HostEntry {
-        len: domain.len() as u8,
-        first: domain.as_bytes()[0],
-        domain,
-        adx,
-    }
-}
-
-/// The exchange roster as a flat dispatch table, computed at compile
-/// time from `Adx::ALL` so it cannot drift from the enum.
-const HOST_TABLE: [HostEntry; Adx::ALL.len()] = {
-    let mut table = [host_entry(Adx::ALL[0]); Adx::ALL.len()];
-    let mut i = 1;
-    while i < Adx::ALL.len() {
-        table[i] = host_entry(Adx::ALL[i]);
-        i += 1;
-    }
-    table
-};
-
-/// Bitmask of the domain lengths occurring in [`HOST_TABLE`] (all are
-/// well under 64 bytes). A host whose length bit is clear cannot match
-/// any exchange, which rejects most ordinary traffic with one bit test.
-const HOST_LEN_MASK: u64 = {
-    let mut mask = 0u64;
-    let mut i = 0;
-    while i < HOST_TABLE.len() {
-        mask |= 1 << HOST_TABLE[i].len;
-        i += 1;
-    }
-    mask
-};
 
 /// The exchange whose notification domain equals `host`, matched
 /// case-insensitively (raw hosts from [`crate::UrlRef`] keep their original
 /// case). Exact-match only — subdomains of an exchange domain are *not*
 /// notification hosts.
 ///
-/// This sits on the reject path of every monitored request, so the
-/// roster scan hides behind two prefilters: the length bitmask, then a
-/// per-entry length + first-byte check before any string comparison.
+/// The analyzer asks this of every advertising host; the same two-byte
+/// dispatch as [`screen_adx`]'s, with an exact-length check, keeps it to
+/// two table loads for most of them.
 pub fn exchange_host(host: &str) -> Option<Adx> {
-    if host.len() >= 64 || HOST_LEN_MASK & (1u64 << host.len()) == 0 {
-        return None;
-    }
-    let first = host.as_bytes().first()?.to_ascii_lowercase();
-    HOST_TABLE
-        .iter()
-        .find(|e| {
-            e.len as usize == host.len() && e.first == first && host.eq_ignore_ascii_case(e.domain)
-        })
-        .map(|e| e.adx)
+    dispatch(host.as_bytes(), |len| host.len() == len)
 }
+
+/// The exchange whose domain `bytes` starts with, ASCII
+/// case-insensitively, when `ends` accepts the domain's length. Only the
+/// domains whose first two bytes match `bytes`' first two are compared.
+/// The domains are distinct runs of host bytes, and both callers' `ends`
+/// rejects a host byte after a domain, so at most one domain can match.
+fn dispatch(bytes: &[u8], ends: impl Fn(usize) -> bool) -> Option<Adx> {
+    let (&b0, &b1) = (bytes.first()?, bytes.get(1)?);
+    let mut candidates = FIRST[b0 as usize] & SECOND[b1 as usize];
+    while candidates != 0 {
+        let i = candidates.trailing_zeros() as usize;
+        candidates &= candidates - 1;
+        let domain = HOST_TABLE[i].as_bytes();
+        if ends(domain.len())
+            && bytes
+                .get(..domain.len())
+                .is_some_and(|head| head.eq_ignore_ascii_case(domain))
+        {
+            return Some(Adx::ALL[i]);
+        }
+    }
+    None
+}
+
+/// The exchange notification domains in `Adx::ALL` order, computed at
+/// compile time so the table cannot drift from the enum. Bit `i` of a
+/// [`FIRST`] or [`SECOND`] mask stands for `HOST_TABLE[i]`.
+const HOST_TABLE: [&str; Adx::ALL.len()] = {
+    let mut table = [""; Adx::ALL.len()];
+    let mut i = 0;
+    while i < table.len() {
+        table[i] = Adx::ALL[i].domain();
+        i += 1;
+    }
+    table
+};
+
+/// Bit `i` is set at both ASCII cases of byte `at` of `HOST_TABLE[i]`.
+const fn byte_table(at: usize) -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < HOST_TABLE.len() {
+        let b = HOST_TABLE[i].as_bytes()[at];
+        table[b.to_ascii_lowercase() as usize] |= 1 << i;
+        table[b.to_ascii_uppercase() as usize] |= 1 << i;
+        i += 1;
+    }
+    table
+}
+
+/// Exchanges by the first and by the second byte of their domain. A
+/// domain shorter than two bytes, or a roster past 32 exchanges (`1 <<
+/// i` overflows), fails to compile.
+const FIRST: [u32; 256] = byte_table(0);
+const SECOND: [u32; 256] = byte_table(1);
 
 #[cfg(test)]
 mod tests {
@@ -117,6 +127,25 @@ mod tests {
     use crate::template::{parse_borrowed_screened, render_into};
     use crate::{UrlRef, UrlScratch};
     use yav_types::{AuctionId, Cpm, DspId, ImpressionId};
+
+    #[test]
+    fn roster_meets_the_screens_premises() {
+        // `screen_adx` is exact only while every domain is at least two
+        // lowercase host bytes (so "the input continues with the domain,
+        // then ends its authority" is "the host is the domain") and no
+        // two exchanges share a domain (so at most one candidate
+        // matches).
+        let host_byte = |b: u8| b.is_ascii_lowercase() || b.is_ascii_digit() || b".-_".contains(&b);
+        for domain in HOST_TABLE {
+            assert!(domain.len() >= 2, "{domain:?} is shorter than two bytes");
+            assert!(
+                domain.bytes().all(host_byte),
+                "{domain:?} is not lowercase host bytes"
+            );
+        }
+        let distinct: std::collections::BTreeSet<&str> = HOST_TABLE.into_iter().collect();
+        assert_eq!(distinct.len(), HOST_TABLE.len(), "a domain is listed twice");
+    }
 
     #[test]
     fn screen_admits_every_exchange_and_rejects_the_rest() {

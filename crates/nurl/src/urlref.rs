@@ -14,10 +14,10 @@
 //! decoded into a caller-owned scratch buffer
 //! ([`crate::scratch::UrlScratch`]).
 //!
-//! This module is the monitor's reject path: at production scale nearly
-//! every observed request is *not* an nURL, and rejecting one must not
-//! touch the heap. A dedicated lint rule (`alloc-in-reject-path`) keeps
-//! every token in this file borrow-only.
+//! This module is on the reject path: at production scale nearly every
+//! observed request is *not* an nURL, the analyzer parses every one of
+//! them, and rejecting one must not touch the heap. A dedicated lint rule
+//! (`alloc-in-reject-path`) keeps every token in this file borrow-only.
 
 use std::fmt;
 
@@ -193,13 +193,13 @@ impl<'a> Iterator for QueryIter<'a> {
 }
 
 /// Splits a URL into its scheme (`true` for `https`), its host and the
-/// text after the host — the one authority rule [`UrlRef::parse`] and
-/// [`crate::screen_adx`] share. The host is the run of host bytes after
-/// the scheme. It must be non-empty and end the input or be followed by
-/// `:` (a port) or by one of the bytes that end an RFC 3986 authority:
-/// `/` (the path), `?` (the query) or `#` (the fragment). Any other byte
-/// ending it — whitespace, `@`, non-ASCII — makes the host invalid.
-pub(crate) fn split_host(input: &str) -> Result<(bool, &str, &str), UrlParseError> {
+/// text after the host: [`UrlRef::parse`]'s authority rule. The host is
+/// the run of host bytes after the scheme. It must be non-empty and end
+/// the input or be followed by `:` (a port) or by one of the bytes that
+/// end an RFC 3986 authority: `/` (the path), `?` (the query) or `#`
+/// (the fragment). Any other byte ending it — whitespace, `@`,
+/// non-ASCII — makes the host invalid.
+fn split_host(input: &str) -> Result<(bool, &str, &str), UrlParseError> {
     let (https, rest) = if let Some(r) = input.strip_prefix("https://") {
         (true, r)
     } else if let Some(r) = input.strip_prefix("http://") {

@@ -13,9 +13,12 @@
 //!
 //! The inputs are the hostile corpus of `core/tests/malformed_nurls.rs`
 //! (prefix truncations, single-byte corruptions, garbage strings),
-//! authority and fragment edge cases, and property-based random inputs.
-//! The notification parse runs on every input the screen admits and must
-//! report the decode oracle's error, if any.
+//! authority and fragment edge cases, the edges of the screen's
+//! two-byte dispatch (short hosts, every domain in flipped case and
+//! followed by each byte that does or does not end an authority, hosts
+//! sharing a domain's first two bytes), and property-based random
+//! inputs. The notification parse runs on every input the screen admits
+//! and must report the decode oracle's error, if any.
 
 use proptest::prelude::*;
 use yav_crypto::{PriceCrypter, PriceKeys};
@@ -271,6 +274,85 @@ fn every_exchange_domain_resolves() {
         }
     }
     assert_eq!(exchange_host("example.com"), None);
+}
+
+/// Flips the ASCII case of byte `at` of `s` (a no-op on digits and
+/// punctuation).
+fn flip_case(s: &str, at: usize) -> String {
+    let mut bytes = s.as_bytes().to_vec();
+    let b = bytes[at];
+    bytes[at] = if b.is_ascii_lowercase() {
+        b.to_ascii_uppercase()
+    } else {
+        b.to_ascii_lowercase()
+    };
+    String::from_utf8(bytes).expect("ASCII case flips stay UTF-8")
+}
+
+#[test]
+fn two_byte_dispatch_edges_agree() {
+    // The screen reads two bytes after the scheme, compares only the
+    // domains starting with them, then checks the byte after the domain.
+    // Each host below sits at one edge of that dispatch, and runs behind
+    // both schemes with each tail (`http://c`, `http://cp/`,
+    // `https://CP:1`, …).
+    let mut hosts: Vec<String> = ["", "c", "C", "cp", "CP", "b", "be", "ta", "ad", "AD"]
+        .map(String::from)
+        .to_vec();
+    for adx in Adx::ALL {
+        let domain = adx.domain();
+        // The first or the second byte in the other case, and both.
+        hosts.extend([
+            flip_case(domain, 0),
+            flip_case(domain, 1),
+            flip_case(&flip_case(domain, 0), 1),
+        ]);
+        // Hosts sharing the domain's first two bytes: the pair alone, a
+        // tracker-like host, the domain cut one byte short, and the pair
+        // in front of every other domain's tail.
+        let pair = &domain[..2];
+        hosts.extend([
+            pair.to_owned(),
+            format!("{pair}acon.tracker.example"),
+            domain[..domain.len() - 1].to_owned(),
+        ]);
+        for other in Adx::ALL {
+            hosts.push(format!("{pair}{}", &other.domain()[2..]));
+        }
+    }
+    hosts.extend(
+        [
+            "beacon.adsight.example",
+            "tagrouter.example",
+            "tags.mathtag.co",
+            "beacon-eu2.rubiconproject.co",
+            "ads.smaato.net.example",
+            "api.example",
+        ]
+        .map(String::from),
+    );
+    for host in &hosts {
+        assert_eq!(exchange_host(host), roster_scan(host), "host {host:?}");
+        for scheme in ["http://", "https://"] {
+            for tail in ["", "/", "/x", ":1", "?a=1", "#f"] {
+                check(&format!("{scheme}{host}{tail}"));
+            }
+        }
+    }
+
+    // Every domain followed by each byte that ends its authority, and by
+    // bytes that do not: a host byte, `@`, NUL and a non-ASCII byte.
+    for adx in Adx::ALL {
+        let domain = adx.domain();
+        for next in ["", "/", ":", "?", "#", "@", ".", "-", "\0", "é", "x"] {
+            let host = format!("{domain}{next}");
+            assert_eq!(exchange_host(&host), roster_scan(&host), "host {host:?}");
+            for case in [domain.to_owned(), domain.to_ascii_uppercase()] {
+                check(&format!("http://{case}{next}"));
+                check(&format!("https://{case}{next}imp?charge_price=0.5"));
+            }
+        }
+    }
 }
 
 #[test]

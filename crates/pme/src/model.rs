@@ -253,14 +253,13 @@ pub struct ClientModel {
     pub class_prices: Vec<f64>,
 }
 
-/// Reusable row/probability buffers plus pre-resolved telemetry handles
-/// for [`ClientModel::estimate_into`] — the allocation-free estimation
+/// A reusable row buffer plus pre-resolved telemetry handles for
+/// [`ClientModel::estimate_into`] — the allocation-free estimation
 /// path. Looking metric handles up by name costs a registry lock per
 /// event; a long-lived scratch pays it once.
 #[derive(Debug, Clone)]
 pub struct EstimateScratch {
     row: Vec<f64>,
-    probs: Vec<f64>,
     predictions: yav_telemetry::Counter,
 }
 
@@ -270,7 +269,6 @@ impl EstimateScratch {
     pub fn new() -> EstimateScratch {
         EstimateScratch {
             row: Vec::with_capacity(13),
-            probs: Vec::new(),
             predictions: yav_telemetry::counter("pme.predictions_total"),
         }
     }
@@ -292,8 +290,9 @@ impl ClientModel {
         let _span = yav_telemetry::span!("pme.predict");
         scratch.row.clear();
         encode_append(ctx, self.with_publisher, &mut scratch.row);
-        scratch.probs.resize(self.compiled.n_classes(), 0.0);
-        let class = self.compiled.predict_with(&scratch.row, &mut scratch.probs);
+        debug_assert_eq!(scratch.row.len(), self.compiled.n_features());
+        // The class is on the leaf: no probability vector is read.
+        let class = self.compiled.predict(&scratch.row);
         scratch.predictions.inc();
         yav_telemetry::instant!("pme.predict.class", class);
         Cpm::from_f64(self.class_prices[class])
@@ -465,6 +464,53 @@ mod tests {
             est >= min && est <= max,
             "estimate {est} outside [{min}, {max}]"
         );
+    }
+
+    #[test]
+    fn estimates_price_the_predicted_class() {
+        // `estimate_into` walks the tree to its leaf's class and fills no
+        // probability vector: every context of a grid over the encoded
+        // fields must be priced at the class `predict_with`'s vote
+        // names, with and without the publisher bucket.
+        let rows = ground_truth(10);
+        for with_publisher in [false, true] {
+            let model = train(
+                &rows,
+                &TrainConfig {
+                    with_publisher,
+                    ..TrainConfig::quick()
+                },
+            )
+            .client;
+            let mut scratch = EstimateScratch::new();
+            let mut probs = vec![0.0; model.compiled.n_classes()];
+            let devices = [DeviceType::Smartphone, DeviceType::Tablet, DeviceType::Pc];
+            let formats = [None, Some(AdSlotSize::S320x50), Some(AdSlotSize::S300x250)];
+            // `n` walks every combination of city (or none), day, device,
+            // OS, channel and exchange; hour, format, IAB category (or
+            // none) and publisher vary along with it.
+            for n in 0..11 * 7 * 3 * 4 * 2 * 17 {
+                let ctx = CoreContext {
+                    city: City::ALL.get(n % 11).copied(),
+                    time: SimTime::from_minutes((n / 11 % 7 * 1_440 + n % 24 * 60) as i64),
+                    device: devices[n / 77 % 3],
+                    os: Os::ALL[n / 231 % 4],
+                    interaction: InteractionType::ALL[n / 924 % 2],
+                    format: formats[n % 3],
+                    adx: Adx::ALL[n / 1_848],
+                    iab: IabCategory::ALL.get(n % 19).copied(),
+                    publisher: Some(format!("pub{}", n % 7)),
+                };
+                let class = model
+                    .compiled
+                    .predict_with(&encode(&ctx, with_publisher), &mut probs);
+                assert_eq!(
+                    model.estimate_into(&ctx, &mut scratch),
+                    Cpm::from_f64(model.class_prices[class]),
+                    "{ctx:?}"
+                );
+            }
+        }
     }
 
     #[test]
