@@ -99,7 +99,7 @@ pub struct AnalyzerReport {
     pub summary: DetectionSummary,
     /// Notifications that matched an exchange endpoint but were malformed.
     pub malformed_nurls: u64,
-    /// Requests per traffic class.
+    /// Requests per traffic class, with an entry for each class seen.
     pub class_counts: BTreeMap<TrafficClass, u64>,
     /// ADX↔DSP pair and entity-share aggregates (Figures 2–3).
     pub pairs: PairTracker,
@@ -147,6 +147,9 @@ pub struct WeblogAnalyzer {
     /// The user of the last quietly ingested request, already in
     /// `users`: a quiet run enters the map only on a change of user.
     last_user: Option<UserId>,
+    /// Requests per traffic class, indexed in `TrafficClass::ALL` order;
+    /// `finish_with_state` writes them to `report.class_counts`.
+    class_counts: [u64; TrafficClass::ALL.len()],
     global: GlobalState,
     report: AnalyzerReport,
     retention: Retention,
@@ -186,6 +189,7 @@ impl WeblogAnalyzer {
             // yav-lint: allow(nondet-iteration) — same map as the field above: lookup-only, never iterated
             users: HashMap::new(),
             last_user: None,
+            class_counts: [0; TrafficClass::ALL.len()],
             global: GlobalState::default(),
             report: AnalyzerReport::default(),
             retention,
@@ -249,7 +253,7 @@ impl WeblogAnalyzer {
         };
 
         let class = classify_host(url.host_raw());
-        *self.report.class_counts.entry(class).or_insert(0) += 1;
+        self.class_counts[class as usize] += 1;
         self.report.total_requests += 1;
 
         let fp = self.ua.fingerprint(&req.user_agent);
@@ -434,6 +438,13 @@ impl WeblogAnalyzer {
     pub fn finish_with_state(mut self) -> (AnalyzerReport, GlobalState) {
         yav_telemetry::instant!("analyzer.finish", self.report.total_requests);
         self.report.users_seen = self.users.len();
+        // The map holds only the classes seen, as the per-request
+        // `entry` bump it replaced did.
+        self.report.class_counts = TrafficClass::ALL
+            .into_iter()
+            .zip(self.class_counts)
+            .filter(|&(_, n)| n > 0)
+            .collect();
         (self.report, self.global)
     }
 

@@ -24,7 +24,8 @@ pub enum TrafficClass {
 }
 
 impl TrafficClass {
-    /// All five groups.
+    /// All five groups, in declaration order, so `class as usize` is a
+    /// class's index here.
     pub const ALL: [TrafficClass; 5] = [
         TrafficClass::Advertising,
         TrafficClass::Analytics,
@@ -104,6 +105,54 @@ const THIRD_PARTY: [&str; 7] = [
     "streamedge.example",
 ];
 
+/// The four lists in priority order, each with its group.
+const LISTS: [(&[&str], TrafficClass); 4] = [
+    (&ADVERTISING, TrafficClass::Advertising),
+    (&ANALYTICS, TrafficClass::Analytics),
+    (&SOCIAL, TrafficClass::Social),
+    (&THIRD_PARTY, TrafficClass::ThirdPartyContent),
+];
+
+const ENTRIES: usize = ADVERTISING.len() + ANALYTICS.len() + SOCIAL.len() + THIRD_PARTY.len();
+
+/// Every entry of the four lists with its group, in priority order,
+/// computed at compile time so the lookup cannot drift from the lists.
+/// Bit `i` of a [`FIRST`] or [`SECOND`] mask stands for `TABLE[i]`.
+const TABLE: [(&str, TrafficClass); ENTRIES] = {
+    let mut table = [("", TrafficClass::Rest); ENTRIES];
+    let (mut at, mut l) = (0, 0);
+    while l < LISTS.len() {
+        let (list, class) = LISTS[l];
+        let mut i = 0;
+        while i < list.len() {
+            table[at] = (list[i], class);
+            at += 1;
+            i += 1;
+        }
+        l += 1;
+    }
+    table
+};
+
+/// Bit `i` is set at both ASCII cases of byte `at` of `TABLE[i]`.
+const fn byte_table(at: usize) -> [u64; 256] {
+    let mut table = [0u64; 256];
+    let mut i = 0;
+    while i < TABLE.len() {
+        let b = TABLE[i].0.as_bytes()[at];
+        table[b.to_ascii_lowercase() as usize] |= 1 << i;
+        table[b.to_ascii_uppercase() as usize] |= 1 << i;
+        i += 1;
+    }
+    table
+}
+
+/// Entries by the first and by the second byte of their domain. An
+/// entry shorter than two bytes, or a table past 64 entries (`1 << i`
+/// overflows), fails to compile.
+const FIRST: [u64; 256] = byte_table(0);
+const SECOND: [u64; 256] = byte_table(1);
+
 /// The host's registrable domain: its last two labels, or the whole host
 /// when it has fewer. A host is an entry or one of its subdomains exactly
 /// when this equals the entry, since every entry is `label.tld`.
@@ -121,21 +170,27 @@ fn registrable(host: &str) -> &str {
 /// Hosts keep their raw case (a [`yav_nurl::UrlRef`] borrows them), and
 /// the lists are lowercase, so comparing in place needs no lowercased
 /// copy of the host.
+///
+/// The registrable domain's first two bytes pick the candidate entries,
+/// as `yav_nurl::screen_adx` picks exchanges; most hosts meet none, and
+/// the rest meet one or two. Entries are distinct, so at most one
+/// candidate can equal the domain, and candidates are tried in table
+/// (priority) order.
 pub fn classify_host(host: &str) -> TrafficClass {
-    let domain = registrable(host);
-    // Each list is searched in place: one closure shared by the four
-    // searches measured slower than the lowercased copy it replaced.
-    if ADVERTISING.iter().any(|e| domain.eq_ignore_ascii_case(e)) {
-        TrafficClass::Advertising
-    } else if ANALYTICS.iter().any(|e| domain.eq_ignore_ascii_case(e)) {
-        TrafficClass::Analytics
-    } else if SOCIAL.iter().any(|e| domain.eq_ignore_ascii_case(e)) {
-        TrafficClass::Social
-    } else if THIRD_PARTY.iter().any(|e| domain.eq_ignore_ascii_case(e)) {
-        TrafficClass::ThirdPartyContent
-    } else {
-        TrafficClass::Rest
+    let domain = registrable(host).as_bytes();
+    let (Some(&b0), Some(&b1)) = (domain.first(), domain.get(1)) else {
+        return TrafficClass::Rest;
+    };
+    let mut candidates = FIRST[b0 as usize] & SECOND[b1 as usize];
+    while candidates != 0 {
+        let i = candidates.trailing_zeros() as usize;
+        candidates &= candidates - 1;
+        let (entry, class) = TABLE[i];
+        if domain.eq_ignore_ascii_case(entry.as_bytes()) {
+            return class;
+        }
     }
+    TrafficClass::Rest
 }
 
 #[cfg(test)]
@@ -196,8 +251,26 @@ mod tests {
                 variants.push(parent.to_owned());
             }
         }
-        variants
-            .extend(["", ".", "com", "notmopub.com", "mopub.com.evil.example"].map(String::from));
+        // Hosts that share an entry's first two bytes or its length, or
+        // end in one, but are not entries.
+        variants.extend(
+            [
+                "",
+                ".",
+                "m",
+                "mo",
+                "com",
+                "mo.com",
+                "mopubx.com",
+                "notmopub.com",
+                "mopub.com.evil.example",
+                "adsight.examples",
+                "adsight.exampl",
+                "ADSIGHT.EXAMPLE.",
+                "fastassets.example.",
+            ]
+            .map(String::from),
+        );
         // The oracle reads lowercase hosts; `classify_host` reads the raw
         // host in any case: as generated, in upper case, and with every
         // other byte in upper case.
@@ -221,25 +294,45 @@ mod tests {
     }
 
     #[test]
-    fn blacklist_entries_are_distinct_registrable_domains() {
-        // The registrable-domain lookup is exact only while every entry
-        // is `label.tld`: a three-label entry would never match.
-        let all: Vec<&str> = ADVERTISING
-            .iter()
-            .chain(&ANALYTICS)
-            .chain(&SOCIAL)
-            .chain(&THIRD_PARTY)
-            .copied()
-            .collect();
-        for e in &all {
-            let labels: Vec<&str> = e.split('.').collect();
+    fn table_meets_the_lookup_premises() {
+        // `classify_host` is exact only while every entry is `label.tld`
+        // (so "the host is the entry or one of its subdomains" is "its
+        // registrable domain is the entry"), at least two lowercase host
+        // bytes (so both masks index it, in either case) and distinct
+        // across the four lists (so at most one candidate matches), and
+        // while the table fits the masks' width.
+        let host_byte = |b: u8| b.is_ascii_lowercase() || b.is_ascii_digit() || b"-_".contains(&b);
+        for (entry, _) in TABLE {
+            assert!(entry.len() >= 2, "{entry:?} is shorter than two bytes");
+            let labels: Vec<&str> = entry.split('.').collect();
             assert!(
                 labels.len() == 2 && labels.iter().all(|l| !l.is_empty()),
-                "{e:?} is not label.tld"
+                "{entry:?} is not label.tld"
+            );
+            assert!(
+                labels.iter().all(|l| l.bytes().all(host_byte)),
+                "{entry:?} is not lowercase host bytes"
             );
         }
-        let distinct: std::collections::BTreeSet<&str> = all.iter().copied().collect();
-        assert_eq!(distinct.len(), all.len(), "an entry is listed twice");
+        // The table is the four lists, in priority order.
+        let lists: Vec<(&str, TrafficClass)> = LISTS
+            .iter()
+            .flat_map(|&(list, class)| list.iter().map(move |&e| (e, class)))
+            .collect();
+        assert_eq!(TABLE.to_vec(), lists);
+        let distinct: std::collections::BTreeSet<&str> = TABLE.iter().map(|&(e, _)| e).collect();
+        assert_eq!(distinct.len(), TABLE.len(), "an entry is listed twice");
+        assert!(
+            TABLE.len() <= u64::BITS as usize,
+            "the table outgrows its masks"
+        );
+    }
+
+    #[test]
+    fn all_is_in_declaration_order() {
+        for (i, class) in TrafficClass::ALL.into_iter().enumerate() {
+            assert_eq!(class as usize, i, "{class:?}");
+        }
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! validation — the paper's motivating question answered per user.
 
 use crate::world::World;
+use yav_campaign::Campaign;
 use yav_core::methodology::{per_user_costs, PopulationSummary, UserCost};
 use yav_core::validation::{ArpuEstimate, MarketFactors};
 use yav_stats::{pearson, Ecdf};
@@ -217,10 +218,11 @@ pub fn truth_check(w: &World) -> String {
         (est_total / true_total - 1.0) * 100.0
     );
 
-    // Decompose: the probing campaign bids with a 12-CPM cap, so the
-    // training data never contains the whale tail. Compare against the
-    // truth *within the observable price range* as well.
-    let cap = 30.0;
+    // Decompose: the probing campaign whose rows train the model (A1)
+    // never bids above its `max_bid`, so the training data never
+    // contains the whale tail. Compare against the truth *within the
+    // observable price range* as well.
+    let cap = Campaign::a1().max_bid.as_f64();
     let trimmed_truth: f64 = w
         .truth
         .iter()

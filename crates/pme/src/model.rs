@@ -359,11 +359,11 @@ pub fn train_pairs(pairs: &[(CoreContext, f64)], config: &TrainConfig) -> Traine
     let reg = LinearRegression::fit(&features, &prices);
     let regression_baseline = (reg.rmse(&features, &prices), reg.r2(&features, &prices));
 
-    // Representative price per class: the empirical *median* of the
-    // training prices in the class. The mean is dominated by whichever
-    // slice of the heavy upper tail the campaign happened to buy, and
-    // the geometric mid of the log cuts undervalues skewed classes; the
-    // median is the robust middle ground.
+    // Representative price per class: the 5 %-trimmed mean of the
+    // training prices in the class. The plain mean is dominated by
+    // whichever slice of the heavy upper tail the campaign happened to
+    // buy, and the geometric mid of the log cuts undervalues skewed
+    // classes; the trimmed mean stays tail-aware without either.
     let class_prices: Vec<f64> = (0..config.classes)
         .map(|c| {
             let mut members: Vec<f64> = prices
@@ -374,8 +374,6 @@ pub fn train_pairs(pairs: &[(CoreContext, f64)], config: &TrainConfig) -> Traine
             if members.is_empty() {
                 discretizer.class_price(c)
             } else {
-                // 5 %-trimmed mean: tail-aware without being dominated by
-                // whichever whale impressions the campaign happened to buy.
                 members.sort_by(|a, b| a.total_cmp(b));
                 let lo = members.len() / 20;
                 let hi = members.len() - lo;

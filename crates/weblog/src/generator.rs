@@ -19,7 +19,6 @@ use crate::population::{Panel, PanelUser};
 use crate::publisher::{sample_slot, Publisher, PublisherUniverse};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
 use std::sync::OnceLock;
 use yav_arena::{Bump, Span};
 use yav_auction::{AdRequest, Market, MarketConfig, MarketTemplate};
@@ -81,7 +80,8 @@ impl Weblog {
 /// user-agent strings). After the first few events warm the buffer
 /// capacities, the loop performs zero heap allocations per event
 /// (`crates/core/tests/no_alloc_gen.rs` proves it with a counting
-/// allocator).
+/// allocator). The shard's tallies are plain integers, published once
+/// when the shard ends.
 struct ShardScratch {
     req: HttpRequest,
     ad: AdRequest,
@@ -92,8 +92,9 @@ struct ShardScratch {
     ua: Bump,
     web_ua: Span,
     app_ua: Span,
-    rtb_slots: yav_telemetry::Counter,
-    rtb_impressions: yav_telemetry::Counter,
+    requests: u64,
+    rtb_slots: u64,
+    rtb_impressions: u64,
 }
 
 impl ShardScratch {
@@ -101,7 +102,9 @@ impl ShardScratch {
         let mut corpus = Bump::with_capacity(1024);
         let ad_prefix = std::array::from_fn(|i| {
             corpus.push_with(|out| {
-                let _ = write!(out, "http://{}/ad?pub=", Adx::from_index(i).domain());
+                out.push_str("http://");
+                out.push_str(Adx::from_index(i).domain());
+                out.push_str("/ad?pub=");
             })
         });
         ShardScratch {
@@ -136,9 +139,16 @@ impl ShardScratch {
             ua: Bump::with_capacity(256),
             web_ua: Span::EMPTY,
             app_ua: Span::EMPTY,
-            rtb_slots: yav_telemetry::counter("weblog.generator.rtb_slots"),
-            rtb_impressions: yav_telemetry::counter("weblog.generator.rtb_impressions"),
+            requests: 0,
+            rtb_slots: 0,
+            rtb_impressions: 0,
         }
+    }
+
+    /// Lends the request to the sink, and counts it.
+    fn send(&mut self, on_req: &mut impl FnMut(&HttpRequest)) {
+        self.requests += 1;
+        on_req(&self.req);
     }
 }
 
@@ -254,19 +264,17 @@ impl WeblogGenerator {
     /// pipeline materialises each lazy block to size its windows) call
     /// this directly instead of [`Self::run_shard`], which would derive
     /// the block a second time.
+    ///
+    /// The shard's requests, RTB slots and RTB impressions are counted
+    /// in its scratch and added to `weblog.generator.{requests,
+    /// rtb_slots, rtb_impressions}` when the call returns.
     pub fn run_shard_with_users(
         &self,
         users: &[PanelUser],
         market: &mut Market,
-        on_req: impl FnMut(&HttpRequest),
+        mut on_req: impl FnMut(&HttpRequest),
         mut on_truth: impl FnMut(GroundTruth),
     ) {
-        let requests = yav_telemetry::counter("weblog.generator.requests");
-        let mut inner = on_req;
-        let mut on_req = move |r: &HttpRequest| {
-            requests.inc();
-            inner(r)
-        };
         let mut scratch = ShardScratch::new();
         for user in users {
             scratch.ua.reset();
@@ -293,6 +301,9 @@ impl WeblogGenerator {
                 );
             }
         }
+        yav_telemetry::counter("weblog.generator.requests").add(scratch.requests);
+        yav_telemetry::counter("weblog.generator.rtb_slots").add(scratch.rtb_slots);
+        yav_telemetry::counter("weblog.generator.rtb_impressions").add(scratch.rtb_impressions);
     }
 
     /// Convenience: collect [`Self::run`]'s stream into memory, in shard
@@ -373,72 +384,66 @@ impl WeblogGenerator {
         scratch.req.user_agent.push_str(scratch.ua.get(ua));
         scratch.req.client_ip = city_ip(city, user.id, rng.gen::<u8>());
 
-        // 1. The content request itself (page or app API call).
-        scratch.req.url.clear();
+        // 1. The content request itself (page or app API call). Every
+        // URL is spliced from its literal pieces and `push_decimal`.
+        let url = &mut scratch.req.url;
+        url.clear();
         if in_app {
-            let _ = write!(
-                scratch.req.url,
-                "http://api.{}/v2/feed?sess={}",
-                publisher.name,
-                rng.gen::<u32>()
-            );
+            url.push_str("http://api.");
+            url.push_str(&publisher.name);
+            url.push_str("/v2/feed?sess=");
+            push_decimal(url, rng.gen::<u32>());
         } else {
-            let _ = write!(
-                scratch.req.url,
-                "http://www.{}/articulo/{}.html",
-                publisher.name,
-                rng.gen_range(1..5000)
-            );
+            url.push_str("http://www.");
+            url.push_str(&publisher.name);
+            url.push_str("/articulo/");
+            push_decimal(url, rng.gen_range(1..5000));
+            url.push_str(".html");
         }
         scratch.req.time = time;
         scratch.req.bytes = rng.gen_range(8_000..160_000);
         scratch.req.duration_ms = rng.gen_range(80..900);
-        on_req(&scratch.req);
+        scratch.send(on_req);
 
         // 2. Auxiliary requests: assets, analytics, social, trackers.
         let aux = poisson(rng, self.config.aux_requests_per_view);
         for i in 0..aux {
             let t = time.plus_minutes(0).plus_minutes((i as i64) / 12); // bursts within a minute
             let roll: f64 = rng.gen();
-            scratch.req.url.clear();
+            let url = &mut scratch.req.url;
+            url.clear();
+            url.push_str("http://");
             if roll < 0.45 {
-                let host = domains::THIRD_PARTY[rng.gen_range(0..domains::THIRD_PARTY.len())];
-                let _ = write!(
-                    scratch.req.url,
-                    "http://{host}/assets/{}.js",
-                    rng.gen_range(1..400)
-                );
+                url.push_str(domains::THIRD_PARTY[rng.gen_range(0..domains::THIRD_PARTY.len())]);
+                url.push_str("/assets/");
+                push_decimal(url, rng.gen_range(1..400));
+                url.push_str(".js");
             } else if roll < 0.62 {
-                let host = domains::ANALYTICS[rng.gen_range(0..domains::ANALYTICS.len())];
-                let _ = write!(
-                    scratch.req.url,
-                    "http://{host}/collect?pid={}&ev=pageview",
-                    publisher.id.0
-                );
+                url.push_str(domains::ANALYTICS[rng.gen_range(0..domains::ANALYTICS.len())]);
+                url.push_str("/collect?pid=");
+                push_decimal(url, publisher.id.0);
+                url.push_str("&ev=pageview");
             } else if roll < 0.74 {
-                let host = domains::SOCIAL[rng.gen_range(0..domains::SOCIAL.len())];
-                let _ = write!(
-                    scratch.req.url,
-                    "http://{host}/widget.js?ref={}",
-                    publisher.name
-                );
+                url.push_str(domains::SOCIAL[rng.gen_range(0..domains::SOCIAL.len())]);
+                url.push_str("/widget.js?ref=");
+                url.push_str(&publisher.name);
             } else if roll < 0.90 {
-                let host = domains::BEACON_HOSTS[rng.gen_range(0..domains::BEACON_HOSTS.len())];
-                let _ = write!(scratch.req.url, "http://{host}/b.gif?u=");
-                user.id.wire_into(&mut scratch.req.url);
-                let _ = write!(scratch.req.url, "&r={}", rng.gen::<u32>());
+                url.push_str(domains::BEACON_HOSTS[rng.gen_range(0..domains::BEACON_HOSTS.len())]);
+                url.push_str("/b.gif?u=");
+                user.id.wire_into(url);
+                url.push_str("&r=");
+                push_decimal(url, rng.gen::<u32>());
             } else {
-                let _ = write!(
-                    scratch.req.url,
-                    "http://www.{}/static/img{}.jpg",
-                    publisher.name,
-                    rng.gen_range(1..900)
-                );
+                url.push_str("www.");
+                url.push_str(&publisher.name);
+                url.push_str("/static/img");
+                push_decimal(url, rng.gen_range(1..900));
+                url.push_str(".jpg");
             }
             scratch.req.time = t;
             scratch.req.bytes = rng.gen_range(200..40_000);
             scratch.req.duration_ms = rng.gen_range(15..400);
-            on_req(&scratch.req);
+            scratch.send(on_req);
         }
 
         // 3. Cookie synchronisation (SSP ↔ DSP identity bridging).
@@ -447,14 +452,19 @@ impl WeblogGenerator {
                 domains::COOKIE_SYNC_HOSTS[rng.gen_range(0..domains::COOKIE_SYNC_HOSTS.len())];
             let partner =
                 domains::COOKIE_SYNC_HOSTS[rng.gen_range(0..domains::COOKIE_SYNC_HOSTS.len())];
-            scratch.req.url.clear();
-            let _ = write!(scratch.req.url, "http://{host}/getuid?uid=");
-            user.id.wire_into(&mut scratch.req.url);
-            let _ = write!(scratch.req.url, "&redir=http%3A%2F%2F{partner}%2Fsetuid");
+            let url = &mut scratch.req.url;
+            url.clear();
+            url.push_str("http://");
+            url.push_str(host);
+            url.push_str("/getuid?uid=");
+            user.id.wire_into(url);
+            url.push_str("&redir=http%3A%2F%2F");
+            url.push_str(partner);
+            url.push_str("%2Fsetuid");
             scratch.req.time = time;
             scratch.req.bytes = rng.gen_range(100..600);
             scratch.req.duration_ms = rng.gen_range(20..200);
-            on_req(&scratch.req);
+            scratch.send(on_req);
             market.dmp_mut().record_cookie_sync(user.id);
         }
 
@@ -462,7 +472,7 @@ impl WeblogGenerator {
         if rng.gen::<f64>() >= self.config.rtb_slot_prob {
             return;
         }
-        scratch.rtb_slots.inc();
+        scratch.rtb_slots += 1;
         let slot = sample_slot(rng, time);
         let adx = yav_auction::config::sample_adx(rng.gen());
         scratch.ad.time = time;
@@ -481,33 +491,32 @@ impl WeblogGenerator {
         scratch.ad.interest_match = user.interest_weight(publisher.iab);
 
         // The ad request toward the exchange (step 2–3 of Figure 1).
-        scratch.req.url.clear();
-        scratch
-            .req
-            .url
-            .push_str(scratch.corpus.get(scratch.ad_prefix[adx.index()]));
-        let _ = write!(
-            scratch.req.url,
-            "{}&size={}&cat=IAB{}",
-            publisher.id.0,
-            slot,
-            publisher.iab.code()
-        );
+        let url = &mut scratch.req.url;
+        url.clear();
+        url.push_str(scratch.corpus.get(scratch.ad_prefix[adx.index()]));
+        push_decimal(url, publisher.id.0);
+        url.push_str("&size=");
+        let (width, height) = slot.dimensions();
+        push_decimal(url, width);
+        url.push('x');
+        push_decimal(url, height);
+        url.push_str("&cat=IAB");
+        push_decimal(url, publisher.iab.code());
         scratch.req.time = time;
         scratch.req.bytes = rng.gen_range(300..2_000);
         scratch.req.duration_ms = rng.gen_range(30..150);
-        on_req(&scratch.req);
+        scratch.send(on_req);
 
         // An organic slot: the market renders the notification URL
         // straight into the reused request buffer.
         if let Some(sale) = market.run_auction(&scratch.ad, None, &mut scratch.req.url) {
             // RTB impression rate = rtb_impressions / requests.
-            scratch.rtb_impressions.inc();
+            scratch.rtb_impressions += 1;
             // The notification URL fires through the browser as the
             // impression renders (steps 6–7).
             scratch.req.bytes = rng.gen_range(40..400);
             scratch.req.duration_ms = rng.gen_range(10..120);
-            on_req(&scratch.req);
+            scratch.send(on_req);
             on_truth(GroundTruth {
                 impression: sale.impression,
                 user: user.id,
@@ -540,6 +549,42 @@ impl UserIdHash for yav_types::UserId {
     fn id_hash(&self) -> u32 {
         let x = self.0.wrapping_mul(0x9E37_79B9);
         x ^ (x >> 16)
+    }
+}
+
+/// Appends `n` in decimal to `buf`: the bytes `write!(buf, "{n}")`
+/// appends, without `core::fmt`. Digits go two at a time, leading pair
+/// first, as slices of a table of the hundred two-digit strings (so no
+/// byte buffer needs a UTF-8 check).
+pub(crate) fn push_decimal(buf: &mut String, n: u32) {
+    /// `PAIRS[2k..2k + 2]` is `k` in two digits, for `k` below 100.
+    const PAIRS: &str = concat!(
+        "00010203040506070809",
+        "10111213141516171819",
+        "20212223242526272829",
+        "30313233343536373839",
+        "40414243444546474849",
+        "50515253545556575859",
+        "60616263646566676869",
+        "70717273747576777879",
+        "80818283848586878889",
+        "90919293949596979899",
+    );
+    // The pairs below the leading one, least significant first: u32::MAX
+    // has ten digits, so at most four.
+    let mut low = [0u8; 4];
+    let (mut len, mut lead) = (0, n);
+    while lead >= 100 {
+        low[len] = (lead % 100) as u8;
+        lead /= 100;
+        len += 1;
+    }
+    // A leading pair below 10 is written as its one digit.
+    let k = 2 * lead as usize;
+    buf.push_str(&PAIRS[k + usize::from(lead < 10)..k + 2]);
+    for &pair in low[..len].iter().rev() {
+        let k = 2 * pair as usize;
+        buf.push_str(&PAIRS[k..k + 2]);
     }
 }
 
@@ -664,6 +709,24 @@ mod tests {
                 "unparseable URL {}",
                 r.url
             );
+        }
+    }
+
+    #[test]
+    fn push_decimal_writes_what_display_writes() {
+        let mut cases: Vec<u32> = (0..=1_000).collect();
+        for digits in 1..=9 {
+            let p = 10u32.pow(digits);
+            cases.extend([p - 1, p, p + 1, 2 * p - 1, 4 * p + 7]);
+        }
+        cases.extend([u32::MAX - 1, u32::MAX, 4_000_000_000, 0x9E37_79B9]);
+        let mut rng = StdRng::seed_from_u64(5);
+        cases.extend((0..10_000).map(|_| rng.gen::<u32>()));
+        let mut buf = String::from("prefix/");
+        for n in cases {
+            buf.truncate("prefix/".len());
+            push_decimal(&mut buf, n);
+            assert_eq!(buf, format!("prefix/{n}"));
         }
     }
 

@@ -7,6 +7,7 @@
 //! weighted interest profile over IAB categories that steers which
 //! publishers they visit.
 
+use crate::generator::push_decimal;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -45,26 +46,22 @@ impl PanelUser {
     /// Appends the web user-agent to `buf` without allocating — the form
     /// the generator uses to pre-render one UA per user per shard.
     pub fn write_web_user_agent(&self, buf: &mut String) {
-        use std::fmt::Write as _;
         match self.os {
             Os::Android => {
-                let _ = write!(
-                    buf,
-                    "Mozilla/5.0 (Linux; Android 5.1; SM-G{}00 Build/LMY47X) AppleWebKit/537.36 Chrome/43.0 Mobile Safari/537.36",
-                    900 + self.id.0 % 30
+                buf.push_str("Mozilla/5.0 (Linux; Android 5.1; SM-G");
+                push_decimal(buf, 900 + self.id.0 % 30);
+                buf.push_str(
+                    "00 Build/LMY47X) AppleWebKit/537.36 Chrome/43.0 Mobile Safari/537.36",
                 );
             }
             Os::Ios => {
-                let hardware = if self.device == DeviceType::Tablet {
-                    "iPad;"
+                buf.push_str(if self.device == DeviceType::Tablet {
+                    "Mozilla/5.0 (iPad; CPU iPhone OS 8_"
                 } else {
-                    "iPhone;"
-                };
-                let _ = write!(
-                    buf,
-                    "Mozilla/5.0 ({hardware} CPU iPhone OS 8_{} like Mac OS X) AppleWebKit/600.1 Version/8.0 Mobile Safari/600.1",
-                    1 + self.id.0 % 4
-                );
+                    "Mozilla/5.0 (iPhone; CPU iPhone OS 8_"
+                });
+                push_decimal(buf, 1 + self.id.0 % 4);
+                buf.push_str(" like Mac OS X) AppleWebKit/600.1 Version/8.0 Mobile Safari/600.1");
             }
             Os::WindowsMobile => buf.push_str(
                 "Mozilla/5.0 (Windows Phone 8.1; ARM; Trident/7.0; IEMobile/11.0) like Gecko",
@@ -83,21 +80,16 @@ impl PanelUser {
 
     /// Appends the in-app user-agent to `buf` without allocating.
     pub fn write_app_user_agent(&self, buf: &mut String) {
-        use std::fmt::Write as _;
         match self.os {
             Os::Android => {
-                let _ = write!(
-                    buf,
-                    "Dalvik/2.1.0 (Linux; U; Android 5.1; SM-G{}00)",
-                    900 + self.id.0 % 30
-                );
+                buf.push_str("Dalvik/2.1.0 (Linux; U; Android 5.1; SM-G");
+                push_decimal(buf, 900 + self.id.0 % 30);
+                buf.push_str("00)");
             }
             Os::Ios => {
-                let _ = write!(
-                    buf,
-                    "App/{} CFNetwork/711.3 Darwin/14.0.0",
-                    1 + self.id.0 % 9
-                );
+                buf.push_str("App/");
+                push_decimal(buf, 1 + self.id.0 % 9);
+                buf.push_str(" CFNetwork/711.3 Darwin/14.0.0");
             }
             Os::WindowsMobile => buf.push_str("WindowsPhoneApp/8.1 NativeHost"),
             Os::Other => buf.push_str("GenericMobileApp/1.0"),
@@ -238,6 +230,7 @@ impl Panel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn panel_deterministic() {
@@ -309,6 +302,54 @@ mod tests {
                 assert!(web.contains("iPad"));
             }
         }
+    }
+
+    #[test]
+    fn user_agents_fill_their_templates() {
+        // The agents are spliced from literal pieces; each must read as
+        // its one-line template filled in by `format!`.
+        let p = Panel::build(3, 400);
+        let (mut seen, mut seen_ios_devices) = (BTreeSet::new(), BTreeSet::new());
+        for u in p.users() {
+            let (web, app) = match u.os {
+                Os::Android => {
+                    let model = 900 + u.id.0 % 30;
+                    (
+                        format!("Mozilla/5.0 (Linux; Android 5.1; SM-G{model}00 Build/LMY47X) AppleWebKit/537.36 Chrome/43.0 Mobile Safari/537.36"),
+                        format!("Dalvik/2.1.0 (Linux; U; Android 5.1; SM-G{model}00)"),
+                    )
+                }
+                Os::Ios => {
+                    let hardware = if u.device == DeviceType::Tablet {
+                        "iPad;"
+                    } else {
+                        "iPhone;"
+                    };
+                    (
+                        format!("Mozilla/5.0 ({hardware} CPU iPhone OS 8_{} like Mac OS X) AppleWebKit/600.1 Version/8.0 Mobile Safari/600.1", 1 + u.id.0 % 4),
+                        format!("App/{} CFNetwork/711.3 Darwin/14.0.0", 1 + u.id.0 % 9),
+                    )
+                }
+                Os::WindowsMobile => (
+                    "Mozilla/5.0 (Windows Phone 8.1; ARM; Trident/7.0; IEMobile/11.0) like Gecko"
+                        .to_owned(),
+                    "WindowsPhoneApp/8.1 NativeHost".to_owned(),
+                ),
+                Os::Other => (
+                    "Mozilla/5.0 (Mobile; rv:34.0) Gecko/34.0 Firefox/34.0".to_owned(),
+                    "GenericMobileApp/1.0".to_owned(),
+                ),
+            };
+            assert_eq!(u.web_user_agent(), web);
+            assert_eq!(u.app_user_agent(), app);
+            seen.insert(u.os);
+            if u.os == Os::Ios {
+                seen_ios_devices.insert(u.device);
+            }
+        }
+        // Every template ran: all four systems, iPhones and iPads.
+        assert_eq!(seen.len(), 4, "only {seen:?}");
+        assert_eq!(seen_ios_devices.len(), 2, "only {seen_ios_devices:?}");
     }
 
     #[test]
