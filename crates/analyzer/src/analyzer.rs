@@ -571,6 +571,31 @@ mod tests {
     }
 
     #[test]
+    fn class_counts_hold_only_the_classes_seen() {
+        // `finish` writes the map from per-class tallies; a class that no
+        // request fell in gets no entry, on either ingest path.
+        assert!(WeblogAnalyzer::new().finish().class_counts.is_empty());
+        let (_, _, log) = run_tiny();
+        let social: Vec<&HttpRequest> = log
+            .requests
+            .iter()
+            .filter(|r| {
+                UrlRef::parse(&r.url)
+                    .is_ok_and(|u| classify_host(u.host_raw()) == TrafficClass::Social)
+            })
+            .collect();
+        assert!(!social.is_empty());
+        let want = BTreeMap::from([(TrafficClass::Social, social.len() as u64)]);
+        let (mut full, mut quiet) = (WeblogAnalyzer::new(), WeblogAnalyzer::new());
+        for r in &social {
+            full.ingest(r);
+            quiet.ingest_quiet(r);
+        }
+        assert_eq!(full.finish().class_counts, want);
+        assert_eq!(quiet.finish().class_counts, want);
+    }
+
+    #[test]
     fn feature_rows_are_valid() {
         let (_, records, _) = run_tiny();
         for rec in &records {
