@@ -10,7 +10,7 @@ use crate::taxonomy;
 use crate::ua::UaMemo;
 use crate::userstate::{GlobalState, UserState};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use yav_nurl::urlref::decoded_len;
 use yav_nurl::{exchange_host, template, UrlRef, UrlScratch};
 use yav_types::{
@@ -139,11 +139,18 @@ impl AnalyzerReport {
     }
 }
 
+/// Per-user detection state.
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed lookups only (entry/len), never iterated, so hash order cannot reach \
+              output; O(1) access on the per-request hot path"
+)]
+type UserMap = std::collections::HashMap<UserId, UserState>;
+
 /// The streaming Weblog Ads Analyzer.
 pub struct WeblogAnalyzer {
     geo: GeoDb,
-    // yav-lint: allow(nondet-iteration) — keyed lookups only (entry/get/len), never iterated, so order cannot reach output; O(1) access on the per-request hot path
-    users: HashMap<UserId, UserState>,
+    users: UserMap,
     /// The user of the last quietly ingested request, already in
     /// `users`: a quiet run enters the map only on a change of user.
     last_user: Option<UserId>,
@@ -186,8 +193,7 @@ impl WeblogAnalyzer {
     pub fn with_retention(retention: Retention) -> WeblogAnalyzer {
         WeblogAnalyzer {
             geo: GeoDb::open(),
-            // yav-lint: allow(nondet-iteration) — same map as the field above: lookup-only, never iterated
-            users: HashMap::new(),
+            users: UserMap::new(),
             last_user: None,
             class_counts: [0; TrafficClass::ALL.len()],
             global: GlobalState::default(),
@@ -620,7 +626,7 @@ mod tests {
             .filter(|d| d.interaction == InteractionType::MobileApp)
             .count();
         assert!(apps > 0 && apps < report.detections.len());
-        let oses: std::collections::HashSet<Os> = report.detections.iter().map(|d| d.os).collect();
+        let oses: std::collections::BTreeSet<Os> = report.detections.iter().map(|d| d.os).collect();
         assert!(oses.len() >= 2);
         // Publisher-rich exchanges yield IAB categories.
         assert!(report.detections.iter().any(|d| d.iab.is_some()));

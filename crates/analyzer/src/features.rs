@@ -552,7 +552,7 @@ mod tests {
         assert_eq!(s.len(), FEATURE_COUNT);
         assert_eq!(s.names().count(), 288);
         // Names are unique.
-        let set: std::collections::HashSet<&str> = s.names().collect();
+        let set: std::collections::BTreeSet<&str> = s.names().collect();
         assert_eq!(set.len(), 288);
     }
 

@@ -675,7 +675,7 @@ mod tests {
         let t = SimTime::from_ymd_hm(2015, 4, 4, 16, 0);
         let template = MarketTemplate::new(MarketConfig::default());
         let mut buf = String::new();
-        let mut ivs = std::collections::HashSet::new();
+        let mut ivs = std::collections::BTreeSet::new();
         for s in 0..8 {
             let mut m = template.shard(s);
             for i in 0..40usize {

@@ -15,8 +15,15 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use yav_types::UserId;
+
+/// A per-user map of the DMP's latent knowledge.
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed lookups only (get/insert/entry/len), never iterated, so hash order \
+              cannot reach output; O(1) access once per auction"
+)]
+type UserMap<V> = std::collections::HashMap<UserId, V>;
 
 /// Latent market knowledge about one user.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,13 +39,13 @@ pub struct UserValue {
 #[derive(Debug)]
 pub struct Dmp {
     rng: StdRng,
-    values: HashMap<UserId, UserValue>,
+    values: UserMap<UserValue>,
     /// Fraction of users in the whale tail (paper: ~2 % of users cost
     /// 10–100× the average in total).
     whale_fraction: f64,
     /// Log-normal sigma of the ordinary-user value factor.
     value_sigma: f64,
-    cookie_syncs: HashMap<UserId, u32>,
+    cookie_syncs: UserMap<u32>,
 }
 
 impl Dmp {
@@ -46,10 +53,10 @@ impl Dmp {
     pub fn new(seed: u64, whale_fraction: f64, value_sigma: f64) -> Dmp {
         Dmp {
             rng: StdRng::seed_from_u64(seed ^ 0xD11A_0000_0000_0001),
-            values: HashMap::new(),
+            values: UserMap::new(),
             whale_fraction,
             value_sigma,
-            cookie_syncs: HashMap::new(),
+            cookie_syncs: UserMap::new(),
         }
     }
 

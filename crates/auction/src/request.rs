@@ -44,7 +44,10 @@ impl AdRequest {
     /// True if this request is eligible for a Table-5 campaign filter
     /// tuple `(city, interaction, shift, weekend, device, os, format,
     /// adx)` — used by the probing-campaign harness.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per Table 5 filter column"
+    )]
     pub fn matches_filter(
         &self,
         city: City,

@@ -195,6 +195,10 @@ fn main() {
         if trace_this.is_some() {
             journal::set_enabled(true);
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "reports the run's wall time on stderr; no output file reads it"
+        )]
         let t0 = std::time::Instant::now();
         let world = StreamWorld::build_with(scale, &exec);
         let secs = t0.elapsed().as_secs_f64();
@@ -229,6 +233,10 @@ fn main() {
     if trace_out.is_some() {
         journal::set_enabled(true);
     }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "reports the run's wall time on stderr; no output file reads it"
+    )]
     let t0 = std::time::Instant::now();
     let world = World::build_with(scale, &exec);
     if let Some(path) = &trace_out {

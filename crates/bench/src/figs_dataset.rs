@@ -1,7 +1,7 @@
 //! Dataset-D figures: the §4 measurement study (Figures 2–14, Tables 3–4).
 
 use crate::world::World;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use yav_analyzer::features::{FeatureGroup, FeatureSchema};
 use yav_stats::{ks_two_sample, PercentileSummary};
 use yav_types::{AdSlotSize, Adx, City, DayOfWeek, Os, PriceVisibility, TimeOfDay};
@@ -71,7 +71,7 @@ pub fn fig3(w: &World) -> String {
 /// Table 3 — dataset and campaign summary.
 pub fn table3(w: &World) -> String {
     // Distinct RTB publishers per month in D.
-    let mut monthly_pubs: BTreeMap<usize, HashSet<&str>> = BTreeMap::new();
+    let mut monthly_pubs: BTreeMap<usize, BTreeSet<&str>> = BTreeMap::new();
     for d in &w.report.detections {
         if let Some(p) = &d.publisher {
             monthly_pubs
@@ -85,7 +85,7 @@ pub fn table3(w: &World) -> String {
     } else {
         monthly_pubs.values().map(|s| s.len()).sum::<usize>() as f64 / monthly_pubs.len() as f64
     };
-    let d_iabs: HashSet<_> = w.report.detections.iter().filter_map(|d| d.iab).collect();
+    let d_iabs: BTreeSet<_> = w.report.detections.iter().filter_map(|d| d.iab).collect();
     let mut out = String::from("Table 3: dataset and ad-campaign summary\n");
     out += &format!("{:<22} {:>12} {:>12} {:>12}\n", "metric", "D", "A1", "A2");
     out += &format!(

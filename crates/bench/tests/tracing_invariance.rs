@@ -101,13 +101,14 @@ fn world_identical_with_tracing_off_on_and_across_rings_and_threads() {
 fn chrome_trace_export_matches_event_schema() {
     let _g = collector_lock();
     journal::set_enabled(true);
-    // Two workers, so the export holds several trace streams.
-    let _ = yav_campaign::execute_parallel(
+    // Two workers, so the export holds several trace streams. Only the
+    // trace is read, so the campaign's rows drop at once.
+    drop(yav_campaign::execute_parallel(
         &yav_auction::MarketConfig::default(),
         &yav_weblog::PublisherUniverse::build(0xD474, 300, 120),
         &yav_campaign::Campaign::a2().scaled(2),
         &ExecConfig::with_threads(2),
-    );
+    ));
     journal::set_enabled(false);
     let trace = journal::drain();
     assert!(!trace.is_empty());

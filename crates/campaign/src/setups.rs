@@ -14,7 +14,7 @@ use yav_types::time::CampaignShift;
 use yav_types::{AdSlotSize, Adx, City, DeviceType, InteractionType, Os};
 
 /// Weekday-vs-weekend day-type filter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum DayType {
     /// Monday through Friday.
     Weekday,
@@ -102,13 +102,13 @@ pub fn table5(adxs: &[Adx]) -> Vec<Setup> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn exactly_144_unique_setups() {
         let setups = table5(&Adx::ENCRYPTED_TARGETS);
         assert_eq!(setups.len(), 144);
-        let unique: HashSet<_> = setups
+        let unique: BTreeSet<_> = setups
             .iter()
             .map(|s| {
                 (
@@ -168,7 +168,7 @@ mod tests {
     #[test]
     fn base_combinations_balanced() {
         let setups = table5(&[Adx::MoPub]);
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = std::collections::BTreeMap::new();
         for s in &setups {
             *counts
                 .entry((s.city, s.interaction, s.shift, s.day_type))

@@ -196,7 +196,7 @@ mod tests {
     #[test]
     fn accounts_cover_all_detected_users() {
         let fx = fixture();
-        let truth_users: std::collections::HashSet<UserId> =
+        let truth_users: std::collections::BTreeSet<UserId> =
             fx.truth.iter().map(|t| t.user).collect();
         assert_eq!(fx.costs.len(), truth_users.len());
         for c in &fx.costs {

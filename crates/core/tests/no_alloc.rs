@@ -15,9 +15,10 @@
 //! test thread is inside a measured region, so a process-global count
 //! is flaky under load. The contract being proven is about the calling
 //! thread's code path, which the thread-local count measures exactly.
-//! (Integration tests are separate crates, so the `unsafe` allocator
-//! impl lives outside the workspace's `forbid(unsafe_code)` library
-//! crates.)
+//! (The allocator impl is the workspace's one kind of `unsafe` code:
+//! a global allocator cannot be written without it. Integration tests
+//! are separate crates, so it stays outside the library crates, whose
+//! roots forbid `unsafe_code`.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -37,6 +38,10 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
+#[expect(
+    unsafe_code,
+    reason = "GlobalAlloc is an unsafe trait; each method only counts, then delegates to System"
+)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));

@@ -40,9 +40,9 @@
 //!
 //! This file deliberately holds a single `#[test]` with a thread-local
 //! counter, for the reasons documented in `no_alloc.rs` (the harness's
-//! main thread shares the global allocator). Integration tests are
-//! separate crates, so the `unsafe` allocator impl lives outside the
-//! workspace's `forbid(unsafe_code)` library crates.
+//! main thread shares the global allocator). The allocator impl
+//! carries the workspace's one kind of `unsafe` code, as `no_alloc.rs`
+//! explains.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -74,6 +74,10 @@ fn count(bytes: usize) {
     let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
+#[expect(
+    unsafe_code,
+    reason = "GlobalAlloc is an unsafe trait; each method only counts, then delegates to System"
+)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());

@@ -298,13 +298,13 @@ mod tests {
     #[test]
     fn live_suppression_silences_and_joins_the_inventory() {
         let o = outcome(
-            "crates/analyzer/src/x.rs",
-            "analyzer",
-            "// yav-lint: allow(nondet-iteration) — keyed lookups only, never iterated\n\
-             fn f(m: &std::collections::HashMap<u32, u32>) -> u32 { 0 }\n",
+            "crates/nurl/src/x.rs",
+            "nurl",
+            "// yav-lint: allow(panic-policy) — the caller checked the option\n\
+             fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
         );
         assert!(
-            !o.diagnostics.iter().any(|d| d.rule == "nondet-iteration"),
+            !o.diagnostics.iter().any(|d| d.rule == "panic-policy"),
             "the finding must be silenced: {:?}",
             o.diagnostics
         );
@@ -315,18 +315,15 @@ mod tests {
         );
         assert_eq!(o.suppressions.len(), 1, "the site is live and inventoried");
         assert_eq!(o.suppressions[0].line, 1);
-        assert_eq!(
-            o.suppressions[0].reason,
-            "keyed lookups only, never iterated"
-        );
+        assert_eq!(o.suppressions[0].reason, "the caller checked the option");
     }
 
     #[test]
     fn stale_suppression_is_a_finding_and_leaves_the_inventory() {
         let o = outcome(
-            "crates/analyzer/src/x.rs",
-            "analyzer",
-            "// yav-lint: allow(nondet-iteration) — nothing here uses a map\n\
+            "crates/nurl/src/x.rs",
+            "nurl",
+            "// yav-lint: allow(panic-policy) — nothing here can panic\n\
              fn f() -> u32 { 0 }\n",
         );
         let stale: Vec<_> = o
@@ -341,7 +338,7 @@ mod tests {
             o.diagnostics
         );
         assert_eq!(stale[0].line, 1);
-        assert!(stale[0].message.contains("allow(nondet-iteration)"));
+        assert!(stale[0].message.contains("allow(panic-policy)"));
         assert!(o.suppressions.is_empty(), "stale sites are not inventoried");
     }
 

@@ -16,19 +16,21 @@
 //!
 //! | rule | kind | invariant |
 //! |---|---|---|
-//! | `nondet-iteration` | token | no `HashMap`/`HashSet` in crates whose maps reports iterate |
-//! | `wall-clock-in-sim` | token | `Instant::now`/`SystemTime::now` only in `telemetry`/`bench`/`lint` |
 //! | `panic-policy` | token | no `unwrap`/`expect`/`panic!` in `nurl`, `pme::engine`, `core::monitor` |
-//! | `forbid-unsafe-coverage` | token | every crate root carries `#![forbid(unsafe_code)]` |
-//! | `metric-name-hygiene` | token | metric literals follow `area.name[.unit]`, no collisions |
+//! | `metric-name-hygiene` | token | metric, `span!` and `instant!` names follow `area.name[.unit]`, no collisions |
 //! | `money-cast` | token | no raw casts around `Cpm` fixed-point money outside `yav-types` |
 //! | `alloc-in-reject-path` | token | zero allocations on the borrowed parser's reject path |
-//! | `span-hygiene` | token | `span!`/`instant!` names follow `area.op`; guards are bound |
+//! | `alloc-in-gen-path` | token | zero allocations per event on the generate/market path |
 //! | `stream-materialize` | token | no population-sized state in the streaming modules |
 //! | `privacy-taint` | graph | tainted types never reach exporter/collector sinks unsanitized |
 //! | `boundary-escape` | graph | monitor pub API exposes no raw per-user state across the crate |
 //! | `layering` | graph | the crate DAG matches `lint.toml [layering]`; no back-edges |
 //! | `stale-allow` | audit | every suppression still silences a live finding |
+//! | `bad-suppression` | audit | every suppression is well formed and gives a reason |
+//!
+//! What rustc and clippy can prove is left to them (DESIGN.md §12): the
+//! CI clippy step denies `unsafe` code and dropped span guards, and the
+//! root `clippy.toml` bans wall-clock reads and hash containers.
 //!
 //! False positives are silenced inline with
 //! `// yav-lint: allow(<rule>) — <reason>`; the reason is mandatory and

@@ -1,12 +1,13 @@
 //! Renders the rule catalog as `docs/LINTS.md`.
 //!
 //! The file is generated — `cargo run -p yav-lint -- --write-lints-doc`
-//! (or `--docs`) rewrites it, and the default lint run diffs the
-//! rendering against the checked-in copy so CI catches staleness. The
-//! catalog lists every rule with its invariant and a representative
-//! finding, plus the complete suppression inventory: every live
-//! `allow(...)` site with its written reason. The stale-allow audit
-//! guarantees each listed site still silences a real finding.
+//! rewrites it, and the default lint run diffs the rendering against
+//! the checked-in copy so CI catches staleness. The catalog lists every
+//! rule with its invariant and a representative finding, plus the
+//! complete suppression inventory: every live `allow(...)` by file,
+//! with its written reason. Sites are named by file alone, so an edit
+//! that only shifts lines leaves the catalog fresh. The stale-allow
+//! audit guarantees each listed site still silences a real finding.
 
 use crate::engine::LintOutcome;
 use crate::rules::RULE_DOCS;
@@ -62,13 +63,12 @@ pub fn render(outcome: &LintOutcome) -> String {
             "Every inline `// yav-lint: allow(rule) — reason` in the workspace. The\n\
              stale-allow audit fails CI when a listed site stops silencing a finding.\n\n",
         );
-        out.push_str("| Site | Rule(s) | Reason |\n|---|---|---|\n");
+        out.push_str("| File | Rule(s) | Reason |\n|---|---|---|\n");
         for s in &outcome.suppressions {
             writeln!(
                 out,
-                "| `{}:{}` | `{}` | {} |",
+                "| `{}` | `{}` | {} |",
                 s.rel,
-                s.line,
                 s.rules.join("`, `"),
                 s.reason.replace('|', "\\|")
             )
@@ -100,8 +100,8 @@ mod tests {
         let md = render(&outcome);
         assert!(md.contains("| `privacy-taint` | graph | 0 |"));
         assert!(md.contains("| `boundary-escape` | graph | 1 |"));
-        assert!(md.contains(
-            "| `crates/core/src/monitor.rs:42` | `boundary-escape` | client-local API |"
-        ));
+        assert!(
+            md.contains("| `crates/core/src/monitor.rs` | `boundary-escape` | client-local API |")
+        );
     }
 }

@@ -9,7 +9,6 @@
 //! cargo run -p yav-lint --release -- --budget-ms 10000     # gate analysis runtime
 //! cargo run -p yav-lint --release -- --write-metrics-doc   # regenerate docs/METRICS.md
 //! cargo run -p yav-lint --release -- --write-lints-doc     # regenerate docs/LINTS.md
-//! cargo run -p yav-lint --release -- --fixture f.rs --as-crate nurl
 //! ```
 
 #![forbid(unsafe_code)]
@@ -19,8 +18,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 use yav_lint::{
-    check_lints_doc, check_metrics_doc, lint_source, lint_workspace, lints_markdown,
-    metrics_markdown, output, FileKind,
+    check_lints_doc, check_metrics_doc, lint_workspace, lints_markdown, metrics_markdown, output,
 };
 
 #[derive(Clone, Copy, PartialEq)]
@@ -31,39 +29,27 @@ enum Format {
 }
 
 struct Args {
-    root: Option<PathBuf>,
     write_metrics_doc: bool,
     write_lints_doc: bool,
-    no_doc_check: bool,
     format: Format,
     sarif_out: Option<PathBuf>,
     budget_ms: Option<u64>,
-    fixture: Option<PathBuf>,
-    as_crate: String,
-    as_rel: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        root: None,
         write_metrics_doc: false,
         write_lints_doc: false,
-        no_doc_check: false,
         format: Format::Human,
         sarif_out: None,
         budget_ms: None,
-        fixture: None,
-        as_crate: "analyzer".to_owned(),
-        as_rel: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         let mut value = |flag: &str| it.next().ok_or(format!("{flag} needs a value"));
         match a.as_str() {
-            "--root" => args.root = Some(PathBuf::from(value("--root")?)),
             "--write-metrics-doc" => args.write_metrics_doc = true,
-            "--write-lints-doc" | "--docs" => args.write_lints_doc = true,
-            "--no-doc-check" => args.no_doc_check = true,
+            "--write-lints-doc" => args.write_lints_doc = true,
             "--format" => {
                 args.format = match value("--format")?.as_str() {
                     "human" => Format::Human,
@@ -80,9 +66,6 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|e| format!("--budget-ms: {e}"))?,
                 )
             }
-            "--fixture" => args.fixture = Some(PathBuf::from(value("--fixture")?)),
-            "--as-crate" => args.as_crate = value("--as-crate")?,
-            "--as-rel" => args.as_rel = Some(value("--as-rel")?),
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
@@ -105,31 +88,11 @@ fn find_root() -> Option<PathBuf> {
 
 fn run() -> Result<bool, String> {
     let args = parse_args()?;
-
-    // Single-file mode: lint a fixture under an assumed crate identity.
-    if let Some(path) = &args.fixture {
-        let src = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let rel = args
-            .as_rel
-            .clone()
-            .unwrap_or_else(|| path.to_string_lossy().into_owned());
-        let diags = lint_source(&rel, &args.as_crate, FileKind::Source, &src);
-        for d in &diags {
-            println!("{d}");
-        }
-        println!(
-            "yav-lint: {} finding(s) in {} (as crate `{}`)",
-            diags.len(),
-            path.display(),
-            args.as_crate
-        );
-        return Ok(diags.is_empty());
-    }
-
-    let root = match &args.root {
-        Some(r) => r.clone(),
-        None => find_root().ok_or("could not locate the workspace root; pass --root")?,
-    };
+    let root = find_root().ok_or("could not locate the workspace root")?;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the linter gates its own runtime; it runs no simulation"
+    )]
     let started = Instant::now();
     let mut outcome =
         lint_workspace(&root).map_err(|e| format!("walking {}: {e}", root.display()))?;
@@ -151,7 +114,7 @@ fn run() -> Result<bool, String> {
             outcome.suppressions.len()
         );
     }
-    if !args.write_metrics_doc && !args.write_lints_doc && !args.no_doc_check {
+    if !args.write_metrics_doc && !args.write_lints_doc {
         check_metrics_doc(&root, &mut outcome);
         check_lints_doc(&root, &mut outcome);
     }

@@ -8,7 +8,9 @@ use crate::rules::metric_name::MetricEntry;
 use std::fmt::Write as _;
 
 /// Renders the registry. Deterministic: entries arrive sorted by name and
-/// sites are workspace-relative.
+/// sites are workspace-relative files in walk order, each listed once. A
+/// site names no line, so an edit that only shifts lines leaves the
+/// registry fresh.
 pub fn render(entries: &[MetricEntry]) -> String {
     let mut out = String::new();
     out.push_str("# Metric registry\n\n");
@@ -26,11 +28,8 @@ pub fn render(entries: &[MetricEntry]) -> String {
         } else {
             e.kind.to_owned()
         };
-        let sites: Vec<String> = e
-            .sites
-            .iter()
-            .map(|(rel, line)| format!("`{rel}:{line}`"))
-            .collect();
+        let mut sites: Vec<String> = e.sites.iter().map(|(rel, _)| format!("`{rel}`")).collect();
+        sites.dedup();
         writeln!(out, "| `{}` | {} | {} |", e.name, kind, sites.join(", ")).ok();
     }
     out
@@ -57,9 +56,7 @@ mod tests {
             },
         ];
         let md = render(&entries);
-        assert!(
-            md.contains("| `auction.market.runs` | counter | `crates/auction/src/market.rs:10` |")
-        );
+        assert!(md.contains("| `auction.market.runs` | counter | `crates/auction/src/market.rs` |"));
         assert!(md.contains("histogram (span)"));
         assert!(md.contains("2 metrics."));
     }

@@ -5,11 +5,11 @@
 //! Harvest sites are the yav-telemetry registration idioms:
 //! `counter("…")`, `gauge("…")`, `histogram("…")` and `span!("…")`. A
 //! span named `x` records the histogram `x.us`, so spans are registered
-//! under that derived name; a bad span name is `span-hygiene`'s finding,
-//! not this rule's. Conditional registrations
-//! (`counter(match … { … })`, `gauge(if … { "a" } else { "b" })`) are
-//! handled by harvesting every string literal inside the call's
-//! balanced parentheses.
+//! under that derived name. `instant!("…")` records no metric, but its
+//! journal name is checked against the same convention. Conditional
+//! registrations (`counter(match … { … })`,
+//! `gauge(if … { "a" } else { "b" })`) are handled by harvesting every
+//! string literal inside the call's balanced parentheses.
 //!
 //! The harvest doubles as the source of the generated `docs/METRICS.md`
 //! registry ([`crate::metrics_doc`]).
@@ -105,9 +105,8 @@ impl MetricNameRule {
             });
         };
         if let Some(why) = bad_name(name) {
-            if !via_span {
-                diag(format!("metric name `{name}` {why}"));
-            }
+            let what = if via_span { "span" } else { "metric" };
+            diag(format!("{what} name `{name}` {why}"));
             return;
         }
         let full = if via_span {
@@ -154,9 +153,7 @@ impl Default for MetricNameRule {
 }
 
 /// Why a name violates `area.name[.unit]`, or `None` when it is fine.
-/// Shared with `span-hygiene`: span and instant names follow the same
-/// `area.op` dotted convention as metric names.
-pub(crate) fn bad_name(name: &str) -> Option<&'static str> {
+fn bad_name(name: &str) -> Option<&'static str> {
     let segments: Vec<&str> = name.split('.').collect();
     if !(2..=4).contains(&segments.len()) {
         return Some("must have 2–4 dot-separated segments (`area.name[.unit]`)");
@@ -201,13 +198,28 @@ impl Rule for MetricNameRule {
                     continue;
                 }
             }
-            // The span idiom: span!("…").
-            if toks[i].is_ident("span")
+            // The journal idioms: span!("…") and instant!("…"), whose
+            // name is the first token, a literal by macro contract.
+            let is_span = toks[i].is_ident("span");
+            if (is_span || toks[i].is_ident("instant"))
                 && toks.get(i + 1).is_some_and(|t| t.is_punct('!'))
                 && toks.get(i + 2).is_some_and(|t| t.is_punct('('))
             {
-                i = self.harvest_call("histogram", true, i + 3, file, out);
-                continue;
+                if is_span {
+                    i = self.harvest_call("histogram", true, i + 3, file, out);
+                    continue;
+                }
+                if let Some(t) = toks.get(i + 3).filter(|t| t.kind == TokenKind::Str) {
+                    if let Some(why) = bad_name(&t.text) {
+                        out.push(Diagnostic {
+                            rule: "metric-name-hygiene",
+                            rel: file.rel.clone(),
+                            line: t.line,
+                            col: t.col,
+                            message: format!("instant name `{}` {why}", t.text),
+                        });
+                    }
+                }
             }
             i += 1;
         }

@@ -2,43 +2,19 @@
 //! token stream; graph rules ([`privacy_taint`], [`boundary_escape`],
 //! [`layering`]) run over the assembled workspace graph and are driven
 //! by [`crate::engine::analyze`]. Adding a token rule means writing its
-//! module, listing its name here, and adding it to [`all`]; a graph
-//! rule additionally plugs into the engine's graph stage.
+//! module, listing its [`RuleDoc`] in [`RULE_DOCS`], and adding it to
+//! [`all`]; a graph rule additionally plugs into the engine's graph
+//! stage.
 
 pub mod alloc_gen;
 pub mod alloc_reject;
 pub mod boundary_escape;
-pub mod forbid_unsafe;
 pub mod layering;
 pub mod metric_name;
 pub mod money_cast;
-pub mod nondet_iteration;
 pub mod panic_policy;
 pub mod privacy_taint;
-pub mod span_hygiene;
 pub mod stream_materialize;
-pub mod wall_clock;
-
-/// Every valid rule name (for `allow(...)` validation). The pseudo-rules
-/// `bad-suppression` (malformed suppressions) and `stale-allow`
-/// (suppressions that silence nothing) cannot themselves be suppressed.
-pub const RULE_NAMES: &[&str] = &[
-    "nondet-iteration",
-    "wall-clock-in-sim",
-    "panic-policy",
-    "forbid-unsafe-coverage",
-    "metric-name-hygiene",
-    "money-cast",
-    "alloc-in-reject-path",
-    "alloc-in-gen-path",
-    "span-hygiene",
-    "stream-materialize",
-    "privacy-taint",
-    "boundary-escape",
-    "layering",
-    "stale-allow",
-    "bad-suppression",
-];
 
 /// One rule's documentation entry: drives `docs/LINTS.md` and the SARIF
 /// rule descriptors.
@@ -55,26 +31,11 @@ pub struct RuleDoc {
     pub example: &'static str,
 }
 
-/// Documentation for every rule, in `RULE_NAMES` order.
+/// Every rule, in catalog order; its names are the valid `allow(...)`
+/// names. The audit rules `bad-suppression` (malformed suppressions)
+/// and `stale-allow` (suppressions that silence nothing) cannot
+/// themselves be suppressed.
 pub const RULE_DOCS: &[RuleDoc] = &[
-    RuleDoc {
-        name: "nondet-iteration",
-        kind: "token",
-        invariant: "No `HashMap`/`HashSet` in the crates whose maps reports and \
-                    figures iterate (`analyzer`, `campaign`, `weblog`, `pme`, `core`): \
-                    hash iteration order would reach output order.",
-        example: "HashMap iteration order is nondeterministic; reports and figures \
-                  iterate crate `analyzer`'s maps — use BTreeMap",
-    },
-    RuleDoc {
-        name: "wall-clock-in-sim",
-        kind: "token",
-        invariant: "`Instant::now`/`SystemTime::now` only in `telemetry`, `bench` and \
-                    the linter itself: simulation and training are pure functions of \
-                    their inputs.",
-        example: "Instant::now() in crate `auction`: sim/train code must not read the \
-                  wall clock — use a yav-telemetry span",
-    },
     RuleDoc {
         name: "panic-policy",
         kind: "token",
@@ -85,19 +46,11 @@ pub const RULE_DOCS: &[RuleDoc] = &[
                   panic",
     },
     RuleDoc {
-        name: "forbid-unsafe-coverage",
-        kind: "token",
-        invariant: "Every crate root — `src/lib.rs`, `src/main.rs` and `src/bin/*.rs`, \
-                    at the root and under `crates/*/` — carries \
-                    `#![forbid(unsafe_code)]`, so the workspace holds no `unsafe` code.",
-        example: "crate root missing `#![forbid(unsafe_code)]`",
-    },
-    RuleDoc {
         name: "metric-name-hygiene",
         kind: "token",
-        invariant: "Telemetry metric literals follow `area.name[.unit]` with a known \
-                    area and no kind collisions; the harvest generates \
-                    `docs/METRICS.md` and CI fails when it is stale.",
+        invariant: "Telemetry metric, `span!` and `instant!` names follow \
+                    `area.name[.unit]` with a known area and no kind collisions; the \
+                    harvest generates `docs/METRICS.md` and CI fails when it is stale.",
         example: "metric `pme_predict` does not match `area.name[.unit]`",
     },
     RuleDoc {
@@ -125,15 +78,6 @@ pub const RULE_DOCS: &[RuleDoc] = &[
                     zero heap traffic (DESIGN.md §18); per-shard setup allocates only \
                     behind an explicit allow.",
         example: "`format!` allocates in the generate/market hot path",
-    },
-    RuleDoc {
-        name: "span-hygiene",
-        kind: "token",
-        invariant: "`span!` and `instant!` names follow the dotted `area.op` \
-                    convention and span guards are `let`-bound, never dropped on \
-                    the spot (DESIGN.md §14).",
-        example: "span guard bound to `_` is dropped immediately: bind to a named \
-                  guard",
     },
     RuleDoc {
         name: "stream-materialize",
@@ -195,14 +139,10 @@ pub const RULE_DOCS: &[RuleDoc] = &[
 /// graph rules.
 pub fn all() -> Vec<Box<dyn crate::engine::Rule>> {
     vec![
-        Box::new(nondet_iteration::NondetIteration),
-        Box::new(wall_clock::WallClockInSim),
         Box::new(panic_policy::PanicPolicy),
-        Box::new(forbid_unsafe::ForbidUnsafeCoverage),
         Box::new(money_cast::MoneyCast),
         Box::new(alloc_reject::AllocInRejectPath),
         Box::new(alloc_gen::AllocInGenPath),
-        Box::new(span_hygiene::SpanHygiene),
         Box::new(stream_materialize::StreamMaterialize),
     ]
 }

@@ -205,11 +205,12 @@ fn parse_suppression(comment: &str) -> SuppressionParse {
     if rules.is_empty() {
         return SuppressionParse::Malformed("empty allow list".to_owned());
     }
-    let known = crate::rules::RULE_NAMES;
-    if let Some(bad) = rules.iter().find(|r| !known.contains(&r.as_str())) {
+    let known = crate::rules::RULE_DOCS;
+    if let Some(bad) = rules.iter().find(|r| !known.iter().any(|d| d.name == *r)) {
+        let names: Vec<&str> = known.iter().map(|d| d.name).collect();
         return SuppressionParse::Malformed(format!(
             "unknown rule `{bad}` (known: {})",
-            known.join(", ")
+            names.join(", ")
         ));
     }
     let reason = rest[close + 1..]
@@ -255,11 +256,11 @@ mod tests {
 
     #[test]
     fn suppression_with_reason_parses_and_covers_next_line() {
-        let f = file("// yav-lint: allow(nondet-iteration) — keyed lookups only\nlet x = 1;");
+        let f = file("// yav-lint: allow(money-cast) — micros are exact here\nlet x = 1;");
         assert_eq!(f.suppressions.len(), 1);
-        assert!(f.suppressed("nondet-iteration", 1));
-        assert!(f.suppressed("nondet-iteration", 2));
-        assert!(!f.suppressed("nondet-iteration", 3));
+        assert!(f.suppressed("money-cast", 1));
+        assert!(f.suppressed("money-cast", 2));
+        assert!(!f.suppressed("money-cast", 3));
         assert!(!f.suppressed("panic-policy", 2));
     }
 

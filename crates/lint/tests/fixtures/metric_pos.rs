@@ -1,5 +1,6 @@
-//! Positive fixture: telemetry registrations violating the
-//! `area.name[.unit]` convention (linted as crate `analyzer`).
+//! Positive fixture: telemetry registrations, spans and instants
+//! violating the `area.name[.unit]` convention (linted as crate
+//! `analyzer`).
 
 pub fn record() {
     // Not kebab/snake lowercase, single segment.
@@ -11,4 +12,8 @@ pub fn record() {
     // Same name registered as two different kinds: a collision.
     yav_telemetry::counter("analyzer.requests").inc();
     yav_telemetry::gauge("analyzer.requests").set(1.0);
+    // Span and instant names follow the same convention.
+    let _span = yav_telemetry::span!("AnalyzerIngest");
+    let _phase = yav_telemetry::span!("mystery.op", 3);
+    yav_telemetry::instant!("analyzer");
 }

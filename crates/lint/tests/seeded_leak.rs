@@ -90,7 +90,8 @@ fn seed(root: &Path) {
 #[test]
 fn seeded_two_hop_leak_yields_the_exact_diagnostic_and_the_fix_clears_it() {
     let root = std::env::temp_dir().join(format!("yav-lint-seeded-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&root);
+    // A leftover tree from an interrupted run; usually there is none.
+    fs::remove_dir_all(&root).ok();
     seed(&root);
 
     let outcome = lint_workspace(&root).expect("linting the seeded tree");

@@ -94,7 +94,7 @@ pub fn cross_validate(
             }
             // Nothing reads a fold forest's OOB error or importances, so
             // its trees are grown and voted with, never assembled.
-            let (trees, _) = forest::grow(
+            let (trees, _, _) = forest::grow(
                 &bins,
                 &train,
                 &RandomForestConfig {

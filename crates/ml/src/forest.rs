@@ -76,13 +76,19 @@ impl RandomForest {
     /// importances.
     pub fn fit(data: &Dataset, config: &RandomForestConfig) -> RandomForest {
         let rows: Vec<usize> = (0..data.len()).collect();
-        let (trees, boots) = grow(&Bins::new(data), &rows, config);
-        RandomForest::assemble(data, trees, &boots)
+        let (trees, importances, boots) = grow(&Bins::new(data), &rows, config);
+        RandomForest::assemble(data, trees, &importances, &boots)
     }
 
-    /// The forest of `trees`, fitted on `boots`: out-of-bag error over
-    /// the rows each tree never saw, and normalised importances.
-    fn assemble(data: &Dataset, trees: Vec<DecisionTree>, boots: &[Vec<usize>]) -> RandomForest {
+    /// The forest of `trees`, fitted on `boots` with the unnormalised
+    /// `importances` each fit credited: out-of-bag error over the rows
+    /// each tree never saw, and the importances summed and normalised.
+    fn assemble(
+        data: &Dataset,
+        trees: Vec<DecisionTree>,
+        tree_importances: &[Vec<f64>],
+        boots: &[Vec<usize>],
+    ) -> RandomForest {
         let n = data.len();
         // Out-of-bag error: vote each row only with trees that never saw it.
         let mut oob_votes = vec![vec![0.0f64; data.n_classes()]; n];
@@ -116,8 +122,8 @@ impl RandomForest {
 
         // Aggregate and normalise importances.
         let mut importances = vec![0.0f64; data.n_features()];
-        for tree in &trees {
-            for (i, &v) in tree.importances().iter().enumerate() {
+        for tree in tree_importances {
+            for (i, &v) in tree.iter().enumerate() {
                 importances[i] += v;
             }
         }
@@ -192,16 +198,16 @@ impl RandomForest {
 }
 
 /// Grows a forest's trees on bootstraps of `rows`, row indices into
-/// `bins`, and returns them with the bootstraps, without the out-of-bag
-/// pass: [`RandomForest::fit`] assembles the result, cross-validation
-/// votes with the trees alone. The trees are those that bins of `rows`
-/// alone would grow, as a cut's threshold depends only on the values its
-/// node's rows occupy.
+/// `bins`, and returns them with each tree's unnormalised importances
+/// and the bootstraps, without the out-of-bag pass: [`RandomForest::fit`]
+/// assembles the result, cross-validation votes with the trees alone.
+/// The trees are those that bins of `rows` alone would grow, as a cut's
+/// threshold depends only on the values its node's rows occupy.
 pub(crate) fn grow(
     bins: &Bins,
     rows: &[usize],
     config: &RandomForestConfig,
-) -> (Vec<DecisionTree>, Vec<Vec<usize>>) {
+) -> (Vec<DecisionTree>, Vec<Vec<f64>>, Vec<Vec<usize>>) {
     assert!(!rows.is_empty(), "cannot fit a forest on an empty dataset");
     assert!(config.n_trees > 0, "need at least one tree");
     let tree_config = tree_config(bins.n_features(), config);
@@ -213,7 +219,7 @@ pub(crate) fn grow(
         DecisionTree::fit_binned(bins, frame, &boots[t], &tree_config, &mut trng)
     };
     let threads = config.threads.max(1).min(config.n_trees);
-    let mut trees: Vec<Option<DecisionTree>> = vec![None; config.n_trees];
+    let mut trees: Vec<Option<(DecisionTree, Vec<f64>)>> = vec![None; config.n_trees];
     if threads == 1 {
         let mut frame = Frame::new(bins);
         for (t, slot) in trees.iter_mut().enumerate() {
@@ -243,8 +249,8 @@ pub(crate) fn grow(
         })
         .expect("training scope panicked");
     }
-    let trees = trees.into_iter().map(|t| t.expect("all trained")).collect();
-    (trees, boots)
+    let (trees, importances) = trees.into_iter().map(|t| t.expect("all trained")).unzip();
+    (trees, importances, boots)
 }
 
 /// Averaged class probabilities of `trees` for one row, written into
@@ -368,7 +374,7 @@ mod tests {
 
     /// `RandomForest::fit` grows the `tree::reference` seed trees on the
     /// same bootstraps and seeds, node for node, at any thread count, and
-    /// its out-of-bag error is the one the seed walker votes; a
+    /// its out-of-bag error and importances are the seed trees'; a
     /// 257-value column sends small nodes to the sort side.
     #[test]
     fn binned_forest_matches_reference_trees() {
@@ -396,11 +402,15 @@ mod tests {
             let tree_config = tree_config(data.n_features(), &config);
             let (boots, seeds) = bootstraps(&rows, &config);
             let mut oob_votes = vec![vec![0.0f64; 3]; data.len()];
+            let mut seed_importances = vec![0.0f64; data.n_features()];
             for (t, (boot, &seed)) in boots.iter().zip(&seeds).enumerate() {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let oracle = reference::fit(&data, boot, &tree_config, &mut rng);
                 let what = format!("threads {threads}, tree {t}");
-                reference::assert_same(&forest.trees[t], &oracle, &what);
+                reference::assert_same(&forest.trees[t], None, &oracle, &what);
+                for (sum, &v) in seed_importances.iter_mut().zip(oracle.importances()) {
+                    *sum += v;
+                }
                 for (i, votes) in oob_votes.iter_mut().enumerate() {
                     if !boot.contains(&i) {
                         for (v, p) in votes.iter_mut().zip(oracle.predict_proba(data.row(i))) {
@@ -421,6 +431,18 @@ mod tests {
                 forest.oob_error().to_bits(),
                 oob_error.to_bits(),
                 "threads {threads}"
+            );
+            let total: f64 = seed_importances.iter().sum();
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            assert_eq!(
+                bits(forest.importances()),
+                bits(
+                    &seed_importances
+                        .iter()
+                        .map(|v| v / total)
+                        .collect::<Vec<_>>()
+                ),
+                "threads {threads}: importances"
             );
         }
     }

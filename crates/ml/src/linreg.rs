@@ -113,7 +113,10 @@ impl LinearRegression {
 
 /// Gaussian elimination with partial pivoting. Index loops mirror the
 /// textbook algorithm and stay clearer than iterator chains here.
-#[allow(clippy::needless_range_loop)]
+#[expect(
+    clippy::needless_range_loop,
+    reason = "index loops mirror the textbook elimination"
+)]
 fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Vec<f64> {
     let n = b.len();
     for col in 0..n {

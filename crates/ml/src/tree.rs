@@ -101,9 +101,6 @@ pub struct DecisionTree {
     leaf_probs: Vec<f64>,
     n_classes: usize,
     n_features: usize,
-    /// Total Gini-impurity decrease credited to each feature during
-    /// training (unnormalised mean-decrease-impurity importances).
-    importances: Vec<f64>,
 }
 
 /// A dataset binned once for every tree trained on it: each feature's
@@ -199,6 +196,10 @@ pub(crate) struct Frame {
     /// `2d` and `2d + 1`, so a right child waits in its slot while its
     /// left sibling's subtree grows below it.
     counts: Vec<usize>,
+    /// Total Gini-impurity decrease credited to each feature by the fit
+    /// in progress (unnormalised mean-decrease-impurity importances);
+    /// `fit_binned` hands it back beside the tree.
+    importances: Vec<f64>,
 }
 
 impl Frame {
@@ -212,6 +213,7 @@ impl Frame {
             best_left: vec![0; bins.n_classes],
             roster: (0..bins.values.len()).collect(),
             counts: Vec::new(),
+            importances: Vec::new(),
         }
     }
 
@@ -262,7 +264,10 @@ impl Frame {
     /// `best_left`; `None` if no split satisfies the leaf-size
     /// constraints. Each candidate feature's occupied bins are counted
     /// and swept in ascending order.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a node's row range and impurity beside the fit's shared state"
+    )]
     fn best_split(
         &mut self,
         bins: &Bins,
@@ -281,6 +286,7 @@ impl Frame {
             best_left,
             roster,
             counts,
+            importances: _,
         } = self;
         // With feature subsampling, order the *full* roster with the random
         // subset first: the scan below stops after the subset if it found a
@@ -463,11 +469,13 @@ impl DecisionTree {
         rng: &mut StdRng,
     ) -> DecisionTree {
         let bins = Bins::new(data);
-        DecisionTree::fit_binned(&bins, &mut Frame::new(&bins), indices, config, rng)
+        DecisionTree::fit_binned(&bins, &mut Frame::new(&bins), indices, config, rng).0
     }
 
     /// [`DecisionTree::fit`] on bins built once for many trees, with a
-    /// reused `frame` — the forest's per-tree entry.
+    /// reused `frame` — the forest's per-tree entry. Also returns the
+    /// tree's unnormalised importances, which only the forest reads, so
+    /// the shipped tree does not carry them.
     ///
     /// # Panics
     /// Also panics if a feature or class index does not fit the node's
@@ -478,7 +486,7 @@ impl DecisionTree {
         indices: &[usize],
         config: &TreeConfig,
         rng: &mut StdRng,
-    ) -> DecisionTree {
+    ) -> (DecisionTree, Vec<f64>) {
         assert!(!indices.is_empty(), "cannot fit a tree on zero rows");
         let n_features = bins.n_features();
         assert!(n_features <= u16::MAX as usize, "feature index exceeds u16");
@@ -496,8 +504,9 @@ impl DecisionTree {
             leaf_probs: Vec::new(),
             n_classes: bins.n_classes,
             n_features,
-            importances: vec![0.0; n_features],
         };
+        frame.importances.clear();
+        frame.importances.resize(n_features, 0.0);
         // The root's class counts, in slot 0.
         frame.counts.clear();
         frame.counts.resize(bins.n_classes, 0);
@@ -505,13 +514,16 @@ impl DecisionTree {
             frame.counts[bins.labels[r as usize] as usize] += 1;
         }
         tree.build(0, bins, frame, 0, 0, indices.len(), 0, config, rng);
-        tree
+        (tree, std::mem::take(&mut frame.importances))
     }
 
     /// Writes node `at` over the row range `[lo, hi)`, whose class counts
     /// are in the frame's `slot`, then its subtree: the left child's
     /// before the right's.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the recursion's node, range and depth beside the fit's shared state"
+    )]
     fn build(
         &mut self,
         at: usize,
@@ -537,7 +549,7 @@ impl DecisionTree {
             return self.write_leaf(at, frame.counts(slot), n);
         };
 
-        self.importances[cut.feature] += cut.gain * n as f64;
+        frame.importances[cut.feature] += cut.gain * n as f64;
 
         let n_left = frame.partition(bins, lo, hi, &cut);
         debug_assert!(n_left > 0 && n_left < n);
@@ -671,11 +683,6 @@ impl DecisionTree {
         let left = node.left as usize;
         1 + self.depth_of(left).max(self.depth_of(left + 1))
     }
-
-    /// Unnormalised impurity-decrease importances.
-    pub fn importances(&self) -> &[f64] {
-        &self.importances
-    }
 }
 
 /// Index of the largest element (first wins ties).
@@ -750,6 +757,11 @@ pub(crate) mod reference {
     }
 
     impl Tree {
+        /// Unnormalised impurity-decrease importances.
+        pub fn importances(&self) -> &[f64] {
+            &self.importances
+        }
+
         /// The seed walker: the probability vector of the leaf `row`
         /// reaches.
         pub fn predict_proba(&self, row: &[f64]) -> &[f64] {
@@ -808,18 +820,22 @@ pub(crate) mod reference {
         out
     }
 
-    /// Asserts that `tree` is `seed` node for node in pre-order: each
-    /// split's feature and threshold bits, each leaf's probability bits
-    /// with the seed argmax as its class, and the importance bits.
-    pub fn assert_same(tree: &DecisionTree, seed: &Tree, what: &str) {
+    /// Asserts that `tree`, with its `importances`, is `seed` node for
+    /// node in pre-order: each split's feature and threshold bits, each
+    /// leaf's probability bits with the seed argmax as its class, and
+    /// the importance bits. `None` skips the importances: a fitted
+    /// forest keeps only their sum.
+    pub fn assert_same(tree: &DecisionTree, importances: Option<&[f64]>, seed: &Tree, what: &str) {
         let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
         assert_eq!(tree.n_classes, seed.n_classes, "{what}: classes");
         assert_eq!(tree.nodes.len(), seed.nodes.len(), "{what}: node count");
-        assert_eq!(
-            bits(&tree.importances),
-            bits(&seed.importances),
-            "{what}: importances"
-        );
+        if let Some(importances) = importances {
+            assert_eq!(
+                bits(importances),
+                bits(&seed.importances),
+                "{what}: importances"
+            );
+        }
         let mut pending = vec![(0usize, 0usize)];
         while let Some((at, idx)) = pending.pop() {
             let node = tree.nodes[at];
@@ -1029,6 +1045,17 @@ mod tests {
         DecisionTree::fit(data, &idx, &config, &mut rng)
     }
 
+    /// A tree with the importances its fit credited.
+    fn fit_with_importances(
+        data: &Dataset,
+        indices: &[usize],
+        config: &TreeConfig,
+        rng: &mut StdRng,
+    ) -> (DecisionTree, Vec<f64>) {
+        let bins = Bins::new(data);
+        DecisionTree::fit_binned(&bins, &mut Frame::new(&bins), indices, config, rng)
+    }
+
     #[test]
     fn solves_xor() {
         let data = xor_dataset();
@@ -1097,8 +1124,10 @@ mod tests {
     #[test]
     fn importances_credit_used_features() {
         let data = xor_dataset();
-        let tree = fit(&data, TreeConfig::default());
-        let imp = tree.importances();
+        let all = |d: &Dataset| (0..d.len()).collect::<Vec<usize>>();
+        let config = TreeConfig::default();
+        let (_, imp) =
+            fit_with_importances(&data, &all(&data), &config, &mut StdRng::seed_from_u64(1));
         assert!(
             imp[0] > 0.0 && imp[1] > 0.0,
             "xor needs both features: {imp:?}"
@@ -1110,8 +1139,8 @@ mod tests {
             .collect();
         let labels: Vec<usize> = (0..100).map(|i| i % 2).collect();
         let d2 = Dataset::new(rows, labels, 2, vec!["sig".into(), "noise".into()]);
-        let t2 = fit(&d2, TreeConfig::default());
-        assert!(t2.importances()[0] > 10.0 * t2.importances()[1].max(1e-9));
+        let (_, imp) = fit_with_importances(&d2, &all(&d2), &config, &mut StdRng::seed_from_u64(1));
+        assert!(imp[0] > 10.0 * imp[1].max(1e-9));
     }
 
     #[test]
@@ -1235,10 +1264,10 @@ mod tests {
                 for config in &configs {
                     let mut rng_a = StdRng::seed_from_u64(seed ^ 0xBEEF);
                     let mut rng_b = StdRng::seed_from_u64(seed ^ 0xBEEF);
-                    let fast = DecisionTree::fit(&data, &indices, config, &mut rng_a);
+                    let (fast, imp) = fit_with_importances(&data, &indices, config, &mut rng_a);
                     let slow = reference::fit(&data, &indices, config, &mut rng_b);
                     let what = format!("seed {seed}, k {n_classes}, {config:?}");
-                    reference::assert_same(&fast, &slow, &what);
+                    reference::assert_same(&fast, Some(&imp), &slow, &what);
                 }
             }
         }
@@ -1290,9 +1319,9 @@ mod tests {
         let idx: Vec<usize> = (0..data.len()).collect();
         let mut rng_a = StdRng::seed_from_u64(1);
         let mut rng_b = StdRng::seed_from_u64(1);
-        let fast = DecisionTree::fit(&data, &idx, &TreeConfig::default(), &mut rng_a);
+        let (fast, imp) = fit_with_importances(&data, &idx, &TreeConfig::default(), &mut rng_a);
         let slow = reference::fit(&data, &idx, &TreeConfig::default(), &mut rng_b);
-        reference::assert_same(&fast, &slow, "xor");
+        reference::assert_same(&fast, Some(&imp), &slow, "xor");
     }
 
     /// Where the midpoint of two adjacent values rounds or overflows onto
@@ -1398,7 +1427,7 @@ mod tests {
             };
             let forest = RandomForest::fit(&data, &config);
             let rows: Vec<usize> = (0..data.len()).collect();
-            let (trees, boots) = forest::grow(&Bins::new(&data), &rows, &config);
+            let (trees, importances, boots) = forest::grow(&Bins::new(&data), &rows, &config);
             let (_, seeds) = forest::bootstraps(&rows, &config);
             let tree_config = forest::tree_config(n_features, &config);
             let seed_trees: Vec<reference::Tree> = boots
@@ -1409,7 +1438,8 @@ mod tests {
                 })
                 .collect();
             for (t, (tree, seed)) in trees.iter().zip(&seed_trees).enumerate() {
-                reference::assert_same(tree, seed, &format!("shape {i}, tree {t}"));
+                let what = format!("shape {i}, tree {t}");
+                reference::assert_same(tree, Some(&importances[t]), seed, &what);
                 assert_eq!(tree.depth(), seed.depth(), "shape {i}, tree {t}");
             }
 

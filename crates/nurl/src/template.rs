@@ -19,9 +19,8 @@ use crate::fields::{NurlFieldsRef, PricePayload};
 use crate::scratch::{DecodedPairs, UrlScratch};
 use crate::urlref::{UrlParseError, UrlRef};
 use std::fmt;
-use std::fmt::Write as _;
 use yav_crypto::EncryptedPrice;
-use yav_types::{AdSlotSize, Adx, AuctionId, CampaignId, Cpm, DspId, ImpressionId};
+use yav_types::{push_decimal, AdSlotSize, Adx, AuctionId, CampaignId, Cpm, DspId, ImpressionId};
 
 /// Payload errors of [`parse_borrowed_screened`] (its
 /// [`NurlRefError::Payload`]): the URL *looked like* a notification from a
@@ -289,9 +288,7 @@ pub fn render_into(fields: &NurlFieldsRef<'_>, out: &mut String) {
     out.push_str(t.price_param);
     out.push('=');
     match &fields.price {
-        PricePayload::Cleartext(p) => {
-            let _ = write!(out, "{p}");
-        }
+        PricePayload::Cleartext(p) => p.write_decimal(out),
         PricePayload::Encrypted(token) => match t.token.unwrap_or(TokenCodec::Base64) {
             TokenCodec::Base64 => token.write_wire(out),
             TokenCodec::Hex => token.write_hex_wire_upper(out),
@@ -302,13 +299,17 @@ pub fn render_into(fields: &NurlFieldsRef<'_>, out: &mut String) {
         out.push('&');
         out.push_str(bid_param);
         out.push('=');
-        let _ = write!(out, "{bid}");
+        bid.write_decimal(out);
     }
 
     if t.rich_metadata {
         if let Some(slot) = fields.slot {
-            // `AdSlotSize`'s `Display` is its `WxH` wire form.
-            let _ = write!(out, "&size={slot}");
+            // The `WxH` wire form, as `AdSlotSize`'s `Display` writes it.
+            let (width, height) = slot.dimensions();
+            out.push_str("&size=");
+            push_decimal(out, width);
+            out.push('x');
+            push_decimal(out, height);
         }
         if let Some(p) = fields.publisher {
             out.push_str("&pub_name=");
@@ -326,7 +327,16 @@ pub fn render_into(fields: &NurlFieldsRef<'_>, out: &mut String) {
             // `lat/1000.0` rendered to three decimals is exactly the
             // integer-split form: u32 millis are exact in f64 and the
             // division error is far below half a thousandth.
-            let _ = write!(out, "&latency={}.{:03}", lat / 1000, lat % 1000);
+            out.push_str("&latency=");
+            push_decimal(out, lat / 1000);
+            out.push('.');
+            let millis = lat % 1000;
+            for pad in [100, 10] {
+                if millis < pad {
+                    out.push('0');
+                }
+            }
+            push_decimal(out, millis);
         }
         out.push_str("&currency=USD");
     }
@@ -666,6 +676,14 @@ mod tests {
                     assert_eq!(fields.as_ref_fields().to_owned_fields(), fields);
                 }
             }
+        }
+        // Every slot size, and latencies that need each zero pad.
+        let mut rich = rich_fields(Adx::MoPub, PricePayload::Cleartext(Cpm::ONE));
+        for (i, slot) in AdSlotSize::EVERY.into_iter().enumerate() {
+            rich.slot = Some(slot);
+            rich.latency_ms = Some([0, 7, 40, 999, 1_000, 12_305][i % 6]);
+            render_into(&rich.as_ref_fields(), &mut buf);
+            assert_eq!(buf, emit(&rich), "{slot} {:?}", rich.latency_ms);
         }
         // Reserved bytes in free-form metadata still percent-encode.
         let mut odd = rich_fields(Adx::MoPub, PricePayload::Cleartext(Cpm::ONE));

@@ -594,6 +594,16 @@ mod tests {
         }
     }
 
+    /// The shipped tree carries what the client walks and nothing the
+    /// forest needed only while training.
+    #[test]
+    fn client_artifact_has_no_importances() {
+        let model = train(&ground_truth(10), &TrainConfig::quick());
+        let json = serde_json::to_string(&model.client).unwrap();
+        assert!(json.contains("\"nodes\""), "{json}");
+        assert!(!json.contains("\"importances\""), "{json}");
+    }
+
     #[test]
     fn subsampling_caps_training_rows() {
         let rows = ground_truth(30);

@@ -319,7 +319,7 @@ mod tests {
         let (rows, prices) = analyzer_data();
         let r = reduce(&rows, &prices, &quick_config());
         let schema = FeatureSchema::get();
-        let groups: std::collections::HashSet<_> = r
+        let groups: std::collections::BTreeSet<_> = r
             .selected
             .iter()
             .map(|&i| format!("{:?}", schema.group_of(i)))

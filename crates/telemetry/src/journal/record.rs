@@ -2,8 +2,8 @@
 //!
 //! A [`TraceRecord`] is 24 bytes: logical sequence numbers instead of
 //! wall-clock timestamps (so traces of a deterministic run are
-//! themselves deterministic, and the wall-clock-in-sim lint rule holds
-//! for every traced crate), and an interned [`NameId`] instead of a
+//! themselves deterministic, and no traced crate reads the clock
+//! outside a span), and an interned [`NameId`] instead of a
 //! string. Call sites resolve names once into [`SpanName`] handles —
 //! [`crate::span!`] and [`crate::instant!`] keep them in a per-site
 //! `static` — so the record path never touches the interner lock.

@@ -39,6 +39,10 @@ impl SpanSite {
     /// Opens a span: a Begin record when the journal is on, then the
     /// clock starts.
     #[inline]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "spans are the workspace's one timer: they time work, never steer it"
+    )]
     pub fn enter(&'static self, arg: u64) -> Span {
         let site = self.resolved.get_or_init(|| Resolved {
             histogram: crate::histogram(&format!("{}.us", self.name)),

@@ -13,7 +13,10 @@ use std::str::FromStr;
 /// The ad-slot (creative) sizes observed in dataset *D*, ordered by area
 /// (the sort key of Figures 12–14).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[allow(missing_docs)]
+#[expect(
+    missing_docs,
+    reason = "each variant names its own slot size in pixels"
+)]
 pub enum AdSlotSize {
     S300x50,
     S320x50,
@@ -227,7 +230,6 @@ impl FromStr for AdSlotSize {
 /// and to describe user interest profiles (Figures 11 and 15 report price
 /// by IAB category).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[allow(missing_docs)]
 pub enum IabCategory {
     /// IAB1 — Arts & Entertainment.
     ArtsEntertainment,

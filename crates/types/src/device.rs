@@ -11,7 +11,10 @@ use std::fmt;
 
 /// Mobile operating systems as bucketed in Figures 8–10.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[allow(missing_docs)]
+#[expect(
+    missing_docs,
+    reason = "the variants are the operating systems' own names"
+)]
 pub enum Os {
     Android,
     Ios,
@@ -45,7 +48,7 @@ impl fmt::Display for Os {
 
 /// Hardware class of the device behind a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[allow(missing_docs)]
+#[expect(missing_docs, reason = "the device classes are self-describing")]
 pub enum DeviceType {
     Smartphone,
     Tablet,

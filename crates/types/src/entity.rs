@@ -17,7 +17,7 @@ use std::fmt;
 /// real 2015-era behaviour the paper reports: MoPub/Adnxs cleartext,
 /// DoubleClick/OpenX/Rubicon/PulsePoint encrypted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[allow(missing_docs)]
+#[expect(missing_docs, reason = "the variants are the exchanges' own names")]
 pub enum Adx {
     MoPub,
     OpenX,
@@ -260,8 +260,8 @@ mod tests {
     fn domains_unique() {
         // Resolving a domain back to its exchange is `yav_nurl::exchange_host`,
         // checked against a roster scan in `crates/nurl/tests/parity.rs`.
-        use std::collections::HashSet;
-        let mut seen = HashSet::new();
+        use std::collections::BTreeSet;
+        let mut seen = BTreeSet::new();
         for a in Adx::ALL {
             assert!(seen.insert(a.domain()), "duplicate domain {}", a.domain());
         }

@@ -81,11 +81,11 @@ id_type! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn wire_tokens_are_unique_and_opaque() {
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for i in 0..10_000u64 {
             let tok = AuctionId(i).wire();
             assert_eq!(tok.len(), 16);

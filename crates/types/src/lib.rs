@@ -21,6 +21,7 @@
 #![forbid(unsafe_code)]
 
 pub mod ad;
+pub mod decimal;
 pub mod device;
 pub mod entity;
 pub mod geo;
@@ -29,6 +30,7 @@ pub mod price;
 pub mod time;
 
 pub use ad::{AdSlotSize, IabCategory, PriceVisibility};
+pub use decimal::push_decimal;
 pub use device::{DeviceType, InteractionType, Os};
 pub use entity::{Adx, DspId};
 pub use geo::City;

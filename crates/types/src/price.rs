@@ -166,20 +166,32 @@ impl<'a> Sum<&'a Cpm> for Cpm {
     }
 }
 
-impl fmt::Display for Cpm {
-    /// Formats with the minimal number of decimal digits (what real nURLs
-    /// carry, e.g. `charge_price=0.95`).
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let sign = if self.0 < 0 { "-" } else { "" };
+impl Cpm {
+    /// Appends the `Display` form to `out` without `core::fmt`: the
+    /// nURL renderer writes cleartext prices and bids through it.
+    pub fn write_decimal(self, out: &mut String) {
+        let (negative, whole, frac) = self.decimal_parts();
+        if negative {
+            out.push('-');
+        }
+        crate::push_decimal(out, whole);
+        if let Some((digits, len)) = frac {
+            out.push('.');
+            out.extend(digits[..len].iter().map(|&d| char::from(d)));
+        }
+    }
+
+    /// The pieces of the minimal decimal form, shared by `Display` and
+    /// [`Cpm::write_decimal`]: the sign, the whole CPM, and the
+    /// fractional digits, if any, as six zero-padded ASCII digits with
+    /// trailing zeros stripped. Rendered on the stack: nothing allocates.
+    fn decimal_parts(self) -> (bool, u64, Option<([u8; 6], usize)>) {
         let abs = self.0.unsigned_abs();
         let whole = abs / MICROS as u64;
         let frac = abs % MICROS as u64;
         if frac == 0 {
-            return write!(f, "{sign}{whole}");
+            return (self.0 < 0, whole, None);
         }
-        // Six zero-padded fractional digits with trailing zeros stripped,
-        // rendered through a stack buffer: Display sits on the nURL
-        // render hot path and must not allocate.
         let mut digits = [0u8; 6];
         let mut rest = frac;
         for d in digits.iter_mut().rev() {
@@ -190,6 +202,19 @@ impl fmt::Display for Cpm {
         while len > 1 && digits[len - 1] == b'0' {
             len -= 1;
         }
+        (self.0 < 0, whole, Some((digits, len)))
+    }
+}
+
+impl fmt::Display for Cpm {
+    /// Formats with the minimal number of decimal digits (what real nURLs
+    /// carry, e.g. `charge_price=0.95`).
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (negative, whole, frac) = self.decimal_parts();
+        let sign = if negative { "-" } else { "" };
+        let Some((digits, len)) = frac else {
+            return write!(f, "{sign}{whole}");
+        };
         let frac_str = std::str::from_utf8(&digits[..len]).map_err(|_| fmt::Error)?;
         write!(f, "{sign}{whole}.{frac_str}")
     }
@@ -340,6 +365,24 @@ mod tests {
         assert_eq!(Cpm::from_micros(1).to_string(), "0.000001");
         assert_eq!(Cpm::from_f64(-1.5).to_string(), "-1.5");
         assert_eq!(Cpm::ZERO.to_string(), "0");
+    }
+
+    #[test]
+    fn write_decimal_writes_what_display_writes() {
+        let mut micros: Vec<i64> = (-2_000..=2_000).collect();
+        for digits in 0..=18 {
+            let p = 10i64.pow(digits);
+            micros.extend([p - 1, p, p + 1, -p, 7 * p / 3]);
+        }
+        micros.extend([i64::MIN, i64::MIN + 1, i64::MAX, 950_000, 30_000_000]);
+        micros.extend((0..10_000i64).map(|i| i.wrapping_mul(0x1E37_79B9_7F4A_7C15)));
+        let mut out = String::from("p=");
+        for m in micros {
+            let p = Cpm::from_micros(m);
+            out.truncate("p=".len());
+            p.write_decimal(&mut out);
+            assert_eq!(out, format!("p={p}"), "{m} micros");
+        }
     }
 
     #[test]

@@ -177,7 +177,7 @@ impl fmt::Display for SimTime {
 /// Calendar months, used to bucket the year-long dataset (Figures 2, 8, 9
 /// and 12 are all per-month series).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[allow(missing_docs)]
+#[expect(missing_docs, reason = "calendar month names need no docs")]
 pub enum Month {
     January,
     February,
@@ -237,7 +237,7 @@ impl fmt::Display for Month {
 
 /// Days of the week (Figure 7 buckets; the paper orders them Sunday-first).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[allow(missing_docs)]
+#[expect(missing_docs, reason = "weekday names need no docs")]
 pub enum DayOfWeek {
     Monday,
     Tuesday,
@@ -302,7 +302,6 @@ impl fmt::Display for DayOfWeek {
 /// coarser shifts (12am-9am / 9am-6pm / 6pm-12am), exposed via
 /// [`TimeOfDay::campaign_shift`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[allow(missing_docs)]
 pub enum TimeOfDay {
     /// 00:00–03:59.
     Night,

@@ -63,11 +63,11 @@ pub const BEACON_HOSTS: [&str; 2] = ["beacon.adsight.example", "pixel.trackwise.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn rosters_are_disjoint_and_unique() {
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for d in ANALYTICS
             .iter()
             .chain(&SOCIAL)

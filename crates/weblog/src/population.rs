@@ -7,11 +7,10 @@
 //! weighted interest profile over IAB categories that steers which
 //! publishers they visit.
 
-use crate::generator::push_decimal;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use yav_types::{City, DeviceType, IabCategory, Os, UserId};
+use yav_types::{push_decimal, City, DeviceType, IabCategory, Os, UserId};
 
 /// One panel user.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

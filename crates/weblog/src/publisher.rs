@@ -382,7 +382,7 @@ mod tests {
     fn sample_slot_draws_every_figure12_size_eventually() {
         let mut rng = StdRng::seed_from_u64(11);
         let t = SimTime::from_ymd_hm(2015, 7, 1, 0, 0);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..50_000 {
             seen.insert(sample_slot(&mut rng, t));
         }

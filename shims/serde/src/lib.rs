@@ -8,7 +8,7 @@
 
 #![forbid(unsafe_code)]
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
 pub use serde_derive::{Deserialize, Serialize};
@@ -371,7 +371,11 @@ tuple_impls! {
     (A.0, B.1, C.2, D.3)
 }
 
-impl<K: Serialize, V: Serialize, S> Serialize for HashMap<K, V, S> {
+#[expect(
+    clippy::disallowed_types,
+    reason = "serde's own impl, kept so the shim stays API-compatible"
+)]
+impl<K: Serialize, V: Serialize, S> Serialize for std::collections::HashMap<K, V, S> {
     fn to_value(&self) -> Value {
         Value::Object(
             self.iter()

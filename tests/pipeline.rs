@@ -142,8 +142,8 @@ fn client_and_offline_methodology_agree() {
     // exactly).
     let generator = WeblogGenerator::new(WeblogConfig::tiny());
     let mut analyzer = WeblogAnalyzer::new();
-    let mut clients: std::collections::HashMap<UserId, YourAdValue> =
-        std::collections::HashMap::new();
+    let mut clients: std::collections::BTreeMap<UserId, YourAdValue> =
+        std::collections::BTreeMap::new();
 
     let universe = generator.universe().clone();
     let a1 = campaign::execute_parallel(
